@@ -14,21 +14,81 @@ lengths, default ``1000,10000``), ``REPRO_BENCH_CERT_WS_SIZES``
 mode, default ``0.4``).  CI smoke runs shrink all three; the indexed-vs-scan
 speedup assertion only arms itself for configurations at the paper-scale
 point (log length ≥ 10000, writeset size ≥ 10).
+
+Result files: every ``BENCH_*.json`` goes through :func:`write_bench_json`.
+A default run (tier-1 included) writes them to the untracked
+``benchmarks/out/``; only ``pytest --refresh-bench-baselines`` writes the
+tracked baselines at the repo root, which is what CI does before it uploads
+and compares them (``tools/check_bench_regression.py``).
 """
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
+import pytest
+
+_REPO_ROOT = Path(__file__).resolve().parent.parent
+_SRC = _REPO_ROOT / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.core.config import SystemKind, WorkloadName  # noqa: E402
 from repro.cluster.sweeps import ReplicaSweep, run_replica_sweep  # noqa: E402
+
+#: Where a default run leaves its result files (git-ignored).
+BENCH_OUT_DIR = Path(__file__).resolve().parent / "out"
+_refresh_baselines = False
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--refresh-bench-baselines", action="store_true", default=False,
+        help="write BENCH_*.json to the repo root (the tracked baselines) "
+             "instead of the untracked benchmarks/out/")
+
+
+def pytest_configure(config):
+    global _refresh_baselines
+    _refresh_baselines = bool(
+        config.getoption("--refresh-bench-baselines", default=False))
+
+
+def write_bench_json(name: str, payload: dict) -> Path:
+    """Emit one benchmark result file; returns where it went."""
+    directory = _REPO_ROOT if _refresh_baselines else BENCH_OUT_DIR
+    directory.mkdir(exist_ok=True)
+    path = directory / name
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return path
+
+
+def _tracked_baseline_status() -> str | None:
+    """``git status`` of the tracked result files; None outside a checkout."""
+    try:
+        result = subprocess.run(
+            ["git", "status", "--porcelain", "--", "BENCH_*.json"],
+            cwd=_REPO_ROOT, capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return result.stdout if result.returncode == 0 else None
+
+
+@pytest.fixture(scope="session", autouse=True)
+def tracked_baselines_stay_clean():
+    """A default benchmark run must not rewrite a tracked ``BENCH_*.json``."""
+    before = _tracked_baseline_status()
+    yield
+    if not _refresh_baselines and before is not None:
+        assert _tracked_baseline_status() == before, (
+            "this run modified tracked BENCH_*.json files; result files belong "
+            "in benchmarks/out/ unless --refresh-bench-baselines is given")
+
 
 #: Measurement window per experiment point (simulated milliseconds).
 MEASURE_MS = float(os.environ.get("REPRO_BENCH_MEASURE_MS", "1500"))

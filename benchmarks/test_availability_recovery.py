@@ -28,9 +28,7 @@ guarded by ``tools/check_bench_regression.py``):
 
 from __future__ import annotations
 
-import json
 import platform
-from pathlib import Path
 from typing import Generator
 
 from conftest import (
@@ -41,6 +39,7 @@ from conftest import (
     RECOVERY_RECOVER_AT_MS,
     RECOVERY_SHARDS,
     RECOVERY_WARMUP_MS,
+    write_bench_json,
 )
 
 from repro.analysis.report import format_table
@@ -51,8 +50,6 @@ from repro.core.sharding import HashPartitioner
 from repro.core.writeset import make_writeset
 from repro.sim.kernel import Environment
 from repro.sim.rng import RandomStreams
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_recovery.json"
 
 POOL_KEYS_PER_SHARD = 2000
 #: Fraction of transactions straddling two shards (a little cross-shard
@@ -168,7 +165,7 @@ def test_availability_under_shard_leader_crash_and_emit_bench_json():
         "time_base": "simulated (deterministic)",
         "results": rows,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json("BENCH_recovery.json", payload)
 
     print()
     print(f"Availability: shard-0 leader down "

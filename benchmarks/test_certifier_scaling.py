@@ -18,19 +18,15 @@ across PRs.  Axes and measurement window are env-tunable — see
 
 from __future__ import annotations
 
-import json
 import platform
 import time
-from pathlib import Path
 
-from conftest import CERT_LOG_LENGTHS, CERT_MEASURE_SECONDS, CERT_WS_SIZES
+from conftest import CERT_LOG_LENGTHS, CERT_MEASURE_SECONDS, CERT_WS_SIZES, write_bench_json
 
 from repro.analysis.report import format_table
 from repro.core.certification import CertificationRequest, Certifier
 from repro.core.certifier_log import MODE_INDEXED, MODE_SCAN, CertifierLog
 from repro.core.writeset import make_writeset
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_certifier.json"
 
 #: The acceptance point: the indexed certifier must beat the seed scan by at
 #: least this factor at log length 10k with 10-item writesets.
@@ -130,7 +126,7 @@ def test_certifier_scaling_and_emit_bench_json():
         "scaling": rows,
         "gc": gc_stats,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json("BENCH_certifier.json", payload)
 
     print()
     print("Certifier scaling: indexed vs seed linear scan "

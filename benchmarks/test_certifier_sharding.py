@@ -28,9 +28,7 @@ certifier must clear at least 2x the certifications/sec of ``shards=1``.
 
 from __future__ import annotations
 
-import json
 import platform
-from pathlib import Path
 from typing import Generator
 
 from conftest import (
@@ -40,6 +38,7 @@ from conftest import (
     SHARD_FLUSH_CAP,
     SHARD_MEASURE_MS,
     SHARD_WARMUP_MS,
+    write_bench_json,
 )
 
 from repro.analysis.report import format_table
@@ -50,8 +49,6 @@ from repro.core.sharding import HashPartitioner
 from repro.core.writeset import make_writeset
 from repro.sim.kernel import Environment
 from repro.sim.rng import RandomStreams
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_certifier_shards.json"
 
 #: Acceptance floor: certifications/sec at 4 shards / 0% cross-shard must be
 #: at least this multiple of the single-certifier baseline.
@@ -183,7 +180,7 @@ def test_certifier_sharding_and_emit_bench_json():
         "time_base": "simulated (deterministic)",
         "results": rows,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json("BENCH_certifier_shards.json", payload)
 
     print()
     print(f"Certifier sharding: {SHARD_CLIENTS} closed-loop clients, "

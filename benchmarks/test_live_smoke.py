@@ -15,22 +15,19 @@ processes, so only an order-of-magnitude collapse (a lost batch path, an
 accidental per-call reconnect, a sleep on the hot path) should fail CI.
 """
 
-import json
 import platform
 import socket
 import time
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 
+from conftest import write_bench_json
 from repro.analysis.report import format_table
 from repro.core.config import ReplicationConfig, SystemKind
 from repro.live.cluster import LiveCluster
 from repro.sim.rng import RandomStreams
 from repro.workloads import workload_by_name
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_live.json"
 
 COMMITS = 60
 BACKLOG = 40
@@ -94,7 +91,7 @@ def test_live_cluster_smoke_throughput(benchmark):
         "time_base": "wall-clock on live subprocesses (loosely guarded)",
         "results": rows,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json("BENCH_live.json", payload)
 
     by_metric = {row["metric"]: row for row in rows}
     # Loose wall-clock floors: catastrophic-collapse guards only.

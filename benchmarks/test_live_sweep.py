@@ -27,19 +27,18 @@ paper's argument in reverse.
 
 Emitted as ``BENCH_live_sweep.json``.  ``tools/check_bench_regression.py``
 guards the batched-vs-serialized speedup at 16 clients against an absolute
-floor (≥3x) and the batched fsyncs-per-commit against 1.0, plus the usual
-loose wall-clock drift guards.
+floor (≥3x), the batched fsyncs-per-commit against 1.0 and the 2-shard vs
+1-shard throughput ratio against 0.8, plus the usual loose wall-clock drift
+guards.
 """
 
-import json
 import platform
 import socket
 import time
-from pathlib import Path
 
 import pytest
 
-from conftest import LIVE_CLIENT_COUNTS, LIVE_FSYNC_FLOOR_MS, LIVE_TX_PER_CLIENT
+from conftest import LIVE_CLIENT_COUNTS, LIVE_FSYNC_FLOOR_MS, LIVE_TX_PER_CLIENT, write_bench_json
 from repro.analysis.report import format_table
 from repro.core.config import ReplicationConfig, SystemKind
 from repro.live.cluster import LiveCluster
@@ -47,12 +46,15 @@ from repro.recovery.timings import RecoveryTimingModel
 from repro.sim.rng import RandomStreams
 from repro.workloads import workload_by_name
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_live_sweep.json"
-
 NUM_REPLICAS = 4
 #: The acceptance point: batched must beat serialized by at least this
 #: factor at the largest client count (asserted here and guarded in CI).
 SPEEDUP_FLOOR = 3.0
+#: Two live shards must reach at least this share of one shard's certs/sec
+#: (sequential shard flushes measured ~0.55; asserted here, guarded in CI).
+SHARDS2_RATIO_FLOOR = 0.8
+#: Measured runs per leg of that ratio (the row is the median run).
+RATIO_RUNS = 5
 
 
 def _tcp_available() -> bool:
@@ -66,8 +68,14 @@ def _tcp_available() -> bool:
 
 def _run_leg(*, mode: str, clients: int, shards: int = 1,
              window_ms: float = 0.0, batch_max: int = 64,
-             fsync_floor_ms: float = LIVE_FSYNC_FLOOR_MS) -> dict:
-    """Boot one cluster configuration and measure one closed-loop run."""
+             fsync_floor_ms: float = LIVE_FSYNC_FLOOR_MS, runs: int = 1) -> dict:
+    """Boot one cluster configuration and measure a closed-loop run.
+
+    With ``runs`` > 1 the measured run is repeated on the same cluster and
+    the row is the one with the median certs/sec: a single sub-second run
+    right after the warm-up swings by ±15 % on a small box, too much for a
+    guard that compares two legs.
+    """
     serialized = mode == "serialized"
     # The serialized baseline commits one fsync-bound transaction at a
     # time; shrink its per-client count so one leg stays a few seconds.
@@ -88,8 +96,10 @@ def _run_leg(*, mode: str, clients: int, shards: int = 1,
         cluster.refresh_all()
         cluster.run_workload(workload, clients=clients,
                              transactions_per_client=3)  # warmup
-        run = cluster.run_workload(workload, clients=clients,
-                                   transactions_per_client=tx_per_client)
+        measured = [cluster.run_workload(workload, clients=clients,
+                                         transactions_per_client=tx_per_client)
+                    for _ in range(runs)]
+    run = sorted(measured, key=lambda r: r["certs_per_sec"])[runs // 2]
     batching = run["scheduler_stats"].get("certify_batching", {})
     return {
         "mode": mode,
@@ -162,12 +172,15 @@ def test_live_sweep(benchmark):
     def sweep() -> list[dict]:
         rows: list[dict] = []
         # Headline axis: clients × mode under the paper's disk model.
+        top = max(LIVE_CLIENT_COUNTS)
         for clients in LIVE_CLIENT_COUNTS:
             rows.append(_run_leg(mode="serialized", clients=clients))
-            rows.append(_run_leg(mode="batched", clients=clients))
-        top = max(LIVE_CLIENT_COUNTS)
-        # Secondary axes at the largest client count, batched only.
-        rows.append(_run_leg(mode="batched", clients=top, shards=2))
+            rows.append(_run_leg(mode="batched", clients=clients,
+                                 runs=RATIO_RUNS if clients == top else 1))
+        # Secondary axes at the largest client count, batched only (the two
+        # legs of the 2-shard ratio are medians of RATIO_RUNS runs).
+        rows.append(_run_leg(mode="batched", clients=top, shards=2,
+                             runs=RATIO_RUNS))
         rows.append(_run_leg(mode="batched", clients=top, window_ms=4.0))
         rows.append(_run_leg(mode="batched", clients=top, batch_max=8))
         # Fast-disk crossover: raw container fsync, durability ~free.
@@ -204,6 +217,15 @@ def test_live_sweep(benchmark):
         "metric": f"batched_fsyncs_per_commit_{top}_clients",
         "value": leg("batched", top)["fsyncs_per_commit"],
     })
+    # Two shards against one at the top client count: every round touches
+    # both shard WALs, so this is ~0.55 when their fsyncs run back to back
+    # and ~1 when the round's flushes overlap (AllUpdates rounds gain no
+    # batching from a second shard, so ~1 is the ceiling here).
+    summary.append({
+        "metric": "shards2_vs_shards1_certs_ratio",
+        "value": round(leg("batched", top, shards=2)["certs_per_sec"]
+                       / leg("batched", top)["certs_per_sec"], 2),
+    })
     # Failover window: kill -9 the primary scheduler, promote the standby,
     # commit again.  The model's state-transfer term is microseconds at this
     # log size; the measured window is dominated by promotion choreography
@@ -225,7 +247,7 @@ def test_live_sweep(benchmark):
         "summary": summary,
         "failover": failover,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json("BENCH_live_sweep.json", payload)
 
     by_metric = {row["metric"]: row["value"] for row in summary}
     # The acceptance point: group certification must beat the
@@ -233,6 +255,8 @@ def test_live_sweep(benchmark):
     # one committed transaction must share each durable WAL write.
     assert by_metric[f"speedup_batched_vs_serialized_{top}_clients"] >= SPEEDUP_FLOOR
     assert by_metric[f"batched_fsyncs_per_commit_{top}_clients"] < 1.0
+    # A second shard must not cost a second fsync wait per round.
+    assert by_metric["shards2_vs_shards1_certs_ratio"] >= SHARDS2_RATIO_FLOOR
     # Serialized is the definitional baseline: exactly one fsync per commit.
     assert leg("serialized", top)["fsyncs_per_commit"] >= 1.0
     # Failover sanity: the live window cannot beat the modeled state

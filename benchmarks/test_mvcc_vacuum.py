@@ -23,20 +23,16 @@ Results land in ``BENCH_mvcc_vacuum.json`` at the repo root (see
 
 from __future__ import annotations
 
-import json
 import platform
 import time
-from pathlib import Path
 
-from conftest import MVCC_CHAIN_LENGTHS, MVCC_HISTORIES, MVCC_MEASURE_SECONDS
+from conftest import MVCC_CHAIN_LENGTHS, MVCC_HISTORIES, MVCC_MEASURE_SECONDS, write_bench_json
 
 from repro.analysis.report import format_table
 from repro.core.writeset import WriteSet
 from repro.engine.database import Database
 from repro.engine.rows import LegacyVersionedRow, RowVersion, VersionedRow
 from repro.middleware.janitor import JanitorPolicy, MaintenanceJanitor
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_mvcc_vacuum.json"
 
 #: Live working set (rows a scan returns), hot keys absorbing the update
 #: stream, writesets per applied batch, and how many versions a churn row
@@ -217,7 +213,7 @@ def test_mvcc_vacuum_and_emit_bench_json():
         "sustained": sustained,
         "layout": layout,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json("BENCH_mvcc_vacuum.json", payload)
 
     print()
     print("Sustained group-apply: janitor on vs off "

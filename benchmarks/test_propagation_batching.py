@@ -27,12 +27,10 @@ Axes are env-tunable — see ``benchmarks/conftest.py``.
 
 from __future__ import annotations
 
-import json
 import platform
 import time
-from pathlib import Path
 
-from conftest import PROP_BATCH_SIZE, PROP_FSYNC_MS, PROP_WRITESETS, REPLICA_COUNTS
+from conftest import PROP_BATCH_SIZE, PROP_FSYNC_MS, PROP_WRITESETS, REPLICA_COUNTS, write_bench_json
 
 from repro.analysis.report import format_table
 from repro.core.certification import RemoteWriteSetInfo
@@ -46,8 +44,6 @@ from repro.transport import (
     TimeWindowFlushPolicy,
     WritesetStream,
 )
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_propagation.json"
 
 #: Acceptance: batched propagation must beat per-writeset propagation by at
 #: least this factor in applies/sec, at every measured point with 8+ replicas.
@@ -149,7 +145,7 @@ def test_propagation_batching_and_emit_bench_json():
         "replica_fsync_ms": PROP_FSYNC_MS,
         "results": rows,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json("BENCH_propagation.json", payload)
 
     print()
     print(f"Propagation batching: {PROP_WRITESETS} writesets, modeled "

@@ -10,11 +10,10 @@ of log per hour of down time (~1 s on the LAN).  The table is emitted as
 exercised end to end on real engine instances.
 """
 
-import json
 import platform
 from functools import lru_cache
-from pathlib import Path
 
+from conftest import write_bench_json
 from repro.analysis.report import format_table
 from repro.core.certification import CertificationRequest
 from repro.core.writeset import make_writeset
@@ -23,8 +22,6 @@ from repro.engine.database import Database
 from repro.middleware.certifier import CertifierService
 from repro.recovery.replica_recovery import recover_tashkent_mw_replica, replay_writesets_from_certifier
 from repro.recovery.timings import RecoveryTimingModel
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_recovery_times.json"
 
 
 @lru_cache(maxsize=None)
@@ -63,7 +60,7 @@ def test_section96_recovery_time_table(benchmark):
         "time_base": "modeled (Section 9.6 calibration, deterministic)",
         "results": rows,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json("BENCH_recovery_times.json", payload)
 
     one_hour = next(row for row in rows if row["downtime_h"] == 1.0)
     assert abs(one_hour["mw_dump_s"] - 230) <= 5

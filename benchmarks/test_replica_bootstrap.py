@@ -21,11 +21,9 @@ entries (→ ``BENCH_bootstrap.json``, guarded by
 
 from __future__ import annotations
 
-import json
 import platform
-from pathlib import Path
 
-from conftest import BOOTSTRAP_HEADROOMS, BOOTSTRAP_HISTORIES
+from conftest import BOOTSTRAP_HEADROOMS, BOOTSTRAP_HISTORIES, write_bench_json
 
 from repro.analysis.report import format_table
 from repro.consensus.sharded import ReplicatedShardedCertifier
@@ -33,8 +31,6 @@ from repro.core.certification import CertificationRequest
 from repro.core.writeset import make_writeset
 from repro.recovery.snapshots import bootstrap_group_node, compact_certifier
 from repro.recovery.timings import RecoveryTimingModel
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_bootstrap.json"
 
 SHARDS = 2
 #: The observed node goes down after this many commits.
@@ -116,7 +112,7 @@ def test_bootstrap_state_transfer_scaling_and_emit_bench_json():
         "time_base": "modeled (Section 9.6 calibration, deterministic)",
         "results": rows,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json("BENCH_bootstrap.json", payload)
 
     print()
     print("Anti-entropy bootstrap: node down from commit "

@@ -29,22 +29,19 @@ env-tunable via ``REPRO_BENCH_SCHED_REPLICAS`` / ``REPRO_BENCH_SCHED_BURST``
 
 from __future__ import annotations
 
-import json
 import platform
-from pathlib import Path
 
 from conftest import (
     MEASURE_MS,
     SCHED_REPLICAS,
     SCHED_UPDATE_BURST,
     WARMUP_MS,
+    write_bench_json,
 )
 
 from repro.analysis.report import format_table
 from repro.cluster.experiment import ExperimentConfig, run_experiment
 from repro.core.config import SystemKind, WorkloadName
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_scheduler.json"
 
 #: Routing legs measured at every point ("pinned" = no scheduler at all).
 MAIN_LEGS = ("pinned", "round-robin", "conflict-aware")
@@ -116,7 +113,7 @@ def test_scheduler_routing_and_emit_bench_json():
         "measure_ms": MEASURE_MS,
         "results": rows,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json("BENCH_scheduler.json", payload)
 
     columns = ["workload", "policy", "replicas", "throughput_tps",
                "abort_rate", "routed_imbalance"]

@@ -18,10 +18,9 @@ The engine's WAL and the certifier's persistent log both write through a
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from typing import Iterable, Protocol
+from typing import Protocol, Sequence
 
 
 class LogDevice(Protocol):
@@ -40,6 +39,42 @@ class LogDevice(Protocol):
     @property
     def bytes_written(self) -> int:
         """Total bytes appended so far."""
+
+
+def sync_all(devices: Sequence[LogDevice]) -> None:
+    """One synchronous write on each device, their waits overlapped.
+
+    A device whose sync is a round trip elsewhere offers it in two halves:
+    ``begin_sync()`` sends the write on its way, ``finish_sync(resend=...)
+    -> bool`` waits for the acknowledgement.  All requests go out before any
+    wait, so N devices cost the slowest one's latency, not the sum.  The
+    gather first reads every acknowledgement that is on its way
+    (``resend=False``: a device that lost its connection says so instead of
+    blocking), then lets the dead ones block in their resend loop; a sync
+    that raises does not cut it short (the first error is raised at the
+    end).  Devices without the split (in-memory, file) ``sync()`` first.
+    """
+    split = []
+    for device in devices:
+        if hasattr(device, "begin_sync"):
+            split.append(device)
+        else:
+            device.sync()
+    for device in split:
+        device.begin_sync()
+    errors: list[Exception] = []
+
+    def finished(device: LogDevice, resend: bool) -> bool:
+        try:
+            return device.finish_sync(resend=resend)
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+            return True
+
+    for device in [d for d in split if not finished(d, False)]:
+        finished(device, True)
+    if errors:
+        raise errors[0]
 
 
 class CountingLogDevice:
@@ -85,11 +120,6 @@ class CountingLogDevice:
         lost = len(self._pending)
         self._pending.clear()
         return lost
-
-    def iter_durable_json(self) -> Iterable[dict]:
-        """Decode durable payloads as JSON objects (the WAL's wire format)."""
-        for payload in self._durable:
-            yield json.loads(payload.decode("utf-8"))
 
 
 class ThrottledLogDevice(CountingLogDevice):

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import binascii
 import json
 import sys
 import threading
@@ -80,7 +81,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.locks import LockBlockedError
-from repro.errors import TransactionAborted
+from repro.errors import ReproError, TransactionAborted
 from repro.live import codec
 from repro.live.harness import READY_PREFIX
 from repro.live.wire import (
@@ -128,16 +129,12 @@ class ServerStats:
 
 def _error_envelope(exc: Exception, *, unexpected_trace: bool = True) -> dict:
     """The wire error envelope for ``exc`` (same shape on every path)."""
-    from repro.errors import TransactionAborted
-
     if isinstance(exc, RemoteCallError):
         return {"ok": False, "error": exc.error,
                 "error_type": exc.error_type, "reason": exc.reason}
     if isinstance(exc, TransactionAborted):
         return {"ok": False, "error": str(exc),
                 "error_type": "TransactionAborted", "reason": exc.reason}
-    from repro.errors import ReproError
-
     if unexpected_trace and not isinstance(exc, ReproError):
         traceback.print_exc(file=sys.stderr)
     return {"ok": False, "error": str(exc), "error_type": type(exc).__name__}
@@ -174,8 +171,6 @@ class CertifierShardRole:
                 # Nothing written: the batch is lost with this process; the
                 # scheduler still holds it and resends after the restart.
                 return WEDGE
-            import binascii
-
             applied = self.wal.append_batch(
                 int(payload["seq"]),
                 [binascii.unhexlify(p) for p in payload["payloads"]],
@@ -191,8 +186,6 @@ class CertifierShardRole:
             # before it was acknowledged, so re-reading the file from disk
             # (the append handle runs on this same event-loop thread) sees
             # exactly the acknowledged prefix.
-            import binascii
-
             from repro.live.wal import read_wal_batches
 
             return {
@@ -439,8 +432,7 @@ class SchedulerRole:
         seq-dedupe protecting the dead primary's resends cannot swallow
         them.
         """
-        import binascii
-
+        from repro.engine.log_device import sync_all
         from repro.errors import RecoveryError
         from repro.live.replicated import (
             LiveReplicatedCertifierService,
@@ -452,18 +444,21 @@ class SchedulerRole:
         from repro.live.wire import WireClient
 
         started = time.perf_counter()
-        per_shard_entries: list[list] = []
-        last_seqs: list[int] = []
-        for shard_id, (host, port) in enumerate(self.shard_addrs):
-            with WireClient(host, port, timeout=5.0,
-                            name=f"promote-{shard_id}") as ctl:
-                response = ctl.call_retrying("wal_read", deadline_s=30.0)
-            per_shard_entries.append([
-                decode_entry_payload(binascii.unhexlify(payload))
-                for batch in response["batches"]
-                for payload in batch["payloads"]
-            ])
-            last_seqs.append(int(response["last_seq"]))
+        readers = [WireClient(host, port, timeout=5.0, name=f"promote-{shard_id}")
+                   for shard_id, (host, port) in enumerate(self.shard_addrs)]
+        try:
+            for reader in readers:  # every shard reads its file back at once
+                reader.begin_call("wal_read")
+            responses = [reader.finish_call(deadline_s=30.0) for reader in readers]
+        finally:
+            for reader in readers:
+                reader.close()
+        per_shard_entries = [
+            [decode_entry_payload(binascii.unhexlify(payload))
+             for batch in response["batches"] for payload in batch["payloads"]]
+            for response in responses
+        ]
+        last_seqs = [int(response["last_seq"]) for response in responses]
         certifier, report, completions = rebuild_from_shard_wals(
             per_shard_entries, config=self.cert_config)
         package = self.seed_package
@@ -489,7 +484,8 @@ class SchedulerRole:
             # the completion durable on the shards that missed it before
             # acknowledging any new work.
             self.devices[shard_id].append(encode_entry_payload(entry))
-            self.devices[shard_id].sync()
+        sync_all([self.devices[shard_id]
+                  for shard_id in sorted({s for s, _ in completions})])
         self.service = LiveReplicatedCertifierService.from_recovered_core(
             certifier.core, config=self.cert_config,
             log_devices=list(self.devices))
@@ -552,8 +548,8 @@ class SchedulerRole:
             raise RemoteCallError(op, "standby not promoted",
                                   error_type="NotPromoted")
         service = self.service
-        if op == "certify":
-            return self._certify(payload)
+        if op == "certify":  # unpipelined: a round of one
+            return self.certify_batch_payloads([payload])[0]
         if op == "state_transfer":
             if not self.replicated:
                 raise RemoteCallError(op, "scheduler is not in replicated mode")
@@ -658,21 +654,6 @@ class SchedulerRole:
 
     def _records_flushed(self) -> int:
         return self.service.stats_snapshot().flush.records_flushed
-
-    def _certify(self, payload: dict) -> dict:
-        tx_id = payload.get("tx_id")
-        if tx_id is not None and tx_id in self.tx_table:
-            self.duplicate_tx_hits += 1
-            return self._duplicate_response(payload)
-        request = codec.decode_request(payload["request"])
-        if self.replicated:
-            # The tx_id rides into the durable WAL entry so a promoted
-            # standby rebuilds the exactly-once table, not just decisions.
-            result = self.service.certify_tx(request, tx_id)
-        else:
-            result = self.service.certify(request)
-        self._record_tx(tx_id, result)
-        return {"result": codec.encode_result(result), "duplicate": False}
 
     def _record_tx(self, tx_id: str | None, result) -> None:
         if tx_id is None:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import random
+from typing import Iterator
 
 from repro.consensus.sharded import (
     ENTRY_GC,
@@ -47,6 +48,7 @@ from repro.consensus.sharded import (
 )
 from repro.core.certification import CertificationRequest, CertificationResult
 from repro.core.sharding import Partitioner
+from repro.engine.log_device import sync_all
 from repro.errors import ReproError
 from repro.live.codec import decode_shard_log_entry, encode_shard_log_entry
 from repro.middleware.certifier import CertifierConfig
@@ -93,79 +95,30 @@ class LiveReplicatedCertifierService(ShardedCertifierService):
 
     # -- certification with exactly-once tokens -------------------------------
 
-    def certify_tx(self, request: CertificationRequest,
-                   tx_id: object = None) -> CertificationResult:
-        """Certify one transaction, stamping its WAL entry with ``tx_id``."""
-        outcome = self.certify_batch_tx([request], [tx_id])[0]
-        if isinstance(outcome, ReproError):
-            raise outcome
-        return outcome
-
     def certify_batch_tx(
-        self,
-        requests: list[CertificationRequest],
-        tx_ids: list[object],
+        self, requests: list[CertificationRequest], tx_ids: list[object],
     ) -> list[CertificationResult | ReproError]:
-        """`certify_batch` with the version→tx_id map populated between
-        admit and flush, so `_flush_shard` can stamp each entry.
+        """`certify_batch`, remembering each admitted version's ``tx_id``
+        between admit and flush so `_batch_payloads` can stamp its entry."""
+        def remember(index: int, commit_version: int) -> None:
+            if tx_ids[index] is not None:
+                self._tx_for_version[commit_version] = tx_ids[index]
 
-        Mirrors :meth:`ShardedCertifierService.certify_batch` exactly —
-        same decisions, same enqueue/flush/GC cadence — the only addition
-        is the tx bookkeeping the durable entries need.
-        """
-        before = self.core.certification_requests
-        outcomes = self.core.certify_batch(requests)
-        touched: set[int] = set()
-        for outcome, tx_id in zip(outcomes, tx_ids):
-            if (isinstance(outcome, CertificationResult) and outcome.committed
-                    and outcome.tx_commit_version is not None):
-                if tx_id is not None:
-                    self._tx_for_version[outcome.tx_commit_version] = tx_id
-                record = self.core.record_at(outcome.tx_commit_version)
-                for shard_id, local in record.shard_locals:
-                    self._batchers[shard_id].enqueue(
-                        (outcome.tx_commit_version, local))
-                    touched.add(shard_id)
-        if touched:
-            if self.config.durability_enabled:
-                self.flush(shard_ids=sorted(touched))
-            else:
-                self._propagate_up_to(self.core.last_version)
-        interval = self.config.gc_interval_requests
-        if interval > 0 and (before // interval
-                             != self.core.certification_requests // interval):
-            if not self.config.durability_enabled:
-                self.flush()
-            self.collect_garbage()
-        return outcomes
-
-    def certify(self, request: CertificationRequest) -> CertificationResult:
-        return self.certify_tx(request, None)
-
-    def certify_batch(
-        self, requests: list[CertificationRequest],
-    ) -> list[CertificationResult | ReproError]:
-        return self.certify_batch_tx(requests, [None] * len(requests))
+        return self.certify_batch(requests, on_admit=remember)
 
     # -- durable entries -------------------------------------------------------
 
-    def _flush_shard(self, shard_id: int) -> int:
-        """Append full round entries — not size markers — to the shard WAL.
+    def _batch_payloads(self, shard_id: int, batch: list[tuple[int, int]]) -> Iterator[bytes]:
+        """Full round entries — not size markers — for the shard WAL.
 
         Every touched shard gets the complete entry (full writeset +
         touched set), mirroring the functional replicated certifier's
         group appends: one surviving copy is enough for recovery to finish
         an interrupted cross-shard round.
         """
-        batcher = self._batchers[shard_id]
-        if not batcher.has_pending:
-            return 0
-        shard = self.core.shards[shard_id]
-        device = self.devices[shard_id]
-        batch = batcher.take_batch()
         for global_version, _local_version in batch:
             record = self.core.record_at(global_version)
-            device.append(encode_entry_payload(ShardLogEntry(
+            yield encode_entry_payload(ShardLogEntry(
                 kind="commit",
                 global_version=global_version,
                 writeset=record.writeset,
@@ -173,12 +126,7 @@ class LiveReplicatedCertifierService(ShardedCertifierService):
                 origin_replica=record.origin_replica,
                 certified_back_to=self.core.certified_back_to(global_version),
                 tx_id=self._tx_for_version.get(global_version),
-            )))
-        device.sync()
-        batcher.complete_batch()
-        shard.log.mark_durable(max(local for _, local in batch))
-        self.core.advance_durable_frontier()
-        return len(batch)
+            ))
 
     def collect_garbage(self) -> int:
         """Replicate the decided GC horizon to every shard WAL, then prune.
@@ -194,7 +142,7 @@ class LiveReplicatedCertifierService(ShardedCertifierService):
             ShardLogEntry(kind=ENTRY_GC, global_version=target))
         for device in self.devices:
             device.append(marker)
-            device.sync()
+        sync_all(self.devices)
         for version in [v for v in self._tx_for_version if v <= target]:
             del self._tx_for_version[version]
         return self.core.apply_gc(target)

@@ -37,6 +37,7 @@ import json
 import os
 import time
 from pathlib import Path
+from typing import Iterator
 
 from repro.live.wire import WireClient
 
@@ -66,18 +67,11 @@ class BatchWalFile:
         if not self.path.exists():
             return
         good_end = 0
-        with open(self.path, "rb") as handle:
-            for raw in handle:
-                if not raw.endswith(b"\n"):
-                    break  # torn tail: never acknowledged, will be resent
-                try:
-                    entry = json.loads(raw)
-                except ValueError:
-                    break
-                good_end += len(raw)
-                self.last_seq = max(self.last_seq, int(entry["seq"]))
-                self.batches += 1
-                self.records += len(entry["payloads"])
+        for entry, length in _intact_batches(self.path):
+            good_end += length
+            self.last_seq = max(self.last_seq, int(entry["seq"]))
+            self.batches += 1
+            self.records += len(entry["payloads"])
         torn = self.path.stat().st_size - good_end
         if torn > 0:
             # Reopening in append mode without this would bury the torn line
@@ -131,25 +125,27 @@ class BatchWalFile:
         self._file.close()
 
 
-def read_wal_batches(path: str | Path) -> list[dict]:
-    """Parse a shard WAL file into its applied batches (crash-test oracle)."""
-    batches: list[dict] = []
-    path = Path(path)
-    if not path.exists():
-        return batches
+def _intact_batches(path: Path) -> Iterator[tuple[dict, int]]:
+    """A WAL file's batch lines with their on-disk length, up to the first
+    torn or unparsable one (never acknowledged, so it will be resent)."""
     with open(path, "rb") as handle:
         for raw in handle:
             if not raw.endswith(b"\n"):
-                break
+                return
             try:
-                entry = json.loads(raw)
+                yield json.loads(raw), len(raw)
             except ValueError:
-                break
-            batches.append({
-                "seq": int(entry["seq"]),
-                "payloads": [binascii.unhexlify(p) for p in entry["payloads"]],
-            })
-    return batches
+                return
+
+
+def read_wal_batches(path: str | Path) -> list[dict]:
+    """Parse a shard WAL file into its applied batches (crash-test oracle)."""
+    path = Path(path)
+    if not path.exists():
+        return []
+    return [{"seq": int(entry["seq"]),
+             "payloads": [binascii.unhexlify(p) for p in entry["payloads"]]}
+            for entry, _ in _intact_batches(path)]
 
 
 class RemoteWalDevice:
@@ -178,9 +174,9 @@ class RemoteWalDevice:
         self._sync_count = 0
         self._bytes_written = 0
         self.resent_batches = 0
-        #: Cumulative wall-clock seconds spent inside ``sync()`` — the shard
-        #: round trip including its fsync.  Divide by ``sync_count`` for the
-        #: per-flush durability latency the group-commit batcher amortises.
+        #: Cumulative wall-clock seconds from sending a batch to reading its
+        #: acknowledgement — the shard round trip including its fsync.  Over
+        #: ``sync_count``: the flush latency the group-commit batcher amortises.
         self.sync_wait_s = 0.0
 
     # -- LogDevice interface --------------------------------------------------
@@ -190,20 +186,34 @@ class RemoteWalDevice:
         self._bytes_written += len(payload)
 
     def sync(self) -> None:
-        started = time.perf_counter()
+        self.begin_sync()
+        self.finish_sync()
+
+    def begin_sync(self) -> None:
+        """``sync``, first half: put the pending batch on the wire, so
+        :func:`~repro.engine.log_device.sync_all` can have every touched
+        shard fsyncing at once."""
+        self._sync_started = time.perf_counter()
         self._seq += 1
-        payloads = [binascii.hexlify(p).decode() for p in self._pending]
         # Count actual resends (a call retried after its frame may have
         # reached the shard), not clean reconnects of an idle connection.
-        resends_before = self._client.resends
-        self._client.call_retrying(
-            "wal_append", seq=self._seq, payloads=payloads, deadline_s=None,
-        )
-        if self._client.resends > resends_before:
+        self._resends_before = self._client.resends
+        self._client.begin_call(
+            "wal_append", seq=self._seq,
+            payloads=[binascii.hexlify(p).decode() for p in self._pending])
+
+    def finish_sync(self, *, resend: bool = True) -> bool:
+        """``sync``, second half: wait for the shard's acknowledgement and
+        return whether it arrived.  ``resend=False`` gives up (``False``) on
+        a lost connection; a later ``finish_sync()`` enters the resend loop."""
+        if self._client.finish_call(resend=resend) is None:
+            return False
+        if self._client.resends > self._resends_before:
             self.resent_batches += 1
         self._pending.clear()
         self._sync_count += 1
-        self.sync_wait_s += time.perf_counter() - started
+        self.sync_wait_s += time.perf_counter() - self._sync_started
+        return True
 
     def wire_stats(self) -> dict[str, int | float]:
         return {"shard_id": self.shard_id,

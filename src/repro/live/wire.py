@@ -170,6 +170,14 @@ def _recv_exactly(sock: socket.socket, length: int) -> bytes:
     return b"".join(chunks)
 
 
+def _recv_frame(sock: socket.socket) -> tuple[dict, int]:
+    """Read one frame; returns the message and its on-wire size."""
+    (length,) = _LEN.unpack(_recv_exactly(sock, _LEN.size))
+    if length > MAX_FRAME_BYTES:
+        raise FrameTooLarge(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    return decode_body(_recv_exactly(sock, length)), _LEN.size + length
+
+
 class _PendingCall:
     """One in-flight pipelined request waiting for its response frame."""
 
@@ -242,6 +250,8 @@ class WireClient:
         self._pending: dict[int, _PendingCall] = {}
         self._rids = itertools.count(1)
         self._reader: threading.Thread | None = None
+        #: The split-phase call in progress: (op, fields, send failure).
+        self._begun: tuple[str, dict, ConnectionLost | None] | None = None
 
     # -- connection management ------------------------------------------------
 
@@ -294,11 +304,6 @@ class WireClient:
         self._fail_pending(ConnectionLost(
             f"connection to {self.host}:{self.port} closed"))
 
-    def reconnect(self) -> None:
-        self.close()
-        self.reconnects += 1
-        self.connect()
-
     def _fail_pending(self, error: Exception) -> None:
         with self._pending_lock:
             pending = list(self._pending.values())
@@ -312,15 +317,10 @@ class WireClient:
     def _reader_loop(self, sock: socket.socket) -> None:
         try:
             while True:
-                header = _recv_exactly(sock, _LEN.size)
-                (length,) = _LEN.unpack(header)
-                if length > MAX_FRAME_BYTES:
-                    raise FrameTooLarge(
-                        f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-                response = decode_body(_recv_exactly(sock, length))
+                response, size = _recv_frame(sock)
                 with self._pending_lock:
                     self.frames_received += 1
-                    self.bytes_received += _LEN.size + length
+                    self.bytes_received += size
                     call = self._pending.pop(int(response.get("rid", -1)), None)
                 if call is not None:
                     call.response = response
@@ -351,9 +351,11 @@ class WireClient:
              **fields: object) -> dict:
         """One request/response round trip; raises on transport or remote error."""
         if self.pipelined:
-            response = self._call_pipelined(op, fields, on_send=_on_send)
-        else:
-            response = self._call_sequential(op, fields, on_send=_on_send)
+            return self._unwrap(op, self._call_pipelined(op, fields, on_send=_on_send))
+        self._send_sequential(op, fields, on_send=_on_send)
+        return self._unwrap(op, self._receive_sequential(op))
+
+    def _unwrap(self, op: str, response: dict) -> dict:
         self.calls += 1
         if not response.get("ok", False):
             raise RemoteCallError(
@@ -364,50 +366,84 @@ class WireClient:
             )
         return response
 
-    def _call_sequential(self, op: str, fields: dict,
-                         on_send: Callable[[], None] | None = None) -> dict:
-        request = {"op": op, **fields}
+    def begin_call(self, op: str, **fields: object) -> None:
+        """First half of a split-phase call: send the request, do not wait —
+        one thread can put requests to several peers on the wire before it
+        waits for any.  Sequential connections only: the reply is the next
+        frame on the socket, so nothing else may use this client until
+        :meth:`finish_call` has read it.  A failed send is remembered, not
+        raised; ``finish_call`` owns recovery.
+        """
+        if self.pipelined:
+            raise WireError("split-phase calls need a sequential connection")
+        lost = None
         try:
-            self.connect()
+            self._send_sequential(op, fields)
+        except ConnectionLost as exc:
+            lost = exc
+        self._begun = (op, fields, lost)
+
+    def finish_call(self, *, resend: bool = True,
+                    deadline_s: float | None = None) -> dict | None:
+        """Second half: the reply to the call :meth:`begin_call` sent.
+
+        A connection lost in either half is recovered exactly as
+        :meth:`call_retrying` recovers a lost ``call`` (same counters).
+        ``resend=False`` instead returns ``None`` on a lost connection
+        (closed by then, so no stale reply can surface) and the call stays
+        begun: a gather over several clients reads every reply that is on
+        its way before it waits out a dead peer.
+        """
+        op, fields, lost = self._begun
+        self._begun = None
+        if lost is None:
+            try:
+                return self._unwrap(op, self._receive_sequential(op))
+            except ConnectionLost as exc:
+                lost = exc
+        if not resend:
+            self._begun = (op, fields, lost)
+            return None
+        return self.call_retrying(op, deadline_s=deadline_s, _lost=lost, **fields)
+
+    def _dial(self, op: str, connect: Callable[[], None]) -> None:
+        try:
+            connect()
         except OSError as exc:
             # Dial refused: nothing was sent, so a retry is not a resend.
             raise ConnectionLost(
                 f"{op} to {self.host}:{self.port} failed: {exc}",
                 request_sent=False) from exc
+
+    def _send_sequential(self, op: str, fields: dict,
+                         on_send: Callable[[], None] | None = None) -> None:
+        self._dial(op, self.connect)
         try:
-            sock = self._sock
-            assert sock is not None
-            frame = encode_frame(request)
-            sock.sendall(frame)
-            self.frames_sent += 1
-            self.bytes_sent += len(frame)
-            if on_send is not None:
-                on_send()
-            header = _recv_exactly(sock, _LEN.size)
-            (length,) = _LEN.unpack(header)
-            if length > MAX_FRAME_BYTES:
-                raise FrameTooLarge(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-            response = decode_body(_recv_exactly(sock, length))
-            self.frames_received += 1
-            self.bytes_received += _LEN.size + length
-        except (OSError, EOFError) as exc:
-            # The connection is poisoned mid-exchange; drop it so the next
-            # call starts clean.
-            self.close()
+            frame = encode_frame({"op": op, **fields})
+            self._sock.sendall(frame)
+        except OSError as exc:
+            self.close()  # poisoned mid-exchange; the next call starts clean
             raise ConnectionLost(f"{op} to {self.host}:{self.port} failed: {exc}") from exc
+        self.frames_sent += 1
+        self.bytes_sent += len(frame)
+        if on_send is not None:
+            on_send()
+
+    def _receive_sequential(self, op: str) -> dict:
+        try:
+            response, size = _recv_frame(self._sock)
+        except (OSError, EOFError) as exc:
+            self.close()  # poisoned mid-exchange; the next call starts clean
+            raise ConnectionLost(f"{op} to {self.host}:{self.port} failed: {exc}") from exc
+        self.frames_received += 1
+        self.bytes_received += size
         return response
 
     def _call_pipelined(self, op: str, fields: dict,
                         on_send: Callable[[], None] | None = None) -> dict:
         pending = _PendingCall()
         with self._send_lock:
-            try:
-                self._connect_locked()
-            except OSError as exc:
-                # Dial refused: nothing was sent, a retry is not a resend.
-                raise ConnectionLost(
-                    f"{op} to {self.host}:{self.port} failed: {exc}",
-                    request_sent=False) from exc
+            self._dial(op, self._connect_locked)
             sock = self._sock
             assert sock is not None
             rid = next(self._rids)
@@ -447,6 +483,7 @@ class WireClient:
     def call_retrying(self, op: str, *, deadline_s: float | None = None,
                       retry_interval_s: float = 0.2,
                       _on_send: Callable[[], None] | None = None,
+                      _lost: ConnectionLost | None = None,
                       **fields: object) -> dict:
         """Call, reconnecting and resending until it succeeds.
 
@@ -454,11 +491,16 @@ class WireClient:
         harness restarts nodes on their original port).  ``deadline_s`` of
         ``None`` retries forever — the per-test watchdog is the backstop, and
         a deliberately killed node is always restarted by the test choreography.
+        ``_lost``: a split-phase first attempt (:meth:`finish_call`) already
+        failed this way; the loop starts in its recovery branch.
         """
         start = time.monotonic()
         attempt = 0
         while True:
             try:
+                if _lost is not None:
+                    lost, _lost = _lost, None
+                    raise lost
                 return self.call(op, _on_send=_on_send, **fields)
             except RemoteCallError as exc:
                 if exc.error_type != "NotPromoted":
@@ -466,15 +508,11 @@ class WireClient:
                 # A standby answered but is not serving yet.  The request was
                 # refused without effect — wait for promotion and try again
                 # (not a resend: refusal is a definitive non-delivery).
-                attempt += 1
                 if deadline_s is not None and time.monotonic() - start > deadline_s:
                     raise ConnectionLost(
                         f"{op} to {self.host}:{self.port}: standby never promoted"
                     ) from exc
-                delay = min(retry_interval_s * min(attempt, 5), 1.0)
-                time.sleep(delay * (0.5 + 0.5 * random.random()))
             except ConnectionLost as exc:
-                attempt += 1
                 if not isinstance(exc, CallTimedOut):
                     # The next call() re-dials from scratch.  A timed-out
                     # pipelined call skips this: its connection is still
@@ -495,12 +533,12 @@ class WireClient:
                     self._rotate_address()
                 if deadline_s is not None and time.monotonic() - start > deadline_s:
                     raise
-                # Jittered backoff: many clients losing the same peer (a
-                # scheduler restart) must not re-dial in lockstep, or the
-                # revived listener eats a synchronized thundering herd on
-                # every retry tick.
-                delay = min(retry_interval_s * min(attempt, 5), 1.0)
-                time.sleep(delay * (0.5 + 0.5 * random.random()))
+            # Jittered backoff: many clients losing the same peer (a scheduler
+            # restart) must not re-dial in lockstep, or the revived listener
+            # eats a synchronized thundering herd on every retry tick.
+            attempt += 1
+            delay = min(retry_interval_s * min(attempt, 5), 1.0)
+            time.sleep(delay * (0.5 + 0.5 * random.random()))
 
     def _rotate_address(self) -> None:
         with self._send_lock:

@@ -29,20 +29,20 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from typing import Callable, Iterable, Iterator
 
 from repro.core.certification import (
     CertificationRequest,
     CertificationResult,
     RemoteWriteSetInfo,
 )
-from repro.core.certifier_log import CertifierLog
 from repro.core.group_commit import GroupCommitBatcher
 from repro.core.sharding import Partitioner, ShardedCertifier
 from repro.core.stats import (
     CertifierServiceStats,
     merged_group_commit_stats,
 )
-from repro.engine.log_device import CountingLogDevice, LogDevice
+from repro.engine.log_device import CountingLogDevice, LogDevice, sync_all
 from repro.errors import ConfigurationError, ReproError
 from repro.middleware.certifier import CertifierConfig, CertifierService
 from repro.transport import MergedSubscription, WritesetStream
@@ -91,28 +91,16 @@ class ShardedCertifierService:
     # -- main request path ------------------------------------------------------
 
     def certify(self, request: CertificationRequest) -> CertificationResult:
-        """Certify a transaction; release the decision once it is durable on
-        every shard it touched."""
-        result = self.core.certify(request)
-        if result.committed and result.tx_commit_version is not None:
-            record = self.core.record_at(result.tx_commit_version)
-            for shard_id, local in record.shard_locals:
-                self._batchers[shard_id].enqueue((result.tx_commit_version, local))
-            if self.config.durability_enabled:
-                self.flush(shard_ids=[s for s, _ in record.shard_locals])
-            else:
-                # Decision released before the log write: propagate now (the
-                # lazily flushed log stays off the critical path).
-                self._propagate_up_to(self.core.last_version)
-        interval = self.config.gc_interval_requests
-        if interval > 0 and self.core.certification_requests % interval == 0:
-            if not self.config.durability_enabled:
-                self.flush()
-            self.collect_garbage()
-        return result
+        """Certify a transaction — a round of one (see :meth:`certify_batch`);
+        the decision is released once it is durable on every shard it touched."""
+        outcome = self.certify_batch([request])[0]
+        if isinstance(outcome, ReproError):
+            raise outcome
+        return outcome
 
     def certify_batch(
-        self, requests: list[CertificationRequest],
+        self, requests: list[CertificationRequest], *,
+        on_admit: Callable[[int, int], None] | None = None,
     ) -> list[CertificationResult | ReproError]:
         """Certify a group of requests as one round with shared flushes.
 
@@ -124,13 +112,17 @@ class ShardedCertifierService:
         synchronous log write for the whole batch instead of one per
         transaction — the paper's group-commit economics, applied to the
         certifier's own log.  Per-request failures are returned in place.
+        ``on_admit(index, commit_version)`` is told of each admitted request
+        before the round is flushed.
         """
         before = self.core.certification_requests
         outcomes = self.core.certify_batch(requests)
         touched: set[int] = set()
-        for outcome in outcomes:
+        for index, outcome in enumerate(outcomes):
             if (isinstance(outcome, CertificationResult) and outcome.committed
                     and outcome.tx_commit_version is not None):
+                if on_admit is not None:
+                    on_admit(index, outcome.tx_commit_version)
                 record = self.core.record_at(outcome.tx_commit_version)
                 for shard_id, local in record.shard_locals:
                     self._batchers[shard_id].enqueue(
@@ -138,7 +130,7 @@ class ShardedCertifierService:
                     touched.add(shard_id)
         if touched:
             if self.config.durability_enabled:
-                self.flush(shard_ids=sorted(touched))
+                self.flush(shard_ids=touched)
             else:
                 self._propagate_up_to(self.core.last_version)
         interval = self.config.gc_interval_requests
@@ -191,37 +183,43 @@ class ShardedCertifierService:
 
     # -- durability ---------------------------------------------------------------
 
-    def flush(self, shard_ids: list[int] | None = None) -> int:
+    def flush(self, shard_ids: Iterable[int] | None = None) -> int:
         """Flush the pending records of the given shards (default: all).
 
-        Each shard costs one synchronous write on its own device; distinct
-        shards never share an fsync — that independence is precisely what a
-        sharded deployment buys.  Returns the number of log records (writeset
-        fragments) made durable.
+        One scatter-gather round: each shard with pending records has its
+        batch staged on its own device, then :func:`sync_all` starts every
+        synchronous write before waiting for any — a cross-shard round costs
+        the slowest shard's write, not the sum.  Only when all are
+        acknowledged are the batchers completed, the logs marked durable and
+        the frontier advanced and propagated — once, in ascending shard
+        order, so nothing depends on which shard answered first.  A shard
+        that is down stalls the round (the others' acknowledgements are read
+        first); a sync that raises leaves every staged batch taken and
+        uncompleted.  Returns the number of log records made durable.
         """
-        targets = range(self.config.shards) if shard_ids is None else shard_ids
-        flushed = 0
+        targets = range(self.config.shards) if shard_ids is None else sorted(shard_ids)
+        staged: list[tuple[int, list[tuple[int, int]]]] = []
         for shard_id in targets:
-            flushed += self._flush_shard(shard_id)
-        if flushed:
-            self._propagate_up_to()
-        return flushed
-
-    def _flush_shard(self, shard_id: int) -> int:
-        batcher = self._batchers[shard_id]
-        if not batcher.has_pending:
+            if self._batchers[shard_id].has_pending:
+                batch = self._batchers[shard_id].take_batch()
+                for payload in self._batch_payloads(shard_id, batch):
+                    self.devices[shard_id].append(payload)
+                staged.append((shard_id, batch))
+        if not staged:
             return 0
-        shard = self.core.shards[shard_id]
-        device = self.devices[shard_id]
-        batch = batcher.take_batch()
+        sync_all([self.devices[shard_id] for shard_id, _ in staged])
+        for shard_id, batch in staged:
+            self._batchers[shard_id].complete_batch()
+            self.core.shards[shard_id].log.mark_durable(max(local for _, local in batch))
+        self._propagate_up_to()
+        return sum(len(batch) for _, batch in staged)
+
+    def _batch_payloads(self, shard_id: int, batch: list[tuple[int, int]]) -> Iterator[bytes]:
+        """The device payloads of one shard's staged batch: here one size
+        marker per fragment (enough to gate the decision on a real write)."""
+        log = self.core.shards[shard_id].log
         for _global_version, local_version in batch:
-            record = shard.log.record_at(local_version)
-            device.append(record.writeset.size_bytes().to_bytes(4, "big"))
-        device.sync()
-        batcher.complete_batch()
-        shard.log.mark_durable(max(local for _, local in batch))
-        self.core.advance_durable_frontier()
-        return len(batch)
+            yield log.record_at(local_version).writeset.size_bytes().to_bytes(4, "big")
 
     # -- propagation (the transport layer) -------------------------------------
 
@@ -370,11 +368,6 @@ class ShardedCertifierService:
     @property
     def system_version(self) -> int:
         return self.core.system_version.version
-
-    @property
-    def shard_logs(self) -> list[CertifierLog]:
-        """The per-shard logs (shard-local version coordinates)."""
-        return [shard.log for shard in self.core.shards]
 
     def stats_snapshot(self) -> CertifierServiceStats:
         """Typed snapshot with per-shard pipelines merged (fresh aggregates,

@@ -42,9 +42,12 @@ Hypothesis-generated workload × schedule cells) and
 
 from __future__ import annotations
 
+import time
+
 from repro.consensus.sharded import ReplicatedShardedCertifier
 from repro.core.certification import CertificationRequest, Certifier
 from repro.core.writeset import make_writeset
+from repro.engine.log_device import CountingLogDevice
 from repro.recovery.sharded_recovery import recover_sharded_certifier
 from repro.recovery.snapshots import bootstrap_group_node, compact_certifier
 
@@ -68,6 +71,45 @@ COMPACT_CRASH_POINTS = ("pre-compact", "mid-compact", "post-compact")
 
 #: GC headroom used on both sides of the comparison.
 GC_HEADROOM = 2
+
+
+class SplitPhaseDevice(CountingLogDevice):
+    """A log device with the two-phase sync of a remote WAL: durable
+    ``latency_s`` after ``begin_sync`` — the wait is somebody else's work.
+    Shared by the scatter-gather flush tests."""
+
+    def __init__(self, latency_s: float = 0.0, journal: list | None = None,
+                 name: str = "", lost: bool = False,
+                 error: Exception | None = None) -> None:
+        super().__init__()
+        self.latency_s = latency_s
+        self.journal = journal if journal is not None else []
+        self.name = name
+        self.lost = lost          # finish_sync(resend=False) gives up
+        self.error = error        # raised by the finishing call
+        self.waits: list[tuple[float, float]] = []
+
+    def begin_sync(self) -> None:
+        self._begun = time.perf_counter()
+        self.journal.append(("begin", self.name))
+
+    def finish_sync(self, *, resend: bool = True) -> bool:
+        if self.lost and not resend:
+            self.journal.append(("lost", self.name))
+            return False
+        remaining = self._begun + self.latency_s - time.perf_counter()
+        if remaining > 0:
+            time.sleep(remaining)
+        self.journal.append(("finish", self.name))
+        if self.error is not None:
+            raise self.error
+        CountingLogDevice.sync(self)
+        self.waits.append((self._begun, time.perf_counter()))
+        return True
+
+    def sync(self) -> None:
+        self.begin_sync()
+        self.finish_sync()
 
 
 class CertifierCrashed(Exception):

@@ -23,6 +23,10 @@ replica wedge-after-commit      post-flush (admitted + durable + applied;
 + kill                          only the ack was lost — the client must NOT
                                 re-execute)
 ==============================  ============================================
+
+Two more run the shard schedules at ``certifier_shards=2`` with cross-shard
+transactions, where the fault lands on ONE shard of a scatter-gather round
+while the other acknowledges it.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import ReplicationConfig, SystemKind
+from repro.core.sharding import HashPartitioner
 from repro.live.client import CommitInDoubt
 from repro.live.cluster import LiveCluster
 from repro.live.wal import read_wal_batches
@@ -318,6 +323,134 @@ def test_shard_sigkill_mid_batch_both_grouped_commits_resolve(tmp_path):
             assert row["note"] == f"seq-{index}"
         probe.abort()
         probe.close()
+    finally:
+        cluster.__exit__(None, None, None)
+
+
+# ---------------------------------------------------------------------------
+# two certifier shards: one shard fails inside a scatter-gather round
+# ---------------------------------------------------------------------------
+
+TWO_SHARD_CONFIG = ReplicationConfig(system=SystemKind.TASHKENT_MW,
+                                     num_replicas=2, certifier_shards=2,
+                                     rng_seed=SEED)
+
+
+def cross_shard_pairs() -> list[tuple[str, str]]:
+    """Per client, one counter row on each certifier shard (rows private to
+    the client's replica, so the two clients never conflict)."""
+    partitioner = HashPartitioner(2)
+    pairs = []
+    for replica in range(2):
+        keys = [f"r{replica}-c{client}-{slot}"
+                for client in range(10) for slot in range(4)]
+        pairs.append(tuple(
+            next(k for k in keys if partitioner.shard_of(("counters", k)) == shard)
+            for shard in (0, 1)))
+    return pairs
+
+
+def run_cross_shard(session, client_index: int, sequence: int) -> bool:
+    """One transaction whose writeset has a fragment on both shards, so its
+    certification round appends to — and waits for — both shard WALs."""
+    session.begin()
+    for key in cross_shard_pairs()[client_index]:
+        row = session.read("counters", key)
+        session.update("counters", key, value=int(row["value"]) + 1,
+                       note=f"seq-{sequence}")
+    return session.commit().committed
+
+
+def cross_shard_oracle() -> dict:
+    """Fault-free functional run of the same TRANSACTIONS cross-shard sequence."""
+    workload = make_workload()
+    system = build_replicated_system(TWO_SHARD_CONFIG)
+    system.create_tables_from_schemas(workload.schemas())
+    system.load_initial_data(workload.setup)
+    sessions = system.sessions_round_robin(len(system.replicas))
+    for sequence in range(TRANSACTIONS):
+        assert run_cross_shard(sessions[sequence % 2], sequence % 2, sequence)
+    system.refresh_all()
+    return {
+        replica.name: replica.database.table("counters").snapshot_state(
+            replica.database.current_version)
+        for replica in system.replicas
+    }
+
+
+def shard_wal_seqs(cluster: LiveCluster, shard_id: int) -> list[int]:
+    path = cluster.harness.run_dir / f"shard-{shard_id}.wal"
+    return [batch["seq"] for batch in read_wal_batches(path)]
+
+
+@pytest.mark.parametrize("wedged_shard, wedge_flag", [
+    # Shard 1 freezes BEFORE writing the round (nothing durable there) while
+    # shard 0 acknowledges its half of the same round.
+    (1, "--wedge-before-sync"),
+    # Mirror: shard 0 fsyncs the round and freezes before acknowledging
+    # (durable on one shard, unacknowledged) while shard 1 acknowledges.
+    (0, "--wedge-after-sync"),
+])
+def test_one_shard_sigkill_inside_a_two_shard_round(tmp_path, wedged_shard, wedge_flag):
+    """A cross-shard round is in flight on both shard WALs when one shard
+    wedges and is killed.  The scatter-gather flush must collect the healthy
+    shard's acknowledgement, resend the dead shard's batch under its old seq
+    after the restart, release the round exactly once — and leave both WAL
+    connections in step, so the NEXT round is not answered by a stale reply.
+    """
+    healthy = 1 - wedged_shard
+    # Appends per shard: loader=1 (touches every row, so both shards), txns
+    # 0..2 = 3 → the 5th wal_append on each shard is txn 3's round.
+    workload = make_workload()
+    cluster = LiveCluster(TWO_SHARD_CONFIG, workload.schemas(), run_dir=tmp_path,
+                          keep_dir=True,
+                          shard_args={wedged_shard: [wedge_flag, "5"]})
+    cluster.__enter__()
+    try:
+        cluster.load_initial_data(workload)
+        sessions = [cluster.session(name, attempt_timeout_s=CLIENT_TIMEOUT_S)
+                    for name in cluster.replicas]
+        for sequence in range(3):
+            assert run_cross_shard(sessions[sequence % 2], sequence % 2, sequence)
+        with pytest.raises(CommitInDoubt) as caught:
+            run_cross_shard(sessions[1], 1, 3)
+
+        # The healthy shard wrote and acknowledged its half of the round; the
+        # wedged one holds it iff the wedge came after its fsync.
+        assert shard_wal_seqs(cluster, healthy) == [1, 2, 3, 4, 5]
+        durable_on_wedged = wedge_flag == "--wedge-after-sync"
+        assert shard_wal_seqs(cluster, wedged_shard) == (
+            [1, 2, 3, 4, 5] if durable_on_wedged else [1, 2, 3, 4])
+
+        cluster.kill_shard(wedged_shard)
+        cluster.restart_shard(wedged_shard, drop_args=(wedge_flag,))
+        outcome = sessions[1].resolve_commit(caught.value.tx_id, wait_known_s=20.0)
+        assert outcome is not None and outcome.committed
+        sessions[1].reconnect()
+
+        # The next rounds use both connections again: a stale reply left on
+        # either would desynchronise them here.
+        for sequence in range(4, TRANSACTIONS):
+            assert run_cross_shard(sessions[sequence % 2], sequence % 2, sequence)
+
+        stats = cluster.scheduler_stats()
+        assert stats["tx_admits"] == TRANSACTIONS + 1, stats  # +1 loader
+        assert stats["wal_resent_batches"] >= 1
+        # Every round exactly once on BOTH shard WALs, seqs gapless.
+        for shard_id in (0, 1):
+            assert shard_wal_seqs(cluster, shard_id) == list(
+                range(1, TRANSACTIONS + 2)), f"shard {shard_id}"
+        skipped = cluster.shard_wal_stats(wedged_shard)["duplicate_batches_skipped"]
+        assert skipped == (1 if durable_on_wedged else 0)
+        assert cluster.shard_wal_stats(healthy)["duplicate_batches_skipped"] == 0
+        # One acknowledged sync per device per round, resend or not.
+        assert [c["calls"] for c in stats["wal_clients"]] == [TRANSACTIONS + 1] * 2
+
+        cluster.refresh_all()
+        oracle = cross_shard_oracle()
+        for name in cluster.replicas:
+            assert cluster.dump_table(name, "counters") == oracle[name], (
+                f"replica {name} diverged from the fault-free oracle")
     finally:
         cluster.__exit__(None, None, None)
 

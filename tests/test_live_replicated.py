@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.certification import CertificationRequest
 from repro.engine.log_device import CountingLogDevice
+from repro.errors import ReproError
 from repro.live.codec import (
     decode_shard_log_entry,
     decode_state_transfer,
@@ -52,6 +53,14 @@ def _request(version, writeset, origin="replica-0"):
         replica_version=version, origin_replica=origin)
 
 
+def _certify_tx(service, request, tx_id):
+    """One request through the round path, stamped with its ``tx_id``."""
+    (outcome,) = service.certify_batch_tx([request], [tx_id])
+    if isinstance(outcome, ReproError):
+        raise outcome
+    return outcome
+
+
 def _durable_entries(devices):
     return [[decode_entry_payload(p) for p in device.durable_payloads]
             for device in devices]
@@ -64,7 +73,7 @@ def _drive(service, count=6, shards=2):
         tx_id = f"client-{i}:1"
         # Alternate single-shard and cross-shard writesets.
         keys = (i, i + shards) if i % 2 else (i,)
-        result = service.certify_tx(_request(version, ws(*keys)), tx_id)
+        result = _certify_tx(service, _request(version, ws(*keys)), tx_id)
         assert result.committed
         committed.append((tx_id, result.tx_commit_version))
     return committed
@@ -87,7 +96,7 @@ def test_wal_payloads_are_full_entries():
 
 def test_cross_shard_round_is_on_every_touched_wal():
     service, devices = _service(2)
-    result = service.certify_tx(_request(0, ws(0, 1)), "xshard:1")
+    result = _certify_tx(service, _request(0, ws(0, 1)), "xshard:1")
     assert result.committed
     per_shard = _durable_entries(devices)
     for shard_id in (0, 1):
@@ -122,7 +131,7 @@ def test_rebuild_completes_round_missing_on_one_shard():
     # entry reached shard 0's WAL but not shard 1's.
     service, devices = _service(2)
     _drive(service, count=4)
-    result = service.certify_tx(_request(0, ws(10, 11)), "torn:1")
+    result = _certify_tx(service, _request(0, ws(10, 11)), "torn:1")
     assert result.committed
     per_shard = _durable_entries(devices)
     # Drop the final (cross-shard) entry from shard 1's WAL.
@@ -160,7 +169,7 @@ def test_rebuild_restores_gc_horizon_and_prunes_ack_table():
 
 def test_duplicate_certify_after_rebuild_is_replayed_not_readmitted():
     service, devices = _service(2)
-    result = service.certify_tx(_request(0, ws(5)), "dup:1")
+    result = _certify_tx(service, _request(0, ws(5)), "dup:1")
     certifier, _, _ = rebuild_from_shard_wals(
         _durable_entries(devices), config=_config(2))
     replay = certifier.certify(_request(0, ws(5)), tx_id="dup:1")

@@ -10,7 +10,10 @@ down the exact accounting and scoping rules the live crash tests build on:
 * a pipelined call timeout is scoped to its own `rid` — the connection and
   every other in-flight call survive;
 * socket swap-out (close / reader-loop death) is `_send_lock`-protected,
-  so concurrent senders and closers never race a half-closed socket.
+  so concurrent senders and closers never race a half-closed socket;
+* a split-phase call (`begin_call` / `finish_call`) overlaps round trips to
+  several peers, recovers a lost half with `call_retrying`'s accounting and
+  never leaves a stale reply for the next call on the connection.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import time
 
 import pytest
 
+from repro.engine.log_device import sync_all
+from repro.live.wal import RemoteWalDevice
 from repro.live.wire import CallTimedOut, ConnectionLost, WireClient
 
 _LEN = struct.Struct(">I")
@@ -285,3 +290,106 @@ def test_not_promoted_answer_is_retried_without_resend_accounting():
         timer.cancel()
     finally:
         server.stop()
+
+
+# -- split-phase calls (begin_call / finish_call) and the WAL gather ---------
+
+
+def test_split_phase_calls_to_two_peers_overlap():
+    def slow(request):
+        time.sleep(0.15)
+        return {"ok": True, "op": request["op"]}
+
+    servers = [_MiniServer(slow), _MiniServer(slow)]
+    try:
+        clients = [WireClient("127.0.0.1", s.port, timeout=2.0) for s in servers]
+        for client in clients:
+            client.connect()
+        started = time.perf_counter()
+        for index, client in enumerate(clients):
+            client.begin_call(f"op-{index}")
+        replies = [client.finish_call() for client in clients]
+        elapsed = time.perf_counter() - started
+        assert [reply["op"] for reply in replies] == ["op-0", "op-1"]
+        assert elapsed < 0.27, f"two 150 ms calls took {elapsed * 1e3:.0f} ms"
+        assert [client.calls for client in clients] == [1, 1]
+        for client in clients:
+            client.close()
+    finally:
+        for server in servers:
+            server.stop()
+
+
+def test_split_phase_lost_reply_is_resent_and_leaves_no_stale_frame():
+    seen = []
+
+    def handler(request):
+        seen.append(request["op"])
+        if seen == ["first"]:
+            return None  # wedged for the first attempt: the reply never comes
+        return {"ok": True, "op": request["op"]}
+
+    server = _MiniServer(handler)
+    try:
+        client = WireClient("127.0.0.1", server.port, timeout=0.2)
+        client.begin_call("first", seq=1)
+        # The receive times out: the connection is closed (no stale reply can
+        # surface later), the call stays begun, nothing was resent yet.
+        assert client.finish_call(resend=False) is None
+        assert not client.connected and client.resends == 0
+        reply = client.finish_call(deadline_s=5.0)
+        assert reply["op"] == "first"
+        assert seen == ["first", "first"]
+        assert (client.calls, client.resends) == (1, 1)
+        # The next call on this client gets its own answer.
+        assert client.call("second")["op"] == "second"
+        client.close()
+    finally:
+        server.stop()
+
+
+def test_split_phase_refused_dial_is_not_a_resend():
+    client = WireClient("127.0.0.1", _free_port(), timeout=0.2)
+    client.begin_call("ping")  # nothing listens: remembered, not raised
+    assert client.finish_call(resend=False) is None
+    with pytest.raises(ConnectionLost) as excinfo:
+        client.finish_call(deadline_s=0.5)
+    assert excinfo.value.request_sent is False
+    assert client.resends == 0 and client.calls == 0
+
+
+def test_wal_gather_survives_one_shard_losing_the_round():
+    """Shard 1 never answers its first ``wal_append``; shard 0 does.  The
+    gather must read shard 0's acknowledgement, resend shard 1's batch under
+    the same seq, and leave both connections in step for the next round."""
+    appends: list[list[int]] = [[], []]
+
+    def shard(index):
+        def handler(request):
+            appends[index].append(request["seq"])
+            if index == 1 and appends[1] == [1]:
+                return None
+            return {"ok": True, "applied": True, "last_seq": request["seq"]}
+        return handler
+
+    servers = [_MiniServer(shard(0)), _MiniServer(shard(1))]
+    try:
+        devices = [RemoteWalDevice("127.0.0.1", s.port, shard_id=i,
+                                   attempt_timeout_s=0.3)
+                   for i, s in enumerate(servers)]
+        for round_no in (1, 2):
+            for device in devices:
+                device.append(b"round-%d" % round_no)
+            sync_all(devices)
+        assert appends == [[1, 2], [1, 1, 2]]
+        assert [d.sync_count for d in devices] == [2, 2]
+        assert [d.resent_batches for d in devices] == [0, 1]
+        stats = [d.wire_stats() for d in devices]
+        assert [s["calls"] for s in stats] == [2, 2]  # +1 per sync, resend or not
+        # Shard 0's own send->ack wait does not include shard 1's outage.
+        assert stats[0]["sync_wait_s"] < 0.25 < stats[1]["sync_wait_s"]
+        for device in devices:
+            device.close()
+    finally:
+        for server in servers:
+            server.stop()

@@ -9,6 +9,11 @@ identically configured sharded certifiers — one certifying strictly one at
 a time, one in randomly sized rounds — and asserts every outcome is
 bit-equivalent, across shard counts 1..3.
 
+A second property pins the service layer's scatter-gather ``flush`` to the
+sequential per-shard loop it replaced (kept here, as the reference): same
+outcomes, durable frontier, per-device payload sequences and per-replica
+propagation order, at 1..4 shards.
+
 Request construction mirrors the live arrival pattern: every request of one
 round is built against the pre-round certifier state (concurrent clients
 snapshot their versions before any batchmate commits), which is exactly the
@@ -17,12 +22,16 @@ interleaving the batch must serialize.
 
 from __future__ import annotations
 
+from faults import SplitPhaseDevice
 from hypothesis import given, settings, strategies as st
 
 from repro.core.certification import CertificationRequest, CertificationResult
 from repro.core.sharding import ShardedCertifier
 from repro.core.writeset import make_writeset
+from repro.engine.log_device import CountingLogDevice
 from repro.errors import ReproError
+from repro.middleware.certifier import CertifierConfig
+from repro.middleware.sharded_certifier import ShardedCertifierService
 
 # A small key alphabet keeps genuine write-write conflicts frequent.
 key_lists = st.lists(st.integers(min_value=0, max_value=6),
@@ -89,3 +98,68 @@ def test_certify_batch_is_sequentially_equivalent(shards, stream):
         # The logs stay in lockstep too — next rounds diverge otherwise.
         assert (sequential.system_version.version
                 == batched.system_version.version)
+
+
+# -- scatter-gather flush == the sequential per-shard loop --------------------
+
+
+class SequentialFlushService(ShardedCertifierService):
+    """Reference: the flush this repo shipped before the shard syncs were
+    overlapped — one shard after the other, each blocking in ``sync()``."""
+
+    def flush(self, shard_ids=None):
+        targets = range(self.config.shards) if shard_ids is None else shard_ids
+        flushed = 0
+        for shard_id in targets:
+            batcher = self._batchers[shard_id]
+            if not batcher.has_pending:
+                continue
+            shard = self.core.shards[shard_id]
+            device = self.devices[shard_id]
+            batch = batcher.take_batch()
+            for _global_version, local_version in batch:
+                record = shard.log.record_at(local_version)
+                device.append(record.writeset.size_bytes().to_bytes(4, "big"))
+            device.sync()
+            batcher.complete_batch()
+            shard.log.mark_durable(max(local for _, local in batch))
+            self.core.advance_durable_frontier()
+            flushed += len(batch)
+        if flushed:
+            self._propagate_up_to()
+        return flushed
+
+
+def _delivered(subscriptions) -> list[list[int]]:
+    return [[info.commit_version for info in subscription.poll_flat()]
+            for subscription in subscriptions]
+
+
+@given(shards=st.sampled_from([1, 2, 3, 4]), durable=st.booleans(),
+       stream=st.lists(rounds, min_size=0, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_scatter_gather_flush_matches_the_sequential_loop(shards, durable, stream):
+    config = CertifierConfig(shards=shards, durability_enabled=durable,
+                             gc_interval_requests=4, gc_headroom_versions=1)
+    reference = SequentialFlushService(
+        config, log_devices=[CountingLogDevice() for _ in range(shards)])
+    service = ShardedCertifierService(
+        config, log_devices=[SplitPhaseDevice() for _ in range(shards)])
+    ref_subs = [reference.subscribe_replica(f"r{i}", 0) for i in range(2)]
+    new_subs = [service.subscribe_replica(f"r{i}", 0) for i in range(2)]
+    for specs in stream:
+        ref_outcomes = reference.certify_batch(build_round(reference.core, specs))
+        new_outcomes = service.certify_batch(build_round(service.core, specs))
+        assert [fingerprint(o) for o in ref_outcomes] == [
+            fingerprint(o) for o in new_outcomes]
+        assert reference.core.durable_version == service.core.durable_version
+        assert _delivered(ref_subs) == _delivered(new_subs)
+    reference.flush()
+    service.flush()
+    assert reference.core.durable_version == service.core.durable_version
+    assert _delivered(ref_subs) == _delivered(new_subs)
+    assert ([d.durable_payloads for d in reference.devices]
+            == [d.durable_payloads for d in service.devices])
+    assert ([d.sync_count for d in reference.devices]
+            == [d.sync_count for d in service.devices])
+    assert reference.stats() == service.stats()

@@ -8,12 +8,15 @@ release, out-of-band advances) and the simulated
 touched shards flushed, full-cluster runs on every system kind).
 """
 
+import time
+
 import pytest
 
 from repro.cluster.experiment import ExperimentConfig, run_experiment
 from repro.core.certification import CertificationRequest, RemoteWriteSetInfo
 from repro.core.config import ReplicationConfig, SystemKind, WorkloadName
 from repro.core.writeset import make_writeset
+from repro.engine.log_device import CountingLogDevice, sync_all
 from repro.errors import ConfigurationError
 from repro.middleware.certifier import CertifierConfig, CertifierService
 from repro.middleware.sharded_certifier import (
@@ -22,6 +25,8 @@ from repro.middleware.sharded_certifier import (
 )
 from repro.middleware.systems import build_replicated_system
 from repro.transport import MergedSubscription, WritesetStream
+
+from faults import SplitPhaseDevice
 
 
 def request(service, entries, *, start=None, origin="r0"):
@@ -122,6 +127,71 @@ def test_non_durable_sharded_service_propagates_before_flush():
     assert service.certify(request(service, [("t", 1)])).committed
     assert service.fsync_count == 0
     assert [i.commit_version for i in subscription.poll_flat()] == [1]
+
+
+# ---------------------------------------------------------------------------- scatter-gather flush
+
+
+def test_cross_shard_flush_overlaps_the_shard_syncs():
+    devices = [SplitPhaseDevice(0.05), SplitPhaseDevice(0.05)]
+    service = ShardedCertifierService(CertifierConfig(shards=2), log_devices=devices)
+    keys = [shard_key(service.core.partitioner, shard) for shard in (0, 1)]
+    started = time.perf_counter()
+    result = service.certify(request(service, [("t", keys[0]), ("t", keys[1])]))
+    elapsed = time.perf_counter() - started
+    assert result.committed
+    assert [d.sync_count for d in devices] == [1, 1]
+    assert elapsed < 0.08, f"two 50 ms syncs took {elapsed * 1e3:.1f} ms: not overlapped"
+    (begin0, end0), (begin1, end1) = devices[0].waits[0], devices[1].waits[0]
+    assert max(begin0, begin1) < min(end0, end1), "wait intervals do not overlap"
+    assert service.core.durable_version == 1
+
+
+def test_flush_never_syncs_an_untouched_shard():
+    devices = [SplitPhaseDevice(0.0) for _ in range(3)]
+    service = ShardedCertifierService(CertifierConfig(shards=3), log_devices=devices)
+    keys = [shard_key(service.core.partitioner, shard) for shard in (0, 2)]
+    outcomes = service.certify_batch([
+        request(service, [("t", keys[0])]), request(service, [("t", keys[1])])])
+    assert all(outcome.committed for outcome in outcomes)
+    assert [d.sync_count for d in devices] == [1, 0, 1]
+    assert devices[1].journal == [] and devices[1].durable_payloads == []
+    assert service.flush() == 0  # nothing pending: no device is touched at all
+    assert [d.sync_count for d in devices] == [1, 0, 1]
+
+
+def test_sync_all_reads_live_acknowledgements_before_waiting_out_a_lost_device():
+    journal: list = []
+    lost = SplitPhaseDevice(0.0, journal, "lost", lost=True)
+    live = SplitPhaseDevice(0.0, journal, "live")
+    plain = CountingLogDevice()
+    sync_all([lost, live, plain])
+    assert journal == [("begin", "lost"), ("begin", "live"),
+                       ("lost", "lost"), ("finish", "live"), ("finish", "lost")]
+    assert [d.sync_count for d in (lost, live, plain)] == [1, 1, 1]
+
+
+def test_sync_all_finishes_every_device_before_raising_the_first_error():
+    journal: list = []
+    broken = SplitPhaseDevice(0.0, journal, "broken", error=RuntimeError("disk full"))
+    live = SplitPhaseDevice(0.0, journal, "live")
+    with pytest.raises(RuntimeError, match="disk full"):
+        sync_all([broken, live])
+    assert ("finish", "live") in journal and live.sync_count == 1
+
+
+def test_failed_sync_leaves_the_round_taken_and_unreleased():
+    devices = [SplitPhaseDevice(0.0), SplitPhaseDevice(0.0, error=RuntimeError("disk full"))]
+    service = ShardedCertifierService(CertifierConfig(shards=2), log_devices=devices)
+    subscription = service.subscribe_replica("replica-A", 0)
+    keys = [shard_key(service.core.partitioner, shard) for shard in (0, 1)]
+    with pytest.raises(RuntimeError):
+        service.certify(request(service, [("t", keys[0]), ("t", keys[1])]))
+    # Nothing of the round is released: not durable, not propagated, and the
+    # failing shard's batch is still taken, exactly as the sequential loop left it.
+    assert service.core.durable_version == 0
+    assert subscription.poll_flat() == []
+    assert service._batchers[1].flush_in_progress
 
 
 # ---------------------------------------------------------------------------- merged subscription
