@@ -114,10 +114,6 @@ class GroupCommitBatcher(Generic[T]):
     def pending_count(self) -> int:
         return len(self._pending)
 
-    @property
-    def flush_in_progress(self) -> bool:
-        return bool(self._in_flight)
-
     def take_batch(self) -> list[T]:
         """Claim the records for the next flush.
 

@@ -366,6 +366,13 @@ class ShardedCertifier:
         return self._durable_version
 
     @property
+    def propagated_version(self) -> int:
+        """The release cursor: every commit at or below it has been claimed
+        through :meth:`take_propagatable` — the durable frontier, or the
+        commit order itself where decisions do not wait for the log."""
+        return self._propagated_version
+
+    @property
     def pruned_version(self) -> int:
         """Highest global commit version discarded by garbage collection."""
         return self._base_version

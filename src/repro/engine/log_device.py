@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Protocol, Sequence
+from typing import Callable, Protocol
 
 
 class LogDevice(Protocol):
@@ -41,40 +41,22 @@ class LogDevice(Protocol):
         """Total bytes appended so far."""
 
 
-def sync_all(devices: Sequence[LogDevice]) -> None:
-    """One synchronous write on each device, their waits overlapped.
+def ship(device: LogDevice, on_durable: Callable[[], None]) -> None:
+    """Send everything appended to ``device`` on its way to disk.
 
-    A device whose sync is a round trip elsewhere offers it in two halves:
-    ``begin_sync()`` sends the write on its way, ``finish_sync(resend=...)
-    -> bool`` waits for the acknowledgement.  All requests go out before any
-    wait, so N devices cost the slowest one's latency, not the sum.  The
-    gather first reads every acknowledgement that is on its way
-    (``resend=False``: a device that lost its connection says so instead of
-    blocking), then lets the dead ones block in their resend loop; a sync
-    that raises does not cut it short (the first error is raised at the
-    end).  Devices without the split (in-memory, file) ``sync()`` first.
+    ``on_durable()`` runs once that write is durable.  A *streaming* device
+    (one with its own ``ship(on_durable)`` — the write is a round trip to
+    somebody else's disk) returns at once, keeps any number of shipped
+    batches in flight and calls back, in shipping order, from whichever
+    thread learns of the acknowledgement; its ``sync()`` is ship + wait for
+    everything shipped.  Any other device syncs right here, so the callback
+    has run by the time this returns.
     """
-    split = []
-    for device in devices:
-        if hasattr(device, "begin_sync"):
-            split.append(device)
-        else:
-            device.sync()
-    for device in split:
-        device.begin_sync()
-    errors: list[Exception] = []
-
-    def finished(device: LogDevice, resend: bool) -> bool:
-        try:
-            return device.finish_sync(resend=resend)
-        except Exception as exc:  # noqa: BLE001 - re-raised below
-            errors.append(exc)
-            return True
-
-    for device in [d for d in split if not finished(d, False)]:
-        finished(device, True)
-    if errors:
-        raise errors[0]
+    if hasattr(device, "ship"):
+        device.ship(on_durable)
+    else:
+        device.sync()
+        on_durable()
 
 
 class CountingLogDevice:

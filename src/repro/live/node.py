@@ -4,19 +4,19 @@ One process per node, three roles, all serving the length-prefixed JSON
 protocol of :mod:`repro.live.wire` over asyncio TCP:
 
 ``certifier-shard``
-    The durable tail of one certification shard: an append-only,
-    batch-sequenced WAL file with a real ``os.fsync`` per batch
-    (:class:`~repro.live.wal.BatchWalFile`).  The scheduler's certifier
-    service gates every commit decision on this process's acknowledgement,
-    so killing it mid-flush is a genuine durability-path fault.
+    The durable tail of one certification shard and its **log writer**: an
+    append-only WAL file (:class:`~repro.live.wal.BatchWalFile`) where
+    everything queued when the disk frees up goes into one line with one
+    real ``os.fsync``.  The scheduler's certifier service
+    gates every commit decision on this process's acknowledgements, so
+    killing it mid-flush is a genuine durability-path fault.
 
 ``scheduler``
     The certification coordinator and cluster front door.  Hosts the
-    *unmodified* functional certifier service (:func:`make_certifier_service`
-    — the seed :class:`CertifierService` at one shard, the
-    :class:`ShardedCertifierService` above that), with each shard's log
-    device replaced by a :class:`~repro.live.wal.RemoteWalDevice` pointed at
-    a certifier-shard process.  Adds the **exactly-once transaction table**:
+    functional :class:`ShardedCertifierService` (at every shard count), with
+    each shard's log device replaced by a streaming
+    :class:`~repro.live.wal.RemoteWalDevice` pointed at a certifier-shard
+    process.  Adds the **exactly-once transaction table**:
     every client commit carries a ``tx_id``; the admit outcome is recorded
     under it, a duplicate ``certify`` is answered from the record instead of
     re-admitted, and ``commit_status`` lets a client that lost its replica
@@ -36,14 +36,17 @@ Concurrency (the ``live.pipeline`` spec switch, default on):
   **out of order** — a tagged request is dispatched as its own task, so one
   connection carries many in-flight calls.  ``rid``-less frames keep the
   original strict read→reply→read discipline per connection.
-* the **scheduler** runs all service work on a single service thread (the
-  middleware objects are not thread-safe) and funnels concurrent ``certify``
-  requests through a batcher: pending requests are cut into *rounds* (time/
-  size policy from :mod:`repro.transport`) and certified via the service's
-  ``certify_batch``, so every commit in a round shares one WAL append + one
-  real fsync per touched shard.  With a zero window this is *natural* group
-  commit — a round accumulates exactly while the previous round's WAL round
-  trip + fsync is in flight.
+* the **scheduler** funnels concurrent ``certify`` requests through a
+  batcher: pending requests are cut into *rounds* (time/size policy from
+  :mod:`repro.transport`) and **admitted** via the service's ``admit_batch``
+  — certified, versioned, their WAL entries shipped, never waiting for a
+  disk (so it runs right on the event loop) — and the next round is
+  certified while the shards write.  A commit's decision is **released**
+  when the global durable frontier reaches its version (the loop reads the
+  shards' acknowledgements itself, so nothing on a commit's path changes
+  threads); group commit happens at the shards, where everything that
+  arrived during one fsync shares the next.  All other ops run on one
+  service thread; one service lock serialises the two.
 * a **replica** runs client ops on a small thread pool under one
   replica-wide state lock; the lock is released only while a commit waits on
   its certification round trip, so commits overlap on the wire while all
@@ -73,11 +76,13 @@ from __future__ import annotations
 import argparse
 import asyncio
 import binascii
+import functools
 import json
 import sys
 import threading
 import time
 import traceback
+from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.locks import LockBlockedError
@@ -127,6 +132,15 @@ class ServerStats:
         }
 
 
+def _freeze(op: str) -> None:
+    """Wedge (on the loop thread): freeze the WHOLE process — a task-level
+    wait would let retries on fresh connections be served, and the crash
+    point would quietly heal itself before the kill -9 lands."""
+    print(f"WEDGED op={op}", file=sys.stderr, flush=True)
+    while True:
+        time.sleep(3600)
+
+
 def _error_envelope(exc: Exception, *, unexpected_trace: bool = True) -> dict:
     """The wire error envelope for ``exc`` (same shape on every path)."""
     if isinstance(exc, RemoteCallError):
@@ -145,12 +159,35 @@ def _error_envelope(exc: Exception, *, unexpected_trace: bool = True) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class CertifierShardRole:
-    """Durable WAL server for one certification shard.
+def _call(callback, *args) -> None:
+    callback(*args)
 
-    Handled inline on the event loop (no executor): the WAL fsync *is* the
-    serialization point, and inline handling keeps the wedge fault points
-    exactly where PR 8 put them.
+
+#: A thread hand-off costs the shard two wake-ups per group and buys
+#: decoding the next frames while the disk is busy.  Measured: at the
+#: paper's 8 ms disk it pays (``allupdates_fsync8`` p50 17.2 → 16.5 ms); on
+#: a container filesystem (fsync 0.15 ms idle, 1-1.5 ms beside the replicas'
+#: own logs) it only costs CPU, and half the groups flapped across a 1 ms
+#: line.  The line is drawn between the two regimes.
+_HANDOFF_WORTH_S = 0.004
+
+
+class CertifierShardRole:
+    """Durable WAL server for one certification shard: the group-commit log
+    writer, beside the disk.
+
+    The event loop reads and decodes ``wal_append`` frames and queues their
+    batches; whenever the disk is free *everything queued* is written as one
+    WAL line with one fsync and the covered batches are acknowledged — under
+    load the disk never idles and group size = arrivals per fsync (the
+    paper's single log writer).  Where the write runs follows the disk as
+    observed: while the previous write took under :data:`_HANDOFF_WORTH_S`
+    the loop writes inline, once it has decoded everything it read in this
+    pass (what arrived during the previous write rides together); once a
+    write outlasts that, a writer thread takes over, so frames keep being
+    read and decoded while the disk is busy, and it keeps going until it
+    finds nothing queued.  The wedge fault points freeze the whole process
+    around the Nth group.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
@@ -162,34 +199,97 @@ class CertifierShardRole:
         self.wedge_before_sync = args.wedge_before_sync
         self.wedge_after_sync = args.wedge_after_sync
         self.append_ops = 0
+        self.append_groups = 0
+        #: Batches waiting for the disk — ``(seq, payloads, reply future)`` —
+        #: and whether somebody (loop or writer thread) is committed to
+        #: writing them; both under ``_lock``.
+        self._queue: list = []
+        self._writing = False
+        self._lock = threading.Lock()
+        self._slow_disk = False
+        self._writer = ThreadPoolExecutor(max_workers=1,
+                                          thread_name_prefix="log-writer")
+        self.queued_high_water = 0
         self.server_stats = ServerStats()
 
-    def handle(self, op: str, payload: dict):
+    def setup_async(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._loop = loop
+
+    async def dispatch(self, op: str, payload: dict,
+                       loop: asyncio.AbstractEventLoop):
         if op == "wal_append":
             self.append_ops += 1
-            if self.wedge_before_sync and self.append_ops == self.wedge_before_sync:
-                # Nothing written: the batch is lost with this process; the
-                # scheduler still holds it and resends after the restart.
-                return WEDGE
-            applied = self.wal.append_batch(
+            return await self._append(
                 int(payload["seq"]),
-                [binascii.unhexlify(p) for p in payload["payloads"]],
-            )
-            if self.wedge_after_sync and self.append_ops == self.wedge_after_sync:
-                # Durable but unacknowledged: the resend after restart must
-                # be deduplicated by seq.
-                return WEDGE
-            return {"applied": applied, "last_seq": self.wal.last_seq}
+                [binascii.unhexlify(p) for p in payload["payloads"]])
+        if op == "wal_read":
+            # An empty batch is acknowledged once everything queued ahead of
+            # it is on disk: no group is half-written when the file is read.
+            await self._append(0, [])
+        return self.handle(op, payload)
+
+    def _append(self, seq: int, payloads: list[bytes]) -> asyncio.Future:
+        reply = self._loop.create_future()
+        with self._lock:
+            self._queue.append((seq, payloads, reply))
+            self.queued_high_water = max(self.queued_high_water, len(self._queue))
+            idle, self._writing = not self._writing, True
+        if idle and self._slow_disk:
+            self._writer.submit(self._write_queued, self._loop.call_soon_threadsafe)
+        elif idle:  # once the frames this loop pass has read are all queued
+            self._loop.call_soon(self._write_queued, _call)
+        return reply
+
+    def _write_queued(self, deliver) -> None:
+        """Write groups until nothing is queued (loop or writer thread);
+        ``deliver(callback, *args)`` runs a callback on the loop."""
+        while True:
+            with self._lock:
+                group, self._queue = self._queue, []
+                self._writing = bool(group)
+            if not group:
+                return
+            self.append_groups += 1
+            if self.append_groups == self.wedge_before_sync:
+                # Nothing written: the group is lost with this process; the
+                # scheduler still holds it and resends after the restart.
+                return self._loop.call_soon_threadsafe(_freeze, "wal_append")
+            started = time.perf_counter()
+            try:
+                result = self.wal.append_group(
+                    [(seq, payloads) for seq, payloads, _ in group])
+                if any(result):  # a write happened: that is how fast the disk is
+                    self._slow_disk = time.perf_counter() - started > _HANDOFF_WORTH_S
+            except Exception as exc:  # noqa: BLE001 - answered per batch
+                result = exc
+            if self.append_groups == self.wedge_after_sync:
+                # Durable but unacknowledged: the resends after the restart
+                # must be deduplicated by record offset.
+                return self._loop.call_soon_threadsafe(_freeze, "wal_append")
+            deliver(self._acknowledge, group, result, self.wal.last_seq)
+
+    def _acknowledge(self, group, result, line_seq: int) -> None:
+        for index, (_, _, reply) in enumerate(group):
+            if reply.done():
+                continue  # its connection went away; the resend asks again
+            if isinstance(result, Exception):
+                reply.set_exception(result)
+            else:
+                # ``group`` names the fsync that covered this batch (0: none
+                # was needed), so the sender can count fsyncs, not batches.
+                reply.set_result({"applied": result[index],
+                                  "group": line_seq if any(result) else 0})
+
+    def handle(self, op: str, payload: dict):
         if op == "wal_read":
             # Promotion path: a standby scheduler reads back the applied
-            # batches to rebuild the certifier.  Every batch was fsynced
-            # before it was acknowledged, so re-reading the file from disk
-            # (the append handle runs on this same event-loop thread) sees
-            # exactly the acknowledged prefix.
+            # groups to rebuild the certifier (``dispatch`` drained the writer
+            # first); its own batches continue the log at ``records``.
             from repro.live.wal import read_wal_batches
 
             return {
                 "last_seq": self.wal.last_seq,
+                "records": self.wal.records,
                 "batches": [
                     {"seq": batch["seq"],
                      "payloads": [binascii.hexlify(p).decode()
@@ -200,7 +300,13 @@ class CertifierShardRole:
         if op == "wal_stats":
             return self.wal.stats()
         if op == "stats":
-            return {"wal": self.wal.stats(), "append_ops": self.append_ops,
+            return {"wal": {**self.wal.stats(),
+                            "writer_busy_s": round(self.wal.writer_busy_s, 6),
+                            "group_size_histogram": {
+                                str(k): v for k, v in sorted(
+                                    self.wal.group_sizes.batch_size_histogram.items())},
+                            "queued_high_water": self.queued_high_water},
+                    "append_ops": self.append_ops,
                     "server": self.server_stats.as_dict()}
         if op == "ping":
             return {"role": "certifier-shard", "shard_id": self.shard_id}
@@ -219,11 +325,12 @@ class _CertifyBatcher:
     """Collects concurrent ``certify`` requests into certification rounds.
 
     Lives on the event loop; submission parks an ``asyncio`` future, the
-    flusher loop cuts rounds by the configured flush policy and runs each
-    round as **one** job on the scheduler's service thread.  With a zero
-    window the cut happens as soon as the service thread can take it —
-    requests arriving while a round's WAL append + fsync is in flight simply
-    join the next round (natural group commit, no added latency).
+    flusher loop cuts rounds by the configured flush policy and *admits*
+    each round right here.  Admission never waits for the disk: with a zero
+    window a round is whatever the loop has read since the previous one, and
+    the grouping into fsyncs happens at the shards.  A future resolves at
+    once or when the durable frontier releases its decision
+    (:meth:`SchedulerRole._release`).
     """
 
     def __init__(self, role: "SchedulerRole", loop: asyncio.AbstractEventLoop) -> None:
@@ -239,8 +346,8 @@ class _CertifyBatcher:
                                                  max_batch=role.batch_max)
         else:
             self._policy = ExplicitFlushPolicy(role.batch_max)
-        #: Seconds the service thread spent executing rounds (the rest of
-        #: wall time the batcher was waiting for requests to arrive).
+        #: Seconds spent admitting rounds (the rest of wall time the batcher
+        #: was waiting for requests to arrive).
         self.busy_s = 0.0
         self._task = loop.create_task(self._run())
 
@@ -270,7 +377,8 @@ class _CertifyBatcher:
                         (self._loop.time() - started) * 1000.0):
                     await asyncio.sleep(step)
                     pending = len(self._pending)
-                    in_flight = self._role.server_stats.in_flight
+                    in_flight = (self._role.server_stats.in_flight
+                                 - len(self._role._held))  # those are not coming
                     if pending == last_seen and pending >= in_flight:
                         stable_polls += 1
                         if stable_polls >= 2:
@@ -282,21 +390,34 @@ class _CertifyBatcher:
             batch = self._pending[:cap]
             del self._pending[:len(batch)]
             payloads = [payload for payload, _ in batch]
+            # Held decisions are released on this loop too: it reads the acks.
+            sinks = [functools.partial(_resolve, future) for _, future in batch]
             round_started = self._loop.time()
             try:
-                responses = await self._loop.run_in_executor(
-                    self._role.service_pool,
-                    self._role.certify_batch_payloads, payloads)
+                responses = self._role.admit_round(payloads, sinks)
             except Exception as exc:  # noqa: BLE001 - per-round boundary
-                for _, future in batch:
-                    if not future.done():
-                        future.set_result(_error_envelope(exc))
-                continue
+                responses = [_error_envelope(exc)] * len(batch)
             finally:
                 self.busy_s += self._loop.time() - round_started
-            for (_, future), response in zip(batch, responses):
-                if not future.done():
-                    future.set_result(response)
+            for sink, response in zip(sinks, responses):
+                if response is not None:  # None: held for the durable frontier
+                    sink(response)
+
+
+#: A decision waiting for the durable frontier (see ``SchedulerRole._held``).
+_Held = namedtuple("_Held", "release_at tx_id outcome decided_at response sink")
+
+
+def _not_durable_yet(op: str) -> RemoteCallError:
+    """Refuses a question about an admitted transaction whose log write is
+    still in flight; ``call_retrying`` asks again."""
+    return RemoteCallError(op, "admitted, not yet durable",
+                           error_type="NotDurableYet")
+
+
+def _resolve(future: asyncio.Future, response) -> None:
+    if not future.done():
+        future.set_result(response)
 
 
 class SchedulerRole:
@@ -304,9 +425,8 @@ class SchedulerRole:
 
     def __init__(self, args: argparse.Namespace) -> None:
         from repro.core.group_commit import GroupCommitStats
-        from repro.live.wal import RemoteWalDevice
         from repro.middleware.certifier import CertifierConfig
-        from repro.middleware.sharded_certifier import make_certifier_service
+        from repro.middleware.sharded_certifier import ShardedCertifierService
 
         spec = _load_spec(args)
         cert = spec.get("certifier", {})
@@ -328,11 +448,15 @@ class SchedulerRole:
                 f"scheduler needs one --shard address per certifier shard "
                 f"({config.shards}), got {len(shards)}"
             )
-        self.devices = [
-            RemoteWalDevice(host, port, shard_id=i)
-            for i, (host, port) in enumerate(shards)
-        ]
+        #: Serialises the (not thread-safe) service between the event loop,
+        #: which admits rounds and — reading the shards' acknowledgements —
+        #: advances the durable frontier and releases decisions, the service
+        #: thread (every other op) and, unpipelined, the WAL devices' reader
+        #: threads.
+        self.service_lock = threading.RLock()
         self.shard_addrs = shards
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self.devices = [self._wal_device(i) for i in range(len(shards))]
         self.cert_config = config
         #: Replicated-scheduler mode: shard WAL payloads are full round
         #: entries a standby can rebuild the certifier from (tentpole of the
@@ -350,17 +474,17 @@ class SchedulerRole:
         if self.replicated:
             from repro.live.replicated import LiveReplicatedCertifierService
 
-            # Always the sharded service, even at one shard: the seed
-            # CertifierService has no failover hooks, and the single-shard
-            # sharded core is decision-equivalent to it.
             self.service = LiveReplicatedCertifierService(
                 config, log_devices=list(self.devices))
             if self.standby:
                 self._seed_from_primary(getattr(args, "primary", None), config)
-        elif config.shards == 1:
-            self.service = make_certifier_service(config, log_device=self.devices[0])
         else:
-            self.service = make_certifier_service(config, log_devices=list(self.devices))
+            # Always the sharded service, even at one shard: it is the one
+            # with streaming durability, and its single-shard core is
+            # decision-equivalent to the seed CertifierService.
+            self.service = ShardedCertifierService(
+                config, log_devices=list(self.devices))
+        self.service.on_frontier = self._release
         self.wedge_before_certify_round = args.wedge_before_certify_round
         self.wedge_after_certify_round = args.wedge_after_certify_round
         self.certify_rounds = 0
@@ -370,14 +494,17 @@ class SchedulerRole:
         #: Certification-round size histogram (how many concurrent certifies
         #: shared one round, and with it one WAL fsync per touched shard).
         self.batch_stats = GroupCommitStats()
-        #: Seconds spent inside ``certify_batch_payloads`` on the service
-        #: thread (excludes the executor hand-off either way).
+        #: Seconds spent admitting rounds (decode, certify, encode, ship —
+        #: never the disk).
         self.certify_exec_s = 0.0
-        #: All service work runs on this one thread — the middleware objects
-        #: are not thread-safe, and one writer thread *is* the group-commit
-        #: model: everything pending when it frees up forms the next round.
+        #: Every op but ``certify`` runs on this one thread (some block:
+        #: promotion, a standby seed), under the service lock.
         self.service_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="scheduler-service")
+        #: Decisions waiting for the durable frontier, in admission (= release)
+        #: order.
+        self._held: deque[_Held] = deque()
+        self.held_decisions_high_water = 0
         self._batcher: _CertifyBatcher | None = None
         #: replica name -> server-side writeset subscription.
         self.subscriptions: dict[str, object] = {}
@@ -420,6 +547,18 @@ class SchedulerRole:
             package, config=config, log_devices=list(self.devices))
         self.seed_package = package
 
+    def _wal_device(self, shard_id: int, start_seq: int = 0):
+        from repro.live.wal import RemoteWalDevice
+
+        host, port = self.shard_addrs[shard_id]
+        device = RemoteWalDevice(host, port, shard_id=shard_id, start_seq=start_seq,
+                                 lock=self.service_lock, on_failure=self._stream_failed)
+        if self._loop is not None:
+            # Pipelined: the event loop reads the acknowledgements itself, so
+            # admit → ack → release → response never leaves its thread.
+            device.read_on(self._loop)
+        return device
+
     def _promote(self) -> dict:
         """Take over as the certification coordinator (on the service thread).
 
@@ -428,11 +567,10 @@ class SchedulerRole:
         that died mid-flush), durably appends those completion fragments,
         rebuilds the exactly-once transaction table from the entries'
         ``tx_id`` tokens, and only then starts answering data-plane ops.
-        New WAL batches start above each shard's applied ``last_seq`` so the
-        seq-dedupe protecting the dead primary's resends cannot swallow
-        them.
+        New WAL batches continue each shard's log at its record count, so
+        the offset-dedupe protecting the dead primary's resends cannot
+        swallow them.
         """
-        from repro.engine.log_device import sync_all
         from repro.errors import RecoveryError
         from repro.live.replicated import (
             LiveReplicatedCertifierService,
@@ -440,16 +578,16 @@ class SchedulerRole:
             encode_entry_payload,
             rebuild_from_shard_wals,
         )
-        from repro.live.wal import RemoteWalDevice
         from repro.live.wire import WireClient
 
         started = time.perf_counter()
         readers = [WireClient(host, port, timeout=5.0, name=f"promote-{shard_id}")
                    for shard_id, (host, port) in enumerate(self.shard_addrs)]
         try:
-            for reader in readers:  # every shard reads its file back at once
-                reader.begin_call("wal_read")
-            responses = [reader.finish_call(deadline_s=30.0) for reader in readers]
+            with ThreadPoolExecutor(len(readers)) as pool:  # all shards at once
+                responses = list(pool.map(
+                    lambda reader: reader.call_retrying("wal_read", deadline_s=30.0),
+                    readers))
         finally:
             for reader in readers:
                 reader.close()
@@ -458,7 +596,7 @@ class SchedulerRole:
              for batch in response["batches"] for payload in batch["payloads"]]
             for response in responses
         ]
-        last_seqs = [int(response["last_seq"]) for response in responses]
+        log_ends = [int(response["records"]) for response in responses]
         certifier, report, completions = rebuild_from_shard_wals(
             per_shard_entries, config=self.cert_config)
         package = self.seed_package
@@ -475,20 +613,21 @@ class SchedulerRole:
                     f"state-transfer seed proves {expected} existed")
         for device in self.devices:
             device.close()
-        self.devices = [
-            RemoteWalDevice(host, port, shard_id=i, start_seq=last_seqs[i])
-            for i, (host, port) in enumerate(self.shard_addrs)
-        ]
+        self.devices = [self._wal_device(i, log_ends[i])
+                        for i in range(len(self.shard_addrs))]
         for shard_id, entry in completions:
             # Recovery finished these rounds from surviving fragments; make
             # the completion durable on the shards that missed it before
             # acknowledging any new work.
             self.devices[shard_id].append(encode_entry_payload(entry))
-        sync_all([self.devices[shard_id]
-                  for shard_id in sorted({s for s, _ in completions})])
+        for device in self.devices:  # every shard writes at once ...
+            device.ship()
+        for device in self.devices:  # ... and all of them are waited for
+            device.sync()
         self.service = LiveReplicatedCertifierService.from_recovered_core(
             certifier.core, config=self.cert_config,
             log_devices=list(self.devices))
+        self.service.on_frontier = self._release
         acks = certifier.committed_acks()
         self.service._tx_for_version = {v: tx for tx, v in acks.items()}
         for tx_id, version in acks.items():
@@ -528,6 +667,9 @@ class SchedulerRole:
     def setup_async(self, loop: asyncio.AbstractEventLoop) -> None:
         if self.pipeline:
             self._batcher = _CertifyBatcher(self, loop)
+            self._loop = loop
+            for device in self.devices:
+                device.read_on(loop)
 
     async def dispatch(self, op: str, payload: dict,
                        loop: asyncio.AbstractEventLoop):
@@ -544,12 +686,21 @@ class SchedulerRole:
     # -- request dispatch -----------------------------------------------------
 
     def handle(self, op: str, payload: dict):
+        with self.service_lock:
+            return self._handle(op, payload)
+
+    def _handle(self, op: str, payload: dict):
         if not self.promoted and op not in self._STANDBY_OPS:
             raise RemoteCallError(op, "standby not promoted",
                                   error_type="NotPromoted")
         service = self.service
-        if op == "certify":  # unpipelined: a round of one
-            return self.certify_batch_payloads([payload])[0]
+        if op == "certify":  # unpipelined: a round of one, waited for
+            released: list = []
+            (response,) = self.admit_round([payload], [released.append])
+            if response is None:
+                service.flush()  # the release runs before the wait returns
+                (response,) = released
+            return response
         if op == "state_transfer":
             if not self.replicated:
                 raise RemoteCallError(op, "scheduler is not in replicated mode")
@@ -569,6 +720,8 @@ class SchedulerRole:
             self.status_queries += 1
             recorded = self.tx_table.get(payload["tx_id"])
             if recorded is None:
+                if any(held.tx_id == payload["tx_id"] for held in self._held):
+                    raise _not_durable_yet(op)
                 return {"known": False}
             return {"known": True, **recorded}
         if op == "hello_replica":
@@ -626,6 +779,11 @@ class SchedulerRole:
                 "promoted": self.promoted,
                 "promotions": self.promotions,
                 "certify_rounds": self.certify_rounds,
+                "held_decisions": len(self._held),
+                "held_decisions_high_water": self.held_decisions_high_water,
+                "durable_frontier_lag": (service.core.last_version
+                                         - service.core.durable_version),
+                # Distinct shard fsync groups acknowledged: Σ shard ``wal.batches``.
                 "fsyncs": service.fsync_count,
                 # Transactions that did not pay their own fsync: committed
                 # log records minus synchronous writes (>0 only when rounds
@@ -655,7 +813,7 @@ class SchedulerRole:
     def _records_flushed(self) -> int:
         return self.service.stats_snapshot().flush.records_flushed
 
-    def _record_tx(self, tx_id: str | None, result) -> None:
+    def _record_tx(self, tx_id: str | None, result, decided_at: int) -> None:
         if tx_id is None:
             return
         if result.committed:
@@ -667,7 +825,7 @@ class SchedulerRole:
             "conflicting_version": result.conflicting_version,
             # System version at decision time: bounds the writeset window a
             # duplicate answer may carry (see _duplicate_response).
-            "decided_at": self.service.system_version,
+            "decided_at": decided_at,
         }
 
     def _duplicate_response(self, payload: dict) -> dict:
@@ -684,9 +842,12 @@ class SchedulerRole:
         # retry first, and priority-applying that later writeset would abort
         # its still-open engine transaction: a client-visible abort for a
         # commit the certifier admitted.
+        # ... and at the release cursor: a later batchmate of the original
+        # round may still be waiting for its log write.
+        released = self.service.core.propagated_version
         remote = self.service.fetch_remote_writesets(
             request.replica_version, replica=request.origin_replica or None,
-            up_to=recorded.get("decided_at"),
+            up_to=min(recorded.get("decided_at") or released, released),
             exclude_version=recorded["commit_version"])
         return {
             "result": {
@@ -699,33 +860,50 @@ class SchedulerRole:
             "duplicate": True,
         }
 
-    def certify_batch_payloads(self, payloads: list[dict]) -> list[dict]:
-        """One certification round, on the service thread.
+    def admit_round(self, payloads: list[dict], sinks: list) -> list[dict | None]:
+        """Admit one certification round; never waits for a disk.
 
         Splits the round into fresh requests (certified through the
-        service's ``certify_batch``, sharing its flushes) and duplicates
-        (answered from the exactly-once table, exactly as sequentially) —
-        in batch order, so a resend that landed in the same round as its
-        original is still deduplicated.
+        service's ``admit_batch``, their log writes shipped together) and
+        duplicates (answered from the exactly-once table, exactly as
+        sequentially) — in batch order, so a resend that landed in the same
+        round as its original is still deduplicated.  Returns each request's
+        response, or ``None`` where the decision is *held*: the durable
+        frontier does not yet cover its commit version (for an abort: the
+        newest version in its remote window).  A held decision shows nothing
+        — no response, no exactly-once record — until :meth:`_release` hands
+        its response to ``sinks[i]``; all else is answered at once.
         """
+        with self.service_lock:
+            return self._admit_round(payloads, sinks)
+
+    def _admit_round(self, payloads: list[dict], sinks: list) -> list[dict | None]:
         exec_started = time.perf_counter()
         self.certify_rounds += 1
-        if (self.wedge_before_certify_round
-                and self.certify_rounds == self.wedge_before_certify_round):
+        if self.certify_rounds == self.wedge_before_certify_round:
             # Killed here, the round was never admitted: nothing durable,
             # nothing recorded — clients re-execute safely after failover.
             return [WEDGE] * len(payloads)
+        if self.certify_rounds == self.wedge_after_certify_round:
+            # Killed there, the round is fully durable on the shard WALs and
+            # recorded in this (dying) process's memory, but no client ever
+            # sees the ack: the promoted standby must answer the retries
+            # from its WAL-rebuilt exactly-once table.
+            sinks = [lambda _response, sink=sink: sink(WEDGE) for sink in sinks]
         self.batch_stats.record_flush(len(payloads))
         responses: list[dict | None] = [None] * len(payloads)
         fresh: list[tuple[int, dict]] = []
         first_index: dict[str, int] = {}
+        held_before = {held.tx_id for held in self._held}
         for i, payload in enumerate(payloads):
             tx_id = payload.get("tx_id")
-            if tx_id is not None and (tx_id in self.tx_table or tx_id in first_index):
+            if tx_id is not None and (tx_id in self.tx_table or tx_id in first_index
+                                      or tx_id in held_before):
                 continue  # answered from the record after the fresh pass
             if tx_id is not None:
                 first_index[tx_id] = i
             fresh.append((i, payload))
+        duplicates = set(range(len(payloads))) - {i for i, _ in fresh}
         requests = []
         tx_ids = []
         for i, payload in list(fresh):
@@ -739,36 +917,65 @@ class SchedulerRole:
         if not requests:
             outcomes = []
         elif self.replicated:
-            outcomes = self.service.certify_batch_tx(requests, tx_ids)
+            outcomes = self.service.admit_batch_tx(requests, tx_ids)
         else:
-            outcomes = self.service.certify_batch(requests)
+            outcomes = self.service.admit_batch(requests)
+        frontier = self.service.core.propagated_version
+        decided_at = self.service.system_version
         for (i, payload), outcome in zip(fresh, outcomes):
             if isinstance(outcome, Exception):
                 responses[i] = _error_envelope(outcome, unexpected_trace=False)
                 continue
-            self._record_tx(payload.get("tx_id"), outcome)
-            responses[i] = {"result": codec.encode_result(outcome),
-                            "duplicate": False}
-        for i, payload in enumerate(payloads):
-            if responses[i] is not None:
+            tx_id = payload.get("tx_id")
+            response = {"result": codec.encode_result(outcome), "duplicate": False}
+            release_at = outcome.tx_commit_version or max(
+                (info.commit_version for info in outcome.remote_writesets), default=0)
+            if release_at > frontier:
+                self._held.append(_Held(release_at, tx_id, outcome, decided_at,
+                                        response, sinks[i]))
                 continue
+            self._record_tx(tx_id, outcome, decided_at)
+            responses[i] = response
+        self.held_decisions_high_water = max(self.held_decisions_high_water,
+                                             len(self._held))
+        for i in sorted(duplicates):
+            payload = payloads[i]
             tx_id = payload["tx_id"]
             if tx_id in self.tx_table:
                 self.duplicate_tx_hits += 1
                 responses[i] = self._duplicate_response(payload)
+            elif tx_id in held_before or responses[first_index[tx_id]] is None:
+                # Its original is admitted, not yet durable: the sender asks
+                # again and is answered from the record the release writes.
+                responses[i] = _error_envelope(_not_durable_yet("certify"))
             else:
                 # The original in this very round failed before recording an
                 # outcome; answer the duplicate identically.
                 responses[i] = dict(responses[first_index[tx_id]])
         self.certify_exec_s += time.perf_counter() - exec_started
-        if (self.wedge_after_certify_round
-                and self.certify_rounds == self.wedge_after_certify_round):
-            # Killed here, the round is fully durable on the shard WALs and
-            # recorded in this (dying) process's memory, but no client ever
-            # sees the ack: the promoted standby must answer the retries
-            # from its WAL-rebuilt exactly-once table.
-            return [WEDGE] * len(payloads)
-        return responses  # type: ignore[return-value]
+        if self.certify_rounds == self.wedge_after_certify_round:
+            responses = [None if r is None else WEDGE for r in responses]
+        return responses
+
+    def _release(self, frontier: int) -> None:
+        """The durable frontier moved (service lock held, on whichever thread
+        learnt of the write): every held decision it now covers is recorded
+        in the exactly-once table and handed to its sink, in admission order.
+        Its own fragments being durable is not enough — its remote window
+        may name any earlier version on any shard."""
+        while self._held and self._held[0].release_at <= frontier:
+            held = self._held.popleft()
+            self._record_tx(held.tx_id, held.outcome, held.decided_at)
+            held.sink(held.response)
+
+    def _stream_failed(self, error: ReproError) -> None:
+        """A shard refused a batch (service lock held): its WAL stream is
+        dead, the frontier will never move again — fail every held decision
+        now instead of leaving its client waiting; ``ship`` fails every
+        later round."""
+        print(f"scheduler: {error}", file=sys.stderr, flush=True)
+        while self._held:
+            self._held.popleft().sink(_error_envelope(error))
 
     def describe(self) -> dict:
         return {"shards": self.service.config.shards,
@@ -1064,13 +1271,7 @@ async def _serve(role, args: argparse.Namespace) -> None:
             finally:
                 stats.end_request()
             if response is WEDGE:
-                # Freeze the WHOLE process, event loop included — a
-                # task-level wait would let retries on fresh connections
-                # be served, and the crash point would quietly heal
-                # itself before the kill -9 lands.
-                print(f"WEDGED op={op}", file=sys.stderr, flush=True)
-                while True:
-                    time.sleep(3600)
+                _freeze(op)
             if isinstance(response, dict) and "ok" not in response:
                 response = {"ok": True, **response}
             if rid is not None:

@@ -48,7 +48,7 @@ from repro.consensus.sharded import (
 )
 from repro.core.certification import CertificationRequest, CertificationResult
 from repro.core.sharding import Partitioner
-from repro.engine.log_device import sync_all
+from repro.engine.log_device import ship
 from repro.errors import ReproError
 from repro.live.codec import decode_shard_log_entry, encode_shard_log_entry
 from repro.middleware.certifier import CertifierConfig
@@ -95,16 +95,16 @@ class LiveReplicatedCertifierService(ShardedCertifierService):
 
     # -- certification with exactly-once tokens -------------------------------
 
-    def certify_batch_tx(
+    def admit_batch_tx(
         self, requests: list[CertificationRequest], tx_ids: list[object],
     ) -> list[CertificationResult | ReproError]:
-        """`certify_batch`, remembering each admitted version's ``tx_id``
-        between admit and flush so `_batch_payloads` can stamp its entry."""
+        """`admit_batch`, remembering each admitted version's ``tx_id``
+        between admit and ship so `_batch_payloads` can stamp its entry."""
         def remember(index: int, commit_version: int) -> None:
             if tx_ids[index] is not None:
                 self._tx_for_version[commit_version] = tx_ids[index]
 
-        return self.certify_batch(requests, on_admit=remember)
+        return self.admit_batch(requests, on_admit=remember)
 
     # -- durable entries -------------------------------------------------------
 
@@ -133,19 +133,30 @@ class LiveReplicatedCertifierService(ShardedCertifierService):
 
         Marker-before-prune, like the functional replicated certifier: a
         standby re-prunes to exactly the horizon the dead primary decided,
-        and the version→tx_id map stays horizon-bound with it.
+        and the version→tx_id map stays horizon-bound with it.  The markers
+        ride the same stream as the round entries, so on streaming devices
+        the prune happens (and is counted) when the last shard acknowledges
+        its marker — the return value is what was pruned by then.
         """
         target = self.core.gc_target(headroom=self.config.gc_headroom_versions)
         if target is None:
             return 0
         marker = encode_entry_payload(
             ShardLogEntry(kind=ENTRY_GC, global_version=target))
+        waiting, pruned = len(self.devices), 0
+
+        def marker_durable() -> None:
+            nonlocal waiting, pruned
+            waiting -= 1
+            if waiting == 0:
+                for version in [v for v in self._tx_for_version if v <= target]:
+                    del self._tx_for_version[version]
+                pruned = self.core.apply_gc(target)
+
         for device in self.devices:
             device.append(marker)
-        sync_all(self.devices)
-        for version in [v for v in self._tx_for_version if v <= target]:
-            del self._tx_for_version[version]
-        return self.core.apply_gc(target)
+            ship(device, marker_durable)
+        return pruned
 
 
 def rebuild_from_shard_wals(

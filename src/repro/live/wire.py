@@ -189,6 +189,26 @@ class _PendingCall:
         self.error: Exception | None = None
 
 
+class _Posted:
+    """One :meth:`WireClient.post` call that has not been answered yet."""
+
+    __slots__ = ("frame", "on_reply", "sent")
+
+    def __init__(self, frame: bytes, on_reply: Callable[[dict], None]) -> None:
+        self.frame = frame
+        self.on_reply = on_reply
+        self.sent = False  # it may have reached the peer: sending again is a resend
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """Shut ``sock`` down so its reader (blocked in ``recv``, or waiting for
+    it to turn readable) wakes."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already dead
+
+
 class WireClient:
     """A blocking request/response client over one framed TCP connection.
 
@@ -250,8 +270,11 @@ class WireClient:
         self._pending: dict[int, _PendingCall] = {}
         self._rids = itertools.count(1)
         self._reader: threading.Thread | None = None
-        #: The split-phase call in progress: (op, fields, send failure).
-        self._begun: tuple[str, dict, ConnectionLost | None] | None = None
+        #: Unanswered :meth:`post` calls by rid, oldest first, and whether a
+        #: thread is busy re-dialling on their behalf.
+        self._posted: dict[int, _Posted] = {}
+        self._redialing = False
+        self._loop: asyncio.AbstractEventLoop | None = None  # see read_on
 
     # -- connection management ------------------------------------------------
 
@@ -268,20 +291,32 @@ class WireClient:
             return
         sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if self.pipelined:
-            # Blocking socket: the reader thread owns recv, senders own send;
-            # the overall response wait is bounded by event.wait(timeout).
-            sock.settimeout(None)
-            self._sock = sock
-            reader = threading.Thread(target=self._reader_loop, args=(sock,),
-                                      name=f"wire-reader-{self.name}", daemon=True)
-            self._reader = reader
-            reader.start()
+        self._sock = sock
+        if not self.pipelined:
+            return
+        # Blocking socket: the reader owns recv (and the final close), senders
+        # own send; the overall response wait is bounded by event.wait(timeout).
+        sock.settimeout(None)
+        if self._loop is not None:
+            self._loop.call_soon_threadsafe(
+                self._loop.add_reader, sock.fileno(), self._read_ready, sock)
         else:
-            self._sock = sock
+            self._reader = threading.Thread(target=self._reader_loop, args=(sock,),
+                                            name=f"wire-reader-{self.name}", daemon=True)
+            self._reader.start()
+
+    def read_on(self, loop: asyncio.AbstractEventLoop) -> None:
+        """From the next connection on, ``loop`` reads the responses (when
+        the socket turns readable) instead of a reader thread: replies to
+        posted calls are delivered on the loop's own thread, with no thread
+        hand-off in between.  Call before the first request."""
+        self._loop = loop
 
     def close(self) -> None:
+        """Drop the connection; whatever is still posted is abandoned."""
         with self._send_lock:
+            with self._pending_lock:
+                self._posted.clear()
             self._close_locked()
 
     def _close_locked(self) -> None:
@@ -297,10 +332,9 @@ class WireClient:
         sock = self._sock
         self._sock = None
         if sock is not None:
-            try:
+            _hang_up(sock)  # a pipelined connection's reader wakes, and closes it
+            if not self.pipelined:
                 sock.close()
-            except OSError:
-                pass
         self._fail_pending(ConnectionLost(
             f"connection to {self.host}:{self.port} closed"))
 
@@ -317,32 +351,118 @@ class WireClient:
     def _reader_loop(self, sock: socket.socket) -> None:
         try:
             while True:
-                response, size = _recv_frame(sock)
-                with self._pending_lock:
-                    self.frames_received += 1
-                    self.bytes_received += size
-                    call = self._pending.pop(int(response.get("rid", -1)), None)
-                if call is not None:
-                    call.response = response
-                    call.event.set()
-                # An unknown rid belongs to a caller that timed out and
-                # abandoned the slot; the frame is dropped.
+                self._read_one(sock)
         except (OSError, WireError, ValueError):
-            # This connection is dead (peer crash or local close()); every
-            # caller still waiting on it must re-dial and resend.  The swap
-            # happens under the send lock so an in-progress sender never has
-            # the socket yanked out from under its feet; only this reader's
-            # own socket is cleared (a reconnect may already have installed
-            # a fresh one, owned by a newer reader thread).
+            if self._connection_lost(sock):
+                self._redial()  # nobody is blocked on a posted call: this thread re-dials
+
+    def _read_ready(self, sock: socket.socket) -> None:
+        """``read_on`` mode, on the loop: a response (or EOF) is there."""
+        try:
+            self._read_one(sock)
+        except (OSError, WireError, ValueError):
+            self._loop.remove_reader(sock.fileno())
+            if self._connection_lost(sock):
+                threading.Thread(target=self._redial, daemon=True,
+                                 name=f"wire-redial-{self.name}").start()
+
+    def _read_one(self, sock: socket.socket) -> None:
+        response, size = _recv_frame(sock)
+        with self._pending_lock:
+            self.frames_received += 1
+            self.bytes_received += size
+            rid = int(response.get("rid", -1))
+            call = self._pending.pop(rid, None) or self._posted.pop(rid, None)
+        if isinstance(call, _Posted):
+            call.on_reply(response)
+        elif call is not None:
+            call.response = response
+            call.event.set()
+        # An unknown rid belongs to a caller that timed out and abandoned
+        # the slot; the frame is dropped.
+
+    def _connection_lost(self, sock: socket.socket) -> bool:
+        """This connection is dead (peer crash or local close()); every
+        caller still waiting on it must re-dial and resend.  The swap
+        happens under the send lock so an in-progress sender never has the
+        socket yanked out from under its feet; only this reader's own socket
+        is cleared (a reconnect may already have installed a fresh one, with
+        a newer reader).  True: calls are still posted and nobody is
+        re-dialling for them yet — the caller must."""
+        with self._send_lock:
+            if self._sock is sock:
+                self._sock = None
+            redial = bool(self._posted) and not self._redialing
+            self._redialing |= redial
+        sock.close()
+        self._fail_pending(ConnectionLost(
+            f"connection to {self.host}:{self.port} lost"))
+        self.reconnects += redial
+        return redial
+
+    # -- posted calls -----------------------------------------------------------
+
+    def post(self, op: str, on_reply: Callable[[dict], None], **fields: object) -> None:
+        """Send a pipelined request and return; ``on_reply(response)`` — the
+        raw envelope, ``ok`` unchecked — runs on the reader (its thread, or
+        the loop given to :meth:`read_on`).
+
+        The call stays *posted* until it is answered: when the connection
+        dies, or the peer is not up yet, a background re-dial sends every
+        posted call again, in posting order, on the new connection — so only
+        idempotent ops may be posted, and ``on_reply`` must not raise.
+        Nothing here waits for the peer; :meth:`close` abandons the rest.
+        """
+        assert self.pipelined
+        with self._send_lock:
+            rid = next(self._rids)
+            call = _Posted(encode_frame({"op": op, "rid": rid, **fields}), on_reply)
+            with self._pending_lock:
+                self._posted[rid] = call
+                self.in_flight_high_water = max(self.in_flight_high_water,
+                                                len(self._posted) + len(self._pending))
+            if self._sock is not None:
+                self._send_posted(self._sock, call)
+            elif not self._redialing:  # first call, or the peer is not there yet
+                self._redialing = True
+                threading.Thread(target=self._redial, daemon=True,
+                                 name=f"wire-redial-{self.name}").start()
+
+    def _send_posted(self, sock: socket.socket, call: _Posted) -> bool:
+        """Caller holds ``_send_lock``.  A failed send hangs the connection
+        up: its reader notices and owns the re-dial."""
+        self.resends += call.sent
+        call.sent = True  # even a failed send may have reached the peer
+        try:
+            sock.sendall(call.frame)
+        except OSError:
+            _hang_up(sock)
+            return False
+        self.frames_sent += 1
+        self.bytes_sent += len(call.frame)
+        return True
+
+    def _redial(self) -> None:
+        """Dial until the peer answers, then send everything still posted, in
+        posting order — on the dying reader's thread, or on a helper's when
+        the first dial found nobody."""
+        attempt = 0
+        while True:
             with self._send_lock:
-                if self._sock is sock:
-                    self._sock = None
-            try:
-                sock.close()
-            except OSError:
-                pass
-            self._fail_pending(ConnectionLost(
-                f"connection to {self.host}:{self.port} lost"))
+                with self._pending_lock:
+                    posted = list(self._posted.values())
+                try:
+                    if posted:
+                        self._connect_locked()
+                except OSError:
+                    pass
+                else:
+                    if all(self._send_posted(self._sock, call) for call in posted):
+                        self._redialing = False
+                        return
+                    self._close_locked()
+            attempt += 1
+            time.sleep(min(0.02 * attempt, 0.2))
 
     # -- calls ----------------------------------------------------------------
 
@@ -365,46 +485,6 @@ class WireClient:
                 reason=response.get("reason"),
             )
         return response
-
-    def begin_call(self, op: str, **fields: object) -> None:
-        """First half of a split-phase call: send the request, do not wait —
-        one thread can put requests to several peers on the wire before it
-        waits for any.  Sequential connections only: the reply is the next
-        frame on the socket, so nothing else may use this client until
-        :meth:`finish_call` has read it.  A failed send is remembered, not
-        raised; ``finish_call`` owns recovery.
-        """
-        if self.pipelined:
-            raise WireError("split-phase calls need a sequential connection")
-        lost = None
-        try:
-            self._send_sequential(op, fields)
-        except ConnectionLost as exc:
-            lost = exc
-        self._begun = (op, fields, lost)
-
-    def finish_call(self, *, resend: bool = True,
-                    deadline_s: float | None = None) -> dict | None:
-        """Second half: the reply to the call :meth:`begin_call` sent.
-
-        A connection lost in either half is recovered exactly as
-        :meth:`call_retrying` recovers a lost ``call`` (same counters).
-        ``resend=False`` instead returns ``None`` on a lost connection
-        (closed by then, so no stale reply can surface) and the call stays
-        begun: a gather over several clients reads every reply that is on
-        its way before it waits out a dead peer.
-        """
-        op, fields, lost = self._begun
-        self._begun = None
-        if lost is None:
-            try:
-                return self._unwrap(op, self._receive_sequential(op))
-            except ConnectionLost as exc:
-                lost = exc
-        if not resend:
-            self._begun = (op, fields, lost)
-            return None
-        return self.call_retrying(op, deadline_s=deadline_s, _lost=lost, **fields)
 
     def _dial(self, op: str, connect: Callable[[], None]) -> None:
         try:
@@ -483,7 +563,6 @@ class WireClient:
     def call_retrying(self, op: str, *, deadline_s: float | None = None,
                       retry_interval_s: float = 0.2,
                       _on_send: Callable[[], None] | None = None,
-                      _lost: ConnectionLost | None = None,
                       **fields: object) -> dict:
         """Call, reconnecting and resending until it succeeds.
 
@@ -491,33 +570,30 @@ class WireClient:
         harness restarts nodes on their original port).  ``deadline_s`` of
         ``None`` retries forever — the per-test watchdog is the backstop, and
         a deliberately killed node is always restarted by the test choreography.
-        ``_lost``: a split-phase first attempt (:meth:`finish_call`) already
-        failed this way; the loop starts in its recovery branch.
         """
         start = time.monotonic()
         attempt = 0
         while True:
             try:
-                if _lost is not None:
-                    lost, _lost = _lost, None
-                    raise lost
                 return self.call(op, _on_send=_on_send, **fields)
             except RemoteCallError as exc:
-                if exc.error_type != "NotPromoted":
+                if exc.error_type not in ("NotPromoted", "NotDurableYet"):
                     raise
-                # A standby answered but is not serving yet.  The request was
-                # refused without effect — wait for promotion and try again
+                # A standby answered but is not serving yet, or the answer
+                # is a decision whose log write is still in flight.  The
+                # request was refused without effect — wait and try again
                 # (not a resend: refusal is a definitive non-delivery).
                 if deadline_s is not None and time.monotonic() - start > deadline_s:
                     raise ConnectionLost(
-                        f"{op} to {self.host}:{self.port}: standby never promoted"
-                    ) from exc
+                        f"{op} to {self.host}:{self.port}: still "
+                        f"{exc.error_type} after {deadline_s}s") from exc
             except ConnectionLost as exc:
                 if not isinstance(exc, CallTimedOut):
                     # The next call() re-dials from scratch.  A timed-out
                     # pipelined call skips this: its connection is still
                     # carrying other in-flight calls (see CallTimedOut).
-                    self.close()
+                    with self._send_lock:
+                        self._close_locked()
                     self.reconnects += 1
                 if exc.request_sent:
                     # The request may already have reached the peer before

@@ -3,14 +3,18 @@
 Wraps the pure :class:`~repro.core.sharding.ShardedCertifier` with the IO
 duties of a certifier deployment, one pipeline *per shard*:
 
-* each shard owns its own log device, its own group-commit batcher and its
-  own :class:`~repro.transport.WritesetStream` — a single-shard transaction
+* each shard owns its own log device, its own queue of unshipped records
+  and its own :class:`~repro.transport.WritesetStream` — a single-shard transaction
   certifies, flushes and propagates entirely within one shard, with no
   cross-shard coordination;
-* a cross-shard transaction's decision is released only once its fragment
-  is durable on **every** touched shard (the all-shards-commit half of the
-  merge; the any-shard-aborts half never reaches IO — see
-  :meth:`ShardedCertifier.certify <repro.core.sharding.ShardedCertifier.certify>`);
+* durability is a *stream with a frontier*: admitting a round
+  (:meth:`ShardedCertifierService.admit_batch`) ships each touched shard's
+  records to its device and never waits; a decision is released once the
+  global durable frontier covers its commit version — its fragments durable
+  on **every** touched shard, and so is everything ordered before it (the
+  all-shards-commit half of the merge; the any-shard-aborts half never
+  reaches IO — see :meth:`ShardedCertifier.certify
+  <repro.core.sharding.ShardedCertifier.certify>`);
 * propagation is driven by the global durability frontier: full writesets
   are offered to their *home shard*'s stream in strict global version
   order, and every replica consumes the per-shard streams through one
@@ -28,6 +32,7 @@ the seed service is used, byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from typing import Callable, Iterable, Iterator
 
@@ -36,13 +41,13 @@ from repro.core.certification import (
     CertificationResult,
     RemoteWriteSetInfo,
 )
-from repro.core.group_commit import GroupCommitBatcher
+from repro.core.group_commit import GroupCommitStats
 from repro.core.sharding import Partitioner, ShardedCertifier
 from repro.core.stats import (
     CertifierServiceStats,
     merged_group_commit_stats,
 )
-from repro.engine.log_device import CountingLogDevice, LogDevice, sync_all
+from repro.engine.log_device import CountingLogDevice, LogDevice, ship
 from repro.errors import ConfigurationError, ReproError
 from repro.middleware.certifier import CertifierConfig, CertifierService
 from repro.transport import MergedSubscription, WritesetStream
@@ -77,10 +82,14 @@ class ShardedCertifierService:
             list(log_devices) if log_devices is not None
             else [CountingLogDevice() for _ in range(shards)]
         )
-        #: Per-shard flush queues: entries are (global, shard-local) versions.
-        self._batchers: list[GroupCommitBatcher[tuple[int, int]]] = [
-            GroupCommitBatcher() for _ in range(shards)
-        ]
+        #: Per shard, the admitted records not yet shipped to its device, as
+        #: (global, shard-local) versions — and the sizes of its durable batches.
+        self._unshipped: list[list[tuple[int, int]]] = [[] for _ in range(shards)]
+        self._flush_stats = [GroupCommitStats() for _ in range(shards)]
+        #: Told the release cursor (``core.propagated_version``) whenever a
+        #: shard's write lands; the live scheduler releases its held
+        #: decisions from here.
+        self.on_frontier: Callable[[int], None] | None = None
         #: Per-shard outbound propagation channels (home-shard publication).
         self.streams = [
             WritesetStream(policy=self.config.propagation_policy)
@@ -99,21 +108,34 @@ class ShardedCertifierService:
         return outcome
 
     def certify_batch(
+        self, requests: list[CertificationRequest],
+    ) -> list[CertificationResult | ReproError]:
+        """:meth:`admit_batch`, then wait until the round is durable — the
+        synchronous contract: a returned commit is on every shard it touched."""
+        outcomes = self.admit_batch(requests)
+        if self.config.durability_enabled:
+            self.flush()
+        return outcomes
+
+    def admit_batch(
         self, requests: list[CertificationRequest], *,
         on_admit: Callable[[int, int], None] | None = None,
     ) -> list[CertificationResult | ReproError]:
-        """Certify a group of requests as one round with shared flushes.
+        """Certify a group of requests as one round and ship its log writes.
 
         Decisions/versions/remote windows come from
         :meth:`ShardedCertifier.certify_batch <repro.core.sharding.
         ShardedCertifier.certify_batch>` (sequentially equivalent by
-        construction); the service then enqueues *every* admitted fragment of
-        the round before flushing, so each touched shard pays **one**
-        synchronous log write for the whole batch instead of one per
-        transaction — the paper's group-commit economics, applied to the
-        certifier's own log.  Per-request failures are returned in place.
-        ``on_admit(index, commit_version)`` is told of each admitted request
-        before the round is flushed.
+        construction); *every* admitted fragment of the round is then staged
+        and each touched shard's records go to its device as **one** batch
+        (:func:`~repro.engine.log_device.ship`) — the paper's group-commit
+        economics, applied to the certifier's own log.  Nothing here waits
+        for a streaming device: a commit in the returned outcomes may be
+        released only once :attr:`ShardedCertifier.propagated_version` — the
+        durable frontier — covers it (``on_frontier`` reports that).
+        Per-request failures are returned in place.  ``on_admit(index,
+        commit_version)`` is told of each admitted request before its
+        records are shipped.
         """
         before = self.core.certification_requests
         outcomes = self.core.certify_batch(requests)
@@ -125,12 +147,12 @@ class ShardedCertifierService:
                     on_admit(index, outcome.tx_commit_version)
                 record = self.core.record_at(outcome.tx_commit_version)
                 for shard_id, local in record.shard_locals:
-                    self._batchers[shard_id].enqueue(
+                    self._unshipped[shard_id].append(
                         (outcome.tx_commit_version, local))
                     touched.add(shard_id)
         if touched:
             if self.config.durability_enabled:
-                self.flush(shard_ids=touched)
+                self._ship(touched)
             else:
                 self._propagate_up_to(self.core.last_version)
         interval = self.config.gc_interval_requests
@@ -183,36 +205,41 @@ class ShardedCertifierService:
 
     # -- durability ---------------------------------------------------------------
 
-    def flush(self, shard_ids: Iterable[int] | None = None) -> int:
-        """Flush the pending records of the given shards (default: all).
+    def flush(self) -> int:
+        """Ship every unshipped record and wait until everything shipped so
+        far is durable.  Returns the number of log records that became
+        durable meanwhile."""
+        before = sum(stats.records_flushed for stats in self._flush_stats)
+        self._ship(range(self.config.shards))
+        for device in self.devices:
+            if hasattr(device, "ship"):
+                device.sync()
+        return sum(stats.records_flushed for stats in self._flush_stats) - before
 
-        One scatter-gather round: each shard with pending records has its
-        batch staged on its own device, then :func:`sync_all` starts every
-        synchronous write before waiting for any — a cross-shard round costs
-        the slowest shard's write, not the sum.  Only when all are
-        acknowledged are the batchers completed, the logs marked durable and
-        the frontier advanced and propagated — once, in ascending shard
-        order, so nothing depends on which shard answered first.  A shard
-        that is down stalls the round (the others' acknowledgements are read
-        first); a sync that raises leaves every staged batch taken and
-        uncompleted.  Returns the number of log records made durable.
-        """
-        targets = range(self.config.shards) if shard_ids is None else sorted(shard_ids)
-        staged: list[tuple[int, list[tuple[int, int]]]] = []
-        for shard_id in targets:
-            if self._batchers[shard_id].has_pending:
-                batch = self._batchers[shard_id].take_batch()
-                for payload in self._batch_payloads(shard_id, batch):
-                    self.devices[shard_id].append(payload)
-                staged.append((shard_id, batch))
-        if not staged:
-            return 0
-        sync_all([self.devices[shard_id] for shard_id, _ in staged])
-        for shard_id, batch in staged:
-            self._batchers[shard_id].complete_batch()
-            self.core.shards[shard_id].log.mark_durable(max(local for _, local in batch))
+    def _ship(self, shard_ids: Iterable[int]) -> None:
+        """One batch per shard with unshipped records, in ascending shard
+        order, each on its way before any is waited for: a cross-shard round
+        costs the slowest shard's write, not the sum.  A shard that is down
+        stalls only the frontier; a device that raises leaves its batch
+        taken and forever undurable."""
+        for shard_id in sorted(shard_ids):
+            batch = self._unshipped[shard_id]
+            if not batch:
+                continue
+            self._unshipped[shard_id] = []
+            for payload in self._batch_payloads(shard_id, batch):
+                self.devices[shard_id].append(payload)
+            ship(self.devices[shard_id],
+                 functools.partial(self._on_durable, shard_id, batch))
+
+    def _on_durable(self, shard_id: int, batch: list[tuple[int, int]]) -> None:
+        """One shard's batch is on disk: advance that shard's durable horizon,
+        then the global frontier, and propagate what the frontier now covers."""
+        self._flush_stats[shard_id].record_flush(len(batch))
+        self.core.shards[shard_id].log.mark_durable(max(local for _, local in batch))
         self._propagate_up_to()
-        return sum(len(batch) for _, batch in staged)
+        if self.on_frontier is not None:
+            self.on_frontier(self.core.propagated_version)
 
     def _batch_payloads(self, shard_id: int, batch: list[tuple[int, int]]) -> Iterator[bytes]:
         """The device payloads of one shard's staged batch: here one size
@@ -264,7 +291,10 @@ class ShardedCertifierService:
         protocol, exactly like the single service.
         """
         self.core.note_replica_version(replica, from_version)
-        backfill = self.core.fetch_remote_writesets(from_version, replica=replica)
+        # Only what has been released: a commit still waiting for its log
+        # write reaches the subscription through its stream, once durable.
+        backfill = self.core.fetch_remote_writesets(
+            from_version, replica=replica, up_to=self.core.propagated_version)
         parts = [
             stream.subscribe(replica, from_version=from_version)
             for stream in self.streams
@@ -337,7 +367,7 @@ class ShardedCertifierService:
     ) -> "ShardedCertifierService":
         """Build a service around a recovered coordinator (failover).
 
-        The per-shard IO pipelines — log devices, group-commit batchers,
+        The per-shard IO pipelines — log devices, unshipped-record queues,
         propagation streams — start empty: a recovered coordinator's records
         are already durable (that is what made them recoverable), and a
         re-subscribing replica is backfilled from the directory by
@@ -362,7 +392,7 @@ class ShardedCertifierService:
     @property
     def writesets_per_fsync(self) -> float:
         """Average log records per synchronous write, across all shards."""
-        merged = merged_group_commit_stats([b.stats for b in self._batchers])
+        merged = merged_group_commit_stats(self._flush_stats)
         return merged.average_batch_size
 
     @property
@@ -374,7 +404,7 @@ class ShardedCertifierService:
         never the live per-shard objects)."""
         return CertifierServiceStats(
             core=self.core.stats_snapshot(),
-            flush=merged_group_commit_stats([b.stats for b in self._batchers]),
+            flush=merged_group_commit_stats(self._flush_stats),
             propagation=merged_group_commit_stats([s.stats for s in self.streams]),
             fsyncs=self.fsync_count,
             durable_version=self.core.durable_version,

@@ -74,42 +74,58 @@ GC_HEADROOM = 2
 
 
 class SplitPhaseDevice(CountingLogDevice):
-    """A log device with the two-phase sync of a remote WAL: durable
-    ``latency_s`` after ``begin_sync`` — the wait is somebody else's work.
-    Shared by the scatter-gather flush tests."""
+    """A streaming log device (``ship`` / ``sync``) whose acknowledgements
+    the test controls — the in-process stand-in for a remote shard WAL.
+
+    ``ship`` puts the pending payloads in flight as one batch and returns;
+    a batch becomes durable, and its ``on_durable`` callback runs, when
+    :meth:`ack` says so.  ``manual=False`` (the default) acknowledges by
+    itself: ``sync`` waits until ``latency_s`` after each batch was shipped
+    — the wait is somebody else's work — and then acknowledges it.
+    """
 
     def __init__(self, latency_s: float = 0.0, journal: list | None = None,
-                 name: str = "", lost: bool = False,
-                 error: Exception | None = None) -> None:
+                 name: str = "", error: Exception | None = None,
+                 manual: bool = False) -> None:
         super().__init__()
         self.latency_s = latency_s
         self.journal = journal if journal is not None else []
         self.name = name
-        self.lost = lost          # finish_sync(resend=False) gives up
-        self.error = error        # raised by the finishing call
+        self.error = error        # raised instead of shipping
+        self.manual = manual      # only ack() makes a batch durable
+        self.in_flight: list[tuple[list[bytes], object, float]] = []
         self.waits: list[tuple[float, float]] = []
 
-    def begin_sync(self) -> None:
-        self._begun = time.perf_counter()
-        self.journal.append(("begin", self.name))
-
-    def finish_sync(self, *, resend: bool = True) -> bool:
-        if self.lost and not resend:
-            self.journal.append(("lost", self.name))
-            return False
-        remaining = self._begun + self.latency_s - time.perf_counter()
-        if remaining > 0:
-            time.sleep(remaining)
-        self.journal.append(("finish", self.name))
+    def ship(self, on_durable=None) -> None:
+        if not self._pending:
+            return
         if self.error is not None:
             raise self.error
-        CountingLogDevice.sync(self)
-        self.waits.append((self._begun, time.perf_counter()))
-        return True
+        self.journal.append(("ship", self.name))
+        self.in_flight.append((self._pending, on_durable, time.perf_counter()))
+        self._pending = []
+
+    def ack(self, batches: int = 1) -> None:
+        """The shard's acknowledgement for the oldest ``batches`` in flight."""
+        for _ in range(batches):
+            payloads, on_durable, shipped = self.in_flight.pop(0)
+            self._durable.extend(payloads)
+            self._sync_count += 1
+            self.journal.append(("ack", self.name))
+            self.waits.append((shipped, time.perf_counter()))
+            if on_durable is not None:
+                on_durable()
 
     def sync(self) -> None:
-        self.begin_sync()
-        self.finish_sync()
+        self.ship()
+        if self.manual and self.in_flight:
+            raise AssertionError(f"sync() on {self.name or 'device'} would wait "
+                                 "forever: the test has not acknowledged")
+        while self.in_flight:
+            remaining = self.in_flight[0][2] + self.latency_s - time.perf_counter()
+            if remaining > 0:
+                time.sleep(remaining)
+            self.ack()
 
 
 class CertifierCrashed(Exception):

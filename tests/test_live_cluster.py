@@ -147,6 +147,48 @@ def test_exactly_once_table_counts_every_commit_once(tmp_path):
         assert stats["wal_resent_batches"] == 0
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_fsync_accounting_holds_when_one_fsync_covers_several_batches(tmp_path, shards):
+    """Under load the shards' log writers put several shipped batches into
+    one fsync group.  The scheduler's ``fsyncs`` must still equal the number
+    of groups the shards wrote, and the writer's measured busy time must
+    account for them — the counters the benchmark's ``fsyncs_per_commit`` and
+    device-busy rows are computed from."""
+    floor_ms = 20.0
+    config = ReplicationConfig(system=SystemKind.TASHKENT_MW, num_replicas=2,
+                               certifier_shards=shards, rng_seed=SEED,
+                               live_wal_fsync_floor_ms=floor_ms)
+    workload = workload_by_name("allupdates", num_replicas=2)
+    with LiveCluster(config, workload.schemas(), run_dir=tmp_path,
+                     keep_dir=True) as cluster:
+        cluster.load_initial_data(workload)
+        before = cluster.stats()
+        summary = cluster.run_workload(workload, clients=8, transactions_per_client=12)
+        after = cluster.stats()
+        assert summary["commits"] == 96 and summary["in_doubt"] == 0
+
+        def grew(counter) -> int:
+            return counter(after) - counter(before)
+
+        groups = sum(grew(lambda s: s["shards"][i]["wal"]["batches"]) for i in range(shards))
+        records = sum(grew(lambda s: s["shards"][i]["wal"]["records"]) for i in range(shards))
+        shipped = sum(grew(lambda s: s["scheduler"]["wal_clients"][i]["calls"])
+                      for i in range(shards))
+        assert grew(lambda s: s["scheduler"]["fsyncs"]) == groups == summary["fsyncs"]
+        assert records == summary["commits"]  # one shard per AllUpdates writeset
+        # Grouping really happened at the shard: fewer fsyncs than batches sent.
+        assert groups < shipped <= records
+        assert summary["fsyncs_per_commit"] < 1.0
+        scheduler = after["scheduler"]
+        assert scheduler["held_decisions"] == 0 and scheduler["durable_frontier_lag"] == 0
+        assert scheduler["held_decisions_high_water"] >= 2
+        for wal in (after["shards"][i]["wal"] for i in range(shards)):
+            assert sum(wal["group_size_histogram"].values()) == wal["batches"]
+            assert wal["queued_high_water"] >= 2
+            # Measured, not inferred: every group held the disk for a full floor.
+            assert wal["writer_busy_s"] >= wal["batches"] * floor_ms / 1000.0
+
+
 def test_hot_row_write_write_block_aborts_no_wait(tmp_path):
     """Two live sessions on one replica racing one row: the loser must not
     wedge a worker thread waiting for the winner's lock — the replica runs a

@@ -25,8 +25,11 @@ replica wedge-after-commit      post-flush (admitted + durable + applied;
 ==============================  ============================================
 
 Two more run the shard schedules at ``certifier_shards=2`` with cross-shard
-transactions, where the fault lands on ONE shard of a scatter-gather round
-while the other acknowledges it.
+transactions, where the fault lands on ONE shard of a round while the other
+acknowledges it.  Three exercise the durability *stream*: a shard killed
+before / after the fsync of group N with further shipped batches queued
+behind it, and the primary scheduler killed with groups in flight on both
+shards.
 """
 
 from __future__ import annotations
@@ -618,6 +621,191 @@ def test_scheduler_sigkill_mid_grouped_round_both_commits_survive(tmp_path):
             assert row["note"] == f"seq-{index}"
         probe.abort()
         probe.close()
+    finally:
+        cluster.__exit__(None, None, None)
+
+
+# ---------------------------------------------------------------------------
+# the durability stream: several shipped batches in flight when the fault lands
+# ---------------------------------------------------------------------------
+
+#: A slow disk keeps a group in flight long enough for later commits to be
+#: admitted, shipped and queued behind it.
+SLOW_DISK_MS = 250.0
+
+
+def bump(session, key: str) -> bool:
+    session.begin()
+    row = session.read("counters", key)
+    session.update("counters", key, value=int(row["value"]) + 1, note=f"bump-{key}")
+    return session.commit().committed
+
+
+def commit_concurrently(sessions, keys, *, stagger_s: float = 0.0) -> list:
+    """One ``bump`` per session, all at once; returns each one's
+    ``CommitInDoubt`` (or ``None`` where the commit was acknowledged)."""
+    import threading
+    import time
+
+    caught: list = [None] * len(sessions)
+
+    def commit_one(index: int) -> None:
+        time.sleep(stagger_s * index)
+        try:
+            assert bump(sessions[index], keys[index])
+        except CommitInDoubt as exc:
+            caught[index] = exc
+
+    threads = [threading.Thread(target=commit_one, args=(index,))
+               for index in range(len(sessions))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return caught
+
+
+def bump_oracle(config: ReplicationConfig, keys: list[str]) -> dict:
+    """Fault-free functional run: every key bumped once (disjoint rows, so
+    the order the live commits were admitted in does not matter)."""
+    workload = make_workload()
+    system = build_replicated_system(config)
+    system.create_tables_from_schemas(workload.schemas())
+    system.load_initial_data(workload.setup)
+    session = system.sessions_round_robin(1)[0]
+    for key in keys:
+        assert bump(session, key)
+    system.refresh_all()
+    return {replica.name: replica.database.table("counters").snapshot_state(
+                replica.database.current_version) for replica in system.replicas}
+
+
+@pytest.mark.parametrize("wedge_flag", ["--wedge-before-sync", "--wedge-after-sync"])
+def test_shard_sigkill_with_later_batches_queued_behind_the_group(tmp_path, wedge_flag):
+    """Group 3 freezes (before / after its fsync) while two more commits have
+    been admitted and shipped behind it.  After kill -9 + restart the
+    scheduler resends every unacknowledged batch in order: each record lands
+    exactly once, line seqs stay gapless, all three commits resolve."""
+    config = ReplicationConfig(system=SystemKind.TASHKENT_MW, num_replicas=2,
+                               certifier_shards=1, rng_seed=SEED,
+                               live_wal_fsync_floor_ms=SLOW_DISK_MS)
+    workload = make_workload()
+    # Groups: loader=1, the warm commit=2 -> the first concurrent commit is
+    # group 3; staggered by 60 ms, the other two arrive during its 250 ms
+    # write (after-sync) or after the freeze (before-sync).
+    cluster = LiveCluster(config, workload.schemas(), run_dir=tmp_path,
+                          keep_dir=True, shard_args={0: [wedge_flag, "3"]})
+    cluster.__enter__()
+    try:
+        cluster.load_initial_data(workload)
+        keys = ["r0-c0-0", "r0-c1-0", "r1-c2-0", "r0-c3-0"]
+        names = ["replica-0", "replica-0", "replica-1", "replica-0"]
+        sessions = [cluster.session(name, attempt_timeout_s=CLIENT_TIMEOUT_S)
+                    for name in names]
+        assert bump(sessions[0], keys[0])
+        caught = commit_concurrently(sessions[1:], keys[1:], stagger_s=0.06)
+        assert all(caught), f"all three commits must hang in doubt, got {caught}"
+        durable = wedge_flag == "--wedge-after-sync"
+        assert shard_wal_seqs(cluster, 0) == ([1, 2, 3] if durable else [1, 2])
+        assert cluster.scheduler_stats()["held_decisions"] == 3
+
+        cluster.kill_shard(0)
+        cluster.restart_shard(0, drop_args=(wedge_flag,))
+        for session, in_doubt in zip(sessions[1:], caught):
+            outcome = session.resolve_commit(in_doubt.tx_id, wait_known_s=20.0)
+            assert outcome is not None and outcome.committed
+            session.reconnect()
+
+        stats = cluster.scheduler_stats()
+        assert stats["tx_admits"] == 5 and stats["held_decisions"] == 0, stats
+        assert stats["wal_resent_batches"] >= 1
+        batches = read_wal_batches(cluster.harness.run_dir / "shard-0.wal")
+        assert [b["seq"] for b in batches] == list(range(1, len(batches) + 1))
+        assert sum(len(b["payloads"]) for b in batches) == 5  # each record once
+        wal = cluster.shard_wal_stats(0)
+        assert wal["duplicate_batches_skipped"] == (1 if durable else 0), wal
+        # One acknowledgement per shipped batch, resent or not.
+        assert [c["calls"] for c in stats["wal_clients"]] == [5]
+
+        cluster.refresh_all()
+        oracle = bump_oracle(config, keys)
+        for name in cluster.replicas:
+            assert cluster.dump_table(name, "counters") == oracle[name]
+    finally:
+        cluster.__exit__(None, None, None)
+
+
+def test_scheduler_sigkill_with_groups_in_flight_on_both_shards(tmp_path):
+    """kill -9 the primary while commits are admitted and shipped but on no
+    disk yet — one on each shard and one across both.  Whatever the shards
+    finish writing is durable-but-unacknowledged; promotion completes or
+    discards each round consistently and every client retry resolves exactly
+    once on the standby."""
+    import time
+
+    config = ReplicationConfig(system=SystemKind.TASHKENT_MW, num_replicas=2,
+                               certifier_shards=2, rng_seed=SEED,
+                               live_scheduler_standby=True,
+                               live_wal_fsync_floor_ms=SLOW_DISK_MS)
+    workload = make_workload()
+    cluster = LiveCluster(config, workload.schemas(), run_dir=tmp_path, keep_dir=True)
+    cluster.__enter__()
+    try:
+        cluster.load_initial_data(workload)
+        (a0, a1), (b0, b1) = cross_shard_pairs()  # (shard-0 row, shard-1 row) per replica
+        sessions = [cluster.session(name, attempt_timeout_s=CLIENT_TIMEOUT_S)
+                    for name in ("replica-0", "replica-0", "replica-1")]
+
+        def cross(session) -> bool:  # one transaction over both shards
+            session.begin()
+            for key in (b0, b1):
+                row = session.read("counters", key)
+                session.update("counters", key, value=int(row["value"]) + 1, note="cross")
+            return session.commit().committed
+
+        import threading
+
+        caught: list = [None, None, None]
+
+        def commit_one(index: int) -> None:
+            try:
+                if index == 2:
+                    assert cross(sessions[2])
+                else:
+                    assert bump(sessions[index], (a0, a1)[index])
+            except CommitInDoubt as exc:
+                caught[index] = exc
+
+        threads = [threading.Thread(target=commit_one, args=(i,)) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        time.sleep(SLOW_DISK_MS / 1000.0 * 0.4)  # admitted and shipped; no fsync done
+        cluster.kill_scheduler()
+        for thread in threads:
+            thread.join()
+        assert all(caught), f"no commit may have been acknowledged, got {caught}"
+
+        report = cluster.promote_standby()
+        assert report["already"] is False
+        for session, in_doubt in zip(sessions, caught):
+            outcome = session.resolve_commit(in_doubt.tx_id, wait_known_s=20.0)
+            assert outcome is not None and outcome.committed
+            session.reconnect()
+
+        stats = cluster.scheduler_stats()
+        # Rebuilt from the WALs or admitted fresh on retry — once either way.
+        assert stats["tx_admits"] == 4 and stats["held_decisions"] == 0, stats
+        for shard_id in (0, 1):
+            seqs = shard_wal_seqs(cluster, shard_id)
+            assert seqs == list(range(1, len(seqs) + 1)), f"shard {shard_id}: {seqs}"
+        cluster.refresh_all()
+        probe = cluster.session("replica-0", attempt_timeout_s=CLIENT_TIMEOUT_S)
+        probe.begin()
+        for key in (a0, a1, b0, b1):
+            assert int(probe.read("counters", key)["value"]) == 1, key
+        probe.abort()
+        probe.close()
+        assert cluster.replicas_consistent(["counters"])
     finally:
         cluster.__exit__(None, None, None)
 

@@ -63,8 +63,9 @@ def test_restart_pins_previous_port_and_wal_survives(tmp_path):
                                ["--shard-id", "0", "--wal", "s0.wal"])
         first_port = handle.port
         with WireClient("127.0.0.1", first_port, name="probe") as probe:
+            # ``seq`` is the record offset the batch ends at.
             probe.call("wal_append", seq=1, payloads=["aa"])
-            probe.call("wal_append", seq=2, payloads=["bb", "cc"])
+            probe.call("wal_append", seq=3, payloads=["bb", "cc"])
 
         handle.kill()
         assert not handle.alive and handle.poll() is not None
@@ -74,9 +75,10 @@ def test_restart_pins_previous_port_and_wal_survives(tmp_path):
         with WireClient("127.0.0.1", first_port, name="probe") as probe:
             stats = probe.call("wal_stats")
             assert stats["last_seq"] == 2 and stats["batches"] == 2
+            assert stats["records"] == 3
             # A resend of an already-fsynced batch is acknowledged, not
             # re-written: the idempotence the crash tests depend on.
-            assert probe.call("wal_append", seq=2, payloads=["bb", "cc"])["applied"] is False
+            assert probe.call("wal_append", seq=3, payloads=["bb", "cc"])["applied"] is False
             assert probe.call("wal_stats")["duplicate_batches_skipped"] == 1
 
         batches = read_wal_batches(tmp_path / "s0.wal")

@@ -55,7 +55,7 @@ def _request(version, writeset, origin="replica-0"):
 
 def _certify_tx(service, request, tx_id):
     """One request through the round path, stamped with its ``tx_id``."""
-    (outcome,) = service.certify_batch_tx([request], [tx_id])
+    (outcome,) = service.admit_batch_tx([request], [tx_id])
     if isinstance(outcome, ReproError):
         raise outcome
     return outcome
@@ -147,6 +147,28 @@ def test_rebuild_completes_round_missing_on_one_shard():
     assert certifier.committed_acks()["torn:1"] == result.tx_commit_version
 
 
+def test_rebuild_refuses_a_version_hole_instead_of_renumbering():
+    # Streaming durability's double fault: shard 0 was down (v2, a
+    # single-shard round, only ever sat in the dead primary's resend queue)
+    # while healthy shard 1 went on to make v3 durable — and then the primary
+    # died.  No surviving fragment can complete v2, so promotion must fail
+    # with a clear error, never serve a history with v3 but no v2.
+    from repro.errors import RecoveryError
+
+    service, devices = _service(2)
+    partitioner = service.core.partitioner
+    on_shard = [next(k for k in range(100) if partitioner.shard_of(("t", k)) == shard)
+                for shard in (0, 1)]
+    for number, shard in enumerate((1, 0, 1), start=1):  # v1, v2, v3
+        _certify_tx(service, _request(service.system_version, ws(on_shard[shard])),
+                    f"tx:{number}")
+    per_shard = _durable_entries(devices)
+    assert [e.global_version for e in per_shard[0]] == [2]
+    per_shard[0] = []  # v2 never reached shard 0's disk
+    with pytest.raises(RecoveryError, match="not dense: expected 2, got 3"):
+        rebuild_from_shard_wals(per_shard, config=_config(2))
+
+
 def test_rebuild_restores_gc_horizon_and_prunes_ack_table():
     config = _config(2, gc_headroom_versions=0)
     devices = [CountingLogDevice() for _ in range(2)]
@@ -165,6 +187,29 @@ def test_rebuild_restores_gc_horizon_and_prunes_ack_table():
     # Acks at or below the replicated horizon are dropped on rebuild too.
     expected = {tx: v for tx, v in committed if v > horizon}
     assert certifier.committed_acks() == expected
+
+
+def test_gc_prunes_only_once_every_shard_holds_the_marker():
+    # On streaming devices the GC markers ride the WAL stream like the round
+    # entries: marker-before-prune means nothing is pruned until the last
+    # shard has acknowledged its marker.
+    from faults import SplitPhaseDevice
+
+    config = _config(2, gc_headroom_versions=0)
+    devices = [SplitPhaseDevice(manual=True) for _ in range(2)]
+    service = LiveReplicatedCertifierService(config, log_devices=devices)
+    for i in range(4):
+        _certify_tx(service, _request(service.system_version, ws(i, i + 2)), f"c-{i}:1")
+    for device in devices:
+        device.ack(len(device.in_flight))
+    service.register_replica("replica-0", service.system_version)
+    assert service.collect_garbage() == 0  # shipped, not yet durable anywhere
+    devices[0].ack()
+    assert service.core.pruned_version == 0 and len(service._tx_for_version) == 4
+    devices[1].ack()
+    assert service.core.pruned_version == 4 and service._tx_for_version == {}
+    markers = [decode_entry_payload(d.durable_payloads[-1]) for d in devices]
+    assert [(m.kind, m.global_version) for m in markers] == [(ENTRY_GC, 4)] * 2
 
 
 def test_duplicate_certify_after_rebuild_is_replayed_not_readmitted():

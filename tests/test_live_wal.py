@@ -2,9 +2,11 @@
 
 Pure file-level tests: no sockets, no subprocesses.  The interesting
 surface is crash replay — a torn final line (kill mid-write) must be
-discarded *and truncated away*, `last_seq` dedupe must survive restarts,
-and the test oracle `read_wal_batches` must agree with the node's own
-`BatchWalFile._replay` on every possible torn prefix.
+discarded *and truncated away*, the record-offset dedupe must survive
+restarts, and the test oracle `read_wal_batches` must agree with the node's
+own `BatchWalFile._replay` on every possible torn prefix.  A batch's ``seq``
+is the record offset it ends at; the file's lines (one per fsync group) are
+numbered by the file itself.
 """
 
 from __future__ import annotations
@@ -45,16 +47,17 @@ def test_missing_file_starts_fresh(tmp_path):
 
 
 def test_duplicate_seq_file_counts_once_per_line(tmp_path):
-    # A file that already holds the same seq twice (a historic double-accept)
-    # must still replay to that seq and keep deduping appends at it.
+    # A file that already holds the same line seq twice (a historic
+    # double-accept) replays every record and keeps deduping at that offset.
     path = tmp_path / "shard.wal"
     _write_batches(path, [(1, [b"a"]), (2, [b"b"]), (2, [b"b"])])
     wal = BatchWalFile(path)
     assert wal.last_seq == 2
-    assert wal.batches == 3
-    assert not wal.append_batch(2, [b"b"])
+    assert (wal.batches, wal.records) == (3, 3)
+    assert not wal.append_batch(3, [b"b"])
     assert wal.duplicate_batches_skipped == 1
-    assert wal.append_batch(3, [b"c"])
+    assert wal.append_batch(4, [b"c"])
+    assert _wal_lines(path)[-1]["seq"] == 3
     wal.close()
 
 
@@ -128,9 +131,60 @@ def test_append_after_truncation_round_trips_payloads(tmp_path):
     with open(path, "ab") as handle:
         handle.write(b'{"seq":2,"pa')
     wal = BatchWalFile(path)
-    wal.append_batch(2, [b"\x00\xffbinary", b""])
+    wal.append_batch(3, [b"\x00\xffbinary", b""])  # records 2 and 3
     wal.close()
     batches = read_wal_batches(path)
     assert batches[0]["payloads"] == [b"keep"]
     assert batches[1]["payloads"] == [b"\x00\xffbinary", b""]
     assert _wal_lines(path)[-1]["seq"] == 2
+
+
+def test_group_is_one_line_one_fsync_and_dedupes_by_record_offset(tmp_path):
+    # Three shipped batches reach the disk together: one line, numbered by
+    # the file, holding all their records in order.
+    wal = BatchWalFile(tmp_path / "shard.wal")
+    assert wal.append_group([(1, [b"a"]), (3, [b"b", b"c"]), (4, [b"d"])]) == [True] * 3
+    assert (wal.batches, wal.records, wal.last_seq) == (1, 4, 1)
+    # A resend of the tail plus one new batch: only the new record is written,
+    # as line 2 — and a resend that rides in the same group as its original
+    # (5 twice) is written once.
+    assert wal.append_group([(3, [b"b", b"c"]), (4, [b"d"]),
+                             (5, [b"e"]), (5, [b"e"])]) == [False, False, True, False]
+    assert wal.duplicate_batches_skipped == 3
+    assert wal.append_group([(5, [b"e"]), (0, [])]) == [False, False]  # no write
+    assert (wal.batches, wal.records) == (2, 5)
+    wal.close()
+    assert [(b["seq"], b["payloads"]) for b in read_wal_batches(wal.path)] == [
+        (1, [b"a", b"b", b"c", b"d"]), (2, [b"e"])]
+    assert BatchWalFile(wal.path).records == 5  # the offset survives a restart
+
+
+def test_group_that_would_leave_a_hole_is_refused_whole(tmp_path):
+    import pytest
+
+    from repro.errors import ReproError
+
+    wal = BatchWalFile(tmp_path / "shard.wal")
+    wal.append_batch(1, [b"a"])
+    with pytest.raises(ReproError, match="does not continue"):
+        wal.append_group([(2, [b"b"]), (9, [b"lost-some"])])
+    assert (wal.batches, wal.records) == (1, 1)  # nothing of the group landed
+    wal.close()
+
+
+def test_every_group_takes_a_full_floor_from_when_it_reached_the_disk(tmp_path):
+    # The floor's contract: no group — back to back with the previous one or
+    # not — completes less than ``fsync_floor_ms`` after it was handed over.
+    import time
+
+    floor = 0.02
+    wal = BatchWalFile(tmp_path / "shard.wal", fsync_floor_ms=floor * 1000.0)
+    for seq in (1, 2, 3):
+        started = time.perf_counter()
+        wal.append_group([(seq, [b"x"])])
+        assert time.perf_counter() - started >= floor
+    assert wal.writer_busy_s >= 3 * floor
+    started = time.perf_counter()
+    wal.append_group([(3, [b"x"])])  # a resend: no write, so no floor either
+    assert time.perf_counter() - started < floor
+    wal.close()

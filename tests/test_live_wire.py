@@ -11,9 +11,9 @@ down the exact accounting and scoping rules the live crash tests build on:
   every other in-flight call survive;
 * socket swap-out (close / reader-loop death) is `_send_lock`-protected,
   so concurrent senders and closers never race a half-closed socket;
-* a split-phase call (`begin_call` / `finish_call`) overlaps round trips to
-  several peers, recovers a lost half with `call_retrying`'s accounting and
-  never leaves a stale reply for the next call on the connection.
+* the streaming `RemoteWalDevice` keeps several shipped batches in flight,
+  counts fsync groups (not batches), and after a lost connection resends
+  everything unacknowledged, in order, releasing each batch exactly once.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import time
 
 import pytest
 
-from repro.engine.log_device import sync_all
 from repro.live.wal import RemoteWalDevice
 from repro.live.wire import CallTimedOut, ConnectionLost, WireClient
 
@@ -60,11 +59,11 @@ class _MiniServer:
     the floor (simulates a wedged peer for that call).
     """
 
-    def __init__(self, handler):
+    def __init__(self, handler, port=0):
         self._handler = handler
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", 0))
+        self._listener.bind(("127.0.0.1", port))
         self._listener.listen(8)
         self.port = self._listener.getsockname()[1]
         self._stop = threading.Event()
@@ -98,6 +97,9 @@ class _MiniServer:
                 response = self._handler(request)
                 if response is None:
                     continue  # wedged: never answer this one
+                if response == "hang up":
+                    conn.close()  # crashed: this and everything behind it lost
+                    return
                 if "rid" in request:
                     response = {**response, "rid": request["rid"]}
                 _send_response(conn, response)
@@ -292,104 +294,216 @@ def test_not_promoted_answer_is_retried_without_resend_accounting():
         server.stop()
 
 
-# -- split-phase calls (begin_call / finish_call) and the WAL gather ---------
+# -- posted calls ----------------------------------------------------------------
 
 
-def test_split_phase_calls_to_two_peers_overlap():
-    def slow(request):
-        time.sleep(0.15)
-        return {"ok": True, "op": request["op"]}
-
-    servers = [_MiniServer(slow), _MiniServer(slow)]
-    try:
-        clients = [WireClient("127.0.0.1", s.port, timeout=2.0) for s in servers]
-        for client in clients:
-            client.connect()
-        started = time.perf_counter()
-        for index, client in enumerate(clients):
-            client.begin_call(f"op-{index}")
-        replies = [client.finish_call() for client in clients]
-        elapsed = time.perf_counter() - started
-        assert [reply["op"] for reply in replies] == ["op-0", "op-1"]
-        assert elapsed < 0.27, f"two 150 ms calls took {elapsed * 1e3:.0f} ms"
-        assert [client.calls for client in clients] == [1, 1]
-        for client in clients:
-            client.close()
-    finally:
-        for server in servers:
-            server.stop()
-
-
-def test_split_phase_lost_reply_is_resent_and_leaves_no_stale_frame():
-    seen = []
+def test_posted_calls_are_resent_in_order_until_answered_or_abandoned():
+    seen: list = []
+    hung_up = threading.Event()
 
     def handler(request):
         seen.append(request["op"])
-        if seen == ["first"]:
-            return None  # wedged for the first attempt: the reply never comes
-        return {"ok": True, "op": request["op"]}
+        if request["op"] == "c" and not hung_up.is_set():
+            hung_up.set()
+            return "hang up"
+        return None if request["op"] == "b" else {"ok": True}  # b: never answered
 
     server = _MiniServer(handler)
     try:
-        client = WireClient("127.0.0.1", server.port, timeout=0.2)
-        client.begin_call("first", seq=1)
-        # The receive times out: the connection is closed (no stale reply can
-        # surface later), the call stays begun, nothing was resent yet.
-        assert client.finish_call(resend=False) is None
-        assert not client.connected and client.resends == 0
-        reply = client.finish_call(deadline_s=5.0)
-        assert reply["op"] == "first"
-        assert seen == ["first", "first"]
-        assert (client.calls, client.resends) == (1, 1)
-        # The next call on this client gets its own answer.
-        assert client.call("second")["op"] == "second"
-        client.close()
+        client = WireClient("127.0.0.1", server.port, timeout=1.0, pipelined=True)
+        answered: list = []
+        got_c = threading.Event()
+        client.post("a", lambda response: answered.append("a"))
+        client.post("b", lambda response: answered.append("b"))
+        client.post("c", lambda response: (answered.append("c"), got_c.set()))
+        assert got_c.wait(5.0)
+        # a was answered before the hang-up and is not sent again; b and c
+        # are, in posting order, on the new connection.
+        assert seen == ["a", "b", "c", "b", "c"] and answered == ["a", "c"]
+        assert client.resends == 2 and client.reconnects == 1
+        client.close()  # abandons b: nothing re-dials on its behalf any more
+        time.sleep(0.2)
+        assert seen == ["a", "b", "c", "b", "c"] and not client.connected
     finally:
         server.stop()
 
 
-def test_split_phase_refused_dial_is_not_a_resend():
-    client = WireClient("127.0.0.1", _free_port(), timeout=0.2)
-    client.begin_call("ping")  # nothing listens: remembered, not raised
-    assert client.finish_call(resend=False) is None
-    with pytest.raises(ConnectionLost) as excinfo:
-        client.finish_call(deadline_s=0.5)
-    assert excinfo.value.request_sent is False
-    assert client.resends == 0 and client.calls == 0
+def test_posted_replies_can_be_read_by_an_event_loop_instead_of_a_thread():
+    """``read_on(loop)``: the replies are delivered on the loop's own thread
+    (no reader thread, no hand-off), and a lost connection is still re-dialled
+    and resent on."""
+    import asyncio
 
+    seen: list = []
+    hung_up = threading.Event()
 
-def test_wal_gather_survives_one_shard_losing_the_round():
-    """Shard 1 never answers its first ``wal_append``; shard 0 does.  The
-    gather must read shard 0's acknowledgement, resend shard 1's batch under
-    the same seq, and leave both connections in step for the next round."""
-    appends: list[list[int]] = [[], []]
+    def handler(request):
+        seen.append(request["op"])
+        if request["op"] == "b" and not hung_up.is_set():
+            hung_up.set()
+            return "hang up"
+        return {"ok": True}
 
-    def shard(index):
-        def handler(request):
-            appends[index].append(request["seq"])
-            if index == 1 and appends[1] == [1]:
-                return None
-            return {"ok": True, "applied": True, "last_seq": request["seq"]}
-        return handler
-
-    servers = [_MiniServer(shard(0)), _MiniServer(shard(1))]
+    server = _MiniServer(handler)
+    loop = asyncio.new_event_loop()
+    runner = threading.Thread(target=loop.run_forever, daemon=True)
+    runner.start()
     try:
-        devices = [RemoteWalDevice("127.0.0.1", s.port, shard_id=i,
-                                   attempt_timeout_s=0.3)
-                   for i, s in enumerate(servers)]
-        for round_no in (1, 2):
-            for device in devices:
-                device.append(b"round-%d" % round_no)
-            sync_all(devices)
-        assert appends == [[1, 2], [1, 1, 2]]
-        assert [d.sync_count for d in devices] == [2, 2]
-        assert [d.resent_batches for d in devices] == [0, 1]
-        stats = [d.wire_stats() for d in devices]
-        assert [s["calls"] for s in stats] == [2, 2]  # +1 per sync, resend or not
-        # Shard 0's own send->ack wait does not include shard 1's outage.
-        assert stats[0]["sync_wait_s"] < 0.25 < stats[1]["sync_wait_s"]
-        for device in devices:
-            device.close()
+        client = WireClient("127.0.0.1", server.port, timeout=1.0, pipelined=True,
+                            name="looped")
+        client.read_on(loop)
+        delivered_on: list = []
+        done = threading.Event()
+
+        def on_reply(name):
+            def deliver(response):
+                delivered_on.append((name, threading.current_thread()))
+                if name == "b":
+                    done.set()
+            return deliver
+
+        client.post("a", on_reply("a"))
+        client.post("b", on_reply("b"))
+        assert done.wait(5.0)
+        assert seen == ["a", "b", "b"]
+        assert delivered_on == [("a", runner), ("b", runner)]
+        assert client.resends == 1 and client.reconnects == 1
+        assert "wire-reader-looped" not in {t.name for t in threading.enumerate()}
+        client.close()
     finally:
-        for server in servers:
-            server.stop()
+        loop.call_soon_threadsafe(loop.stop)
+        runner.join(timeout=2.0)
+        server.stop()
+
+
+# -- the streaming WAL device ---------------------------------------------------
+
+
+def _fake_shard(appends, *, group_of=lambda seq: seq, hang_up_on=()):
+    """A shard that acknowledges ``wal_append`` frames (cumulatively by rid),
+    naming fsync group ``group_of(seq)``; it drops the connection, once, on
+    the first arrival of each seq in ``hang_up_on``."""
+    dropped = set()
+
+    def handler(request):
+        seq = request["seq"]
+        appends.append((seq, len(request["payloads"])))
+        if seq in hang_up_on and seq not in dropped:
+            dropped.add(seq)
+            return "hang up"
+        return {"ok": True, "applied": True, "group": group_of(seq)}
+    return handler
+
+
+def test_wal_device_streams_batches_and_counts_fsync_groups():
+    appends: list = []
+    # Records 1-3 (two batches) share fsync group 1; records 4-5 are group 2.
+    server = _MiniServer(_fake_shard(appends, group_of=lambda seq: 1 if seq <= 3 else 2))
+    try:
+        device = RemoteWalDevice("127.0.0.1", server.port, shard_id=0)
+        durable: list[str] = []
+        for name, payloads in (("a", [b"1"]), ("b", [b"2", b"3"]), ("c", [b"4", b"5"])):
+            for payload in payloads:
+                device.append(payload)
+            device.ship(lambda name=name: durable.append(name))  # returns at once
+        device.sync()  # ship (nothing pending) + wait for everything in flight
+        # seq = the record offset each batch ends at; one ack per batch, in order.
+        assert appends == [(1, 1), (3, 2), (5, 2)]
+        assert durable == ["a", "b", "c"]
+        assert device.sync_count == 2  # fsync groups, not batches
+        stats = device.wire_stats()
+        assert stats["calls"] == 3 and stats["resends"] == 0
+        assert device.bytes_written == 5
+        device.close()
+    finally:
+        server.stop()
+
+
+def test_wal_device_resends_everything_unacknowledged_in_order():
+    """The shard dies holding batch 2 (and batch 3 behind it): after the
+    re-dial both are sent again, in order, under their old offsets, and each
+    batch's callback runs exactly once."""
+    appends: list = []
+    server = _MiniServer(_fake_shard(appends, hang_up_on={2}))
+    try:
+        lock = threading.RLock()
+        device = RemoteWalDevice("127.0.0.1", server.port, shard_id=1, lock=lock)
+        durable: list[int] = []
+        with lock:  # the owner ships under its own lock; acks wait for it
+            for seq in (1, 2, 3):
+                device.append(b"x")
+                device.ship(lambda seq=seq: durable.append(seq))
+            assert durable == []
+            device.sync()  # waiting releases the lock to the reader thread
+        assert durable == [1, 2, 3]
+        seqs = [seq for seq, _ in appends]
+        assert seqs[:2] == [1, 2] and seqs[-2:] == [2, 3], seqs
+        assert 1 <= device.resent_batches <= 2  # batch 3 may not have left yet
+        assert device.wire_stats()["calls"] == 3
+        assert device.wire_stats()["reconnects"] == 1
+        device.close()
+    finally:
+        server.stop()
+
+
+def test_wal_device_waits_out_a_shard_that_is_not_there_yet():
+    port = _free_port()
+    device = RemoteWalDevice("127.0.0.1", port, attempt_timeout_s=0.2)
+    device.append(b"x")
+    device.ship()
+    appends: list = []
+    time.sleep(0.1)  # refused dials: nothing was sent, nothing to resend
+    server = _MiniServer(_fake_shard(appends), port=port)
+    try:
+        device.sync()
+        assert appends == [(1, 1)] and device.resent_batches == 0
+        device.close()
+    finally:
+        server.stop()
+
+
+def test_wal_device_stress_many_shippers_one_reader():
+    """More shipping threads than cores share one device (and its lock) with
+    its reader thread, under a shortened GIL switch interval: every batch is
+    acknowledged exactly once, in shipping order, and the shard sees the
+    record offsets gapless — a lost update on the offset, the in-flight
+    queue or the counters would break one of these."""
+    import sys
+
+    appends: list = []
+    server = _MiniServer(_fake_shard(appends))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        lock = threading.RLock()
+        device = RemoteWalDevice("127.0.0.1", server.port, lock=lock)
+        shipped: list[int] = []
+        durable: list[int] = []
+        threads, per_thread = 8, 150
+
+        def shipper(index: int) -> None:
+            for n in range(per_thread):
+                with lock:  # append + ship are one step for the owner
+                    device.append(b"x" * (1 + n % 3))
+                    ticket = len(shipped)
+                    shipped.append(ticket)
+                    device.ship(lambda ticket=ticket: durable.append(ticket))
+
+        workers = [threading.Thread(target=shipper, args=(i,)) for i in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30.0)
+        assert not any(worker.is_alive() for worker in workers)
+        waiter = threading.Thread(target=device.sync)
+        waiter.start()
+        waiter.join(timeout=30.0)
+        assert not waiter.is_alive(), "sync() never saw the stream drain"
+        total = threads * per_thread
+        assert durable == list(range(total))
+        assert [seq for seq, _ in appends] == list(range(1, total + 1))
+        assert device.wire_stats()["calls"] == total and device.sync_count == total
+        device.close()
+    finally:
+        sys.setswitchinterval(interval)
+        server.stop()

@@ -9,10 +9,13 @@ identically configured sharded certifiers — one certifying strictly one at
 a time, one in randomly sized rounds — and asserts every outcome is
 bit-equivalent, across shard counts 1..3.
 
-A second property pins the service layer's scatter-gather ``flush`` to the
-sequential per-shard loop it replaced (kept here, as the reference): same
-outcomes, durable frontier, per-device payload sequences and per-replica
-propagation order, at 1..4 shards.
+A second property pins the service layer's streaming durability (ship every
+touched shard's batch, release at the durable frontier) to the blocking
+per-shard loop it replaced (kept here, as the reference): same outcomes,
+durable frontier, per-device payload sequences and per-replica propagation
+order, at 1..4 shards.  A third acknowledges the shipped batches in a random
+order across shards and checks nothing is ever propagated ahead of the
+frontier.
 
 Request construction mirrors the live arrival pattern: every request of one
 round is built against the pre-round certifier state (concurrent clients
@@ -100,34 +103,28 @@ def test_certify_batch_is_sequentially_equivalent(shards, stream):
                 == batched.system_version.version)
 
 
-# -- scatter-gather flush == the sequential per-shard loop --------------------
+# -- streaming durability == the blocking per-shard loop ----------------------
 
 
 class SequentialFlushService(ShardedCertifierService):
-    """Reference: the flush this repo shipped before the shard syncs were
-    overlapped — one shard after the other, each blocking in ``sync()``."""
+    """Reference: the flush this repo shipped before durability became a
+    stream — one shard after the other, each blocking in ``sync()``."""
 
-    def flush(self, shard_ids=None):
-        targets = range(self.config.shards) if shard_ids is None else shard_ids
-        flushed = 0
-        for shard_id in targets:
-            batcher = self._batchers[shard_id]
-            if not batcher.has_pending:
+    def _ship(self, shard_ids):
+        for shard_id in sorted(shard_ids):
+            batch, self._unshipped[shard_id] = self._unshipped[shard_id], []
+            if not batch:
                 continue
             shard = self.core.shards[shard_id]
             device = self.devices[shard_id]
-            batch = batcher.take_batch()
             for _global_version, local_version in batch:
                 record = shard.log.record_at(local_version)
                 device.append(record.writeset.size_bytes().to_bytes(4, "big"))
             device.sync()
-            batcher.complete_batch()
+            self._flush_stats[shard_id].record_flush(len(batch))
             shard.log.mark_durable(max(local for _, local in batch))
             self.core.advance_durable_frontier()
-            flushed += len(batch)
-        if flushed:
             self._propagate_up_to()
-        return flushed
 
 
 def _delivered(subscriptions) -> list[list[int]]:
@@ -138,7 +135,7 @@ def _delivered(subscriptions) -> list[list[int]]:
 @given(shards=st.sampled_from([1, 2, 3, 4]), durable=st.booleans(),
        stream=st.lists(rounds, min_size=0, max_size=8))
 @settings(max_examples=80, deadline=None)
-def test_scatter_gather_flush_matches_the_sequential_loop(shards, durable, stream):
+def test_streaming_flush_matches_the_sequential_loop(shards, durable, stream):
     config = CertifierConfig(shards=shards, durability_enabled=durable,
                              gc_interval_requests=4, gc_headroom_versions=1)
     reference = SequentialFlushService(
@@ -163,3 +160,50 @@ def test_scatter_gather_flush_matches_the_sequential_loop(shards, durable, strea
     assert ([d.sync_count for d in reference.devices]
             == [d.sync_count for d in service.devices])
     assert reference.stats() == service.stats()
+
+
+@given(shards=st.sampled_from([1, 2, 3, 4]),
+       stream=st.lists(rounds, min_size=1, max_size=6), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_nothing_is_released_ahead_of_the_durable_frontier(shards, stream, data):
+    """Rounds are admitted back to back while the test acknowledges the
+    shipped batches in an arbitrary interleaving across shards: decisions
+    still equal the blocking reference's, the frontier is exactly the
+    longest prefix durable on every touched shard, and no replica ever sees
+    a version above it."""
+    config = CertifierConfig(shards=shards, gc_interval_requests=0)
+    reference = SequentialFlushService(
+        config, log_devices=[CountingLogDevice() for _ in range(shards)])
+    devices = [SplitPhaseDevice(manual=True) for _ in range(shards)]
+    service = ShardedCertifierService(config, log_devices=devices)
+    subscription = service.subscribe_replica("r0", 0)
+    frontiers: list[int] = []
+    service.on_frontier = frontiers.append
+    seen: list[int] = []
+
+    def check_release_rule() -> None:
+        core = service.core
+        expected = 0
+        while (expected < core.last_version and core.is_record_durable(expected + 1)):
+            expected += 1
+        assert core.durable_version == expected
+        seen.extend(info.commit_version for info in subscription.poll_flat())
+        assert seen == list(range(1, len(seen) + 1)) and len(seen) <= expected
+
+    for specs in stream:
+        ref_outcomes = reference.certify_batch(build_round(reference.core, specs))
+        new_outcomes = service.admit_batch(build_round(service.core, specs))
+        assert [fingerprint(o) for o in ref_outcomes] == [
+            fingerprint(o) for o in new_outcomes]
+        for device in data.draw(st.lists(st.sampled_from(devices), max_size=4)):
+            if device.in_flight:
+                device.ack()
+                check_release_rule()
+    for device in devices:
+        device.ack(len(device.in_flight))
+        check_release_rule()
+    assert frontiers == sorted(frontiers)
+    assert service.core.durable_version == reference.core.durable_version
+    assert seen == list(range(1, service.core.last_version + 1))
+    assert ([d.durable_payloads for d in reference.devices]
+            == [d.durable_payloads for d in devices])

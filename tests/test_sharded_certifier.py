@@ -16,7 +16,7 @@ from repro.cluster.experiment import ExperimentConfig, run_experiment
 from repro.core.certification import CertificationRequest, RemoteWriteSetInfo
 from repro.core.config import ReplicationConfig, SystemKind, WorkloadName
 from repro.core.writeset import make_writeset
-from repro.engine.log_device import CountingLogDevice, sync_all
+from repro.engine.log_device import CountingLogDevice, ship
 from repro.errors import ConfigurationError
 from repro.middleware.certifier import CertifierConfig, CertifierService
 from repro.middleware.sharded_certifier import (
@@ -129,7 +129,7 @@ def test_non_durable_sharded_service_propagates_before_flush():
     assert [i.commit_version for i in subscription.poll_flat()] == [1]
 
 
-# ---------------------------------------------------------------------------- scatter-gather flush
+# ---------------------------------------------------------------------------- streaming durability
 
 
 def test_cross_shard_flush_overlaps_the_shard_syncs():
@@ -160,27 +160,60 @@ def test_flush_never_syncs_an_untouched_shard():
     assert [d.sync_count for d in devices] == [1, 0, 1]
 
 
-def test_sync_all_reads_live_acknowledgements_before_waiting_out_a_lost_device():
-    journal: list = []
-    lost = SplitPhaseDevice(0.0, journal, "lost", lost=True)
-    live = SplitPhaseDevice(0.0, journal, "live")
-    plain = CountingLogDevice()
-    sync_all([lost, live, plain])
-    assert journal == [("begin", "lost"), ("begin", "live"),
-                       ("lost", "lost"), ("finish", "live"), ("finish", "lost")]
-    assert [d.sync_count for d in (lost, live, plain)] == [1, 1, 1]
+def test_ship_syncs_a_plain_device_and_streams_to_a_shipping_one():
+    plain, streaming = CountingLogDevice(), SplitPhaseDevice(manual=True)
+    done: list[str] = []
+    for name, device in (("plain", plain), ("streaming", streaming)):
+        device.append(b"x")
+        ship(device, lambda name=name: done.append(name))
+    # The plain device synced inside ship(); the streaming one only sent.
+    assert done == ["plain"] and plain.sync_count == 1
+    assert streaming.sync_count == 0 and streaming.durable_payloads == []
+    streaming.ack()
+    assert done == ["plain", "streaming"] and streaming.durable_payloads == [b"x"]
 
 
-def test_sync_all_finishes_every_device_before_raising_the_first_error():
-    journal: list = []
-    broken = SplitPhaseDevice(0.0, journal, "broken", error=RuntimeError("disk full"))
-    live = SplitPhaseDevice(0.0, journal, "live")
-    with pytest.raises(RuntimeError, match="disk full"):
-        sync_all([broken, live])
-    assert ("finish", "live") in journal and live.sync_count == 1
+def test_admit_never_waits_and_several_batches_ride_one_shard():
+    device = SplitPhaseDevice(manual=True)
+    service = ShardedCertifierService(CertifierConfig(shards=1), log_devices=[device])
+    subscription = service.subscribe_replica("replica-A", 0)
+    frontiers: list[int] = []
+    service.on_frontier = frontiers.append
+    for k in range(3):  # three rounds admitted back to back, none acknowledged
+        (outcome,) = service.admit_batch([request(service, [("t", k)])])
+        assert outcome.committed and outcome.tx_commit_version == k + 1
+    assert len(device.in_flight) == 3 and service.core.durable_version == 0
+    assert frontiers == [] and subscription.poll_flat() == []
+    device.ack(2)
+    assert frontiers == [1, 2] and service.core.durable_version == 2
+    assert [i.commit_version for i in subscription.poll_flat()] == [1, 2]
+    device.ack()
+    assert service.core.durable_version == 3
+    assert service.stats()["writesets_per_fsync"] == 1.0
 
 
-def test_failed_sync_leaves_the_round_taken_and_unreleased():
+def test_frontier_waits_for_the_slower_shard_of_an_earlier_version():
+    # Shard A acknowledges v2 before shard B acknowledges v1: nothing may be
+    # released (v2's remote window can name v1) until B's write lands.
+    devices = [SplitPhaseDevice(manual=True, name="A"),
+               SplitPhaseDevice(manual=True, name="B")]
+    service = ShardedCertifierService(CertifierConfig(shards=2), log_devices=devices)
+    subscription = service.subscribe_replica("replica-A", 0)
+    frontiers: list[int] = []
+    service.on_frontier = frontiers.append
+    key_a, key_b = (shard_key(service.core.partitioner, shard) for shard in (0, 1))
+    outcomes = service.admit_batch([request(service, [("t", key_b)]),
+                                    request(service, [("t", key_a)])])
+    assert [o.tx_commit_version for o in outcomes] == [1, 2]
+    devices[0].ack()  # A: v2 durable on its only shard
+    assert frontiers == [0] and service.core.durable_version == 0
+    assert service.core.is_record_durable(2) and subscription.poll_flat() == []
+    devices[1].ack()  # B: v1 lands, the frontier jumps over both
+    assert frontiers == [0, 2]
+    assert [i.commit_version for i in subscription.poll_flat()] == [1, 2]
+
+
+def test_failed_ship_leaves_the_round_taken_and_unreleased():
     devices = [SplitPhaseDevice(0.0), SplitPhaseDevice(0.0, error=RuntimeError("disk full"))]
     service = ShardedCertifierService(CertifierConfig(shards=2), log_devices=devices)
     subscription = service.subscribe_replica("replica-A", 0)
@@ -188,10 +221,10 @@ def test_failed_sync_leaves_the_round_taken_and_unreleased():
     with pytest.raises(RuntimeError):
         service.certify(request(service, [("t", keys[0]), ("t", keys[1])]))
     # Nothing of the round is released: not durable, not propagated, and the
-    # failing shard's batch is still taken, exactly as the sequential loop left it.
+    # failing shard's batch is taken — a later flush does not resurrect it.
     assert service.core.durable_version == 0
     assert subscription.poll_flat() == []
-    assert service._batchers[1].flush_in_progress
+    assert service._unshipped == [[], []]
 
 
 # ---------------------------------------------------------------------------- merged subscription

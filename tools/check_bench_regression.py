@@ -142,6 +142,13 @@ GUARDS: tuple[Guard, ...] = (
     Guard("BENCH_live_sweep.json", "summary",
           ("metric",), "value", "higher", tolerance=0.5,
           only_key=("speedup_batched_vs_serialized_4_clients",)),
+    # The shard's log writer must keep the 8 ms disk busy under 16 clients —
+    # measured on its own clock (0.82 when every group waited for the
+    # previous acknowledgement to cross the wire; ~0.97 with the writer
+    # beside the log).
+    Guard("BENCH_live_sweep.json", "summary",
+          ("metric",), "value", "higher", tolerance=0.5, absolute=0.9,
+          only_key=("batched_device_busy_share_16_clients",)),
     # Two live shards vs one, same host, same floor: a round's shard flushes
     # must overlap (back-to-back fsyncs measured 0.55; overlapped ~1).
     Guard("BENCH_live_sweep.json", "summary",
