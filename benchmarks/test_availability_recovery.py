@@ -43,7 +43,7 @@ from conftest import (
 )
 
 from repro.analysis.report import format_table
-from repro.cluster.nodes import SimShardedCertifierNode
+from repro.cluster.nodes import SimCertifierNode
 from repro.core.certification import CertificationRequest
 from repro.core.config import ReplicationConfig, SystemKind
 from repro.core.sharding import HashPartitioner
@@ -67,7 +67,7 @@ def _key_pools(num_shards: int) -> list[list[int]]:
     return pools
 
 
-def _client(env: Environment, node: SimShardedCertifierNode, rng,
+def _client(env: Environment, node: SimCertifierNode, rng,
             pools: list[list[int]], commit_times: list[float],
             warmup_end: float) -> Generator:
     num_shards = len(pools)
@@ -79,7 +79,7 @@ def _client(env: Environment, node: SimShardedCertifierNode, rng,
         else:
             pool = pools[rng.randrange(num_shards)]
             entries = [("t", rng.choice(pool)), ("t", rng.choice(pool))]
-        version = node.certifier.system_version.version
+        version = node.core.system_version.version
         request = CertificationRequest(
             tx_start_version=version,
             writeset=make_writeset(entries),
@@ -101,7 +101,7 @@ def _run_scenario(crash_schedule: tuple) -> dict:
         certifier_max_flush_batch=RECOVERY_FLUSH_CAP,
         certifier_crash_schedule=crash_schedule,
     )
-    node = SimShardedCertifierNode(env, config, rng_streams, durability_enabled=True)
+    node = SimCertifierNode(env, config, rng_streams, durability_enabled=True)
     pools = _key_pools(RECOVERY_SHARDS)
     run_end = RECOVERY_WARMUP_MS + RECOVERY_MEASURE_MS
     commit_times: list[float] = []

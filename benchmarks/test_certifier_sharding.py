@@ -28,7 +28,9 @@ certifier must clear at least 2x the certifications/sec of ``shards=1``.
 
 from __future__ import annotations
 
+import json
 import platform
+from pathlib import Path
 from typing import Generator
 
 from conftest import (
@@ -42,7 +44,7 @@ from conftest import (
 )
 
 from repro.analysis.report import format_table
-from repro.cluster.nodes import SimCertifierNode, SimShardedCertifierNode
+from repro.cluster.nodes import SimCertifierNode
 from repro.core.certification import CertificationRequest
 from repro.core.config import ReplicationConfig, SystemKind
 from repro.core.sharding import HashPartitioner
@@ -59,6 +61,10 @@ ACCEPTANCE_SHARDS = 4
 #: the measurement isolates the durability pipeline, not the abort rate).
 POOL_KEYS_PER_SHARD = 4000
 ITEMS_PER_WRITESET = 2
+
+TRACKED_BASELINE = Path(__file__).resolve().parent.parent / "BENCH_certifier_shards.json"
+#: The payload fields that, with the row keys, fix every emitted number.
+KNOBS = ("clients", "flush_cap_records", "warmup_ms", "measure_ms")
 
 
 def _key_pools(num_shards: int) -> list[list[int]]:
@@ -85,7 +91,7 @@ def _client(env: Environment, node, rng, pools: list[list[int]],
             shard = rng.randrange(num_shards)
             pool = pools[shard]
             entries = [("t", rng.choice(pool)) for _ in range(ITEMS_PER_WRITESET)]
-        version = node.certifier.system_version.version
+        version = node.core.system_version.version
         request = CertificationRequest(
             tx_start_version=version,
             writeset=make_writeset(entries),
@@ -109,8 +115,7 @@ def _run_point(shards: int, cross_ratio: float) -> dict:
         certifier_shards=shards,
         certifier_max_flush_batch=SHARD_FLUSH_CAP,
     )
-    node_cls = SimShardedCertifierNode if shards > 1 else SimCertifierNode
-    node = node_cls(env, config, rng_streams, durability_enabled=True)
+    node = SimCertifierNode(env, config, rng_streams, durability_enabled=True)
     pools = _key_pools(shards)
     run_end = SHARD_WARMUP_MS + SHARD_MEASURE_MS
     counters = {"commits": 0, "aborts": 0,
@@ -180,6 +185,7 @@ def test_certifier_sharding_and_emit_bench_json():
         "time_base": "simulated (deterministic)",
         "results": rows,
     }
+    tracked = json.loads(TRACKED_BASELINE.read_text())
     write_bench_json("BENCH_certifier_shards.json", payload)
 
     print()
@@ -193,6 +199,17 @@ def test_certifier_sharding_and_emit_bench_json():
     by_point = {(row["shards"], row["cross_ratio"]): row for row in rows}
     baseline = by_point[(1, 0.0)]
     assert baseline["certifications_per_sec"] > 0
+
+    # Simulated time is deterministic: at the tracked file's knobs every row
+    # reproduces exactly, on any host.  A row that moves is a behaviour
+    # change of the simulated certifier, not noise.
+    if all(payload[knob] == tracked[knob] for knob in KNOBS):
+        tracked_rows = {(row["shards"], row["cross_ratio"]): row
+                        for row in tracked["results"]}
+        for point, row in by_point.items():
+            assert row == tracked_rows[point], (
+                f"shards={point[0]} cross_ratio={point[1]} moved:\n"
+                f"  emitted {row}\n  tracked {tracked_rows[point]}")
 
     for row in rows:
         # Conflicts are rare by construction; the measurement is about the

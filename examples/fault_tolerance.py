@@ -16,19 +16,19 @@ components:
 Run with:  python examples/fault_tolerance.py
 """
 
-from repro.consensus.group import ReplicatedCertifierGroup
+from repro.consensus.sharded import ReplicatedShardedCertifier
 from repro.core.certification import CertificationRequest
 from repro.core.writeset import make_writeset
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.database import Database
 from repro.engine.recovery import verify_same_state
 from repro.middleware.certifier import CertifierService
-from repro.recovery.certifier_recovery import recover_certifier_node
 from repro.recovery.replica_recovery import (
     recover_base_replica,
     recover_tashkent_mw_replica,
     replay_writesets_from_certifier,
 )
+from repro.recovery.snapshots import bootstrap_group_node
 from repro.recovery.timings import RecoveryTimingModel
 
 
@@ -91,23 +91,22 @@ def demo_base_recovery() -> None:
 
 def demo_certifier_recovery() -> None:
     print("3) Certifier node crash, leader election and state transfer")
-    group = ReplicatedCertifierGroup(3)
+    certifier = ReplicatedShardedCertifier(1, nodes_per_shard=3)
+    groups = certifier.groups
     for i in range(10):
-        group.certify(CertificationRequest(
+        certifier.certify(CertificationRequest(
             tx_start_version=i, writeset=make_writeset([("accounts", i)]),
             replica_version=i))
-    leader = group.leader_id
-    group.crash_node(leader)
-    group.elect_new_leader()
-    print(f"   leader {leader} crashed; new leader is {group.leader_id}; "
-          f"quorum: {group.has_quorum()}")
+    leader = groups.crash_leader(0)
+    print(f"   leader {leader} crashed; new leader is {groups.ensure_leader(0)}; "
+          f"quorum: {groups.has_quorum(0)}")
     for i in range(10, 15):
-        group.certify(CertificationRequest(
+        certifier.certify(CertificationRequest(
             tx_start_version=i, writeset=make_writeset([("accounts", i)]),
             replica_version=i))
-    report = recover_certifier_node(group, leader)
+    report = bootstrap_group_node(groups, 0, leader)
     print(f"   node {leader} recovered with {report.entries_transferred} log entries "
-          f"transferred; logs consistent: {group.logs_consistent()}\n")
+          f"transferred; caught up with its peers: {report.verified}\n")
 
 
 def main() -> None:

@@ -17,6 +17,11 @@ One model exists per system variant:
   (``COMMIT <version>``) grouped inside the database; also covers the
   ``tashAPInoCERT`` ablation.
 
+Every replicated model talks to one
+:class:`~repro.cluster.nodes.SimCertifierNode` — one certify/flush pipeline
+per certification shard, the paper's single log writer beside one disk at
+``certifier_shards=1`` — and N :class:`~repro.cluster.nodes.SimReplicaNode`.
+
 :func:`~repro.cluster.experiment.run_experiment` builds the right model for
 an :class:`~repro.cluster.experiment.ExperimentConfig` and returns an
 :class:`~repro.cluster.experiment.ExperimentResult`;

@@ -22,11 +22,7 @@ from repro.sim.metrics import MetricsCollector
 from repro.sim.rng import RandomStreams
 from repro.workloads.spec import TransactionProfile, WorkloadSpec
 from repro.cluster.client import client_process, routed_client_process
-from repro.cluster.nodes import (
-    SimCertifierNode,
-    SimReplicaNode,
-    SimShardedCertifierNode,
-)
+from repro.cluster.nodes import SimCertifierNode, SimReplicaNode
 
 
 class SystemModel(abc.ABC):
@@ -86,19 +82,9 @@ class SystemModel(abc.ABC):
 
     # -- construction ------------------------------------------------------------
 
-    def _build_certifier(self) -> "SimCertifierNode | SimShardedCertifierNode | None":
+    def _build_certifier(self) -> SimCertifierNode | None:
         if self.config.system is SystemKind.STANDALONE:
             return None
-        # Any crash schedule is served by the sharded node (its 1-shard core
-        # is equivalence-tested against the single certifier), since fault
-        # injection is modeled at shard granularity.
-        if self.config.certifier_shards > 1 or self.config.certifier_crash_schedule:
-            return SimShardedCertifierNode(
-                self.env,
-                self.config,
-                self.rng,
-                durability_enabled=self.config.system.durability_in_certifier,
-            )
         return SimCertifierNode(
             self.env,
             self.config,
@@ -230,7 +216,7 @@ class SystemModel(abc.ABC):
             if pending:
                 yield from self._apply_remote_cpu(replica, len(pending))
                 yield from self._commit_refreshed(replica, pending, base_version)
-            self.certifier_node.certifier.note_replica_version(
+            self.certifier_node.core.note_replica_version(
                 replica.name, replica.replica_version
             )
 
@@ -268,7 +254,7 @@ class SystemModel(abc.ABC):
                 yield from replica.cpu.execute(pass_cost)
                 self.janitor_stats.vacuum_passes += 1
                 self.janitor_stats.rows_visited += self.config.vacuum_batch_rows
-            pruned = self.certifier_node.certifier.collect_garbage(
+            pruned = self.certifier_node.core.collect_garbage(
                 headroom=self.certifier_node.gc_headroom_versions
             )
             self.janitor_stats.certifier_gc_runs += 1

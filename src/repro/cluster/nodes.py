@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Generator
 
-from repro.core.certification import (
-    CertificationRequest,
-    CertificationResult,
-    Certifier,
-    RemoteWriteSetInfo,
-)
+from repro.core.certification import CertificationRequest, RemoteWriteSetInfo
 from repro.core.config import ReplicationConfig
 from repro.core.group_commit import GroupCommitStats
 from repro.core.sharding import ShardedCertifier
@@ -25,28 +20,40 @@ from repro.sim.kernel import Environment, Event
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
 from repro.transport import (
-    ExplicitFlushPolicy,
     FlushPolicy,
     MergedSubscription,
-    Message,
     MessageBus,
     WritesetStream,
-    WritesetSubscription,
+    publish_frontier,
+    subscribe_merged,
 )
 from repro.workloads.spec import WorkloadSpec
 
-#: Bus topic on which the certifier's log writer announces durable versions.
-DURABILITY_TOPIC = "durability"
-
 
 class SimCertifierNode:
-    """The certifier: certification CPU, a log disk, and a log-writer process.
+    """The certifier deployment: one certify/flush pipeline per shard.
 
-    The log writer is the single thread the paper describes: it takes
-    *everything* pending, performs one fsync, and only then releases the
-    commit decisions of that batch.  Under load the batch grows and the
-    writesets-per-fsync ratio rises — this is the mechanism behind
-    Tashkent-MW's scalability.
+    With ``certifier_shards=1`` (the default) this is the paper's certifier:
+    certification CPU, one log disk, and the single log-writer thread that
+    takes *everything* pending, performs one fsync, and only then releases
+    the commit decisions of that batch.  Under load the batch grows and the
+    writesets-per-fsync ratio rises — the mechanism behind Tashkent-MW's
+    scalability.
+
+    Each further shard is modeled as its own process with its own CPU lane
+    and its own log disk (a sharded certifier in production is N processes,
+    possibly N machines), so fsync parallelism is genuinely modeled: shard
+    A's group flush proceeds while shard B's disk is busy.  A small
+    coordinator CPU serves request admission, read-only requests and
+    subscription drains.
+
+    The system models drive the node through ``certify`` / ``propagate``
+    fragments, ``register_replica``, ``subscription`` and ``stats``.  The
+    pure decision logic is :class:`~repro.core.sharding.ShardedCertifier`; a
+    committed cross-shard transaction's decision is released only once its
+    fragment is durable on every touched shard, and full writesets are
+    offered to their home shard's stream in global-frontier order, merged at
+    each replica by a :class:`~repro.transport.MergedSubscription`.
     """
 
     #: CPU cost of one certification check (writeset intersection is "a fast
@@ -75,242 +82,7 @@ class SimCertifierNode:
         #: Bound on records per fsync (None = everything pending, the seed
         #: behaviour).  A bounded log buffer caps a single log device at
         #: ``bound / fsync_time`` certifications per second — the saturation
-        #: regime the sharded certifier splits across per-shard disks.
-        self.max_flush_batch = config.certifier_max_flush_batch
-        if config.certifier_gc_headroom is not None:
-            self.gc_headroom_versions = config.certifier_gc_headroom
-        self.cpu = CpuServer(env, name=f"{name}-cpu")
-        # The certifier's log disk is its own device; it never competes with
-        # database page IO, so no interference term.
-        self.disk = DiskChannel(env, config.disk, rng, name=f"{name}-disk")
-        self.network = NetworkLink(env, config.network, rng, name=f"{name}-lan")
-        self.certifier = Certifier(
-            forced_abort_rate=config.forced_abort_rate,
-            abort_chooser=rng.stream("forced-abort").random,
-        )
-        self._flush_queue: Store = Store(env, name=f"{name}-flush-queue")
-        self.batch_stats = GroupCommitStats()
-        self._flushes_since_gc = 0
-        # The transport fabric of this node: the log writer announces
-        # durability on the bus and offers freshly durable writesets to the
-        # stream; replica subscriptions are drained by the bounded-staleness
-        # processes with network-modeled delivery.
-        self.bus = MessageBus(name=f"{name}-bus")
-        #: With no explicit policy, propagation batches align with fsync
-        #: batches (the log writer flushes the stream after every sync).
-        self._fsync_aligned_propagation = propagation_policy is None
-        self.stream = WritesetStream(
-            policy=propagation_policy if propagation_policy is not None
-            else ExplicitFlushPolicy(),
-            bus=self.bus,
-        )
-        self._subscriptions: dict[str, WritesetSubscription] = {}
-        #: Certification fragments blocked on the flush of their version.
-        self._durability_waiters: dict[int, Event] = {}
-        self.bus.subscribe(DURABILITY_TOPIC, f"{name}-release",
-                           callback=self._on_durability_announcement)
-        env.process(self._log_writer(), name=f"{name}-log-writer")
-
-    def register_replica(self, replica_name: str, version: int = 0) -> None:
-        """Enrol a replica: GC low-water-mark protocol plus stream subscription."""
-        if replica_name in self._subscriptions:
-            self.certifier.note_replica_version(replica_name, version)
-            return
-        self._subscriptions[replica_name] = self.stream.attach_replica(
-            self.certifier, replica_name, version
-        )
-
-    def subscription(self, replica_name: str) -> WritesetSubscription:
-        return self._subscriptions[replica_name]
-
-    # -- protocol fragments ------------------------------------------------------
-
-    def certify(self, request: CertificationRequest) -> Generator:
-        """Process fragment: full certification round trip (request on wire →
-        certification → durable log record → response on wire).
-
-        Returns the :class:`CertificationResult`.
-        """
-        yield self.network.transfer(request.request_size_bytes())
-        yield from self.cpu.execute(self.certify_cpu_ms)
-        result = self.certifier.certify(request)
-        if result.committed and result.tx_commit_version is not None:
-            if self.durability_enabled:
-                durable: Event = self.env.event()
-                self._durability_waiters[result.tx_commit_version] = durable
-                self._flush_queue.put(result.tx_commit_version)
-                yield durable
-            else:
-                # tashAPInoCERT: the decision is released without waiting for
-                # the log write (the log still exists, it is just off the
-                # critical path and flushed lazily by the writer below), so
-                # the writeset also propagates now, not at lazy-flush time —
-                # matching the functional service's non-durable branch.
-                self._flush_queue.put(result.tx_commit_version)
-                self.stream.propagate_from_log(
-                    self.certifier.log, (result.tx_commit_version,),
-                    now=self.env.now, aligned=self._fsync_aligned_propagation,
-                )
-        yield self.network.transfer(result.response_size_bytes())
-        return result
-
-    def propagate(self, replica_name: str, *,
-                  applied_version: int | None = None,
-                  extend_horizons: bool = False,
-                  watermark: Callable[[], int] | None = None) -> Generator:
-        """Process fragment: deliver pending writeset batches to a replica.
-
-        The transport-layer replacement of the old ad-hoc ``fetch_remote``
-        pull: the replica's stream subscription is drained and every pending
-        batch crosses the LAN as one message, so batch boundaries chosen by
-        the flush policy translate directly into network transfers.  Returns
-        the delivered writesets, flattened in version order.
-
-        ``applied_version`` is the replica's current watermark: writesets it
-        already received in-band with certification responses are skipped
-        *before* the transfer, so they never cross the modeled LAN twice.
-        ``extend_horizons`` additionally extends the delivered writesets'
-        conflict-free horizons back to that watermark — only ordered-commit
-        (Tashkent-API) replicas plan against horizons, so only they should
-        pay for (and be counted for) the extra intersection tests.
-        ``watermark`` re-reads the replica's *live* version right before the
-        drain: commits that completed in-band while this fragment was waiting
-        on the network/CPU would otherwise be delivered again.
-        """
-        subscription = self._subscriptions[replica_name]
-        # Bounded staleness is the escape hatch for every batching policy: a
-        # refresh delivers whatever is pending, even a sub-cap/sub-window
-        # tail that the policy would keep holding.
-        self.stream.flush(now=self.env.now)
-        if applied_version is not None:
-            subscription.advance_to(applied_version)
-        # The poll request itself (a tiny heartbeat-sized message), plus the
-        # certifier CPU to serve it — the same cost the pull protocol paid.
-        yield self.network.transfer(16)
-        yield from self.cpu.execute(self.certify_cpu_ms)
-        if watermark is not None:
-            subscription.advance_to(watermark())
-        batches = subscription.poll()
-        remote: list[RemoteWriteSetInfo] = []
-        for batch in batches:
-            size = 32 + sum(info.size_bytes() for info in batch)
-            yield self.network.transfer(size)
-            remote.extend(batch)
-        if not batches:
-            # Empty answer: the replica learns it is up to date.
-            yield self.network.transfer(16)
-        elif extend_horizons and applied_version is not None:
-            # As with the pull protocol's check_back_to: extend the
-            # intersection tests to the caller's version so an ordered
-            # (Tashkent-API) replica can submit the batch concurrently.
-            remote = self.certifier.extend_remote_horizons(remote, applied_version)
-        return remote
-
-    # -- the single log-writer thread -----------------------------------------------
-
-    def _log_writer(self) -> Generator:
-        while True:
-            first = yield self._flush_queue.get()
-            pending = [first] + self._flush_queue.get_all()
-            # With an unbounded buffer this is exactly one chunk — the seed
-            # path; a bounded buffer turns a backlog into back-to-back
-            # fsyncs, which is what makes the device saturable.
-            while pending:
-                if self.max_flush_batch is None:
-                    batch, pending = pending, []
-                else:
-                    batch = pending[:self.max_flush_batch]
-                    pending = pending[self.max_flush_batch:]
-                yield from self.disk.fsync()
-                self.batch_stats.record_flush(len(batch))
-                max_version = max(batch)
-                if max_version > self.certifier.log.durable_version:
-                    self.certifier.log.mark_durable(max_version)
-                # Durability announcement over the bus: wakes every
-                # certification fragment blocked on this flush and feeds the
-                # writeset stream — with the explicit policy the propagation
-                # batch each replica receives is exactly this fsync group.
-                self.stream.propagate_from_log(
-                    self.certifier.log, batch,
-                    now=self.env.now, aligned=self._fsync_aligned_propagation,
-                )
-                self.bus.publish(DURABILITY_TOPIC, tuple(sorted(batch)))
-                # Off the critical path: bound the log by pruning the durable
-                # prefix below the replicas' low-water mark every few flushes.
-                self._flushes_since_gc += 1
-                if self.gc_interval_flushes and self._flushes_since_gc >= self.gc_interval_flushes:
-                    self._flushes_since_gc = 0
-                    self.certifier.collect_garbage(headroom=self.gc_headroom_versions)
-
-    def _on_durability_announcement(self, message: Message) -> None:
-        for version in message.payload:  # type: ignore[union-attr]
-            waiter = self._durability_waiters.pop(version, None)
-            if waiter is not None:
-                waiter.succeed(version)
-
-    # -- statistics -----------------------------------------------------------------------
-
-    @property
-    def writesets_per_fsync(self) -> float:
-        return self.batch_stats.average_batch_size
-
-    @property
-    def fsync_count(self) -> int:
-        return self.disk.fsync_count
-
-    def stats(self) -> dict[str, float]:
-        stats = {f"certifier_{k}": v for k, v in self.certifier.stats().items()}
-        stats.update(
-            {
-                "certifier_fsyncs": float(self.fsync_count),
-                "certifier_writesets_per_fsync": self.writesets_per_fsync,
-                "certifier_disk_utilization": self.disk.utilization(),
-                "certifier_cpu_utilization": self.cpu.utilization(),
-                "certifier_propagation_batches": float(self.stream.stats.flushes),
-                "certifier_writesets_per_propagation_batch":
-                    self.stream.stats.average_batch_size,
-            }
-        )
-        return stats
-
-
-class SimShardedCertifierNode:
-    """A sharded certifier deployment: N independent certify/flush pipelines.
-
-    Each shard is modeled as its own process with its own CPU lane and its
-    own log disk (a sharded certifier in production is N processes, possibly
-    N machines), so fsync parallelism is genuinely modeled: shard A's group
-    flush proceeds while shard B's disk is busy.  A small coordinator CPU
-    serves request admission, read-only requests and subscription drains.
-
-    The protocol surface mirrors :class:`SimCertifierNode` — ``certify`` /
-    ``propagate`` fragments, ``register_replica``, ``subscription``,
-    ``stats`` — so the system models drive either node unchanged.  The pure
-    decision logic is :class:`~repro.core.sharding.ShardedCertifier`; a
-    committed cross-shard transaction's decision is released only once its
-    fragment is durable on every touched shard, and full writesets are
-    offered to their home shard's stream in global-frontier order, merged at
-    each replica by a :class:`~repro.transport.MergedSubscription`.
-    """
-
-    certify_cpu_ms = SimCertifierNode.certify_cpu_ms
-    gc_interval_flushes = SimCertifierNode.gc_interval_flushes
-    gc_headroom_versions = SimCertifierNode.gc_headroom_versions
-
-    def __init__(
-        self,
-        env: Environment,
-        config: ReplicationConfig,
-        rng: RandomStreams,
-        *,
-        durability_enabled: bool,
-        name: str = "certifier",
-        propagation_policy: FlushPolicy | None = None,
-    ) -> None:
-        self.env = env
-        self.config = config
-        self.name = name
-        self.durability_enabled = durability_enabled
+        #: regime sharding splits across per-shard disks.
         self.max_flush_batch = config.certifier_max_flush_batch
         if config.certifier_gc_headroom is not None:
             self.gc_headroom_versions = config.certifier_gc_headroom
@@ -326,25 +98,32 @@ class SimShardedCertifierNode:
         self.shard_cpus = [
             CpuServer(env, name=f"{name}-shard{i}-cpu") for i in range(shards)
         ]
+        # A shard's log disk is its own device; it never competes with
+        # database page IO, so no interference term.  Device names seed the
+        # RNG streams: the paper's one-disk certifier keeps its name so its
+        # fsync service times — and every tracked figure — reproduce.
+        disk_names = ([f"{name}-disk"] if shards == 1
+                      else [f"{name}-shard{i}-disk" for i in range(shards)])
         self.shard_disks = [
-            DiskChannel(env, config.disk, rng, name=f"{name}-shard{i}-disk")
-            for i in range(shards)
+            DiskChannel(env, config.disk, rng, name=disk_name)
+            for disk_name in disk_names
         ]
         self._flush_queues = [
             Store(env, name=f"{name}-shard{i}-flush-queue") for i in range(shards)
         ]
         self.batch_stats = GroupCommitStats()
         self._flushes_since_gc = 0
+        # The transport fabric of this node: the log writers offer freshly
+        # durable writesets to the streams; replica subscriptions are drained
+        # by the bounded-staleness processes with network-modeled delivery.
         self.bus = MessageBus(name=f"{name}-bus")
+        #: With no explicit policy, propagation batches align with fsync
+        #: batches (a log writer flushes the streams after every sync).
         self._fsync_aligned_propagation = propagation_policy is None
         #: Per-shard propagation streams on one bus, one topic per shard.
         self.streams = [
-            WritesetStream(
-                policy=propagation_policy if propagation_policy is not None
-                else ExplicitFlushPolicy(),
-                bus=self.bus,
-                topic=f"writesets-shard{i}",
-            )
+            WritesetStream(policy=propagation_policy, bus=self.bus,
+                           topic=f"writesets-shard{i}")
             for i in range(shards)
         ]
         self._subscriptions: dict[str, MergedSubscription] = {}
@@ -373,26 +152,14 @@ class SimShardedCertifierNode:
             env.process(self._shard_log_writer(shard_id),
                         name=f"{name}-shard{shard_id}-log-writer")
 
-    @property
-    def certifier(self) -> ShardedCertifier:
-        """The decision core (the models' watermark/GC access point)."""
-        return self.core
-
     def register_replica(self, replica_name: str, version: int = 0) -> None:
         """Enrol a replica: GC protocol plus one subscription per shard,
         merged behind a single version-ordered view."""
         if replica_name in self._subscriptions:
             self.core.note_replica_version(replica_name, version)
             return
-        self.core.note_replica_version(replica_name, version)
-        backfill = self.core.fetch_remote_writesets(version, replica=replica_name)
-        parts = [
-            stream.subscribe(replica_name, from_version=version)
-            for stream in self.streams
-        ]
-        self._subscriptions[replica_name] = MergedSubscription(
-            parts, from_version=version, name=replica_name, backfill=backfill
-        )
+        self._subscriptions[replica_name] = subscribe_merged(
+            self.core, self.streams, replica_name, version)
 
     def subscription(self, replica_name: str) -> MergedSubscription:
         return self._subscriptions[replica_name]
@@ -439,7 +206,9 @@ class SimShardedCertifierNode:
             else:
                 # tashAPInoCERT: decision released without waiting for the
                 # (lazily flushed) log writes, so propagate immediately.
-                self._propagate_up_to(self.core.last_version)
+                publish_frontier(self.core, self.streams, now=self.env.now,
+                                 up_to=self.core.last_version,
+                                 aligned=self._fsync_aligned_propagation)
         yield self.network.transfer(result.response_size_bytes())
         return result
 
@@ -449,15 +218,32 @@ class SimShardedCertifierNode:
                   watermark: Callable[[], int] | None = None) -> Generator:
         """Process fragment: deliver the merged pending batches to a replica.
 
-        Identical contract to :meth:`SimCertifierNode.propagate`; the drained
-        batch is already interleaved by global version, so it crosses the
-        LAN as one message per merged release.
+        The replica's subscription is drained and whatever the shard streams
+        had pending — merged into one run, interleaved by global version —
+        crosses the LAN as one message: the answer to the replica's poll.
+        Returns the delivered writesets in version order.
+
+        ``applied_version`` is the replica's current watermark: writesets it
+        already received in-band with certification responses are skipped
+        *before* the transfer, so they never cross the modeled LAN twice.
+        ``extend_horizons`` additionally extends the delivered writesets'
+        conflict-free horizons back to that watermark — only ordered-commit
+        (Tashkent-API) replicas plan against horizons, so only they should
+        pay for (and be counted for) the extra intersection tests.
+        ``watermark`` re-reads the replica's *live* version right before the
+        drain: commits that completed in-band while this fragment was waiting
+        on the network/CPU would otherwise be delivered again.
         """
         subscription = self._subscriptions[replica_name]
+        # Bounded staleness is the escape hatch for every batching policy: a
+        # refresh delivers whatever is pending, even a sub-cap/sub-window
+        # tail that the policy would keep holding.
         for stream in self.streams:
             stream.flush(now=self.env.now)
         if applied_version is not None:
             subscription.advance_to(applied_version)
+        # The poll request itself (a tiny heartbeat-sized message), plus the
+        # certifier CPU to serve it — the same cost the pull protocol paid.
         yield self.network.transfer(16)
         yield from self.cpu.execute(self.certify_cpu_ms)
         if watermark is not None:
@@ -469,8 +255,12 @@ class SimShardedCertifierNode:
             yield self.network.transfer(size)
             remote.extend(batch)
         if not batches:
+            # Empty answer: the replica learns it is up to date.
             yield self.network.transfer(16)
         elif extend_horizons and applied_version is not None:
+            # As with the pull protocol's check_back_to: extend the
+            # intersection tests to the caller's version so an ordered
+            # (Tashkent-API) replica can submit the batch concurrently.
             remote = self.core.extend_remote_horizons(remote, applied_version)
         return remote
 
@@ -503,8 +293,10 @@ class SimShardedCertifierNode:
                         if waiter[1] == 0:
                             del self._durability_waiters[version]
                             waiter[0].succeed(version)
-                self._propagate_up_to()
-                self.bus.publish(DURABILITY_TOPIC, tuple(v for v, _ in batch))
+                # Whatever is now durable on every shard it touches goes to
+                # its home stream, in strict global order.
+                publish_frontier(self.core, self.streams, now=self.env.now,
+                                 aligned=self._fsync_aligned_propagation)
                 self._flushes_since_gc += 1
                 if (self.gc_interval_flushes
                         and self._flushes_since_gc >= self.gc_interval_flushes):
@@ -550,40 +342,7 @@ class SimShardedCertifierNode:
         suffix_entries = self.core.shards[shard_id].log.retained_count
         return model.certifier_bootstrap_seconds(0, suffix_entries) * 1000.0
 
-    def _propagate_up_to(self, version: int | None = None) -> None:
-        """Offer committed records up to ``version`` to their home streams,
-        in strict global order (the producer half of the merged view).
-
-        The frontier-ordered walk lives in
-        :meth:`ShardedCertifier.take_propagatable` (shared with the
-        functional service); ``None`` means "whatever is fully durable", so
-        a flush that completes the last outstanding fragment propagates its
-        own records.
-        """
-        touched: set[int] = set()
-        for record in self.core.take_propagatable(version):
-            self.streams[record.home_shard].offer(
-                RemoteWriteSetInfo(
-                    commit_version=record.commit_version,
-                    writeset=record.writeset,
-                    origin_replica=record.origin_replica,
-                    conflict_free_back_to=self.core.certified_back_to(
-                        record.commit_version),
-                ),
-                now=self.env.now,
-            )
-            touched.add(record.home_shard)
-        for shard_id in touched:
-            if self._fsync_aligned_propagation:
-                self.streams[shard_id].flush(now=self.env.now)
-            else:
-                self.streams[shard_id].flush_due(now=self.env.now)
-
     # -- statistics -----------------------------------------------------------------------
-
-    @property
-    def writesets_per_fsync(self) -> float:
-        return self.batch_stats.average_batch_size
 
     @property
     def fsync_count(self) -> int:
@@ -599,7 +358,7 @@ class SimShardedCertifierNode:
         stats.update(
             {
                 "certifier_fsyncs": float(self.fsync_count),
-                "certifier_writesets_per_fsync": self.writesets_per_fsync,
+                "certifier_writesets_per_fsync": self.batch_stats.average_batch_size,
                 "certifier_disk_utilization": max(disk_utils, default=0.0),
                 "certifier_cpu_utilization": max(cpu_utils + [self.cpu.utilization()]),
                 "certifier_mean_shard_disk_utilization": (

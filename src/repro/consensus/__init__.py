@@ -10,19 +10,18 @@ once a majority has acknowledged the write.  This package provides:
   leader, majority acknowledgement, catch-up, and log compaction behind
   self-validating snapshots (``truncate_to`` / ``install_snapshot``,
   orchestrated by :mod:`repro.recovery.snapshots`);
-* :mod:`repro.consensus.group` — the replicated certifier group built on the
-  replicated log, with crash and recovery of individual nodes;
-* :mod:`repro.consensus.sharded` — per-shard Paxos groups and the
-  fault-tolerant sharded certifier whose coordinator is reconstructible
+* :mod:`repro.consensus.sharded` — the replicated certifier: one Paxos group
+  per certification shard (one group is the paper's deployment), crash and
+  recovery of individual group nodes, and a coordinator reconstructible
   from the groups' chosen prefixes (recovery orchestration lives in
-  :mod:`repro.recovery.sharded_recovery`; see ``docs/recovery.md``).
+  :mod:`repro.recovery.sharded_recovery`, node rejoin in
+  :mod:`repro.recovery.snapshots`; see ``docs/recovery.md``).
 
 A supporting package of the layer map in ``docs/architecture.md``.
 """
 
 from repro.consensus.paxos import Acceptor, PaxosInstance, Proposer
 from repro.consensus.log import ReplicatedLog, ReplicatedLogNode
-from repro.consensus.group import ReplicatedCertifierGroup
 from repro.consensus.sharded import (
     ReplicatedShardedCertifier,
     ShardLogEntry,
@@ -33,7 +32,6 @@ __all__ = [
     "Acceptor",
     "PaxosInstance",
     "Proposer",
-    "ReplicatedCertifierGroup",
     "ReplicatedLog",
     "ReplicatedLogNode",
     "ReplicatedShardedCertifier",

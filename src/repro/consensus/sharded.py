@@ -1,11 +1,10 @@
 """Per-shard Paxos groups and the fault-tolerant sharded certifier.
 
-PR 4 sharded the certifier but left the paper's availability story
-(Section 7: "Update transactions can be processed if a majority of certifier
-nodes are up and at least one replica is up") attached to the *single*
-certifier's :class:`~repro.consensus.group.ReplicatedCertifierGroup`.  This
-module closes that gap: every certification shard's log is replicated across
-its **own** Paxos group, and the :class:`ReplicatedShardedCertifier`
+The paper's availability story (Section 7: "Update transactions can be
+processed if a majority of certifier nodes are up and at least one replica
+is up") at any shard count: every certification shard's log is replicated
+across its **own** Paxos group — one group of three nodes is the paper's
+replicated certifier — and the :class:`ReplicatedShardedCertifier`
 coordinator is built so that everything it keeps in memory is
 reconstructible from the groups' chosen prefixes.
 
@@ -60,7 +59,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.consensus.group import GroupStats
 from repro.consensus.log import ReplicatedLog, ReplicatedLogNode
 from repro.core.certification import (
     CertificationDecision,
@@ -98,6 +96,15 @@ class ShardLogEntry:
     certified_back_to: int = 0
     #: Client-supplied idempotence token (exactly-once acknowledgement).
     tx_id: object = None
+
+
+@dataclass
+class GroupStats:
+    """Counters describing one shard group's replication activity."""
+
+    appended_records: int = 0
+    leader_changes: int = 0
+    state_transfers: int = 0
 
 
 @dataclass

@@ -43,8 +43,8 @@ genuinely cross-shard writesets pay the multi-fragment merge.
 
 Durability and propagation stay with the callers (the functional
 :class:`~repro.middleware.sharded_certifier.ShardedCertifierService` and the
-simulated ``SimShardedCertifierNode``), exactly as with the single
-:class:`Certifier`: shards expose their local durable horizons, and
+simulated :class:`~repro.cluster.nodes.SimCertifierNode`), exactly as with
+the single :class:`Certifier`: shards expose their local durable horizons, and
 :meth:`ShardedCertifier.advance_durable_frontier` converts them into the
 contiguous global frontier in whose order full writesets are handed to the
 per-shard streams (see :class:`repro.transport.MergedSubscription` for the

@@ -50,7 +50,12 @@ from repro.core.stats import (
 from repro.engine.log_device import CountingLogDevice, LogDevice, ship
 from repro.errors import ConfigurationError, ReproError
 from repro.middleware.certifier import CertifierConfig, CertifierService
-from repro.transport import MergedSubscription, WritesetStream
+from repro.transport import (
+    MergedSubscription,
+    WritesetStream,
+    publish_frontier,
+    subscribe_merged,
+)
 
 
 class ShardedCertifierService:
@@ -63,7 +68,7 @@ class ShardedCertifierService:
         log_devices: list[LogDevice] | None = None,
         partitioner: Partitioner | None = None,
     ) -> None:
-        self.config = config if config is not None else CertifierConfig(shards=2)
+        self.config = config if config is not None else CertifierConfig()
         if self.config.shards < 1:
             raise ConfigurationError("shards must be >= 1")
         shards = self.config.shards
@@ -251,32 +256,10 @@ class ShardedCertifierService:
     # -- propagation (the transport layer) -------------------------------------
 
     def _propagate_up_to(self, version: int | None = None) -> None:
-        """Offer committed records up to ``version`` to their home streams.
-
-        The frontier-ordered walk itself lives in
-        :meth:`ShardedCertifier.take_propagatable` (shared with the sim
-        node); this method only places each record on its home stream and
-        cuts the batches.  Strict global order means each shard stream
-        carries an ascending (sparse) slice of the commit order, so the
-        replica-side :class:`MergedSubscription` can release contiguous runs.
-        """
-        touched: set[int] = set()
-        for record in self.core.take_propagatable(version):
-            self.streams[record.home_shard].offer(
-                RemoteWriteSetInfo(
-                    commit_version=record.commit_version,
-                    writeset=record.writeset,
-                    origin_replica=record.origin_replica,
-                    conflict_free_back_to=self.core.certified_back_to(
-                        record.commit_version),
-                )
-            )
-            touched.add(record.home_shard)
-        for shard_id in touched:
-            if self._fsync_aligned_propagation:
-                self.streams[shard_id].flush()
-            else:
-                self.streams[shard_id].flush_due()
+        """Offer committed records up to ``version`` to their home streams
+        (:func:`repro.transport.publish_frontier`, shared with the sim node)."""
+        publish_frontier(self.core, self.streams, up_to=version,
+                         aligned=self._fsync_aligned_propagation)
 
     def flush_propagation(self) -> None:
         """Deliver everything every shard stream is still holding."""
@@ -284,23 +267,10 @@ class ShardedCertifierService:
             stream.flush()
 
     def subscribe_replica(self, replica: str, from_version: int = 0) -> MergedSubscription:
-        """Attach a replica to every shard stream behind one merged view.
-
-        Backfilled from the global directory so a late joiner starts
-        complete; also enrols the replica in the log-GC low-water-mark
-        protocol, exactly like the single service.
-        """
-        self.core.note_replica_version(replica, from_version)
-        # Only what has been released: a commit still waiting for its log
-        # write reaches the subscription through its stream, once durable.
-        backfill = self.core.fetch_remote_writesets(
-            from_version, replica=replica, up_to=self.core.propagated_version)
-        parts = [
-            stream.subscribe(replica, from_version=from_version)
-            for stream in self.streams
-        ]
-        return MergedSubscription(parts, from_version=from_version, name=replica,
-                                  backfill=backfill)
+        """Attach a replica to every shard stream behind one merged view
+        (:func:`repro.transport.subscribe_merged`): backfilled with what has
+        been released, enrolled in the log-GC low-water-mark protocol."""
+        return subscribe_merged(self.core, self.streams, replica, from_version)
 
     # -- failover hooks ----------------------------------------------------------
 

@@ -5,16 +5,15 @@
   from the certifier log), Base / Tashkent-API (the database's own WAL
   recovery, then writeset replay for anything the database lost), and the
   shared writeset-replay step.
-* :mod:`repro.recovery.certifier_recovery` — certifier crash/recovery via
-  state transfer within the replicated group.
 * :mod:`repro.recovery.sharded_recovery` — sharded-certifier coordinator
   recovery: per-shard leader election, completion of rounds interrupted
   mid-flush, directory/sequencer reconstruction from the shard groups'
   chosen prefixes, and the recovery report (``docs/recovery.md``).
 * :mod:`repro.recovery.snapshots` — replicated shard snapshots at the GC
-  horizon, log compaction of the per-shard Paxos groups, and the
-  anti-entropy bootstrap path (plan / download+verify / install) by which a
-  brand-new or long-dead group node joins from snapshot + retained suffix.
+  horizon, log compaction of the per-shard Paxos groups, and certifier
+  *node* recovery: the anti-entropy bootstrap path (plan / download+verify /
+  install) by which a crashed, brand-new or long-dead group node rejoins
+  from snapshot + retained suffix.
 * :mod:`repro.recovery.timings` — the analytic recovery-time model that
   reproduces the numbers reported in Section 9.6 (dump 230 s, restore 140 s,
   2-4 s WAL recovery, 900 writesets/s replay, ~1 s log transfer per hour of
@@ -31,7 +30,6 @@ from repro.recovery.replica_recovery import (
     recover_tashkent_mw_replica,
     replay_writesets_from_certifier,
 )
-from repro.recovery.certifier_recovery import recover_certifier_node
 from repro.recovery.sharded_recovery import (
     ShardedCertifierRecoveryReport,
     recover_sharded_certifier,
@@ -64,7 +62,6 @@ __all__ = [
     "compact_certifier",
     "plan_node_bootstrap",
     "recover_base_replica",
-    "recover_certifier_node",
     "recover_sharded_certifier",
     "recover_tashkent_mw_replica",
     "replay_writesets_from_certifier",

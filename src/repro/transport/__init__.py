@@ -15,14 +15,20 @@ a single push-based, batch-oriented pipeline:
   backed by the shared :class:`~repro.core.group_commit.GroupCommitBatcher`;
 * :class:`MergedSubscription` — the replica-side deterministic merge over a
   sharded certifier's per-shard streams, interleaving batches by global
-  commit version (see ``docs/certifier.md``).
+  commit version (see ``docs/certifier.md``), with its producer half
+  :func:`publish_frontier` / :func:`subscribe_merged` shared by the
+  functional service and the simulated node.
 
 See ``docs/architecture.md`` for the layer diagram and which paper variant
 uses which policy.
 """
 
 from repro.transport.bus import BusStats, BusSubscription, Message, MessageBus
-from repro.transport.merged import MergedSubscription
+from repro.transport.merged import (
+    MergedSubscription,
+    publish_frontier,
+    subscribe_merged,
+)
 from repro.transport.policy import (
     ExplicitFlushPolicy,
     FlushPolicy,
@@ -52,4 +58,6 @@ __all__ = [
     "WritesetStream",
     "WritesetSubscription",
     "policy_from_name",
+    "publish_frontier",
+    "subscribe_merged",
 ]

@@ -22,14 +22,22 @@ The class mirrors the :class:`~repro.transport.stream.WritesetSubscription`
 consumer surface (``poll`` / ``poll_flat`` / ``advance_to`` / ``close`` /
 ``pending_*``), so the proxy refresh path, the scheduler's lag signal and
 ``Database.apply_writeset_batch`` work unchanged against either shape.
+
+The producer half lives here too, once for both stacks:
+:func:`publish_frontier` places what the durable frontier newly covers on
+the home-shard streams, and :func:`subscribe_merged` attaches a replica to
+all of them behind one merged, backfilled view.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.certification import RemoteWriteSetInfo
-from repro.transport.stream import WritesetSubscription
+from repro.transport.stream import WritesetStream, WritesetSubscription
+
+if TYPE_CHECKING:
+    from repro.core.sharding import ShardedCertifier
 
 
 class MergedSubscription:
@@ -125,3 +133,56 @@ class MergedSubscription:
             f"MergedSubscription(name={self.name!r}, parts={len(self.parts)}, "
             f"version={self.version}, held={self.held_count})"
         )
+
+
+def publish_frontier(core: "ShardedCertifier", streams: Sequence[WritesetStream],
+                     *, aligned: bool, up_to: int | None = None,
+                     now: float = 0.0) -> None:
+    """Offer the records up to ``up_to`` to their home-shard streams.
+
+    One call per frontier advance.  The frontier-ordered walk itself is
+    :meth:`ShardedCertifier.take_propagatable
+    <repro.core.sharding.ShardedCertifier.take_propagatable>` (``None``
+    means "whatever is fully durable", so a flush that completes the last
+    outstanding fragment propagates its own records); this function only
+    places each record on its home stream and cuts the batches.  Strict
+    global order means each shard stream carries an ascending (sparse) slice
+    of the commit order, so the replica-side :class:`MergedSubscription` can
+    release contiguous runs.  ``aligned`` cuts a batch per call (propagation
+    batches equal fsync groups); otherwise the stream's policy decides.
+    """
+    touched: set[int] = set()
+    for record in core.take_propagatable(up_to):
+        streams[record.home_shard].offer(
+            RemoteWriteSetInfo(
+                commit_version=record.commit_version,
+                writeset=record.writeset,
+                origin_replica=record.origin_replica,
+                conflict_free_back_to=core.certified_back_to(record.commit_version),
+            ),
+            now=now,
+        )
+        touched.add(record.home_shard)
+    for shard_id in touched:
+        if aligned:
+            streams[shard_id].flush(now=now)
+        else:
+            streams[shard_id].flush_due(now=now)
+
+
+def subscribe_merged(core: "ShardedCertifier", streams: Sequence[WritesetStream],
+                     replica: str, from_version: int = 0) -> MergedSubscription:
+    """Attach ``replica`` to every shard stream behind one merged view.
+
+    Enrols the replica in the log-GC low-water-mark protocol and backfills
+    from the global directory so a late joiner starts complete — but only
+    with what has been released: a commit still waiting for its log write
+    reaches the subscription through its stream, once durable.
+    """
+    core.note_replica_version(replica, from_version)
+    backfill = core.fetch_remote_writesets(
+        from_version, replica=replica, up_to=core.propagated_version)
+    parts = [stream.subscribe(replica, from_version=from_version)
+             for stream in streams]
+    return MergedSubscription(parts, from_version=from_version, name=replica,
+                              backfill=backfill)

@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.report import render_figure
 from repro.analysis.results import crossover_replicas, summarize_sweep, sweep_to_table
 from repro.core.config import SystemKind, WorkloadName
-from repro.cluster.experiment import ExperimentConfig, run_experiment
+from repro.cluster.experiment import ExperimentConfig, build_model, run_experiment
 from repro.cluster.sweeps import run_replica_sweep
 from repro.errors import ConfigurationError
 
@@ -63,6 +63,31 @@ def test_deterministic_given_seed():
     b = run(SystemKind.TASHKENT_MW, replicas=2, seed=11)
     assert a.throughput_tps == b.throughput_tps
     assert a.mean_response_ms == b.mean_response_ms
+
+
+def test_paper_certifier_point_is_pinned():
+    """Simulated time is deterministic: the one-shard (paper) certifier's
+    Tashkent-MW AllUpdates x4 point at the default windows is a constant.
+    A different number is a behaviour change of the simulated certifier."""
+    result = run_experiment(ExperimentConfig(
+        system=SystemKind.TASHKENT_MW, workload=WorkloadName.ALL_UPDATES,
+        num_replicas=4))
+    assert result.config.certifier_shards == 1
+    assert result.throughput_tps == 1835.0
+
+
+def test_one_certifier_node_with_or_without_a_crash_schedule():
+    """There is one simulated certifier: an outage scheduled after the run
+    ends changes neither the class that serves it nor a single number."""
+    plain = ExperimentConfig(system=SystemKind.TASHKENT_MW, num_replicas=2, **FAST)
+    scheduled = plain.with_overrides(
+        certifier_crash_schedule=((0, 50_000.0, 50_100.0),))
+    assert (type(build_model(plain)[0].certifier_node)
+            is type(build_model(scheduled)[0].certifier_node))
+    idle, armed = run_experiment(plain), run_experiment(scheduled)
+    assert armed.utilization["certifier_crash_events"] == 0.0
+    assert armed.throughput_tps == idle.throughput_tps
+    assert armed.p95_response_ms == idle.p95_response_ms
 
 
 def test_forced_abort_rate_reduces_goodput():

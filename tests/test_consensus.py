@@ -1,11 +1,10 @@
-"""Tests for Paxos, the replicated log and the replicated certifier group."""
+"""Tests for Paxos, the replicated log and the replicated certifier."""
 
 import pytest
 
-from repro.consensus.group import ReplicatedCertifierGroup
 from repro.consensus.log import ReplicatedLog, ReplicatedLogNode
 from repro.consensus.paxos import Acceptor, Ballot, PaxosInstance, Proposer
-from repro.consensus.sharded import ShardPaxosGroups
+from repro.consensus.sharded import ReplicatedShardedCertifier, ShardPaxosGroups
 from repro.core.certification import CertificationRequest
 from repro.core.writeset import make_writeset
 from repro.errors import (
@@ -14,6 +13,7 @@ from repro.errors import (
     NotLeaderError,
     QuorumUnavailableError,
 )
+from repro.recovery.snapshots import bootstrap_group_node
 
 
 # ----------------------------------------------------------------- single-decree Paxos
@@ -156,65 +156,91 @@ def test_shard_groups_validate_and_reject_unknown_ids():
     assert "shards=2" in repr(groups)
 
 
-# ----------------------------------------------------------------- replicated certifier group
+# ----------------------------------------------------------------- replicated certifier
+#
+# The paper's deployment (Section 7): one certifier, its log replicated by
+# one Paxos group of three nodes — ``ReplicatedShardedCertifier`` at one shard.
 
-def certify(group, key, start=0):
-    return group.certify(
+def paper_certifier():
+    return ReplicatedShardedCertifier(1, nodes_per_shard=3)
+
+
+def certify(certifier, key, start=0):
+    return certifier.certify(
         CertificationRequest(tx_start_version=start, writeset=make_writeset([("t", key)]),
                              replica_version=start)
     )
 
 
-def test_group_certifies_and_replicates_to_majority():
-    group = ReplicatedCertifierGroup(3)
-    result = certify(group, "a")
+def node_log_length(certifier, node_id):
+    return certifier.groups.group(0).nodes[node_id].known_length()
+
+
+def logs_consistent(certifier):
+    """Every up node's log is a prefix of the group's chosen sequence."""
+    group = certifier.groups.group(0)
+    chosen = group.chosen_prefix()
+    for node in group.up_nodes():
+        prefix = [entry for entry in node.entries if entry is not None]
+        if prefix != chosen[: len(prefix)]:
+            return False
+    return True
+
+
+def test_certifier_certifies_and_replicates_to_majority():
+    certifier = paper_certifier()
+    result = certify(certifier, "a")
     assert result.committed
-    assert group.logs_consistent()
-    assert group.node_log_length(0) == 1
-    assert group.node_log_length(1) == 1
-    assert group.certifier.log.durable_version == 1
+    assert logs_consistent(certifier)
+    assert node_log_length(certifier, 0) == 1
+    assert node_log_length(certifier, 1) == 1
+    assert certifier.core.durable_version == 1
 
 
-def test_group_makes_progress_with_one_node_down():
-    group = ReplicatedCertifierGroup(3)
-    group.crash_node(2)
-    assert certify(group, "a").committed
-    assert group.up_count() == 2
+def test_certifier_makes_progress_with_one_node_down():
+    certifier = paper_certifier()
+    certifier.groups.crash_node(0, 2)
+    assert certify(certifier, "a").committed
+    assert certifier.groups.up_count(0) == 2
 
 
-def test_group_refuses_updates_without_majority():
-    group = ReplicatedCertifierGroup(3)
-    group.crash_node(1)
-    group.crash_node(2)
+def test_certifier_refuses_updates_without_majority():
+    certifier = paper_certifier()
+    certifier.groups.crash_node(0, 1)
+    certifier.groups.crash_node(0, 2)
     with pytest.raises(QuorumUnavailableError):
-        certify(group, "a")
+        certify(certifier, "a")
+    assert certifier.core.last_version == 0  # refused before any mutation
 
 
 def test_leader_crash_triggers_election_and_continues():
-    group = ReplicatedCertifierGroup(3)
-    certify(group, "a")
-    group.crash_node(group.leader_id)
-    result = certify(group, "b", start=1)
+    certifier = paper_certifier()
+    certify(certifier, "a")
+    certifier.groups.crash_leader(0)
+    result = certify(certifier, "b", start=1)
     assert result.committed
-    assert group.stats.leader_changes == 1
-    assert group.logs_consistent()
+    assert certifier.stats.per_shard[0].leader_changes == 1
+    assert logs_consistent(certifier)
 
 
 def test_recovered_node_catches_up_with_missed_records():
-    group = ReplicatedCertifierGroup(3)
-    certify(group, "a")
-    group.crash_node(2)
-    certify(group, "b", start=1)
-    certify(group, "c", start=2)
-    transferred = group.recover_node(2)
-    assert transferred == 2
-    assert group.node_log_length(2) == 3
-    assert group.logs_consistent()
+    certifier = paper_certifier()
+    certify(certifier, "a")
+    certifier.groups.crash_node(0, 2)
+    certify(certifier, "b", start=1)
+    certify(certifier, "c", start=2)
+    report = bootstrap_group_node(certifier.groups, 0, 2)
+    assert report.entries_transferred == 2
+    assert report.verified and not report.snapshot_installed
+    assert certifier.stats.per_shard[0].state_transfers == 1
+    assert node_log_length(certifier, 2) == 3
+    assert logs_consistent(certifier)
 
 
 def test_conflicts_still_abort_through_the_group():
-    group = ReplicatedCertifierGroup(3)
-    assert certify(group, "x").committed
-    assert not certify(group, "x").committed
+    certifier = paper_certifier()
+    assert certify(certifier, "x").committed
+    assert not certify(certifier, "x").committed
     # Aborted transactions are never replicated.
-    assert group.node_log_length(0) == 1
+    assert node_log_length(certifier, 0) == 1
+    assert certifier.stats.per_shard[0].appended_records == 1

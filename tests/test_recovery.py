@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.consensus.group import ReplicatedCertifierGroup
+from repro.consensus.sharded import ReplicatedShardedCertifier
 from repro.core.certification import CertificationRequest
 from repro.core.writeset import make_writeset
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.database import Database
 from repro.engine.recovery import verify_same_state
 from repro.middleware.certifier import CertifierService
-from repro.recovery.certifier_recovery import recover_certifier_node
 from repro.recovery.replica_recovery import (
     recover_base_replica,
     recover_tashkent_mw_replica,
     replay_writesets_from_certifier,
 )
+from repro.recovery.snapshots import bootstrap_group_node, compact_certifier
 from repro.recovery.timings import RecoveryTimingModel
 
 
@@ -130,45 +130,48 @@ def test_replay_refuses_a_log_pruned_beyond_the_database():
         replay_writesets_from_certifier(db, certifier.log)
 
 
-def test_certifier_node_recovery_report():
-    group = ReplicatedCertifierGroup(3)
-    for i in range(3):
-        group.certify(
-            CertificationRequest(tx_start_version=i, writeset=make_writeset([("t", i)]),
-                                 replica_version=i)
-        )
-    group.crash_node(0)  # the leader
-    group.elect_new_leader()
-    group.certify(
-        CertificationRequest(tx_start_version=3, writeset=make_writeset([("t", 99)]),
-                             replica_version=3)
-    )
-    report = recover_certifier_node(group, 0)
-    assert report.entries_transferred >= 1
-    assert report.group_has_quorum
-    assert group.logs_consistent()
-
-
-def test_certifier_recovery_report_carries_the_leaders_gc_horizon():
-    """Regression: the report's ``log_pruned_version`` must reflect the
-    leader's actual GC horizon.  It used to always be 0 because the
-    replicated group had no GC plumbing at all, so a replica planning its
-    catch-up could wrongly conclude that log replay reaches back to
-    version 0 when the records were long pruned."""
-    group = ReplicatedCertifierGroup(3)
-    for i in range(6):
-        group.certify(
+def _replicated_history(certifier, versions):
+    for i in versions:
+        certifier.certify(
             CertificationRequest(tx_start_version=i,
                                  writeset=make_writeset([("t", i)]),
                                  replica_version=i,
                                  origin_replica="replica-0")
         )
-    group.note_replica_version("replica-0", 5)
-    assert group.collect_garbage() == 5
-    group.crash_node(2)
-    report = recover_certifier_node(group, 2)
-    assert report.log_pruned_version == group.certifier.log.pruned_version == 5
-    assert report.group_has_quorum
+
+
+def test_certifier_node_recovery_report():
+    certifier = ReplicatedShardedCertifier(1, nodes_per_shard=3)
+    groups = certifier.groups
+    _replicated_history(certifier, range(3))
+    leader = groups.crash_leader(0)
+    assert groups.ensure_leader(0) != leader
+    _replicated_history(certifier, [3])
+    report = bootstrap_group_node(groups, 0, leader)
+    assert report.entries_transferred >= 1
+    assert report.verified
+    assert groups.has_quorum(0) and groups.up_count(0) == 3
+    assert groups.group(0).nodes[leader].entries == groups.chosen_entries(0)
+
+
+def test_certifier_recovery_report_carries_the_leaders_gc_horizon():
+    """Regression: a rejoining node must learn the GC horizon its peers
+    pruned to — a report saying "replay from version 0" when the records
+    are long gone lets a replica plan a catch-up that cannot succeed.  The
+    horizon travels as the snapshot the rejoin installs."""
+    certifier = ReplicatedShardedCertifier(1, nodes_per_shard=3)
+    groups = certifier.groups
+    groups.crash_node(0, 2)
+    _replicated_history(certifier, range(6))
+    certifier.note_replica_version("replica-0", 5)
+    assert certifier.collect_garbage() == 5
+    compact_certifier(certifier)
+    report = bootstrap_group_node(groups, 0, 2)
+    assert report.plan.needs_snapshot and report.snapshot_installed
+    assert report.plan.snapshot_slot == groups.compaction_base(0) == 5
+    rejoined = groups.group(0).nodes[2]
+    assert rejoined.snapshot.global_version == certifier.core.pruned_version == 5
+    assert report.verified and groups.has_quorum(0)
 
 
 # ----------------------------------------------------------------- timing model (Section 9.6)

@@ -4,8 +4,8 @@ Covers the functional :class:`ShardedCertifierService` (per-shard fsync
 pipelines, merged propagation, disconnect hygiene), the transport-layer
 :class:`MergedSubscription` (deterministic version-ordered merge, held-gap
 release, out-of-band advances) and the simulated
-:class:`SimShardedCertifierNode` (per-shard log devices, release once all
-touched shards flushed, full-cluster runs on every system kind).
+:class:`SimCertifierNode` (per-shard log devices, release once all touched
+shards flushed, full-cluster runs on every system kind).
 """
 
 import time
@@ -325,15 +325,15 @@ def test_sim_bounded_flush_batch_caps_the_fsync_group():
 
 def test_sim_sharded_node_merges_in_version_order():
     """Drive the sharded node directly and check the replica-side stream."""
-    from repro.cluster.nodes import SimShardedCertifierNode
+    from repro.cluster.nodes import SimCertifierNode
     from repro.sim.kernel import Environment
     from repro.sim.rng import RandomStreams
 
     env = Environment()
     config = ReplicationConfig(system=SystemKind.TASHKENT_MW, num_replicas=1,
                                certifier_shards=3)
-    node = SimShardedCertifierNode(env, config, RandomStreams(1),
-                                   durability_enabled=True)
+    node = SimCertifierNode(env, config, RandomStreams(1),
+                            durability_enabled=True)
     node.register_replica("replica-0")
     results = []
 
@@ -359,6 +359,35 @@ def test_sim_sharded_node_merges_in_version_order():
         stream.flush(now=env.now)
     delivered = subscription.poll_flat()
     assert [i.commit_version for i in delivered] == list(range(1, 41))
+
+
+def test_sim_replica_registered_mid_flush_sees_nothing_above_the_frontier():
+    """A replica that subscribes while a commit is admitted but its log
+    write is still in flight must not be backfilled with it: the writeset
+    reaches the subscription through its stream, once durable."""
+    from repro.cluster.nodes import SimCertifierNode
+    from repro.sim.kernel import Environment
+    from repro.sim.rng import RandomStreams
+
+    env = Environment()
+    config = ReplicationConfig(system=SystemKind.TASHKENT_MW, num_replicas=2,
+                               certifier_shards=2)
+    node = SimCertifierNode(env, config, RandomStreams(1),
+                            durability_enabled=True)
+    request = CertificationRequest(
+        tx_start_version=0, writeset=make_writeset([("t", 1)]),
+        replica_version=0, origin_replica="replica-0")
+    commit = env.process(node.certify(request))
+    while node.core.last_version == 0:
+        env.run_until(env.peek())
+    assert node.core.propagated_version == 0 and node.fsync_count == 0
+    node.register_replica("late-joiner")
+    late = node.subscription("late-joiner")
+    assert late.poll_flat() == [] and late.held_count == 0
+    assert env.run_until_complete(commit).committed
+    assert node.core.propagated_version == 1
+    assert [info.commit_version for info in late.poll_flat()] == [1]
+    assert late.poll_flat() == []
 
 
 def test_functional_sharded_system_replicas_stay_consistent():

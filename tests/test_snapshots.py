@@ -491,29 +491,27 @@ def test_gc_headroom_knob_defaults_and_validation():
 
 
 def test_sim_config_threads_gc_headroom_to_node():
-    from repro.cluster.nodes import SimCertifierNode, SimShardedCertifierNode
+    from repro.cluster.nodes import SimCertifierNode
     from repro.core.config import ReplicationConfig
     from repro.sim.kernel import Environment
     from repro.sim.rng import RandomStreams
 
-    config = ReplicationConfig(certifier_shards=2, certifier_gc_headroom=7)
-    node = SimShardedCertifierNode(Environment(), config, RandomStreams(1),
-                                   durability_enabled=True)
-    assert node.gc_headroom_versions == 7
-    assert SimShardedCertifierNode.gc_headroom_versions == 512  # class default intact
-    single = SimCertifierNode(Environment(), ReplicationConfig(
-        certifier_gc_headroom=9), RandomStreams(1), durability_enabled=True)
-    assert single.gc_headroom_versions == 9
-    assert SimCertifierNode.gc_headroom_versions == 512
+    for shards, headroom in ((1, 9), (2, 7)):
+        config = ReplicationConfig(certifier_shards=shards,
+                                   certifier_gc_headroom=headroom)
+        node = SimCertifierNode(Environment(), config, RandomStreams(1),
+                                durability_enabled=True)
+        assert node.gc_headroom_versions == headroom
+    assert SimCertifierNode.gc_headroom_versions == 512  # class default intact
 
 
 def test_calibrated_failover_window_tracks_retained_suffix():
-    from repro.cluster.nodes import SimShardedCertifierNode
+    from repro.cluster.nodes import SimCertifierNode
     from repro.core.config import ReplicationConfig
     from repro.sim.kernel import Environment
     from repro.sim.rng import RandomStreams
 
-    node = SimShardedCertifierNode(Environment(), ReplicationConfig(
+    node = SimCertifierNode(Environment(), ReplicationConfig(
         certifier_shards=2), RandomStreams(1), durability_enabled=True)
     assert node.calibrated_failover_window_ms(0) == 0.0
     model = RecoveryTimingModel()

@@ -334,7 +334,7 @@ def make_sim_certifier(num_replicas=2):
     return env, node
 
 
-def test_sim_certifier_announces_durability_over_the_bus():
+def test_sim_certifier_releases_the_decision_after_the_flush():
     env, node = make_sim_certifier()
     request = CertificationRequest(
         tx_start_version=0,
@@ -345,11 +345,11 @@ def test_sim_certifier_announces_durability_over_the_bus():
     proc = env.process(node.certify(request))
     result = env.run_until_complete(proc)
     assert result.committed
-    # The decision was only released after the log-writer's flush announced
-    # durability on the bus.
-    assert node.certifier.log.durable_version == 1
+    # The decision was only released after the log-writer's flush, which
+    # also cut the propagation batch.
+    assert node.core.durable_version == 1
     assert node.fsync_count == 1
-    assert node.stream.stats.flushes == 1
+    assert node.streams[0].stats.flushes == 1
 
 
 def test_sim_propagate_delivers_batches_with_network_delay():
@@ -405,7 +405,7 @@ def test_sim_propagate_flushes_policy_held_tail():
             origin_replica="replica-0",
         )
         env.run_until_complete(env.process(node.certify(request)))
-    assert node.stream.pending_count == 3  # held by the size cap
+    assert node.streams[0].pending_count == 3  # held by the size cap
     remote = env.run_until_complete(env.process(node.propagate("replica-1")))
     assert [info.commit_version for info in remote] == [1, 2, 3]
 
@@ -429,7 +429,7 @@ def test_sim_staleness_refresh_updates_idle_replica():
     env.run_until(200.0)  # a few staleness periods
     assert replica_1.replica_version == 1
     # The refresh also fed the log-GC low-water mark for the idle replica.
-    assert model.certifier_node.certifier.low_water_mark() == 1
+    assert model.certifier_node.core.low_water_mark() == 1
 
 
 def test_experiment_still_runs_end_to_end():

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Documentation checks: internal links resolve, runnable examples run.
+"""Documentation checks: internal links resolve, runnable examples run,
+named code exists.
 
-Two passes over ``README.md`` and ``docs/*.md`` (standard library only, so
+Three passes over ``README.md`` and ``docs/*.md`` (standard library only, so
 the CI docs job needs no installs):
 
 1. **Link check** — every markdown link ``[text](target)`` with a relative
@@ -13,6 +14,11 @@ the CI docs job needs no installs):
    ``python doctest`` are executed with the standard :mod:`doctest` runner
    (with ``src`` on ``sys.path``).  Mark an example runnable only when its
    output is deterministic.
+3. **Name check** — every backticked dotted path that starts with
+   ``repro.`` (``repro.transport.publish_frontier``, with or without a
+   trailing call) must resolve: the longest importable module prefix is
+   imported and the rest is looked up with ``getattr``.  Naming a class by
+   its dotted path is what makes a doc fail when that class is deleted.
 
 Exit status is non-zero on any failure, with one line per finding.
 
@@ -22,6 +28,7 @@ Run as:  PYTHONPATH=src python tools/check_docs.py
 from __future__ import annotations
 
 import doctest
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -36,6 +43,8 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 FENCE_RE = re.compile(r"^```(.*)$")
 EXTERNAL_SCHEMES = ("http://", "https://", "mailto:")
+#: A backticked ``repro.<dotted.path>``, optionally written as a call.
+DOTTED_NAME_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
 
 
 def doc_files() -> list[Path]:
@@ -139,6 +148,27 @@ def check_doctests(files: list[Path]) -> tuple[list[str], int]:
     return errors, total
 
 
+def resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, ``getattr`` the rest."""
+    try:
+        pkgutil.resolve_name(dotted)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def check_names(files: list[Path]) -> tuple[list[str], int]:
+    errors, names = [], set()
+    for md_file in files:
+        rel = md_file.relative_to(REPO_ROOT)
+        prose = strip_fenced_blocks(md_file.read_text())
+        for dotted in sorted(set(DOTTED_NAME_RE.findall(prose))):
+            names.add(dotted)
+            if not resolves(dotted):
+                errors.append(f"{rel}: `{dotted}` does not resolve")
+    return errors, len(names)
+
+
 def main() -> int:
     files = doc_files()
     if not files:
@@ -146,14 +176,17 @@ def main() -> int:
         return 1
     link_errors = check_links(files)
     doctest_errors, doctests_run = check_doctests(files)
-    for error in link_errors + doctest_errors:
+    name_errors, names_checked = check_names(files)
+    for error in link_errors + doctest_errors + name_errors:
         print(f"FAIL {error}")
-    if link_errors or doctest_errors:
+    if link_errors or doctest_errors or name_errors:
         print(f"check_docs: {len(link_errors)} link / {len(doctest_errors)} "
-              f"doctest failure(s) across {len(files)} file(s)")
+              f"doctest / {len(name_errors)} name failure(s) across "
+              f"{len(files)} file(s)")
         return 1
     print(f"check_docs: OK — {len(files)} file(s), links resolve, "
-          f"{doctests_run} runnable block(s) passed")
+          f"{doctests_run} runnable block(s) passed, "
+          f"{names_checked} repro.* name(s) resolve")
     return 0
 
 
