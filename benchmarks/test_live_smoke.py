@@ -63,7 +63,7 @@ def _live_rows():
             assert workload.run_transaction(session, rng, client_index=0,
                                             sequence=sequence)
         started = time.perf_counter()
-        applied = cluster._replica_call("replica-1", "refresh")["applied"]
+        applied = cluster._call(cluster.replicas["replica-1"], "refresh")["applied"]
         apply_elapsed = time.perf_counter() - started
         wal = cluster.shard_wal_stats(0)
 

@@ -6,6 +6,8 @@ talking length-prefixed JSON over asyncio TCP, with commit durability gated
 on ``os.fsync`` in a separate shard process.  See ``docs/deployment.md``.
 """
 
+from repro.live.client import CommitInDoubt, LiveCertifierClient, LiveSession
+from repro.live.cluster import LiveCluster
 from repro.live.harness import HarnessError, NodeHandle, ProcessHarness, READY_PREFIX
 from repro.live.wire import (
     ConnectionLost,
@@ -17,9 +19,13 @@ from repro.live.wire import (
 
 __all__ = [
     "READY_PREFIX",
+    "CommitInDoubt",
     "ConnectionLost",
     "FrameTooLarge",
     "HarnessError",
+    "LiveCertifierClient",
+    "LiveCluster",
+    "LiveSession",
     "NodeHandle",
     "ProcessHarness",
     "RemoteCallError",
@@ -27,17 +33,3 @@ __all__ = [
     "WireError",
 ]
 
-
-def __getattr__(name: str):
-    # LiveCluster / LiveSession import middleware (and so the whole engine);
-    # keep the package root importable by the node subprocesses without that
-    # cost until someone actually asks for the driver objects.
-    if name == "LiveCluster":
-        from repro.live.cluster import LiveCluster
-
-        return LiveCluster
-    if name in ("LiveSession", "LiveCertifierClient", "CommitInDoubt"):
-        from repro.live import client
-
-        return getattr(client, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -155,12 +155,6 @@ class LiveSubscription:
             )
         return [codec.decode_remote_info(i) for i in response["writesets"]]
 
-    @property
-    def pending_writesets(self) -> int:
-        # Pending batches queue server-side; the proxy only uses this for
-        # stats, where "nothing buffered locally" is the truthful answer.
-        return 0
-
 
 class LiveCertifierClient:
     """``CertifierService`` duck-type whose backend is the scheduler process."""
@@ -262,13 +256,6 @@ class LiveCertifierClient:
 
     def replication_horizon(self) -> int:
         return self._client.call_retrying("replication_horizon")["horizon"]
-
-    def collect_garbage(self) -> int:
-        return self._client.call_retrying("collect_garbage")["pruned"]
-
-    @property
-    def system_version(self) -> int:
-        return self._client.call_retrying("system_version")["version"]
 
     def close(self) -> None:
         self._client.close()

@@ -30,15 +30,19 @@ harness context manager (reap + orphan check), and the fault surface —
 from __future__ import annotations
 
 import json
+import threading
+import time
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.core.config import ReplicationConfig
 from repro.engine.table import TableSchema
+from repro.errors import TransactionAborted
 from repro.live import codec
-from repro.live.client import LiveSession
+from repro.live.client import CommitInDoubt, LiveSession
 from repro.live.harness import NodeHandle, ProcessHarness
 from repro.live.wire import WireClient
+from repro.sim.rng import RandomStreams
 
 
 class LiveCluster:
@@ -204,13 +208,6 @@ class LiveCluster:
         ``fsyncs_per_commit`` below 1.0 is group certification at work: more
         than one committed transaction shared each durable WAL write.
         """
-        import threading
-        import time as _time
-
-        from repro.errors import TransactionAborted
-        from repro.live.client import CommitInDoubt
-        from repro.sim.rng import RandomStreams
-
         if not self._started:
             raise RuntimeError("cluster is not started")
         names = list(self.replicas)
@@ -262,10 +259,10 @@ class LiveCluster:
         for thread in threads:
             thread.start()
         barrier.wait()
-        started = _time.perf_counter()
+        started = time.perf_counter()
         for thread in threads:
             thread.join()
-        elapsed = _time.perf_counter() - started
+        elapsed = time.perf_counter() - started
         if failures:
             raise failures[0]
         after = self.scheduler_stats()
@@ -289,57 +286,48 @@ class LiveCluster:
     # -- cluster-wide control plane -------------------------------------------
 
     @staticmethod
-    def _unwrap(response: dict) -> dict:
+    def _call(node: NodeHandle | None, op: str, *, retrying: bool = False,
+              timeout: float = 30.0, **fields: object) -> dict:
+        """One op on ``node`` over a fresh connection; the payload, unwrapped."""
+        with WireClient("127.0.0.1", node.port, name="cluster-ctl",
+                        timeout=timeout) as ctl:
+            response = (ctl.call_retrying(op, deadline_s=timeout, **fields)
+                        if retrying else ctl.call(op, **fields))
         response.pop("ok", None)
         return response
 
-    def _scheduler_call(self, op: str, **fields: object) -> dict:
-        scheduler = self._active_scheduler
-        assert scheduler is not None and scheduler.port is not None
-        with WireClient("127.0.0.1", scheduler.port, name="cluster-ctl") as ctl:
-            return self._unwrap(ctl.call(op, **fields))
-
-    def _replica_call(self, replica: str, op: str, **fields: object) -> dict:
-        node = self.replicas[replica]
-        with WireClient("127.0.0.1", node.port, name="cluster-ctl") as ctl:
-            return self._unwrap(ctl.call(op, **fields))
-
     def refresh_all(self) -> dict[str, int]:
         """Bounded-staleness refresh on every replica (applied counts)."""
-        return {name: self._replica_call(name, "refresh")["applied"]
-                for name in self.replicas}
+        return {name: self._call(node, "refresh")["applied"]
+                for name, node in self.replicas.items()}
 
     def system_version(self) -> int:
-        return self._scheduler_call("system_version")["version"]
+        return self._call(self._active_scheduler, "system_version")["version"]
 
     def replication_horizon(self) -> int:
-        return self._scheduler_call("replication_horizon")["horizon"]
+        return self._call(self._active_scheduler, "replication_horizon")["horizon"]
 
     def collect_garbage(self) -> int:
-        return self._scheduler_call("collect_garbage")["pruned"]
+        return self._call(self._active_scheduler, "collect_garbage")["pruned"]
 
     def scheduler_stats(self) -> dict:
-        return self._scheduler_call("stats")
+        return self._call(self._active_scheduler, "stats")
 
     def replica_version(self, replica: str) -> int:
-        return self._replica_call(replica, "replica_version")["version"]
+        return self._call(self.replicas[replica], "replica_version")["version"]
 
     def replica_stats(self, replica: str) -> dict:
-        return self._replica_call(replica, "stats")
+        return self._call(self.replicas[replica], "stats")
 
     def dump_table(self, replica: str, table: str) -> dict[object, dict[str, object]]:
-        response = self._replica_call(replica, "dump_table", table=table)
+        response = self._call(self.replicas[replica], "dump_table", table=table)
         return codec.decode_table_state(response["state"])
 
     def shard_wal_stats(self, shard_id: int) -> dict:
-        shard = self.shards[shard_id]
-        with WireClient("127.0.0.1", shard.port, name="cluster-ctl") as ctl:
-            return self._unwrap(ctl.call("wal_stats"))
+        return self._call(self.shards[shard_id], "wal_stats")
 
     def shard_stats(self, shard_id: int) -> dict:
-        shard = self.shards[shard_id]
-        with WireClient("127.0.0.1", shard.port, name="cluster-ctl") as ctl:
-            return self._unwrap(ctl.call("stats"))
+        return self._call(self.shards[shard_id], "stats")
 
     def stats(self) -> dict:
         """One merged observability snapshot across every node in the cluster.
@@ -391,18 +379,14 @@ class LiveCluster:
         existing clients re-dial on their own via their fallback addresses.
         """
         assert self.standby_scheduler is not None, "no standby configured"
-        with WireClient("127.0.0.1", self.standby_scheduler.port,
-                        name="cluster-ctl", timeout=timeout_s) as ctl:
-            response = self._unwrap(
-                ctl.call_retrying("promote", deadline_s=timeout_s))
+        response = self._call(self.standby_scheduler, "promote", retrying=True,
+                              timeout=timeout_s)
         self._active_scheduler = self.standby_scheduler
         return response
 
     def standby_status(self) -> dict:
         assert self.standby_scheduler is not None, "no standby configured"
-        with WireClient("127.0.0.1", self.standby_scheduler.port,
-                        name="cluster-ctl") as ctl:
-            return self._unwrap(ctl.call("standby_status"))
+        return self._call(self.standby_scheduler, "standby_status")
 
     def kill_shard(self, shard_id: int) -> None:
         self.shards[shard_id].kill()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -220,9 +221,6 @@ class ProcessHarness:
     def poll_all(self) -> dict[str, int | None]:
         return {name: node.poll() for name, node in self.nodes.items()}
 
-    def live_nodes(self) -> list[NodeHandle]:
-        return [node for node in self.nodes.values() if node.alive]
-
     def reap_all(self, grace_s: float = 5.0) -> None:
         """Terminate every child (SIGTERM → SIGKILL) and wait for all."""
         for node in self.nodes.values():
@@ -248,8 +246,6 @@ class ProcessHarness:
         self.reap_all()
         self.assert_no_orphans()
         if self._owns_dir and not any(exc):
-            import shutil
-
             shutil.rmtree(self.run_dir, ignore_errors=True)
 
     def __repr__(self) -> str:

@@ -1,0 +1,242 @@
+"""The ``replica`` role: one database replica serving client sessions.
+
+An engine :class:`Database` (file-backed engine WAL) behind the *unmodified*
+:class:`TransparentProxy`, whose certifier is a
+:class:`~repro.live.client.LiveCertifierClient` speaking the wire protocol to
+the scheduler.  Serves client sessions plus the maintenance surface (refresh,
+dump_table) the cluster driver uses, under one replica-wide state lock, the
+blocking ops on a small thread pool; the lock is released only while a
+commit waits on its certification round trip, so commits overlap on the wire
+while all local work stays serialized.  A
+:class:`~repro.live.client.CommitGate` finalizes commits in certification
+(= send = global version) order.
+
+Fault points: ``--wedge-before-commit-op`` / ``--wedge-after-commit-op`` freeze
+the node at its Nth commit — never certified, or (the ``post-flush`` point of
+``tests/faults.py``) everything durable and only the client ack lost.
+"""
+
+from __future__ import annotations
+
+import argparse
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+
+from repro.core.config import SystemKind
+from repro.engine.database import Database
+from repro.engine.locks import LockBlockedError
+from repro.engine.log_device import FileLogDevice
+from repro.engine.table import TableSchema
+from repro.errors import TransactionAborted
+from repro.live import codec
+from repro.live.client import CommitGate, LiveCertifierClient
+from repro.live.server import (BATCH, POOLED, WEDGE, Op, Role, error_envelope,
+                               load_spec, lookup, parse_addr)
+from repro.live.wire import RemoteCallError
+from repro.middleware.client_api import ClientSession
+from repro.middleware.replica import Replica
+
+
+class ReplicaRole(Role):
+    """One database replica: engine + transparent proxy + session server."""
+
+    role_name = "replica"
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        super().__init__()
+        spec = load_spec(args)
+        if args.scheduler is None:
+            raise SystemExit("replica role requires --scheduler host:port")
+        host, port = parse_addr(args.scheduler)
+        live = spec.get("live", {})
+        self.name = args.name
+        self.pipeline = bool(live.get("pipeline", True))
+        self.workers = int(live.get("replica_workers", 8)) if self.pipeline else 1
+        self.wedge_before_commit_op = args.wedge_before_commit_op
+        self.wedge_after_commit_op = args.wedge_after_commit_op
+        self.commit_ops = 0
+        # Real file-backed engine WAL: Tashkent-MW replicas run with
+        # synchronous commit off (the proxy turns it off), but the append
+        # path and group-apply fsync accounting are the real thing.
+        device = FileLogDevice(f"{self.name}.engine.wal")
+        database = Database(name=self.name, synchronous_commit=True, log_device=device)
+        for schema in spec.get("schemas", []):
+            database.create_table_from_schema(TableSchema(
+                name=schema["name"],
+                columns=tuple(schema["columns"]),
+                primary_key=schema.get("primary_key", "id"),
+            ))
+        fallbacks: tuple[tuple[str, int], ...] = ()
+        if args.scheduler_standby:
+            fallbacks = (parse_addr(args.scheduler_standby),)
+        self.cert_client = LiveCertifierClient(host, port, replica_name=self.name,
+                                               pipelined=self.pipeline,
+                                               fallbacks=fallbacks)
+        #: Replica-wide state lock: every op holds it; a commit releases it
+        #: only while its certification round trip is in flight, so commits
+        #: overlap on the wire while all local state stays single-threaded.
+        self.lock = threading.Lock()
+        if self.pipeline:
+            self.cert_client.enable_concurrent_commits(self.lock, CommitGate())
+        self.executor = ThreadPoolExecutor(max_workers=self.workers,
+                                           thread_name_prefix=f"{self.name}-worker")
+        system = SystemKind(spec.get("system", "tashkent-mw"))
+        self.replica = Replica(
+            self.name,
+            database,
+            self.cert_client,  # quacks like CertifierService for the proxy
+            system=system,
+            local_certification=spec.get("local_certification", True),
+            eager_pre_certification=spec.get("eager_pre_certification", True),
+        )
+        #: session id -> ClientSession (the unmodified client API object).
+        self.sessions: dict[int, ClientSession] = {}
+        self._next_session = 1
+
+    def open_session(self, payload: dict):
+        session_id = self._next_session
+        self._next_session += 1
+        self.sessions[session_id] = ClientSession(
+            self.replica.proxy, client_name=payload.get("client_name", "client"))
+        return {"session_id": session_id, "replica": self.name}
+
+    def close_session(self, payload: dict):
+        session = self.sessions.pop(payload["session_id"], None)
+        if session is not None and session.in_transaction:
+            # A dropped session's transaction would hold its row locks
+            # forever and pin vacuum at its snapshot.
+            session.abort()
+
+    def session_batch(self, payload: dict):
+        """Execute a fused list of session statements as one frame.
+
+        The driver's :class:`LiveSession` defers resultless statements and
+        ships them ahead of the next synchronous one, cutting the per-
+        transaction frame count.  Statements run in order; the first failure
+        stops the batch and its error envelope is returned in place — the
+        same outcome the client would have observed sending the statements
+        as individual frames and halting at the error.
+        """
+        results: list[dict] = []
+        for entry in payload["ops"]:
+            sub = dict(entry)
+            sub_op = sub.pop("op")
+            sub["session_id"] = payload["session_id"]
+            try:
+                result = lookup(self, sub_op).handler(self, sub)
+            except Exception as exc:  # noqa: BLE001 - per-statement boundary
+                results.append(error_envelope(exc))
+                break
+            if result is WEDGE:
+                return WEDGE
+            results.append({"ok": True, **(result or {})})
+        return {"results": results}
+
+    def _session(self, payload: dict) -> ClientSession:
+        session = self.sessions.get(payload["session_id"])
+        if session is None:
+            raise RemoteCallError("session",
+                                  f"unknown session {payload['session_id']}")
+        return session
+
+    def begin(self, payload: dict):
+        self._session(payload).begin()
+
+    def read(self, payload: dict):
+        row = self._session(payload).read(payload["table"], payload["key"])
+        return {"row": codec.encode_row(row)}
+
+    def scan(self, payload: dict):
+        rows = self._session(payload).scan(payload["table"])
+        return {"rows": [[key, dict(row)] for key, row in rows]}
+
+    def write(self, payload: dict, method: str):
+        """``insert`` / ``update`` / ``delete``: the ClientSession method of that name."""
+        session = self._session(payload)
+        try:
+            getattr(session, method)(payload["table"], payload["key"],
+                                     **payload.get("values", {}))
+        except LockBlockedError as exc:
+            # No-wait write-write policy.  The functional/sim stacks park
+            # a blocked writer in the lock manager's wait queue, but a
+            # live worker thread cannot sit inside the replica state lock
+            # waiting for the holder's commit — abort the requester
+            # instead (first-updater wins; the loser retries with a fresh
+            # transaction, which is how the driver counts it).
+            session.abort()
+            raise TransactionAborted(str(exc), reason="ww-block") from exc
+
+    def abort(self, payload: dict):
+        self._session(payload).abort()
+
+    def commit(self, payload: dict):
+        """The exactly-once tx id rides down to the scheduler with the
+        certification request this commit triggers."""
+        session = self._session(payload)
+        self.commit_ops += 1
+        if (self.wedge_before_commit_op
+                and self.commit_ops == self.wedge_before_commit_op):
+            # Killed here, the transaction was never certified: the client's
+            # status query finds nothing and re-executes — safely, exactly
+            # once, because nothing was admitted.
+            return WEDGE
+        self.cert_client.next_tx_id = payload.get("tx_id")
+        try:
+            outcome = session.commit()
+        finally:
+            self.cert_client.next_tx_id = None
+            # Release this commit's finalization-order ticket (no-op when the
+            # commit was read-only or never reached certification).
+            self.cert_client.finish_commit_ticket()
+        if (self.wedge_after_commit_op
+                and self.commit_ops == self.wedge_after_commit_op):
+            # Killed here, the transaction IS committed (admitted, durable,
+            # propagated) but the ack never reaches the client: the status
+            # query answers "committed" and the client must not re-execute.
+            return WEDGE
+        return {"outcome": codec.encode_outcome(outcome)}
+
+    def dump_table(self, payload: dict):
+        database = self.replica.database
+        table = database.table(payload["table"])
+        state = table.snapshot_state(database.current_version)
+        return {"state": codec.encode_table_state(state),
+                "version": self.replica.replica_version}
+
+    def stats(self, payload: dict):
+        return {"stats": self.replica.stats_snapshot(),
+                "commit_ops": self.commit_ops,
+                "pipeline": self.pipeline,
+                "workers": self.workers,
+                "certifier_wire": self.cert_client.wire_stats(),
+                "commit_wire_wait_s": self.cert_client.wire_wait_s,
+                "commit_gate_wait_s": self.cert_client.gate_wait_s,
+                "server": self.server_stats.as_dict()}
+
+    #: POOLED ops either block on another node (commit certifies over the
+    #: wire, refresh pulls writesets) or do heavy table-sized work.  Only
+    #: these go to the worker pool; everything else is local micro-work
+    #: that is cheaper to run inline than to pay two thread hand-offs for.
+    ops = {
+        "open_session": Op(open_session),
+        "close_session": Op(close_session),
+        "session_batch": Op(session_batch, BATCH),
+        "begin": Op(begin),
+        "read": Op(read),
+        "scan": Op(scan, POOLED),
+        "insert": Op(partial(write, method="insert")),
+        "update": Op(partial(write, method="update")),
+        "delete": Op(partial(write, method="delete")),
+        "abort": Op(abort),
+        "commit": Op(commit, POOLED),
+        "refresh": Op(lambda self, _: {"applied": self.replica.refresh()}, POOLED),
+        "dump_table": Op(dump_table, POOLED),
+        "replica_version": Op(lambda self, _: {"version": self.replica.replica_version}),
+        "stats": Op(stats),
+        "ping": Op(lambda self, _: {"role": "replica", "name": self.name,
+                                    "version": self.replica.replica_version}),
+    }
+
+    def describe(self) -> dict:
+        return {"replica": self.name}

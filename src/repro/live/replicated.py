@@ -30,7 +30,7 @@ closes that gap with two pieces:
     serving traffic.
 
 The deployment choreography (standby seeding over the wire, the
-``promote`` op, client re-dial) lives in :mod:`repro.live.node` /
+``promote`` op, client re-dial) lives in :mod:`repro.live.scheduler` /
 :mod:`repro.live.cluster`; this module is deliberately wire-free so the
 rebuild logic is unit-testable against the functional stack.
 """

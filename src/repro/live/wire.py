@@ -10,8 +10,8 @@ a JSON document ends on a stream.
 
 Two consumers share the format:
 
-* the asyncio node servers (:mod:`repro.live.node`) use :func:`read_frame` /
-  :func:`write_frame` on ``StreamReader``/``StreamWriter`` pairs;
+* the asyncio node server (:mod:`repro.live.server`, one per node whatever
+  its role) uses :func:`read_frame` / :func:`encode_frame` on its streams;
 * the synchronous callers — the test driver's :class:`~repro.live.client.
   LiveSession`, the replica's in-process certifier client, and the
   scheduler's remote WAL device — use :class:`WireClient`, a blocking
@@ -146,11 +146,6 @@ async def read_frame(reader: asyncio.StreamReader,
     if on_bytes is not None:
         on_bytes(_LEN.size + length)
     return decode_body(body)
-
-
-async def write_frame(writer: asyncio.StreamWriter, payload: dict) -> None:
-    writer.write(encode_frame(payload))
-    await writer.drain()
 
 
 # ---------------------------------------------------------------------------

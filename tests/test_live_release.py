@@ -1,6 +1,6 @@
 """The scheduler's release rule, on a manual-ack fake (no sockets, no processes).
 
-A :class:`~repro.live.node.SchedulerRole` is built as the node process builds
+A :class:`~repro.live.scheduler.SchedulerRole` is built as the node process builds
 it, then its shard WAL devices are swapped for
 :class:`~faults.SplitPhaseDevice` fakes whose acknowledgements the test
 delivers by hand.  Admission never waits; what these tests pin is *when* each
@@ -29,7 +29,9 @@ from faults import SplitPhaseDevice
 from repro.core.certification import CertificationRequest
 from repro.core.writeset import make_writeset
 from repro.live import codec
-from repro.live.node import WEDGE, SchedulerRole, build_parser
+from repro.live.node import build_parser
+from repro.live.scheduler import SchedulerRole
+from repro.live.server import WEDGE, call
 from repro.live.wire import RemoteCallError
 
 #: What ``commit_status`` says about a held transaction, after the retryable
@@ -85,7 +87,7 @@ def admit(role: SchedulerRole, payloads: list[dict]) -> tuple[list, Sinks]:
 
 def status(role: SchedulerRole, tx_id: str) -> dict:
     try:
-        return role.handle("commit_status", {"tx_id": tx_id})
+        return call(role, "commit_status", {"tx_id": tx_id})
     except RemoteCallError as exc:
         assert exc.error_type == "NotDurableYet"
         return HELD
@@ -93,7 +95,7 @@ def status(role: SchedulerRole, tx_id: str) -> dict:
 
 def test_nothing_of_a_commit_is_visible_before_the_frontier_covers_it(tmp_path):
     role, (shard_a, shard_b) = make_role(tmp_path)
-    role.handle("hello_replica", {"replica": "r1", "from_version": 0})
+    call(role, "hello_replica", {"replica": "r1", "from_version": 0})
     key_a, key_b = shard_key(role, 0), shard_key(role, 1)
     # v1 lives on shard B only, v2 on shard A only.
     responses, sinks = admit(role, [certify_payload(role, "tx-1", [key_b]),
@@ -103,7 +105,7 @@ def test_nothing_of_a_commit_is_visible_before_the_frontier_covers_it(tmp_path):
 
     def visible() -> tuple:
         return (sinks.released, status(role, "tx-1")["known"], status(role, "tx-2")["known"],
-                role.handle("poll_writesets", {"replica": "r1"})["writesets"])
+                call(role, "poll_writesets", {"replica": "r1"})["writesets"])
 
     assert visible() == ([], False, False, [])
     assert status(role, "tx-2") == HELD and status(role, "tx-3") == {"known": False}
@@ -121,7 +123,7 @@ def test_nothing_of_a_commit_is_visible_before_the_frontier_covers_it(tmp_path):
     assert role.tx_admits == 2
     assert len(role._held) == 0 and role.held_decisions_high_water == 2
     assert [w["commit_version"] for w in
-            role.handle("poll_writesets", {"replica": "r1"})["writesets"]] == [1, 2]
+            call(role, "poll_writesets", {"replica": "r1"})["writesets"]] == [1, 2]
 
 
 def test_abort_is_released_without_waiting(tmp_path):
@@ -211,7 +213,7 @@ def test_a_refused_batch_fails_held_decisions_and_later_rounds_loudly(tmp_path):
 def test_unpipelined_certify_ships_and_waits(tmp_path):
     role, (device,) = make_role(tmp_path, shards=1, pipeline=False)
     device.manual = False  # acknowledges when waited for, like a live shard
-    response = role.handle("certify", certify_payload(role, "tx-1", [1]))
+    response = call(role, "certify", certify_payload(role, "tx-1", [1]))
     assert response["result"]["tx_commit_version"] == 1
     assert device.sync_count == 1 and status(role, "tx-1")["committed"]
 

@@ -1,0 +1,329 @@
+"""The one node server and the three op tables, driven in-process.
+
+Everything here but the last two tests runs without a subprocess: roles are
+built as the node process builds them and driven through
+:func:`repro.live.server.call` / :func:`~repro.live.server.lookup`, or served
+by :func:`~repro.live.server.start_server` on the test's own event loop and
+spoken to over a localhost socket.
+
+* one golden table per role — adding, dropping or re-placing an op is a
+  visible diff here (and in ``docs/deployment.md``, which
+  ``tools/check_docs.py`` holds to the same tables);
+* for **every** scheduler op: an unpromoted standby answers it iff its table
+  entry says so, and otherwise refuses with the retryable ``NotPromoted``;
+* the three placements (and the serialized mode that collapses them) run a
+  handler where the table says, with or without the role's lock;
+* the request boundary: an unknown op and a frame whose ``rid`` is not an
+  integer are answered with an error envelope on the still-open connection;
+* ``close_session`` aborts a transaction its session left open;
+* the entry point imports no role module until ``--role`` names one.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from repro.core.config import ReplicationConfig, SystemKind
+from repro.engine.table import TableSchema
+from repro.errors import TransactionAborted
+from repro.live.cluster import LiveCluster
+from repro.live.node import ROLES, build_parser
+from repro.live.scheduler import SchedulerRole
+from repro.live.server import (
+    ASYNC,
+    BATCH,
+    INLINE,
+    POOLED,
+    Op,
+    Role,
+    call,
+    dispatch,
+    lookup,
+    start_server,
+)
+from repro.live.shard import CertifierShardRole
+from repro.live.wire import RemoteCallError, encode_frame, read_frame
+
+#: role -> op -> (placement, answered by an unpromoted standby?), in table order.
+GOLDEN = {
+    "certifier-shard": {
+        "wal_append": (ASYNC, False),
+        "wal_read": (ASYNC, False),
+        "wal_stats": (INLINE, False),
+        "stats": (INLINE, False),
+        "ping": (INLINE, False),
+    },
+    "scheduler": {
+        "certify": (ASYNC, False),
+        "state_transfer": (POOLED, False),
+        "standby_status": (POOLED, True),
+        "promote": (POOLED, True),
+        "commit_status": (POOLED, False),
+        "hello_replica": (POOLED, False),
+        "poll_writesets": (POOLED, False),
+        "flush_propagation": (POOLED, False),
+        "register_replica": (POOLED, False),
+        "extend_remote_horizons": (POOLED, False),
+        "replication_horizon": (POOLED, False),
+        "collect_garbage": (POOLED, False),
+        "system_version": (POOLED, False),
+        "stats": (POOLED, True),
+        "ping": (POOLED, True),
+    },
+    "replica": {
+        "open_session": (INLINE, False),
+        "close_session": (INLINE, False),
+        "session_batch": (BATCH, False),
+        "begin": (INLINE, False),
+        "read": (INLINE, False),
+        "scan": (POOLED, False),
+        "insert": (INLINE, False),
+        "update": (INLINE, False),
+        "delete": (INLINE, False),
+        "abort": (INLINE, False),
+        "commit": (POOLED, False),
+        "refresh": (POOLED, False),
+        "dump_table": (POOLED, False),
+        "replica_version": (INLINE, False),
+        "stats": (INLINE, False),
+        "ping": (INLINE, False),
+    },
+}
+
+
+@pytest.mark.parametrize("role_name", sorted(ROLES))
+def test_op_table_matches_its_golden(role_name):
+    role = pkgutil.resolve_name(ROLES[role_name])
+    table = role.ops
+    assert list(table) == list(GOLDEN[role_name])
+    assert {op: (entry.placement, entry.standby) for op, entry in table.items()} \
+        == GOLDEN[role_name]
+    assert role.role_name == role_name
+    # Only the scheduler's certify has a serialized-mode stand-in.
+    assert [op for op, entry in table.items() if entry.unpipelined is not None] \
+        == (["certify"] if role_name == "scheduler" else [])
+
+
+# -- the standby column -----------------------------------------------------------
+
+
+@pytest.fixture
+def standby(tmp_path) -> SchedulerRole:
+    """A cold, unpromoted standby scheduler; its shard address is never dialled
+    (the real devices stay: ``stats`` reads their wire counters)."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"live": {"scheduler_standby": True},
+                                "certifier": {"shards": 1}}))
+    return SchedulerRole(build_parser().parse_args(
+        ["--role", "scheduler", "--spec", str(spec), "--standby",
+         "--shard", "127.0.0.1:1"]))
+
+
+@pytest.mark.parametrize("op", list(SchedulerRole.ops))
+def test_unpromoted_standby_answers_exactly_what_its_table_says(standby, op):
+    entry = SchedulerRole.ops[op]
+    assert not standby.promoted
+    if entry.standby:
+        assert lookup(standby, op) is entry
+    else:
+        with pytest.raises(RemoteCallError) as refusal:
+            lookup(standby, op)
+        assert refusal.value.error_type == "NotPromoted"
+    standby.promoted = True  # what a successful ``promote`` ends with
+    assert lookup(standby, op) is entry
+
+
+def test_standby_control_plane_is_answered_and_data_plane_refused_end_to_end(standby):
+    assert call(standby, "ping", {})["role"] == "scheduler"
+    status = call(standby, "standby_status", {})
+    assert status["standby"] and not status["promoted"] and not status["seeded"]
+    assert call(standby, "stats", {})["promoted"] is False
+    for op in ("system_version", "commit_status", "hello_replica"):
+        with pytest.raises(RemoteCallError, match="standby not promoted"):
+            call(standby, op, {"tx_id": "t", "replica": "r"})
+    # The refusal happens at the server, pipelined certify included.
+    with pytest.raises(RemoteCallError) as refusal:
+        asyncio.run(dispatch(standby, "certify", {}))
+    assert refusal.value.error_type == "NotPromoted"
+
+
+# -- placements -------------------------------------------------------------------
+
+
+class Probe(Role):
+    """Every placement once; each handler reports where it ran."""
+
+    role_name = "probe"
+
+    def __init__(self, pipeline: bool) -> None:
+        super().__init__()
+        self.pipeline = pipeline
+        self.lock = threading.Lock()
+        self.executor = ThreadPoolExecutor(1, thread_name_prefix="probe-pool")
+
+    def where(self, payload: dict) -> dict:
+        return {"thread": threading.current_thread().name.split("_")[0],
+                "locked": self.lock.locked()}
+
+    async def parked(self, payload: dict) -> dict:
+        return {**self.where(payload), "awaited": True}
+
+    ops = {
+        "inline": Op(where),
+        "pooled": Op(where, POOLED),
+        "parked": Op(parked, ASYNC),
+        "parked_or_serial": Op(parked, ASYNC, unpipelined=where),
+        "batch": Op(where, BATCH),
+        "silent": Op(lambda self, payload: None),
+    }
+
+
+def run_on_loop(role: Role, frames: list[tuple[str, dict]]) -> list:
+    async def scenario():
+        return [await dispatch(role, op, payload) for op, payload in frames]
+
+    try:
+        return asyncio.run(scenario())
+    finally:
+        role.executor.shutdown()
+
+
+def test_pipelined_placements_run_where_the_table_says():
+    loop_thread = threading.current_thread().name
+    on_loop = {"thread": loop_thread, "locked": True}
+    on_pool = {"thread": "probe-pool", "locked": True}
+    answers = run_on_loop(Probe(pipeline=True), [
+        ("inline", {}), ("pooled", {}), ("parked", {}), ("parked_or_serial", {}),
+        ("batch", {"ops": [{"op": "inline"}, {"op": "inline"}]}),
+        ("batch", {"ops": [{"op": "inline"}, {"op": "pooled"}]}),
+        ("batch", {"ops": [{"op": "no-such-op"}]}),
+    ])
+    unlocked = {"thread": loop_thread, "locked": False, "awaited": True}
+    assert answers == [on_loop, on_pool, unlocked, unlocked, on_loop, on_pool, on_loop]
+
+
+def test_serialized_mode_keeps_every_handler_it_can_on_the_loop():
+    loop_thread = threading.current_thread().name
+    on_loop = {"thread": loop_thread, "locked": True}
+    answers = run_on_loop(Probe(pipeline=False), [
+        ("inline", {}), ("pooled", {}), ("parked", {}), ("parked_or_serial", {}),
+        ("batch", {"ops": [{"op": "pooled"}]}),
+    ])
+    # An ASYNC entry with no stand-in is still awaited (the shard's log writer).
+    assert answers == [on_loop, on_loop,
+                       {"thread": loop_thread, "locked": False, "awaited": True},
+                       on_loop, on_loop]
+
+
+# -- the request boundary, over a socket ------------------------------------------
+
+
+def converse(role: Role, frames: list[dict]) -> list[dict]:
+    """Serve ``role`` on this thread's loop; send ``frames`` down ONE
+    connection, reading each answer before sending the next."""
+    async def scenario():
+        server = await start_server(role, "127.0.0.1", 0)
+        async with server:
+            host, port = server.sockets[0].getsockname()[:2]
+            reader, writer = await asyncio.open_connection(host, port)
+            answers = []
+            for frame in frames:
+                writer.write(encode_frame(frame))
+                await writer.drain()
+                answers.append(await asyncio.wait_for(read_frame(reader), 5.0))
+            writer.close()
+            return answers
+
+    return asyncio.run(scenario())
+
+
+@pytest.fixture
+def shard(tmp_path):
+    role = CertifierShardRole(build_parser().parse_args(
+        ["--role", "certifier-shard", "--shard-id", "3", "--wal", str(tmp_path / "s.wal")]))
+    yield role
+    role.wal.close()
+
+
+def test_bad_requests_are_answered_on_the_still_open_connection(shard):
+    bad_rid, tagged, unknown, plain, appended = converse(shard, [
+        {"op": "ping", "rid": "x"},
+        {"op": "ping", "rid": 7},
+        {"op": "vacuum"},
+        {"op": "ping"},
+        {"op": "wal_append", "rid": "8", "seq": 1, "payloads": ["aa"]},
+    ])
+    assert bad_rid == {"ok": False, "error": "rid must be an integer, got 'x'",
+                       "error_type": "BadRequest", "reason": None}
+    assert tagged == {"ok": True, "role": "certifier-shard", "shard_id": 3, "rid": 7}
+    assert unknown == {"ok": False, "error": "unknown certifier-shard op 'vacuum'",
+                       "error_type": "error", "reason": None}
+    assert plain == {"ok": True, "role": "certifier-shard", "shard_id": 3}
+    # A numeric string still counts, as it always did; the echo is the integer.
+    assert appended == {"ok": True, "applied": True, "group": 1, "rid": 8}
+    served = shard.server_stats.as_dict()
+    assert served["frames_in"] == served["frames_out"] == 5 and served["connections"] == 1
+    assert list(served) == ["connections", "frames_in", "frames_out", "bytes_in",
+                            "bytes_out", "in_flight_high_water"]
+
+
+def test_a_handler_with_nothing_to_say_answers_bare_ok():
+    role = Probe(pipeline=True)
+    try:
+        assert converse(role, [{"op": "silent"}, {"op": "silent", "rid": 1}]) \
+            == [{"ok": True}, {"ok": True, "rid": 1}]
+    finally:
+        role.executor.shutdown()
+
+
+def test_the_entry_point_imports_no_role_until_one_is_chosen():
+    """A shard that also imported the scheduler and the replica would pay
+    consensus/, recovery/ and the session stack at every boot: ~25 ms a
+    process, +5 % on the benchmark's ``setup_s``."""
+    listing = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.live.node; print(sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, text=True, check=True).stdout
+    for module in ROLES.values():
+        assert f"'{module.partition(':')[0]}'" not in listing
+    assert "'repro.live.server'" in listing
+
+
+# -- close_session (real processes: a replica needs its scheduler) ----------------
+
+
+@pytest.mark.live
+def test_close_session_aborts_the_transaction_it_leaves_open(tmp_path):
+    config = ReplicationConfig(system=SystemKind.TASHKENT_MW, num_replicas=1,
+                               certifier_shards=1, rng_seed=1)
+    schemas = [TableSchema("counters", ("id", "value"), "id")]
+    with LiveCluster(config, schemas, run_dir=tmp_path, keep_dir=True) as cluster:
+        with cluster.session("replica-0") as loader:
+            loader.begin()
+            loader.insert("counters", "k", id="k", value=0)
+            assert loader.commit().committed
+        leaver = cluster.session("replica-0")
+        leaver.begin()
+        leaver.update("counters", "k", value=1)
+        assert leaver.read("counters", "k")["value"] == 1  # ships begin + update
+        leaver.close()  # row lock on k held, snapshot open
+        database = cluster.replica_stats("replica-0")["stats"]["database"]
+        assert database["active_transactions"] == 0
+        for value in (2, 3, 4):
+            with cluster.session("replica-0") as session:
+                session.begin()
+                session.update("counters", "k", value=value)
+                try:
+                    assert session.commit().committed
+                except TransactionAborted as exc:  # pragma: no cover - the bug
+                    pytest.fail(f"row lock leaked by the closed session: {exc.reason}")
+        assert cluster.dump_table("replica-0", "counters")["k"]["value"] == 4

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Documentation checks: internal links resolve, runnable examples run,
-named code exists.
+named code exists, protocol tables match the code.
 
-Three passes over ``README.md`` and ``docs/*.md`` (standard library only, so
+Four passes over ``README.md`` and ``docs/*.md`` (standard library only, so
 the CI docs job needs no installs):
 
 1. **Link check** — every markdown link ``[text](target)`` with a relative
@@ -19,6 +19,14 @@ the CI docs job needs no installs):
    trailing call) must resolve: the longest importable module prefix is
    imported and the rest is looked up with ``getattr``.  Naming a class by
    its dotted path is what makes a doc fail when that class is deleted.
+4. **Protocol-table check** — ``docs/deployment.md`` carries one protocol
+   table per live node role (a markdown table whose first header cell is
+   ``op``, under a heading that names the role in backticks).  Its op column
+   must equal the keys of that role's op table in ``repro.live.node.ROLES``
+   — both directions, so an op added to the code without a doc row fails
+   like a doc row for an op the code dropped — and each row's placement cell
+   must start with the entry's placement and say ``standby`` iff the entry
+   does.
 
 Exit status is non-zero on any failure, with one line per finding.
 
@@ -43,6 +51,8 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 FENCE_RE = re.compile(r"^```(.*)$")
 EXTERNAL_SCHEMES = ("http://", "https://", "mailto:")
+#: Where the live nodes' protocol tables are documented.
+PROTOCOL_DOC = REPO_ROOT / "docs" / "deployment.md"
 #: A backticked ``repro.<dotted.path>``, optionally written as a call.
 DOTTED_NAME_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
 
@@ -169,6 +179,53 @@ def check_names(files: list[Path]) -> tuple[list[str], int]:
     return errors, len(names)
 
 
+def protocol_tables(path: Path) -> dict[str, list[list[str]]]:
+    """``heading text -> rows`` of every table in ``path`` whose first header
+    cell is ``op``; a row is its cells with backticks stripped."""
+    tables: dict[str, list[list[str]]] = {}
+    heading, rows = "", None
+    for line in strip_fenced_blocks(path.read_text()).splitlines():
+        match = HEADING_RE.match(line)
+        if match:
+            heading, rows = match.group(1), None
+        elif not line.startswith("|"):
+            rows = None
+        else:
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if rows is None and cells[0] == "op":
+                rows = tables.setdefault(heading, [])
+            elif rows is not None and not set(cells[0]) <= set("-: "):
+                rows.append([cells[0].strip("`"), *cells[1:]])
+    return tables
+
+
+def check_protocol_tables() -> tuple[list[str], int]:
+    from repro.live.node import ROLES
+
+    rel = PROTOCOL_DOC.relative_to(REPO_ROOT)
+    tables = protocol_tables(PROTOCOL_DOC)
+    errors = []
+    for role_name, where in ROLES.items():
+        role = pkgutil.resolve_name(where)
+        found = [rows for heading, rows in tables.items() if f"`{role_name}`" in heading]
+        if len(found) != 1:
+            errors.append(f"{rel}: {len(found)} protocol tables for role `{role_name}`")
+            continue
+        documented = {row[0]: row for row in found[0]}
+        for op in sorted(set(role.ops) - set(documented)):
+            errors.append(f"{rel}: `{role_name}` op `{op}` has no protocol-table row")
+        for op in sorted(set(documented) - set(role.ops)):
+            errors.append(f"{rel}: `{role_name}` table documents `{op}`, which the code lacks")
+        for op in sorted(set(documented) & set(role.ops)):
+            entry, placement = role.ops[op], documented[op][2]
+            if not placement.startswith(entry.placement) \
+                    or ("standby" in placement) != entry.standby:
+                errors.append(f"{rel}: `{role_name}` op `{op}` is placed "
+                              f"{entry.placement}{' · standby' if entry.standby else ''}, "
+                              f"the table says {placement!r}")
+    return errors, len(ROLES)
+
+
 def main() -> int:
     files = doc_files()
     if not files:
@@ -177,16 +234,18 @@ def main() -> int:
     link_errors = check_links(files)
     doctest_errors, doctests_run = check_doctests(files)
     name_errors, names_checked = check_names(files)
-    for error in link_errors + doctest_errors + name_errors:
+    table_errors, tables_checked = check_protocol_tables()
+    for error in link_errors + doctest_errors + name_errors + table_errors:
         print(f"FAIL {error}")
-    if link_errors or doctest_errors or name_errors:
+    if link_errors or doctest_errors or name_errors or table_errors:
         print(f"check_docs: {len(link_errors)} link / {len(doctest_errors)} "
-              f"doctest / {len(name_errors)} name failure(s) across "
-              f"{len(files)} file(s)")
+              f"doctest / {len(name_errors)} name / {len(table_errors)} "
+              f"protocol-table failure(s) across {len(files)} file(s)")
         return 1
     print(f"check_docs: OK — {len(files)} file(s), links resolve, "
           f"{doctests_run} runnable block(s) passed, "
-          f"{names_checked} repro.* name(s) resolve")
+          f"{names_checked} repro.* name(s) resolve, "
+          f"{tables_checked} protocol table(s) match the code")
     return 0
 
 
