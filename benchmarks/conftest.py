@@ -187,19 +187,6 @@ MVCC_CHAIN_LENGTHS = tuple(
     int(n) for n in os.environ.get("REPRO_BENCH_MVCC_CHAIN_LENS", "512,2048").split(",")
 )
 
-#: Live-backend sweep axes (test_live_sweep.py): concurrent closed-loop
-#: clients, transactions per client for the batched legs (the serialized
-#: baseline legs scale this down — they run one fsync-bound commit at a
-#: time), and the emulated disk's fsync floor.  The floor defaults to the
-#: paper's measured disk ("fsync takes about 8ms"); containers acknowledge
-#: fsync in ~0.1 ms, which would make durability free and hide the very
-#: group-commit effect the sweep measures.
-LIVE_CLIENT_COUNTS = tuple(
-    int(n) for n in os.environ.get("REPRO_BENCH_LIVE_CLIENTS", "4,16").split(",")
-)
-LIVE_TX_PER_CLIENT = int(os.environ.get("REPRO_BENCH_LIVE_TX", "25"))
-LIVE_FSYNC_FLOOR_MS = float(os.environ.get("REPRO_BENCH_LIVE_FSYNC_FLOOR_MS", "8"))
-
 #: The four curves of the throughput/response figures.
 FIGURE_SYSTEMS = (
     SystemKind.BASE,

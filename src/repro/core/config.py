@@ -224,11 +224,8 @@ class ReplicationConfig:
     #: Row-visit budget of one incremental vacuum pass (the janitor's
     #: batching knob; bounds the pause a maintenance pass can inflict).
     vacuum_batch_rows: int = 4096
-    #: Live (multi-process) backend: multiplexed request-id framing, with
-    #: pipelined clients, concurrent per-connection dispatch and scheduler-
-    #: side group certification.  ``False`` restores the strict one-in-flight
-    #: read→reply→read protocol (the unbatched baseline the live sweep
-    #: measures against).
+    #: One-valued: live nodes always run pipelined.  Kept only because the
+    #: frozen ``bench/live.py`` passes the keyword (ROADMAP item 1(d)).
     live_pipeline: bool = True
     #: How long the live scheduler's certify batcher waits for more
     #: concurrent requests before cutting a round (milliseconds).  0 (the
@@ -291,6 +288,10 @@ class ReplicationConfig:
             raise ConfigurationError("vacuum_interval_ms must be positive or None")
         if self.vacuum_batch_rows < 1:
             raise ConfigurationError("vacuum_batch_rows must be >= 1")
+        if not self.live_pipeline:
+            raise ConfigurationError(
+                "live_pipeline=False: the serialized live mode was removed; "
+                "live nodes always run pipelined")
         if self.live_certify_batch_window_ms < 0:
             raise ConfigurationError("live_certify_batch_window_ms must be >= 0")
         if self.live_certify_batch_max < 1:

@@ -49,18 +49,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         cluster.load_initial_data(workload)
         cluster.refresh_all()
         if args.clients > 0:
-            # Concurrent closed-loop driver (pipelined RPC + group
-            # certification): per-client transaction counts, shared fsyncs.
+            # Concurrent closed-loop driver: per-client counts, shared fsyncs.
             run = cluster.run_workload(
                 workload, clients=args.clients,
                 transactions_per_client=max(1, args.transactions // args.clients),
                 seed=args.seed,
             )
             committed, aborted = run["commits"], run["aborts"]
+            per_commit = run["fsyncs_per_commit"]  # None: nothing committed
             driver: dict[str, object] = {
                 "clients": int(run["clients"]),
                 "certs_per_sec": round(float(run["certs_per_sec"]), 1),
-                "fsyncs_per_commit": round(float(run["fsyncs_per_commit"]), 3),
+                "fsyncs_per_commit": None if per_commit is None else round(per_commit, 3),
             }
         else:
             sessions = [cluster.session(name) for name in cluster.replicas]
@@ -82,10 +82,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                                     committed=committed, aborted=aborted,
                                     wall_clock_s=time.monotonic() - started,
                                     driver=driver)
-    # No default=str fallback: every field is a JSON-native type by
-    # construction (build_run_summary), so the summary round-trips through
-    # json.loads with the same types it was printed with.
-    print(json.dumps(summary, indent=2))
+    # No default=str fallback and no NaN: every field is a JSON-native type
+    # by construction (build_run_summary), so the summary round-trips through
+    # any JSON parser with the same types it was printed with.
+    print(json.dumps(summary, indent=2, allow_nan=False))
     return 0
 
 
@@ -95,8 +95,8 @@ def build_run_summary(cluster: LiveCluster, *, workload_name: str,
                       driver: dict[str, object] | None = None) -> dict:
     """Typed, JSON-native run summary (what ``repro-cluster run`` prints).
 
-    Every leaf is an ``int``, ``float``, ``str`` or ``bool`` so the document
-    survives ``json.dumps``/``json.loads`` with types intact — no
+    Every leaf is an ``int``, ``float``, ``str``, ``bool`` or ``None`` so the
+    document survives ``json.dumps``/``json.loads`` with types intact — no
     ``default=`` coercion hiding a non-serialisable value.
     """
     summary = {

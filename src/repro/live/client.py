@@ -160,37 +160,30 @@ class LiveCertifierClient:
     """``CertifierService`` duck-type whose backend is the scheduler process."""
 
     def __init__(self, host: str, port: int, *, replica_name: str,
-                 attempt_timeout_s: float = 10.0, pipelined: bool = False,
+                 state_lock: threading.Lock, gate: CommitGate,
+                 attempt_timeout_s: float = 10.0,
                  fallbacks: tuple[tuple[str, int], ...] = ()) -> None:
+        """``state_lock`` is the replica-wide lock the calling worker holds
+        around every op — :meth:`certify` releases it while waiting on the
+        wire; ``gate`` orders re-entry so finalizations happen in
+        certification order (see :class:`CommitGate`)."""
         self.replica_name = replica_name
         self._client = WireClient(host, port, timeout=attempt_timeout_s,
                                   name=f"certifier-{replica_name}",
-                                  pipelined=pipelined, fallbacks=fallbacks)
+                                  pipelined=True, fallbacks=fallbacks)
         #: Set by the replica node around a client commit: the exactly-once
         #: transaction id that rides down with the next ``certify``.
         self.next_tx_id: str | None = None
-        self._state_lock: threading.Lock | None = None
-        self._gate: CommitGate | None = None
+        self._state_lock = state_lock
+        self._gate = gate
         #: Cumulative seconds commits spent waiting on the certify wire
-        #: round trip / on the finalization-order gate (concurrent mode).
+        #: round trip / on the finalization-order gate.
         self.wire_wait_s = 0.0
         self.gate_wait_s = 0.0
 
-    def enable_concurrent_commits(self, state_lock: threading.Lock,
-                                  gate: CommitGate) -> None:
-        """Let :meth:`certify` release the replica's state lock while waiting.
-
-        ``state_lock`` is the replica-wide lock the calling worker holds
-        around every op; ``gate`` orders re-entry so finalizations happen in
-        certification order (see :class:`CommitGate`).
-        """
-        self._state_lock = state_lock
-        self._gate = gate
-
     def finish_commit_ticket(self) -> None:
         """Release the calling thread's gate ticket (no-op without one)."""
-        if self._gate is not None:
-            self._gate.complete()
+        self._gate.complete()
 
     def wire_stats(self) -> dict[str, int]:
         return self._client.stats()
@@ -204,12 +197,9 @@ class LiveCertifierClient:
         # Retrying is safe: with a tx_id the scheduler's exactly-once table
         # answers duplicates from the record; without one the transaction
         # never left this process, so a resend is the first delivery.
-        if self._state_lock is None:
-            response = self._client.call_retrying("certify", **fields)
-            return codec.decode_result(response["result"])
-        # Concurrent-commit mode: drop the replica state lock for exactly the
-        # wire wait, so other workers run while this commit's certification
-        # round is in flight.  The gate ticket is taken inside the send
+        # The replica state lock is dropped for exactly the wire wait, so
+        # other workers run while this commit's certification round is in
+        # flight.  The gate ticket is taken inside the send
         # critical section (ticket order == send order == admission order),
         # and re-acquiring the state lock is deferred until every earlier
         # ticket has finalized — commit finalization happens in version order.

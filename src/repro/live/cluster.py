@@ -96,11 +96,9 @@ class LiveCluster:
                 "shards": self.config.certifier_shards,
                 "gc_headroom_versions": self.config.certifier_gc_headroom,
             },
-            # Live-backend concurrency knobs (pipelined RPC + group
-            # certification); with ``pipeline`` off every node falls back to
-            # the strict one-in-flight protocol.
+            # Live-backend concurrency knobs (group certification, replica
+            # worker pool) and the standby deployment shape.
             "live": {
-                "pipeline": self.config.live_pipeline,
                 "certify_batch_window_ms": self.config.live_certify_batch_window_ms,
                 "certify_batch_max": self.config.live_certify_batch_max,
                 "replica_workers": self.config.live_replica_workers,
@@ -205,8 +203,8 @@ class LiveCluster:
         replica ``i % num_replicas`` (the paper's client routing), running
         ``transactions_per_client`` transactions back to back.  Returns a
         summary with the commit rate and the fsync economics of the run —
-        ``fsyncs_per_commit`` below 1.0 is group certification at work: more
-        than one committed transaction shared each durable WAL write.
+        ``fsyncs_per_commit`` (``None`` when nothing committed) below 1.0 is
+        group certification: several commits shared each durable WAL write.
         """
         if not self._started:
             raise RuntimeError("cluster is not started")
@@ -221,15 +219,17 @@ class LiveCluster:
         before = self.scheduler_stats()
         results: list[dict | None] = [None] * clients
         failures: list[BaseException] = []
-        barrier = threading.Barrier(clients + 1)
+        started: list[float] = []  # stamped once, when the last client arrives
+        barrier = threading.Barrier(
+            clients, action=lambda: started.append(time.perf_counter()))
 
         def run_client(index: int) -> None:
-            replica = names[index % len(names)]
-            session = self.session(replica,
-                                   client_name=f"{client_prefix}-{index}")
+            session = None
             commits = aborts = in_doubt = 0
             rng = RandomStreams(seed + index)
             try:
+                session = self.session(names[index % len(names)],
+                                       client_name=f"{client_prefix}-{index}")
                 barrier.wait()
                 for sequence in range(transactions_per_client):
                     try:
@@ -248,23 +248,23 @@ class LiveCluster:
                         aborts += 1
             except BaseException as exc:  # noqa: BLE001 - reported to caller
                 failures.append(exc)
+                barrier.abort()  # nobody waits for a client that never starts
             finally:
                 results[index] = {"commits": commits, "aborts": aborts,
                                   "in_doubt": in_doubt}
-                session.close()
+                if session is not None:
+                    session.close()
 
         threads = [threading.Thread(target=run_client, args=(index,),
                                     name=f"{client_prefix}-{index}", daemon=True)
                    for index in range(clients)]
         for thread in threads:
             thread.start()
-        barrier.wait()
-        started = time.perf_counter()
         for thread in threads:
             thread.join()
-        elapsed = time.perf_counter() - started
         if failures:
             raise failures[0]
+        elapsed = time.perf_counter() - started[0]
         after = self.scheduler_stats()
         commits = sum(r["commits"] for r in results if r)
         aborts = sum(r["aborts"] for r in results if r)
@@ -279,7 +279,7 @@ class LiveCluster:
             "elapsed_s": elapsed,
             "certs_per_sec": commits / elapsed if elapsed > 0 else 0.0,
             "fsyncs": fsyncs,
-            "fsyncs_per_commit": fsyncs / commits if commits else float("nan"),
+            "fsyncs_per_commit": fsyncs / commits if commits else None,
             "scheduler_stats": after,
         }
 

@@ -51,8 +51,7 @@ class ReplicaRole(Role):
         host, port = parse_addr(args.scheduler)
         live = spec.get("live", {})
         self.name = args.name
-        self.pipeline = bool(live.get("pipeline", True))
-        self.workers = int(live.get("replica_workers", 8)) if self.pipeline else 1
+        self.workers = int(live.get("replica_workers", 8))
         self.wedge_before_commit_op = args.wedge_before_commit_op
         self.wedge_after_commit_op = args.wedge_after_commit_op
         self.commit_ops = 0
@@ -70,15 +69,13 @@ class ReplicaRole(Role):
         fallbacks: tuple[tuple[str, int], ...] = ()
         if args.scheduler_standby:
             fallbacks = (parse_addr(args.scheduler_standby),)
-        self.cert_client = LiveCertifierClient(host, port, replica_name=self.name,
-                                               pipelined=self.pipeline,
-                                               fallbacks=fallbacks)
         #: Replica-wide state lock: every op holds it; a commit releases it
         #: only while its certification round trip is in flight, so commits
         #: overlap on the wire while all local state stays single-threaded.
         self.lock = threading.Lock()
-        if self.pipeline:
-            self.cert_client.enable_concurrent_commits(self.lock, CommitGate())
+        self.cert_client = LiveCertifierClient(host, port, replica_name=self.name,
+                                               state_lock=self.lock, gate=CommitGate(),
+                                               fallbacks=fallbacks)
         self.executor = ThreadPoolExecutor(max_workers=self.workers,
                                            thread_name_prefix=f"{self.name}-worker")
         system = SystemKind(spec.get("system", "tashkent-mw"))
@@ -207,7 +204,6 @@ class ReplicaRole(Role):
     def stats(self, payload: dict):
         return {"stats": self.replica.stats_snapshot(),
                 "commit_ops": self.commit_ops,
-                "pipeline": self.pipeline,
                 "workers": self.workers,
                 "certifier_wire": self.cert_client.wire_stats(),
                 "commit_wire_wait_s": self.cert_client.wire_wait_s,

@@ -12,8 +12,7 @@ fate of its transaction without re-executing it.
 Concurrent ``certify`` requests are **admitted** in rounds on the event loop
 (:class:`_CertifyBatcher`) and each decision is **released** when the global
 durable frontier reaches its version; all other ops run on one service
-thread, and one service lock serialises the two.  With ``live.pipeline`` off
-a ``certify`` is a round of one — admitted, shipped and waited for.
+thread, and one service lock serialises the two.
 
 Fault points: ``--wedge-before-certify-round`` / ``--wedge-after-certify-round``
 freeze the node before the Nth round is admitted (nothing durable) or when
@@ -171,9 +170,8 @@ class SchedulerRole(Role):
             )
         #: Serialises the (not thread-safe) service between the event loop,
         #: which admits rounds and — reading the shards' acknowledgements —
-        #: advances the durable frontier and releases decisions, the service
-        #: thread (every other op) and, unpipelined, the WAL devices' reader
-        #: threads.
+        #: advances the durable frontier and releases decisions, and the
+        #: service thread (every other op).
         self.lock = self.service_lock = threading.RLock()
         self.shard_addrs = shards
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -207,7 +205,6 @@ class SchedulerRole(Role):
         self.wedge_before_certify_round = args.wedge_before_certify_round
         self.wedge_after_certify_round = args.wedge_after_certify_round
         self.certify_rounds = 0
-        self.pipeline = bool(live.get("pipeline", True))
         self.batch_window_ms = float(live.get("certify_batch_window_ms", 0.0))
         self.batch_max = int(live.get("certify_batch_max", 64))
         #: Certification-round size histogram (how many concurrent certifies
@@ -265,8 +262,8 @@ class SchedulerRole(Role):
         device = RemoteWalDevice(host, port, shard_id=shard_id, start_seq=start_seq,
                                  lock=self.service_lock, on_failure=self._stream_failed)
         if self._loop is not None:
-            # Pipelined: the event loop reads the acknowledgements itself, so
-            # admit → ack → release → response never leaves its thread.
+            # The event loop reads the acknowledgements itself, so admit →
+            # ack → release → response never leaves its thread.
             device.read_on(self._loop)
         return device
 
@@ -360,20 +357,10 @@ class SchedulerRole(Role):
         return self.last_promotion
 
     def start(self, loop: asyncio.AbstractEventLoop) -> None:
-        if self.pipeline:
-            self._batcher = _CertifyBatcher(self, loop)
-            self._loop = loop
-            for device in self.devices:
-                device.read_on(loop)
-
-    def certify_round_of_one(self, payload: dict):
-        """Unpipelined ``certify``: a round of one, waited for."""
-        released: list = []
-        (response,) = self.admit_round([payload], [released.append])
-        if response is None:
-            self.service.flush()  # the release runs before the wait returns
-            (response,) = released
-        return response
+        self._batcher = _CertifyBatcher(self, loop)
+        self._loop = loop
+        for device in self.devices:
+            device.read_on(loop)
 
     def state_transfer(self, payload: dict):
         if not self.replicated:
@@ -443,7 +430,6 @@ class SchedulerRole(Role):
             "duplicate_tx_hits": self.duplicate_tx_hits,
             "status_queries": self.status_queries,
             "wal_resent_batches": sum(d.resent_batches for d in self.devices),
-            "pipeline": self.pipeline,
             "replicated": self.replicated,
             "standby": self.standby,
             "promoted": self.promoted,
@@ -477,8 +463,7 @@ class SchedulerRole(Role):
         }
 
     ops = {
-        "certify": Op(lambda self, payload: self._batcher.submit(payload), ASYNC,
-                      unpipelined=certify_round_of_one),
+        "certify": Op(lambda self, payload: self._batcher.submit(payload), ASYNC),
         "state_transfer": Op(state_transfer, POOLED),
         "standby_status": Op(standby_status, POOLED, standby=True),
         "promote": Op(promote, POOLED, standby=True),

@@ -15,10 +15,6 @@ Op(handler, placement, standby)``; where a frame's handler runs is decided here:
 ``BATCH``   a frame carrying a list of statements under ``ops``: pooled when
             any statement's own entry is, inline otherwise.
 
-With ``live.pipeline`` off nothing leaves the loop thread — every non-ASYNC
-handler runs inline and an entry's ``unpipelined`` handler replaces its ASYNC
-one: the strict one-in-flight protocol the live sweep uses as its baseline.
-
 Framing and ``rid`` multiplexing are :mod:`repro.live.wire`'s; the readiness
 handshake line on stdout is :mod:`repro.live.harness`'s.
 """
@@ -52,8 +48,6 @@ class Op(NamedTuple):
     placement: str = INLINE
     #: Answered by a standby scheduler before its promotion (control plane).
     standby: bool = False
-    #: With ``live.pipeline`` off, runs inline in place of an ASYNC handler.
-    unpipelined: Callable[[Any, dict], Any] | None = None
 
 
 class ServerStats:
@@ -79,7 +73,6 @@ class Role:
     around every INLINE and POOLED handler, the ``executor`` POOLED handlers
     run on, and ``describe()`` — its fields of the readiness handshake."""
 
-    pipeline = True
     promoted = True  # only a standby scheduler is ever not
 
     def __init__(self) -> None:
@@ -136,11 +129,6 @@ def lookup(role: Role, op: str) -> Op:
 def _plan(role: Role, op: str, payload: dict) -> tuple[Callable, str]:
     """``(handler, placement)`` for one frame."""
     entry = lookup(role, op)
-    if not role.pipeline:
-        if entry.unpipelined is not None:
-            return entry.unpipelined, INLINE
-        if entry.placement is not ASYNC:
-            return entry.handler, INLINE
     if entry.placement is BATCH:
         statements = (role.ops.get(s.get("op")) for s in payload.get("ops", ()))
         pooled = any(s is not None and s.placement is POOLED for s in statements)

@@ -12,10 +12,11 @@ Two consumers share the format:
 
 * the asyncio node server (:mod:`repro.live.server`, one per node whatever
   its role) uses :func:`read_frame` / :func:`encode_frame` on its streams;
-* the synchronous callers — the test driver's :class:`~repro.live.client.
-  LiveSession`, the replica's in-process certifier client, and the
-  scheduler's remote WAL device — use :class:`WireClient`, a blocking
-  socket with the same framing plus reconnect/retry helpers.
+* the synchronous callers use :class:`WireClient`, a blocking socket with
+  the same framing plus reconnect/retry helpers — one commit-path caller per
+  calling convention: the driver's :class:`~repro.live.client.LiveSession`
+  (sequential ``call``), the replica's certifier client (pipelined ``call``)
+  and the scheduler's remote WAL device (``post`` + ``read_on``).
 
 Multiplexing: a request may carry a ``rid`` (request id, unique per
 connection); the response echoes it, which lets one connection carry many
@@ -25,8 +26,7 @@ the server answers them in arrival order before reading the next frame, so
 a frame read after a write is always the answer to that write.  The
 :class:`WireClient` uses ``rid``s only in ``pipelined`` mode (a background
 reader thread demultiplexes responses to the waiting caller threads);
-plain clients never send one and stay byte-compatible with the original
-protocol.
+plain clients never send one.
 """
 
 from __future__ import annotations

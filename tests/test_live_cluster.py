@@ -11,10 +11,15 @@ what these tests exist to catch.
 
 from __future__ import annotations
 
+import json
+import threading
+
 import pytest
 
 from repro.core.config import ReplicationConfig, SystemKind
+from repro.errors import ConfigurationError
 from repro.live.cluster import LiveCluster
+from repro.live.wire import ConnectionLost
 from repro.middleware.systems import build_replicated_system
 from repro.sim.rng import RandomStreams
 from repro.workloads import workload_by_name
@@ -230,12 +235,47 @@ def test_hot_row_write_write_block_aborts_no_wait(tmp_path):
             second.close()
 
 
-def test_cli_run_summary_round_trips_typed(tmp_path, capsys):
+def test_serialized_mode_is_rejected_and_absent_from_the_cluster_spec(tmp_path):
+    with pytest.raises(ConfigurationError, match="serialized live mode was removed"):
+        ReplicationConfig(live_pipeline=False)
+    cluster = LiveCluster(ReplicationConfig(), run_dir=tmp_path)
+    cluster._write_spec()  # boots nothing
+    assert "pipeline" not in json.loads(cluster.spec_path.read_text())["live"]
+
+
+def test_run_workload_raises_when_a_client_cannot_open_its_session(tmp_path):
+    """A refused dial used to kill that client's thread ahead of the start
+    barrier, leaving every other party — the caller included — waiting on it
+    forever.  Run under a short watchdog: the failure mode is a hang."""
+    config = ReplicationConfig(system=SystemKind.TASHKENT_MW, num_replicas=2,
+                               certifier_shards=1, rng_seed=SEED)
+    workload = workload_by_name("allupdates", num_replicas=2)
+    with LiveCluster(config, workload.schemas(), run_dir=tmp_path,
+                     keep_dir=True) as cluster:
+        cluster.load_initial_data(workload)
+        cluster.kill_replica("replica-1")
+        threads_before = set(threading.enumerate())
+        raised: list[BaseException] = []
+
+        def attempt() -> None:
+            try:
+                cluster.run_workload(workload, clients=2, transactions_per_client=2)
+            except BaseException as exc:  # noqa: BLE001 - handed to the asserts
+                raised.append(exc)
+
+        caller = threading.Thread(target=attempt, daemon=True)
+        caller.start()
+        caller.join(timeout=15.0)
+        assert not caller.is_alive(), "run_workload is stuck on its start barrier"
+        (error,) = raised
+        assert isinstance(error, ConnectionLost) and "open_session" in str(error)
+        assert set(threading.enumerate()) == threads_before  # no client left behind
+
+
+def test_cli_run_summary_round_trips_typed(tmp_path, capsys, monkeypatch):
     """``repro-cluster run`` prints a summary that survives json.loads with
     native types — no ``default=str`` coercion hiding a non-serialisable
     value (the bug this guards against printed ints as strings)."""
-    import json
-
     from repro.live import cli
 
     assert cli.main(["run", "--workload", "allupdates", "--replicas", "2",
@@ -260,3 +300,23 @@ def test_cli_run_summary_round_trips_typed(tmp_path, capsys):
     assert isinstance(driver["fsyncs_per_commit"], float)
     # Bit-for-bit stable through a dump/load cycle: every leaf JSON-native.
     assert json.loads(json.dumps(summary)) == summary
+
+    # Nothing commits: fsyncs per commit is undefined — ``null``, never the
+    # ``NaN`` literal strict JSON parsers reject.
+    def build_idle_workload(*args, **kwargs):
+        workload = workload_by_name(*args, **kwargs)
+        workload.run_transaction = lambda *a, **k: False
+        return workload
+
+    monkeypatch.setattr(cli, "workload_by_name", build_idle_workload)
+    assert cli.main(["run", "--workload", "allupdates", "--replicas", "2",
+                     "--transactions", "4", "--clients", "2",
+                     "--run-dir", str(tmp_path / "idle")]) == 0
+    out = capsys.readouterr().out
+
+    def no_constants(literal):
+        raise AssertionError(f"non-JSON literal {literal} in the summary")
+
+    idle = json.loads(out[out.index("{"):], parse_constant=no_constants)
+    assert idle["committed"] == 0 and idle["aborted"] == 4
+    assert idle["driver"] == {"clients": 2, "certs_per_sec": 0.0, "fsyncs_per_commit": None}

@@ -21,6 +21,7 @@ thing an admitted round produces becomes visible:
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
@@ -30,7 +31,7 @@ from repro.core.certification import CertificationRequest
 from repro.core.writeset import make_writeset
 from repro.live import codec
 from repro.live.node import build_parser
-from repro.live.scheduler import SchedulerRole
+from repro.live.scheduler import SchedulerRole, _CertifyBatcher
 from repro.live.server import WEDGE, call
 from repro.live.wire import RemoteCallError
 
@@ -210,12 +211,27 @@ def test_a_refused_batch_fails_held_decisions_and_later_rounds_loudly(tmp_path):
         server.stop()
 
 
-def test_unpipelined_certify_ships_and_waits(tmp_path):
-    role, (device,) = make_role(tmp_path, shards=1, pipeline=False)
-    device.manual = False  # acknowledges when waited for, like a live shard
-    response = call(role, "certify", certify_payload(role, "tx-1", [1]))
-    assert response["result"]["tx_commit_version"] == 1
-    assert device.sync_count == 1 and status(role, "tx-1")["committed"]
+def test_batcher_cuts_parked_requests_into_rounds_of_at_most_certify_batch_max(tmp_path):
+    role, (device,) = make_role(tmp_path, shards=1, certify_batch_max=8)
+    payloads = [certify_payload(role, f"tx-{index}", [index]) for index in range(20)]
+
+    async def scenario() -> list[dict]:
+        batcher = _CertifyBatcher(role, asyncio.get_running_loop())
+        try:
+            # All 20 park before the flusher first runs: one backlog to cut.
+            parked = [asyncio.ensure_future(batcher.submit(p)) for p in payloads]
+            while not all(future.done() for future in parked):
+                await asyncio.sleep(0)
+                if device.in_flight:
+                    device.ack()
+            return [future.result() for future in parked]
+        finally:
+            batcher._task.cancel()
+
+    responses = asyncio.run(asyncio.wait_for(scenario(), 10.0))
+    assert sorted(r["result"]["tx_commit_version"] for r in responses) == list(range(1, 21))
+    assert role.batch_stats.batch_size_histogram == {8: 2, 4: 1}
+    assert role.batch_stats.largest_batch == 8 and role.certify_rounds == 3
 
 
 @pytest.mark.parametrize("flag, wedged_at_admit", [

@@ -11,8 +11,8 @@ spoken to over a localhost socket.
   ``tools/check_docs.py`` holds to the same tables);
 * for **every** scheduler op: an unpromoted standby answers it iff its table
   entry says so, and otherwise refuses with the retryable ``NotPromoted``;
-* the three placements (and the serialized mode that collapses them) run a
-  handler where the table says, with or without the role's lock;
+* the placements run a handler where the table says, with or without the
+  role's lock;
 * the request boundary: an unknown op and a frame whose ``rid`` is not an
   integer are answered with an error envelope on the still-open connection;
 * ``close_session`` aborts a transaction its session left open;
@@ -108,9 +108,8 @@ def test_op_table_matches_its_golden(role_name):
     assert {op: (entry.placement, entry.standby) for op, entry in table.items()} \
         == GOLDEN[role_name]
     assert role.role_name == role_name
-    # Only the scheduler's certify has a serialized-mode stand-in.
-    assert [op for op, entry in table.items() if entry.unpipelined is not None] \
-        == (["certify"] if role_name == "scheduler" else [])
+    # A placement means one thing: no per-mode stand-in rides in the row.
+    assert Op._fields == ("handler", "placement", "standby")
 
 
 # -- the standby column -----------------------------------------------------------
@@ -150,7 +149,7 @@ def test_standby_control_plane_is_answered_and_data_plane_refused_end_to_end(sta
     for op in ("system_version", "commit_status", "hello_replica"):
         with pytest.raises(RemoteCallError, match="standby not promoted"):
             call(standby, op, {"tx_id": "t", "replica": "r"})
-    # The refusal happens at the server, pipelined certify included.
+    # The refusal happens at the server, the ASYNC certify included.
     with pytest.raises(RemoteCallError) as refusal:
         asyncio.run(dispatch(standby, "certify", {}))
     assert refusal.value.error_type == "NotPromoted"
@@ -164,9 +163,8 @@ class Probe(Role):
 
     role_name = "probe"
 
-    def __init__(self, pipeline: bool) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.pipeline = pipeline
         self.lock = threading.Lock()
         self.executor = ThreadPoolExecutor(1, thread_name_prefix="probe-pool")
 
@@ -181,7 +179,6 @@ class Probe(Role):
         "inline": Op(where),
         "pooled": Op(where, POOLED),
         "parked": Op(parked, ASYNC),
-        "parked_or_serial": Op(parked, ASYNC, unpipelined=where),
         "batch": Op(where, BATCH),
         "silent": Op(lambda self, payload: None),
     }
@@ -201,27 +198,14 @@ def test_pipelined_placements_run_where_the_table_says():
     loop_thread = threading.current_thread().name
     on_loop = {"thread": loop_thread, "locked": True}
     on_pool = {"thread": "probe-pool", "locked": True}
-    answers = run_on_loop(Probe(pipeline=True), [
-        ("inline", {}), ("pooled", {}), ("parked", {}), ("parked_or_serial", {}),
+    answers = run_on_loop(Probe(), [
+        ("inline", {}), ("pooled", {}), ("parked", {}),
         ("batch", {"ops": [{"op": "inline"}, {"op": "inline"}]}),
         ("batch", {"ops": [{"op": "inline"}, {"op": "pooled"}]}),
         ("batch", {"ops": [{"op": "no-such-op"}]}),
     ])
     unlocked = {"thread": loop_thread, "locked": False, "awaited": True}
-    assert answers == [on_loop, on_pool, unlocked, unlocked, on_loop, on_pool, on_loop]
-
-
-def test_serialized_mode_keeps_every_handler_it_can_on_the_loop():
-    loop_thread = threading.current_thread().name
-    on_loop = {"thread": loop_thread, "locked": True}
-    answers = run_on_loop(Probe(pipeline=False), [
-        ("inline", {}), ("pooled", {}), ("parked", {}), ("parked_or_serial", {}),
-        ("batch", {"ops": [{"op": "pooled"}]}),
-    ])
-    # An ASYNC entry with no stand-in is still awaited (the shard's log writer).
-    assert answers == [on_loop, on_loop,
-                       {"thread": loop_thread, "locked": False, "awaited": True},
-                       on_loop, on_loop]
+    assert answers == [on_loop, on_pool, unlocked, on_loop, on_pool, on_loop]
 
 
 # -- the request boundary, over a socket ------------------------------------------
@@ -277,7 +261,7 @@ def test_bad_requests_are_answered_on_the_still_open_connection(shard):
 
 
 def test_a_handler_with_nothing_to_say_answers_bare_ok():
-    role = Probe(pipeline=True)
+    role = Probe()
     try:
         assert converse(role, [{"op": "silent"}, {"op": "silent", "rid": 1}]) \
             == [{"ok": True}, {"ok": True, "rid": 1}]

@@ -57,15 +57,6 @@ class Guard:
     #: counts per window shift with the runner), so they only guard against
     #: catastrophic regressions — e.g. losing the index or the batching.
     tolerance: float | None = None
-    #: Absolute bound on the fresh value, independent of the committed
-    #: baseline: the minimum for ``higher``-is-better metrics, the maximum
-    #: for ``lower``.  Encodes acceptance criteria (e.g. "group
-    #: certification must stay ≥3x the serialized baseline") that must hold
-    #: even when the baseline itself is re-calibrated.
-    absolute: float | None = None
-    #: When set, the guard applies only to the row with this exact key
-    #: (matching ``key_fields``) instead of every row in the file.
-    only_key: tuple | None = None
 
 
 GUARDS: tuple[Guard, ...] = (
@@ -121,54 +112,6 @@ GUARDS: tuple[Guard, ...] = (
           ("history",), "read_speedup", "higher", tolerance=0.6),
     Guard("BENCH_mvcc_vacuum.json", "layout",
           ("chain_length",), "install_speedup", "higher", tolerance=0.6),
-    # Live multi-process backend: pure wall-clock on real subprocesses and
-    # sockets, so the guards are the loosest of all — they exist to catch an
-    # order-of-magnitude collapse (a lost batch path, per-call reconnects, a
-    # sleep on the commit hot path), not runner-speed drift.
-    Guard("BENCH_live.json", "results",
-          ("metric",), "value", "higher", tolerance=0.9),
-    # Live sweep: the group-certification acceptance point.  The speedup and
-    # fsync ratios divide out runner speed (both modes run on the same host
-    # under the same emulated-disk floor), so they carry absolute bounds:
-    # batched must stay ≥3x the single-in-flight baseline at 16 clients, and
-    # more than one committed transaction must share each WAL fsync.  The
-    # raw certs/sec rows get only the loosest collapse guard.
-    Guard("BENCH_live_sweep.json", "summary",
-          ("metric",), "value", "higher", tolerance=0.5, absolute=3.0,
-          only_key=("speedup_batched_vs_serialized_16_clients",)),
-    Guard("BENCH_live_sweep.json", "summary",
-          ("metric",), "value", "lower", tolerance=0.5, absolute=0.99,
-          only_key=("batched_fsyncs_per_commit_16_clients",)),
-    Guard("BENCH_live_sweep.json", "summary",
-          ("metric",), "value", "higher", tolerance=0.5,
-          only_key=("speedup_batched_vs_serialized_4_clients",)),
-    # The shard's log writer must keep the 8 ms disk busy under 16 clients —
-    # measured on its own clock (0.82 when every group waited for the
-    # previous acknowledgement to cross the wire; ~0.97 with the writer
-    # beside the log).
-    Guard("BENCH_live_sweep.json", "summary",
-          ("metric",), "value", "higher", tolerance=0.5, absolute=0.9,
-          only_key=("batched_device_busy_share_16_clients",)),
-    # Two live shards vs one, same host, same floor: a round's shard flushes
-    # must overlap (back-to-back fsyncs measured 0.55; overlapped ~1).
-    Guard("BENCH_live_sweep.json", "summary",
-          ("metric",), "value", "higher", tolerance=0.5, absolute=0.8,
-          only_key=("shards2_vs_shards1_certs_ratio",)),
-    # Scheduler failover: kill -9 the primary, promote the standby, commit
-    # again.  Wall-clock on subprocess choreography, so the relative guard
-    # is the loosest; the absolute ceiling is the acceptance criterion (a
-    # sub-5s window covers WAL rebuild + device swap + client re-dial even
-    # on a slow runner — regressions that serialize on a retry backoff or
-    # re-read full WALs per shard blow well past it).
-    Guard("BENCH_live_sweep.json", "summary",
-          ("metric",), "value", "lower", tolerance=0.9, absolute=5000.0,
-          only_key=("live_failover_window_ms",)),
-    Guard("BENCH_live_sweep.json", "results",
-          ("mode", "clients", "shards", "window_ms", "batch_max",
-           "fsync_floor_ms"), "certs_per_sec", "higher", tolerance=0.9),
-    Guard("BENCH_live_sweep.json", "results",
-          ("mode", "clients", "shards", "window_ms", "batch_max",
-           "fsync_floor_ms"), "fsyncs_per_commit", "lower", tolerance=0.5),
 )
 
 
@@ -193,39 +136,7 @@ def load_committed(name: str) -> dict | None:
 
 def rows_by_key(payload: dict, guard: Guard) -> dict[tuple, dict]:
     rows = payload.get(guard.rows_key, [])
-    keyed = {tuple(row[k] for k in guard.key_fields): row for row in rows}
-    if guard.only_key is not None:
-        keyed = {key: row for key, row in keyed.items() if key == guard.only_key}
-    return keyed
-
-
-def check_absolute(guard: Guard, fresh_rows: dict[tuple, dict]) -> list[str]:
-    """Absolute acceptance bounds, independent of any committed baseline."""
-    if guard.absolute is None:
-        return []
-    errors: list[str] = []
-    if guard.only_key is not None and guard.only_key not in fresh_rows:
-        errors.append(
-            f"{guard.file}: row {guard.only_key} carries an absolute bound "
-            f"but is missing from the fresh run"
-        )
-    for key, row in fresh_rows.items():
-        value = row.get(guard.metric)
-        if value is None:
-            continue
-        value = float(value)
-        if guard.direction == "higher":
-            violated = value < guard.absolute
-            bound = f">= {guard.absolute:g}"
-        else:
-            violated = value > guard.absolute
-            bound = f"<= {guard.absolute:g}"
-        if violated:
-            errors.append(
-                f"{guard.file}: {guard.metric}{key} = {value:g} violates the "
-                f"absolute acceptance bound {bound}"
-            )
-    return errors
+    return {tuple(row[k] for k in guard.key_fields): row for row in rows}
 
 
 def check_guard(guard: Guard, default_tolerance: float) -> list[str]:
@@ -235,10 +146,10 @@ def check_guard(guard: Guard, default_tolerance: float) -> list[str]:
     if fresh_payload is None:
         return [f"{guard.file}: fresh file missing (benchmarks not run?)"]
     fresh_rows = rows_by_key(fresh_payload, guard)
-    errors = check_absolute(guard, fresh_rows)
+    errors: list[str] = []
     if committed_payload is None:
         # A brand-new benchmark file has no baseline yet; it becomes one at
-        # the commit that introduces it (absolute bounds still apply above).
+        # the commit that introduces it.
         return errors
     for key, committed_row in rows_by_key(committed_payload, guard).items():
         if committed_row.get(guard.metric) is None:

@@ -7,7 +7,9 @@ performance claim — so a renamed stats key or a changed WAL line would
 otherwise surface only in the benchmark pipeline.  This runs the command
 ``BENCHMARK.json`` declares, untraced and traced, and fails on ``correct:
 false``, on a failed operation, or on a declared metric missing from the
-result (standard library only).
+result (standard library only).  The runs also carry the live backend's
+shape guards (:data:`SHAPE_GUARDS`), which is why every invocation adds one
+untraced ``tpcb_2shard_fsync8`` run.
 
 Run as:  python tools/check_bench_run.py --workload allupdates_fsync8 --seed 7 --seconds 3
 """
@@ -16,11 +18,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import subprocess
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: (workload, trace) -> (metric, relation, bound) the run must satisfy.
+SHAPE_GUARDS = {
+    # Group commit amortizes: several commits share each shard fsync (0.50).
+    ("allupdates_fsync8", 0): ("fsyncs_per_commit", "<", 1.0),
+    # The log writer sits beside the log and keeps the 8 ms disk busy
+    # (~0.95; 0.82 while every group waited for the previous ack's wire hop).
+    ("allupdates_fsync8", 1): ("live.wal.device_busy_share", ">=", 0.9),
+    # A round's shard flushes overlap: a 2-shard commit stays under three
+    # 8 ms floors (16.3 ms; 36.3 while the flushes ran back to back).
+    ("tpcb_2shard_fsync8", 0): ("update_p50_ms", "<", 24.0),
+}
+RELATIONS = {"<": operator.lt, ">=": operator.ge}
 
 
 def check(spec: dict, workload: str, seed: int, seconds: float, trace: int) -> list[str]:
@@ -40,6 +56,12 @@ def check(spec: dict, workload: str, seed: int, seconds: float, trace: int) -> l
     missing = [m["name"] for m in declared if m["name"] not in result["metrics"]]
     if missing:
         problems.append(f"{label} metrics missing from the result: {missing}")
+    guard = SHAPE_GUARDS.get((workload, trace))
+    if guard is not None and guard[0] in result["metrics"]:  # missing: reported above
+        metric, relation, bound = guard
+        value = result["metrics"][metric]["value"]
+        if not RELATIONS[relation](value, bound):
+            problems.append(f"{label} {metric} = {value:g}, must be {relation} {bound:g}")
     return problems
 
 
@@ -50,12 +72,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=3.0)
     args = parser.parse_args(argv)
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
-    problems = [problem for trace in (0, 1)
-                for problem in check(spec, args.workload, args.seed, args.seconds, trace)]
+    # In order, and once each when --workload is the 2-shard one itself.
+    runs = dict.fromkeys([(args.workload, 0), (args.workload, 1), ("tpcb_2shard_fsync8", 0)])
+    problems = [problem for workload, trace in runs
+                for problem in check(spec, workload, args.seed, args.seconds, trace)]
     for problem in problems:
         print(f"FAIL {problem}")
     if not problems:
-        print(f"check_bench_run: OK — {args.workload} ran correct, untraced and traced")
+        print(f"check_bench_run: OK — {args.workload} ran correct, untraced and traced, "
+              "and the shape guards hold")
     return 1 if problems else 0
 
 
