@@ -28,11 +28,16 @@ The paper's own memoization ("the certifier records for each writeset the
 point to where it has been certified and avoids repeated checks",
 Section 5.2.1) is kept on top of the index via ``certified_back_to``.
 
+The replica proxy keeps its ``proxy_log`` — the writesets it has applied,
+consulted by eager pre-certification and local certification — in this same
+class, so there is one index and one pruning routine in the tree.
+
 ========================  =======================  =====================
 operation                 linear scan (seed)       indexed (this module)
 ========================  =======================  =====================
 ``conflicts``             O(window × |ws|)         O(|ws| × log k)
 ``first_conflicting``     O(window × |ws|)         O(|ws| × log k)
+``first_writer``          O(window)                O(log k)
 ``extend_certification``  O(window × |ws|)         O(|ws| × log k)
 ``append``                O(1)                     O(|ws|)
 ``prune_to`` (GC)         —                        O(pruned records)
@@ -148,7 +153,7 @@ class CertifierLog:
 
     def append(self, record: LogRecord) -> None:
         """Append a record; its commit version must be the next in sequence."""
-        expected = self.last_version + 1
+        expected = self._base_version + len(self._records) + 1
         if record.commit_version != expected:
             raise ConfigurationError(
                 f"log append out of order: expected version {expected}, "
@@ -277,11 +282,36 @@ class CertifierLog:
             return self._base_version
         if self.mode == MODE_SCAN:
             return self._scan_first_conflicting_version(writeset, after_version)
-        indexed = self._indexed_first_conflicting_version(writeset, after_version)
+        indexed = self._indexed_first_writer(writeset.iter_item_ids(), after_version)
         if self.mode == MODE_VERIFY:
             scanned = self._scan_first_conflicting_version(writeset, after_version)
             assert indexed == scanned, (
                 f"index/scan divergence: first_conflicting({after_version}) "
+                f"indexed={indexed} scan={scanned}"
+            )
+        return indexed
+
+    def first_writer_version(self, table: str, key: object,
+                             after_version: int) -> int | None:
+        """Commit version of the earliest record after ``after_version`` that
+        wrote the row ``(table, key)``, or ``None``.
+
+        The single-item form of :meth:`first_conflicting_version` — one dict
+        probe plus one bisect — used by the replica proxy's eager
+        pre-certification, which checks each write as it is issued, before
+        there is a writeset.  Same conservative answer below the GC horizon.
+        """
+        if after_version >= self.last_version:
+            return None
+        if after_version < self._base_version:
+            return self._base_version
+        if self.mode == MODE_SCAN:
+            return self._scan_first_writer(table, key, after_version)
+        indexed = self._indexed_first_writer(((table, key),), after_version)
+        if self.mode == MODE_VERIFY:
+            scanned = self._scan_first_writer(table, key, after_version)
+            assert indexed == scanned, (
+                f"index/scan divergence: first_writer({(table, key)!r}, {after_version}) "
                 f"indexed={indexed} scan={scanned}"
             )
         return indexed
@@ -297,11 +327,12 @@ class CertifierLog:
                 return True
         return False
 
-    def _indexed_first_conflicting_version(self, writeset: WriteSet,
-                                           after_version: int) -> int | None:
+    def _indexed_first_writer(self, item_ids: Iterable[tuple[str, object]],
+                              after_version: int) -> int | None:
+        """Earliest indexed writer of any of ``item_ids`` after ``after_version``."""
         index = self._item_versions
         earliest: int | None = None
-        for item_id in writeset.iter_item_ids():
+        for item_id in item_ids:
             versions = index.get(item_id)
             if not versions:
                 continue
@@ -322,6 +353,13 @@ class CertifierLog:
                                         after_version: int) -> int | None:
         for record in self.records_after(after_version):
             if writeset.conflicts_with(record.writeset):
+                return record.commit_version
+        return None
+
+    def _scan_first_writer(self, table: str, key: object,
+                           after_version: int) -> int | None:
+        for record in self.records_after(after_version):
+            if record.writeset.touches(table, key):
                 return record.commit_version
         return None
 

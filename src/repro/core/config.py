@@ -218,8 +218,11 @@ class ReplicationConfig:
     #: Cadence of the background maintenance janitor (milliseconds between
     #: runs).  Each run vacuums replica version chains down to the
     #: certifier's replica low-water mark and drives certifier GC/compaction.
-    #: ``None`` (the default) disables the janitor — the seed behaviour,
-    #: where vacuum only happens when called explicitly.
+    #: ``None`` (the default) disables the janitor.  Functional and live
+    #: replicas are vacuumed regardless: the proxy's commit path runs a
+    #: budgeted pass every ``MAINTENANCE_INTERVAL_VERSIONS`` applied versions
+    #: (``TransparentProxy.maintain``); the janitor adds a wall-clock cadence
+    #: for idle replicas, the sim's modeled maintenance cost, and certifier GC.
     vacuum_interval_ms: float | None = None
     #: Row-visit budget of one incremental vacuum pass (the janitor's
     #: batching knob; bounds the pause a maintenance pass can inflict).

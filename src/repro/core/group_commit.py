@@ -25,7 +25,7 @@ implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generic, Iterable, TypeVar
+from typing import Callable, Generic, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -103,6 +103,13 @@ class GroupCommitBatcher(Generic[T]):
     def enqueue_many(self, records: Iterable[T]) -> None:
         for record in records:
             self.enqueue(record)
+
+    def drop_pending(self, unwanted: Callable[[T], bool]) -> int:
+        """Remove queued records nobody will flush; returns how many went."""
+        kept = [record for record in self._pending if not unwanted(record)]
+        dropped = len(self._pending) - len(kept)
+        self._pending = kept
+        return dropped
 
     # -- log-writer side -----------------------------------------------------
 

@@ -48,6 +48,10 @@ class EngineTransaction:
         self.requested_commit_sequence: int | None = None
         self._writes: dict[tuple[str, object], _BufferedWrite] = {}
         self._write_order: list[WriteItem] = []
+        #: The extracted writeset, until the next buffered write: the proxy
+        #: extracts at [C1] and the engine's commit must not build a second
+        #: copy of the same thing.
+        self._writeset: WriteSet | None = None
         self.reads: int = 0
         self.abort_reason: str | None = None
 
@@ -77,6 +81,7 @@ class EngineTransaction:
         hot apply path can hand over committed writeset values without cloning.
         """
         self._require_active()
+        self._writeset = None
         write = _BufferedWrite(op=WriteOp.INSERT, values=values)
         self._writes[(table, key)] = write
         item = WriteItem(table=table, key=key, op=WriteOp.INSERT, values=values)
@@ -86,6 +91,7 @@ class EngineTransaction:
     def buffer_update(self, table: str, key: object, values: Mapping[str, object]) -> WriteItem:
         """Buffer an update (same by-reference ownership as :meth:`buffer_insert`)."""
         self._require_active()
+        self._writeset = None
         existing = self._writes.get((table, key))
         if existing is not None and not existing.deleted:
             merged = dict(existing.values)
@@ -105,6 +111,7 @@ class EngineTransaction:
 
     def buffer_delete(self, table: str, key: object) -> WriteItem:
         self._require_active()
+        self._writeset = None
         self._writes[(table, key)] = _BufferedWrite(op=WriteOp.DELETE, deleted=True)
         item = WriteItem(table=table, key=key, op=WriteOp.DELETE)
         self._write_order.append(item)
@@ -137,8 +144,11 @@ class EngineTransaction:
         Collapses multiple writes to the same row into the final effect, in
         first-touch order, which is what the trigger-based extraction in the
         paper produces (new row for INSERT, primary key plus modified columns
-        for UPDATE, primary key for DELETE).
+        for UPDATE, primary key for DELETE).  Extracted once: repeated calls
+        return the same object until another write is buffered.
         """
+        if self._writeset is not None:
+            return self._writeset
         writeset = WriteSet()
         seen: set[tuple[str, object]] = set()
         for item in self._write_order:
@@ -158,6 +168,7 @@ class EngineTransaction:
                         values=final.values,
                     )
                 )
+        self._writeset = writeset
         return writeset
 
     def written_items(self) -> frozenset[tuple[str, object]]:

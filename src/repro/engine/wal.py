@@ -85,13 +85,11 @@ class WalStats:
     records_appended: int = 0
     synchronous_commits: int = 0
     asynchronous_commits: int = 0
+    #: Records dropped from memory by :meth:`WriteAheadLog.discard_through`.
+    records_discarded: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "records_appended": self.records_appended,
-            "synchronous_commits": self.synchronous_commits,
-            "asynchronous_commits": self.asynchronous_commits,
-        }
+        return dict(self.__dict__)
 
 
 class WriteAheadLog:
@@ -184,6 +182,11 @@ class WriteAheadLog:
     def pending_count(self) -> int:
         return self._batcher.pending_count
 
+    @property
+    def retained_count(self) -> int:
+        """Records currently held in memory (durable and pending)."""
+        return len(self._records)
+
     def last_durable_version(self) -> int:
         """Highest commit version among durable records (0 when none)."""
         durable = self.durable_records
@@ -198,6 +201,29 @@ class WriteAheadLog:
         # Reset the batcher: anything pending is gone.
         self._batcher = GroupCommitBatcher()
         return lost
+
+    def discard_through(self, version: int) -> int:
+        """Forget every retained record at or below ``version``.
+
+        For a log nobody will recover from: a Tashkent-MW replica runs with
+        synchronous commit off, "its contents cannot be trusted" (Section 7),
+        and it is rebuilt from a checkpoint plus the certifier's log — so the
+        records it keeps, flushed or still queued, only pin their writesets.
+        The append and commit counters keep counting.  Returns the number of
+        records dropped.
+        """
+        def stale(record: WalRecord) -> bool:
+            return record.commit_version <= version
+
+        durable = [r for r in self._records[: self._durable_count] if not stale(r)]
+        pending = [r for r in self._records[self._durable_count:] if not stale(r)]
+        dropped = len(self._records) - len(durable) - len(pending)
+        if dropped:
+            self._records = durable + pending
+            self._durable_count = len(durable)
+            self._batcher.drop_pending(stale)
+            self.stats.records_discarded += dropped
+        return dropped
 
     def checkpoint(self, commit_version: int) -> None:
         """Write a checkpoint marker (always synchronous)."""

@@ -16,7 +16,10 @@ examples' main loops) or by a simulation process in the cluster model.  The
 
 The cadence (``vacuum_interval_ms``) and batch size are the sweepable knobs
 of :class:`~repro.core.config.ReplicationConfig`; the janitor is off by
-default (``vacuum_interval_ms=None``), which is the seed behaviour.
+default (``vacuum_interval_ms=None``).  A replica behind a proxy does not
+depend on it: ``TransparentProxy.maintain`` runs the same budgeted
+``Database.vacuum`` pass from the commit path, so the janitor's part there is
+the wall-clock cadence (a replica that applies nothing) and certifier GC.
 """
 
 from __future__ import annotations

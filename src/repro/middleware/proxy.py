@@ -4,7 +4,11 @@ A proxy sits in front of every database replica, "appears as the database to
 clients, and appears as a client to the database" (paper, Section 4.1).  It
 tracks ``replica_version``, keeps a small amount of state per active
 transaction, invokes certification at commit, applies remote writesets, and
-enforces the global commit order at the replica.
+enforces the global commit order at the replica.  The state it keeps is
+bounded: the writesets it remembers for local certification live in an
+indexed log trimmed at the oldest active snapshot, and a maintenance step
+amortized over the commit path (:meth:`TransparentProxy.maintain`) keeps the
+replica's version chains and local WAL tail O(window) as well.
 
 The three system variants differ only in how step [C4]/[C5] of the paper's
 pseudo-code is executed:
@@ -21,17 +25,48 @@ pseudo-code is executed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Protocol
 
 from repro.core.artificial_conflicts import ArtificialConflictDetector, SubmissionPlan
 from repro.core.certification import CertificationRequest, CertificationResult, RemoteWriteSetInfo
+from repro.core.certifier_log import CertifierLog, LogRecord
 from repro.core.config import SystemKind
 from repro.core.versions import TransactionVersions, VersionClock
-from repro.core.writeset import WriteSet
+from repro.core.writeset import WriteOp, WriteSet
 from repro.engine.database import Database
 from repro.engine.transaction import EngineTransaction, TransactionStatus
 from repro.errors import CertificationAborted, InvalidTransactionState, TransactionAborted
-from repro.middleware.certifier import CertifierService
+
+#: Versions a replica applies between two :meth:`TransparentProxy.maintain`
+#: steps — the replica-side twin of the certifier's ``gc_interval_requests``.
+MAINTENANCE_INTERVAL_VERSIONS = 256
+#: Candidate rows one inline vacuum pass may visit.  A version leaves at most
+#: its writeset's rows behind as candidates, so this drains what an interval
+#: of ordinary (up to 16-row) transactions produces.
+MAINTENANCE_VACUUM_ROWS = 4096
+
+
+class CertifierFrontEnd(Protocol):
+    """The certifier surface a proxy calls.
+
+    Served in-process by :class:`~repro.middleware.certifier.CertifierService`
+    and :class:`~repro.middleware.sharded_certifier.ShardedCertifierService`,
+    and over the wire by :class:`~repro.live.client.LiveCertifierClient`.
+    """
+
+    def certify(self, request: CertificationRequest) -> CertificationResult: ...
+
+    def subscribe_replica(self, replica: str, from_version: int = 0): ...
+
+    def flush_propagation(self) -> None: ...
+
+    def register_replica(self, replica: str, version: int = 0) -> None: ...
+
+    def extend_remote_horizons(self, infos: list[RemoteWriteSetInfo],
+                               back_to: int) -> list[RemoteWriteSetInfo]: ...
+
+    def replication_horizon(self) -> int: ...
 
 
 @dataclass
@@ -78,6 +113,7 @@ class ProxyStats:
     remote_batches_applied: int = 0
     artificial_conflicts: int = 0
     staleness_refreshes: int = 0
+    maintenance_runs: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)
@@ -86,17 +122,14 @@ class ProxyStats:
 class TransparentProxy:
     """The replication proxy attached to one database replica.
 
-    ``certifier`` is either certifier front-end — the single
-    :class:`CertifierService` or a :class:`~repro.middleware.
-    sharded_certifier.ShardedCertifierService`; the proxy only uses the
-    shared surface (certify / subscribe / refresh / horizon extension), so
-    it is oblivious to the sharding.
+    ``certifier`` is any :class:`CertifierFrontEnd`; the proxy is oblivious
+    to sharding and to whether a call crosses a socket.
     """
 
     def __init__(
         self,
         database: Database,
-        certifier: CertifierService,
+        certifier: CertifierFrontEnd,
         *,
         system: SystemKind = SystemKind.TASHKENT_MW,
         replica_name: str = "replica-0",
@@ -112,9 +145,14 @@ class TransparentProxy:
         self.local_certification = local_certification
         self.eager_pre_certification = eager_pre_certification
         self.replica_version = VersionClock(database.current_version)
-        #: The proxy's local copy of remote writesets seen so far, used for
-        #: local certification (paper calls this the ``proxy_log``).
-        self.proxy_log: list[tuple[int, WriteSet]] = []
+        #: The proxy's local copy of the writesets applied here (the paper's
+        #: ``proxy_log``), consulted by eager pre-certification and local
+        #: certification.  It is the certifier's own log structure — dense
+        #: versions, inverted item index, low-water pruning — and inherits
+        #: ``REPRO_CERTIFIER_MODE`` on purpose: under ``verify`` every proxy
+        #: check is cross-asserted against the linear scan.
+        self.proxy_log = CertifierLog(base_version=database.current_version)
+        self._maintained_at_version = database.current_version
         self.conflict_detector = ArtificialConflictDetector()
         self.stats = ProxyStats()
         # Subscribe to the certifier's writeset stream (which also joins the
@@ -173,16 +211,15 @@ class TransparentProxy:
         """
         if not self.eager_pre_certification:
             return
-        for commit_version, writeset in self.proxy_log:
-            if commit_version <= txn.versions.effective_start_version:
-                continue
-            if writeset.touches(table, key):
-                self.database.abort(txn.engine_txn, reason="eager-pre-certification")
-                self.stats.eager_precert_aborts += 1
-                raise CertificationAborted(
-                    f"write to {(table, key)!r} conflicts with remote writeset "
-                    f"committed at version {commit_version}"
-                )
+        commit_version = self.proxy_log.first_writer_version(
+            table, key, txn.versions.effective_start_version)
+        if commit_version is not None:
+            self.database.abort(txn.engine_txn, reason="eager-pre-certification")
+            self.stats.eager_precert_aborts += 1
+            raise CertificationAborted(
+                f"write to {(table, key)!r} conflicts with remote writeset "
+                f"committed at version {commit_version}"
+            )
 
     # ------------------------------------------------------------------ COMMIT
 
@@ -230,6 +267,7 @@ class TransparentProxy:
         # trimming the subscription keeps a busy replica's queue bounded even
         # if it never becomes idle enough to refresh.
         self.subscription.advance_to(self.replica_version.version)
+        self._maintain_if_due()
         return outcome
 
     def abort(self, txn: ProxyTransaction) -> None:
@@ -269,7 +307,7 @@ class TransparentProxy:
                                  remote_writesets_applied=applied)
         self.database.commit(txn.engine_txn, version=commit_version)
         txn.versions.mark_committed(commit_version)
-        self.proxy_log.append((commit_version, writeset))
+        self._remember(commit_version, writeset)
         self.replica_version.advance_to(commit_version)
         self.stats.update_commits += 1
         return CommitOutcome(
@@ -294,7 +332,7 @@ class TransparentProxy:
             (info.commit_version, info.writeset) for info in pending
         )
         for info in pending:
-            self.proxy_log.append((info.commit_version, info.writeset))
+            self._remember(info.commit_version, info.writeset)
         self.replica_version.advance_to(max_version)
         self.stats.remote_writesets_applied += len(pending)
         self.stats.remote_batches_applied += 1
@@ -337,7 +375,7 @@ class TransparentProxy:
 
         applied = self._apply_plan(plan, local_txn=txn.engine_txn, local_version=commit_version)
         txn.versions.mark_committed(commit_version)
-        self.proxy_log.append((commit_version, writeset))
+        self._remember(commit_version, writeset)
         self.replica_version.advance_to(commit_version)
         self.stats.update_commits += 1
         return CommitOutcome(
@@ -367,7 +405,7 @@ class TransparentProxy:
                 remote_txn = self.database.begin()
                 self._buffer_writeset(remote_txn, info.writeset)
                 self.database.commit_ordered(remote_txn, info.commit_version)
-                self.proxy_log.append((info.commit_version, info.writeset))
+                self._remember(info.commit_version, info.writeset)
                 applied += 1
                 max_remote_version = max(max_remote_version, info.commit_version)
             if index == last_index and local_txn is not None and local_version is not None:
@@ -383,8 +421,6 @@ class TransparentProxy:
         return applied
 
     def _buffer_writeset(self, txn: EngineTransaction, writeset: WriteSet) -> None:
-        from repro.core.writeset import WriteOp  # local import to avoid cycle noise
-
         for item in writeset:
             if item.op is WriteOp.INSERT:
                 self.database.insert(txn, item.table, item.key, **dict(item.values))
@@ -395,6 +431,10 @@ class TransparentProxy:
 
     # ------------------------------------------------------------------ local certification
 
+    def _remember(self, commit_version: int, writeset: WriteSet) -> None:
+        """Record a writeset this replica applied at ``commit_version``."""
+        self.proxy_log.append(LogRecord(commit_version, writeset))
+
     def _locally_certify(self, txn: ProxyTransaction, writeset: WriteSet) -> bool:
         """Partial certification against the proxy's copy of remote writesets.
 
@@ -403,15 +443,12 @@ class TransparentProxy:
         certifier; returns False when a conflict is found (the transaction
         can be aborted without a round trip).
         """
+        log = self.proxy_log
         effective = txn.versions.effective_start_version
-        for commit_version, remote_ws in self.proxy_log:
-            if commit_version <= effective:
-                continue
-            if writeset.conflicts_with(remote_ws):
-                return False
-            if commit_version == effective + 1:
-                effective = commit_version
-        txn.versions.advance_effective_start(effective)
+        if log.first_conflicting_version(writeset, effective) is not None:
+            return False
+        # The log is dense, so the conflict-free run reaches its head.
+        txn.versions.advance_effective_start(log.last_version)
         return True
 
     # ------------------------------------------------------------------ bounded staleness
@@ -459,7 +496,66 @@ class TransparentProxy:
         # certifier's low-water protocol, or it pins GC (and the vacuum
         # replication horizon) at its pre-refresh version forever.
         self.certifier.register_replica(self.replica_name, self.replica_version.version)
+        self._maintain_if_due()
         return applied
+
+    # ------------------------------------------------------------------ bounded state
+
+    def vacuum(self, *, max_rows: int | None = None) -> int:
+        """Vacuum the replica's version chains, clamped to the safe horizon.
+
+        The horizon is ``min(local oldest active snapshot, certifier
+        replication horizon)``: the certifier's replica low-water mark
+        (minus GC headroom) bounds what any lagging or resubscribing replica
+        could still request, so nothing a remote reader needs is reclaimed.
+        Returns the number of versions reclaimed.
+        """
+        return self.database.vacuum(
+            replication_horizon=self.certifier.replication_horizon(),
+            max_rows=max_rows,
+        )
+
+    def maintain(self) -> None:
+        """One maintenance step: drop the state no transaction can ask about.
+
+        * ``proxy_log`` is pruned at the database's oldest active snapshot.
+          Every check starts from a live transaction's (effective) start
+          version, which is never below its snapshot; a commit parked on its
+          certification round trip is still active, so it pins the horizon.
+        * One budgeted :meth:`vacuum` pass (the janitor's recipe; against a
+          live certifier this is the step's single wire call).
+        * Under Tashkent-MW the engine WAL's retained records at or below
+          the applied version go: the replica recovers from a checkpoint
+          plus the certifier's log and never reads this WAL (Section 7).
+          Base and Tashkent-API recover *from* theirs, so it is kept.
+
+        Runs from the commit and refresh paths every
+        ``MAINTENANCE_INTERVAL_VERSIONS`` applied versions, which makes
+        replica memory O(window) at O(1) amortized cost per version.
+        """
+        log = self.proxy_log
+        # Nothing here waits for a disk: the whole log is prunable.
+        log.mark_durable(log.last_version)
+        log.prune_to(self.database.oldest_active_snapshot())
+        self.vacuum(max_rows=MAINTENANCE_VACUUM_ROWS)
+        if self.system is SystemKind.TASHKENT_MW:
+            self.database.wal.discard_through(self.replica_version.version)
+        self._maintained_at_version = self.replica_version.version
+        self.stats.maintenance_runs += 1
+
+    def _maintain_if_due(self) -> None:
+        if (self.replica_version.version - self._maintained_at_version
+                >= MAINTENANCE_INTERVAL_VERSIONS):
+            self.maintain()
+
+    def stats_snapshot(self) -> dict[str, int]:
+        """The counters plus the gauges that say whether state is bounded."""
+        return {
+            **self.stats.as_dict(),
+            "proxy_log_retained": self.proxy_log.retained_count,
+            "proxy_log_pruned_total": self.proxy_log.pruned_records_total,
+            "wal_records_retained": self.database.wal.retained_count,
+        }
 
     # ------------------------------------------------------------------ helpers
 

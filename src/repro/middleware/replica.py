@@ -16,8 +16,7 @@ from repro.core.config import SystemKind
 from repro.engine.checkpoint import Checkpoint, CheckpointStore
 from repro.engine.database import Database
 from repro.engine.table import TableSchema
-from repro.middleware.certifier import CertifierService
-from repro.middleware.proxy import TransparentProxy
+from repro.middleware.proxy import CertifierFrontEnd, TransparentProxy
 
 
 @dataclass
@@ -45,7 +44,7 @@ class Replica:
         self,
         name: str,
         database: Database,
-        certifier: CertifierService,
+        certifier: CertifierFrontEnd,
         *,
         system: SystemKind,
         local_certification: bool = True,
@@ -98,19 +97,10 @@ class Replica:
     # -- storage maintenance -----------------------------------------------------------
 
     def vacuum(self, *, max_rows: int | None = None) -> int:
-        """Vacuum the replica's version chains, clamped to the safe horizon.
-
-        The horizon is ``min(local oldest active snapshot, certifier
-        replication horizon)``: the certifier's replica low-water mark
-        (minus GC headroom) bounds what any lagging or resubscribing replica
-        could still request, so nothing a remote reader needs is reclaimed.
-        Returns the number of versions reclaimed.
-        """
+        """An explicit horizon-clamped vacuum pass (:meth:`TransparentProxy.vacuum`,
+        the one the proxy's own maintenance step runs with a row budget)."""
         self.stats.vacuum_passes += 1
-        return self.database.vacuum(
-            replication_horizon=self.proxy.certifier.replication_horizon(),
-            max_rows=max_rows,
-        )
+        return self.proxy.vacuum(max_rows=max_rows)
 
     # -- schema management ---------------------------------------------------------------
 
@@ -126,7 +116,7 @@ class Replica:
             "replica_version": self.replica_version,
             "fsyncs": self.fsync_count,
             "database": self.database.stats(),
-            "proxy": self.proxy.stats.as_dict(),
+            "proxy": self.proxy.stats_snapshot(),
             "replica": self.stats.as_dict(),
         }
 

@@ -7,9 +7,9 @@ performance claim — so a renamed stats key or a changed WAL line would
 otherwise surface only in the benchmark pipeline.  This runs the command
 ``BENCHMARK.json`` declares, untraced and traced, and fails on ``correct:
 false``, on a failed operation, or on a declared metric missing from the
-result (standard library only).  The runs also carry the live backend's
-shape guards (:data:`SHAPE_GUARDS`), which is why every invocation adds one
-untraced ``tpcb_2shard_fsync8`` run.
+result (standard library only).  The runs also carry the shape guards
+(:data:`SHAPE_GUARDS`), which is why every invocation adds one untraced
+``tpcb_2shard_fsync8`` run and one traced ``func_allupdates`` run.
 
 Run as:  python tools/check_bench_run.py --workload allupdates_fsync8 --seed 7 --seconds 3
 """
@@ -35,6 +35,10 @@ SHAPE_GUARDS = {
     # A round's shard flushes overlap: a 2-shard commit stays under three
     # 8 ms floors (16.3 ms; 36.3 while the flushes ran back to back).
     ("tpcb_2shard_fsync8", 0): ("update_p50_ms", "<", 24.0),
+    # The proxy's checks are index probes over a pruned log (~50 us of proxy
+    # self time; 574-945 us and growing while they scanned every writeset
+    # the replica had ever applied).
+    ("func_allupdates", 1): ("middleware.proxy.self_us_per_txn", "<", 200.0),
 }
 RELATIONS = {"<": operator.lt, ">=": operator.ge}
 
@@ -72,8 +76,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=3.0)
     args = parser.parse_args(argv)
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
-    # In order, and once each when --workload is the 2-shard one itself.
-    runs = dict.fromkeys([(args.workload, 0), (args.workload, 1), ("tpcb_2shard_fsync8", 0)])
+    # In order, and once each when --workload is itself one of the added runs.
+    runs = dict.fromkeys([(args.workload, 0), (args.workload, 1),
+                          ("tpcb_2shard_fsync8", 0), ("func_allupdates", 1)])
     problems = [problem for workload, trace in runs
                 for problem in check(spec, workload, args.seed, args.seconds, trace)]
     for problem in problems:
