@@ -34,9 +34,10 @@ from pathlib import Path
 import pytest
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = _REPO_ROOT / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+# src/ for the library, tests/ for the oracles the baselines are timed on.
+for _path in (_REPO_ROOT / "src", _REPO_ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro.core.config import SystemKind, WorkloadName  # noqa: E402
 from repro.cluster.sweeps import ReplicaSweep, run_replica_sweep  # noqa: E402

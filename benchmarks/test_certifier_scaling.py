@@ -7,9 +7,10 @@ logged record after the snapshot — O(log length × |writeset|) per request —
 so certification throughput collapsed as the log grew.  The inverted version
 index (see :mod:`repro.core.certifier_log`) makes the check O(|writeset|).
 
-This module measures both implementations head-to-head on identical
-pre-seeded logs, with the transaction snapshot pinned at version 0 so the
-conflict window spans the whole log (the scan's worst case and the steady
+This module measures the index against the seed scan (the oracle in
+``tests/certifier_log_oracle.py``) head-to-head on identical pre-seeded
+logs, with the transaction snapshot pinned at version 0 so the conflict
+window spans the whole log (the scan's worst case and the steady
 state of a long-running cluster without GC).  Results land in
 ``BENCH_certifier.json`` at the repo root so the perf trajectory is tracked
 across PRs.  Axes and measurement window are env-tunable — see
@@ -21,11 +22,12 @@ from __future__ import annotations
 import platform
 import time
 
+from certifier_log_oracle import ScanCertifierLog
 from conftest import CERT_LOG_LENGTHS, CERT_MEASURE_SECONDS, CERT_WS_SIZES, write_bench_json
 
 from repro.analysis.report import format_table
 from repro.core.certification import CertificationRequest, Certifier
-from repro.core.certifier_log import MODE_INDEXED, MODE_SCAN, CertifierLog
+from repro.core.certifier_log import CertifierLog
 from repro.core.writeset import make_writeset
 
 #: The acceptance point: the indexed certifier must beat the seed scan by at
@@ -35,9 +37,10 @@ ACCEPTANCE_LOG_LEN = 10_000
 ACCEPTANCE_WS_SIZE = 10
 
 
-def _seed_certifier(mode: str, log_length: int, ws_size: int) -> Certifier:
+def _seed_certifier(log_class: type[CertifierLog], log_length: int,
+                    ws_size: int) -> Certifier:
     """Build a certifier over a pre-populated log of ``log_length`` records."""
-    certifier = Certifier(CertifierLog(mode=mode))
+    certifier = Certifier(log_class())
     for i in range(log_length):
         writeset = make_writeset(
             [("bench", i * ws_size + j) for j in range(ws_size)]
@@ -81,10 +84,10 @@ def _run_matrix() -> list[dict]:
     for log_length in CERT_LOG_LENGTHS:
         for ws_size in CERT_WS_SIZES:
             indexed_cps, indexed_ops = _measure_certifications_per_second(
-                _seed_certifier(MODE_INDEXED, log_length, ws_size),
+                _seed_certifier(CertifierLog, log_length, ws_size),
                 ws_size, CERT_MEASURE_SECONDS)
             scan_cps, scan_ops = _measure_certifications_per_second(
-                _seed_certifier(MODE_SCAN, log_length, ws_size),
+                _seed_certifier(ScanCertifierLog, log_length, ws_size),
                 ws_size, CERT_MEASURE_SECONDS)
             rows.append({
                 "log_length": log_length,
@@ -101,7 +104,7 @@ def _run_matrix() -> list[dict]:
 def _gc_snapshot() -> dict:
     """Show GC bounding the log: retained records after a low-water prune."""
     log_length = max(CERT_LOG_LENGTHS)
-    certifier = _seed_certifier(MODE_INDEXED, log_length, 2)
+    certifier = _seed_certifier(CertifierLog, log_length, 2)
     certifier.log.mark_durable(certifier.log.last_version)
     certifier.note_replica_version("bench-replica", certifier.system_version.version)
     headroom = 128

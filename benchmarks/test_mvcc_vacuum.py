@@ -5,16 +5,16 @@ Two measurements, both on the functional engine (no simulation):
 * **Sustained group-apply** — a replica applies certified writesets the way
   the transport delivers them (``apply_writeset_batch``): hot-row updates
   grow version chains, insert/delete churn grows the row directory.  With
-  the maintenance janitor running (horizon-clamped incremental vacuum after
-  every batch) chains stay at their live suffix and dead rows leave the
+  maintenance on (one horizon-clamped vacuum pass of the proxy's inline
+  budget, ``MAINTENANCE_VACUUM_ROWS``, after every batch) chains stay at their live suffix and dead rows leave the
   directory; without it both grow with history, and snapshot scans pay for
   every dead version.  The emitted rows record the deterministic structure
   metrics (max chain length, retained rows — functions of the axes alone)
   and the wall-clock scan throughputs, guarded by their on/off ratio.
 
 * **Row-layout micro-benchmark** — raw installs into one long chain, the
-  seed's list layout (``insert(0)`` + stamped head copies) against the O(1)
-  linked chain, plus deep snapshot reads (a full-chain walk in both).
+  seed's list layout (``insert(0)`` + stamped head copies, the oracle in
+  ``tests/row_oracle.py``) against the O(1) linked chain, plus deep snapshot reads (a full-chain walk in both).
 
 Results land in ``BENCH_mvcc_vacuum.json`` at the repo root (see
 ``tools/check_bench_regression.py``).  Axes are env-tunable — see
@@ -27,12 +27,13 @@ import platform
 import time
 
 from conftest import MVCC_CHAIN_LENGTHS, MVCC_HISTORIES, MVCC_MEASURE_SECONDS, write_bench_json
+from row_oracle import LegacyVersionedRow
 
 from repro.analysis.report import format_table
 from repro.core.writeset import WriteSet
 from repro.engine.database import Database
-from repro.engine.rows import LegacyVersionedRow, RowVersion, VersionedRow
-from repro.middleware.janitor import JanitorPolicy, MaintenanceJanitor
+from repro.engine.rows import RowVersion, VersionedRow
+from repro.middleware.proxy import MAINTENANCE_VACUUM_ROWS
 
 #: Live working set (rows a scan returns), hot keys absorbing the update
 #: stream, writesets per applied batch, and how many versions a churn row
@@ -74,15 +75,9 @@ def _churn_writeset(version: int) -> WriteSet:
     return ws
 
 
-def _drive_replica(history: int, *, janitor_on: bool) -> tuple[Database, float]:
+def _drive_replica(history: int, *, vacuum_on: bool) -> tuple[Database, float]:
     """Apply ``history`` commits in transport-sized batches; time the loop."""
-    db = _seeded_database("janitor-on" if janitor_on else "janitor-off")
-    janitor = MaintenanceJanitor(
-        [db],
-        replication_horizon=lambda: db.current_version,
-        policy=JanitorPolicy(vacuum_interval_ms=1.0, vacuum_batch_rows=4096,
-                             run_certifier_gc=False),
-    )
+    db = _seeded_database("vacuum-on" if vacuum_on else "vacuum-off")
     version = db.current_version
     started = time.perf_counter()
     applied = 0
@@ -93,8 +88,9 @@ def _drive_replica(history: int, *, janitor_on: bool) -> tuple[Database, float]:
             applied += 1
             batch.append((version, _churn_writeset(version)))
         db.apply_writeset_batch(batch)
-        if janitor_on:
-            janitor.run_once()
+        if vacuum_on:
+            db.vacuum(replication_horizon=db.current_version,
+                      max_rows=MAINTENANCE_VACUUM_ROWS)
     elapsed = time.perf_counter() - started
     return db, elapsed
 
@@ -118,8 +114,8 @@ def _scan_throughput(db: Database, seconds: float) -> tuple[float, int]:
 def _sustained_matrix() -> list[dict]:
     rows = []
     for history in MVCC_HISTORIES:
-        on_db, on_apply_s = _drive_replica(history, janitor_on=True)
-        off_db, off_apply_s = _drive_replica(history, janitor_on=False)
+        on_db, on_apply_s = _drive_replica(history, vacuum_on=True)
+        off_db, off_apply_s = _drive_replica(history, vacuum_on=False)
         # Equivalence check: maintenance must not change what the current
         # snapshot reads.
         state_on = on_db.table("bench").snapshot_state(on_db.current_version)
@@ -216,7 +212,7 @@ def test_mvcc_vacuum_and_emit_bench_json():
     write_bench_json("BENCH_mvcc_vacuum.json", payload)
 
     print()
-    print("Sustained group-apply: janitor on vs off "
+    print("Sustained group-apply: vacuum on vs off "
           f"({MVCC_MEASURE_SECONDS:.2f}s per scan measurement)")
     print(format_table(
         ["history", "max_chain_on", "max_chain_off", "retained_rows_on",
@@ -238,7 +234,7 @@ def test_mvcc_vacuum_and_emit_bench_json():
 
     for row in sustained:
         # Maintained chains are bounded by the batch cadence, not history:
-        # the final janitor pass cuts every chain to its live suffix.
+        # the final vacuum pass cuts every chain to its live suffix.
         assert row["max_chain_on"] <= CHAIN_BOUND, row
         # The unmaintained replica demonstrates the problem: chains grow
         # with history (each hot key absorbs history/HOT_KEYS updates).
@@ -252,8 +248,8 @@ def test_mvcc_vacuum_and_emit_bench_json():
     for row in sustained:
         if row["history"] >= ACCEPTANCE_HISTORY:
             assert row["read_speedup"] >= READ_SPEEDUP_FLOOR, (
-                f"janitor-on scans only {row['read_speedup']}x faster than "
-                f"janitor-off at history {row['history']}"
+                f"vacuum-on scans only {row['read_speedup']}x faster than "
+                f"vacuum-off at history {row['history']}"
             )
 
     # The linked layout must never lose to the seed layout on installs.

@@ -66,14 +66,14 @@ def _run_cell(history: int, headroom: int) -> dict:
         if key == CRASH_AFTER:
             certifier.groups.crash_node(0, 2)
         _commit(certifier, key)
-        # GC + compact periodically, like a background janitor would.
+        # GC + compact periodically, as the certifier does every N requests.
         if key % 10 == 9:
             _sync(certifier)
             certifier.collect_garbage()
             compact_certifier(certifier)
         max_log = max(max_log, *certifier.groups.node_log_lengths(0),
                       *certifier.groups.node_log_lengths(1))
-    # The outage tail: the janitor pauses (replicas stop reporting, so GC
+    # The outage tail: GC stalls (replicas stop reporting, so it
     # cannot advance) for half the history again — the state the bootstrap
     # must transfer as retained suffix, scaling with the outage length.
     for key in range(history, history + history // 2):
@@ -133,7 +133,7 @@ def test_bootstrap_state_transfer_scaling_and_emit_bench_json():
         assert row["ack_entries_dropped"] > 0
     for headroom in BOOTSTRAP_HEADROOMS:
         cells = [by_cell[(history, headroom)] for history in BOOTSTRAP_HISTORIES]
-        # While the janitor runs, the node log is horizon-bound: it does NOT
+        # While GC runs, the node log is horizon-bound: it does NOT
         # grow with the history...
         spread = max(c["max_node_log_entries"] for c in cells) \
             - min(c["max_node_log_entries"] for c in cells)

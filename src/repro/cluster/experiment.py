@@ -71,13 +71,6 @@ class ExperimentConfig:
     #: mark (``None`` = the sim node's default; see
     #: :class:`~repro.core.config.ReplicationConfig.certifier_gc_headroom`).
     certifier_gc_headroom: int | None = None
-    #: Cadence of the background maintenance janitor (``None`` = off, the
-    #: seed behaviour; see :class:`~repro.core.config.ReplicationConfig.
-    #: vacuum_interval_ms`).
-    vacuum_interval_ms: float | None = None
-    #: Row-visit budget of one incremental vacuum pass (the janitor's
-    #: batching knob).
-    vacuum_batch_rows: int = 4096
     #: Extra workload constructor options (scenario axes such as
     #: AllUpdates' ``update_burst``); forwarded to ``workload_by_name``.
     workload_options: Mapping[str, object] | None = None
@@ -113,8 +106,6 @@ class ExperimentConfig:
             certifier_max_flush_batch=self.certifier_max_flush_batch,
             certifier_crash_schedule=self.certifier_crash_schedule,
             certifier_gc_headroom=self.certifier_gc_headroom,
-            vacuum_interval_ms=self.vacuum_interval_ms,
-            vacuum_batch_rows=self.vacuum_batch_rows,
             rng_seed=self.seed,
         )
 

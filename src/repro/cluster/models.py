@@ -16,7 +16,6 @@ from typing import Generator
 from repro.balancer import ClusterScheduler, routing_policy_from_name
 from repro.core.certification import CertificationRequest
 from repro.core.config import ReplicationConfig, SystemKind
-from repro.core.stats import JanitorStats
 from repro.sim.kernel import Environment
 from repro.sim.metrics import MetricsCollector
 from repro.sim.rng import RandomStreams
@@ -32,11 +31,6 @@ class SystemModel(abc.ABC):
     uses_ordered_commits = False
     #: Flush-time multiplier applied to replicas (see SimReplicaNode).
     ordered_flush_overhead_factor = 1.0
-    #: Modeled CPU cost of one candidate-row visit during an incremental
-    #: vacuum pass (milliseconds).  With the default 4096-row batch a
-    #: maintenance tick charges ~2 ms of replica CPU — cheap enough to run
-    #: continuously, which is the point of the candidate index.
-    vacuum_cpu_ms_per_row = 0.0005
 
     def __init__(
         self,
@@ -75,9 +69,6 @@ class SystemModel(abc.ABC):
                 self.certifier_node.register_replica(replica.name)
                 env.process(self._staleness_refresh(replica),
                             name=f"{replica.name}-staleness-refresh")
-        self.janitor_stats = JanitorStats()
-        if config.vacuum_interval_ms is not None and self.certifier_node is not None:
-            env.process(self._maintenance_janitor(), name="maintenance-janitor")
         self.scheduler = self._build_scheduler()
 
     # -- construction ------------------------------------------------------------
@@ -236,31 +227,6 @@ class SystemModel(abc.ABC):
         finally:
             replica.commit_lock.release()
 
-    def _maintenance_janitor(self) -> Generator:
-        """Background maintenance (``ReplicationConfig.vacuum_interval_ms``).
-
-        Every tick charges each replica the CPU cost of one incremental
-        vacuum pass (``vacuum_batch_rows`` candidate-row visits — the sim
-        replicas are timing models, so the cost is what is modeled) and
-        drives the certifier's log GC/compaction on the janitor's cadence
-        instead of only piggybacking on certification-request counts.
-        """
-        assert self.certifier_node is not None
-        period = float(self.config.vacuum_interval_ms)
-        pass_cost = self.config.vacuum_batch_rows * self.vacuum_cpu_ms_per_row
-        while True:
-            yield self.env.timeout(period)
-            for replica in self.replicas:
-                yield from replica.cpu.execute(pass_cost)
-                self.janitor_stats.vacuum_passes += 1
-                self.janitor_stats.rows_visited += self.config.vacuum_batch_rows
-            pruned = self.certifier_node.core.collect_garbage(
-                headroom=self.certifier_node.gc_headroom_versions
-            )
-            self.janitor_stats.certifier_gc_runs += 1
-            self.janitor_stats.certifier_records_pruned += pruned
-            self.janitor_stats.runs += 1
-
     def _apply_remote_cpu(self, replica: SimReplicaNode, count: int) -> Generator:
         """Charge the CPU cost of applying ``count`` remote writesets."""
         if count <= 0:
@@ -290,12 +256,6 @@ class SystemModel(abc.ABC):
         stats["replica_records_per_fsync"] = (
             sum(records) / len(records) if records else 0.0
         )
-        if self.config.vacuum_interval_ms is not None:
-            stats["janitor_runs"] = float(self.janitor_stats.runs)
-            stats["janitor_vacuum_passes"] = float(self.janitor_stats.vacuum_passes)
-            stats["janitor_certifier_records_pruned"] = float(
-                self.janitor_stats.certifier_records_pruned
-            )
         if self.scheduler is not None:
             sched = self.scheduler.stats
             stats["scheduler_queued"] = float(sched.queued)

@@ -107,8 +107,6 @@ def run_replica_sweep(
     certifier_max_flush_batch: int | None = None,
     certifier_crash_schedule: tuple[tuple[int, float, float], ...] = (),
     certifier_gc_headroom: int | None = None,
-    vacuum_interval_ms: float | None = None,
-    vacuum_batch_rows: int = 4096,
     workload_options: Mapping[str, object] | None = None,
     warmup_ms: float = 1_000.0,
     measure_ms: float = 4_000.0,
@@ -127,9 +125,6 @@ def run_replica_sweep(
     what the paper's workloads look like while a certifier shard crashes and
     fails over mid-measurement.  ``certifier_gc_headroom`` sweeps the GC
     headroom (snapshot cadence vs. retained-suffix length).
-    ``vacuum_interval_ms`` / ``vacuum_batch_rows`` arm and size the
-    background maintenance janitor on every replica (cadence vs. pass cost),
-    making storage-maintenance pressure a sweepable axis.
     """
     sweep = ReplicaSweep(workload=workload, dedicated_io=dedicated_io)
     for system in systems:
@@ -146,8 +141,6 @@ def run_replica_sweep(
                 certifier_max_flush_batch=certifier_max_flush_batch,
                 certifier_crash_schedule=certifier_crash_schedule,
                 certifier_gc_headroom=certifier_gc_headroom,
-                vacuum_interval_ms=vacuum_interval_ms,
-                vacuum_batch_rows=vacuum_batch_rows,
                 workload_options=workload_options,
                 warmup_ms=warmup_ms,
                 measure_ms=measure_ms,

@@ -321,7 +321,6 @@ class ReplicatedShardedCertifier:
         partitioner: Partitioner | None = None,
         forced_abort_rate: float = 0.0,
         abort_chooser: Callable[[], float] | None = None,
-        log_mode: str | None = None,
         crash_hook: Callable[[str], None] | None = None,
         gc_headroom: int = 0,
     ) -> None:
@@ -338,13 +337,11 @@ class ReplicatedShardedCertifier:
         # identically configured coordinator.
         self._forced_abort_rate = forced_abort_rate
         self._abort_chooser = abort_chooser
-        self._log_mode = log_mode
         self.core: ShardedCertifier | None = ShardedCertifier(
             num_shards,
             partitioner=partitioner,
             forced_abort_rate=forced_abort_rate,
             abort_chooser=abort_chooser,
-            log_mode=log_mode,
         )
         self._partitioner: Partitioner = self.core.partitioner
         #: Exactly-once commit acknowledgements: tx_id → global commit
@@ -519,7 +516,6 @@ class ReplicatedShardedCertifier:
         return {
             "forced_abort_rate": self._forced_abort_rate,
             "abort_chooser": self._abort_chooser,
-            "log_mode": self._log_mode,
             "partitioner": self._partitioner,
         }
 

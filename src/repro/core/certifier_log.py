@@ -45,11 +45,9 @@ operation                 linear scan (seed)       indexed (this module)
 
 (``k`` is the number of retained versions per item, typically tiny.)
 
-The legacy linear scan is retained as a reference implementation.  The mode
-is chosen per-log via the constructor or the ``REPRO_CERTIFIER_MODE``
-environment variable: ``indexed`` (default), ``scan`` (seed behaviour, used
-by the micro-benchmark baseline) or ``verify`` (run both and assert they
-agree — the belt-and-braces mode used by the property tests).
+The seed's linear scan lives on outside the library, in
+``tests/certifier_log_oracle.py``: the property tests check every query of
+this index against it, and the micro-benchmark times it as the baseline.
 
 Garbage collection and the low-water mark
 =========================================
@@ -69,31 +67,12 @@ equivalent of "snapshot too old" — aborting is always safe).
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from repro.core.writeset import WriteSet
 from repro.errors import ConfigurationError, LogPrunedError
-
-#: Conflict-check implementations: indexed (default), the seed's linear
-#: scan, or both-with-assertion.
-MODE_INDEXED = "indexed"
-MODE_SCAN = "scan"
-MODE_VERIFY = "verify"
-_VALID_MODES = (MODE_INDEXED, MODE_SCAN, MODE_VERIFY)
-
-
-def default_mode() -> str:
-    """Conflict-check mode from ``REPRO_CERTIFIER_MODE`` (default indexed)."""
-    mode = os.environ.get("REPRO_CERTIFIER_MODE", MODE_INDEXED).strip().lower()
-    if mode not in _VALID_MODES:
-        raise ConfigurationError(
-            f"REPRO_CERTIFIER_MODE must be one of {_VALID_MODES}, got {mode!r}"
-        )
-    return mode
-
 
 @dataclass(frozen=True)
 class LogRecord:
@@ -124,15 +103,9 @@ class CertifierLog:
     pruned (a crash must never lose the tail we still might truncate to).
     """
 
-    def __init__(self, *, mode: str | None = None, base_version: int = 0) -> None:
-        resolved = default_mode() if mode is None else mode
-        if resolved not in _VALID_MODES:
-            raise ConfigurationError(
-                f"certifier log mode must be one of {_VALID_MODES}, got {resolved!r}"
-            )
+    def __init__(self, *, base_version: int = 0) -> None:
         if base_version < 0:
             raise ConfigurationError("base_version must be non-negative")
-        self.mode = resolved
         self._records: list[LogRecord] = []
         #: All commit versions <= _base_version have been garbage collected.
         self._base_version = base_version
@@ -141,13 +114,9 @@ class CertifierLog:
         #: certifier performs additional intersection testing for a replica.
         self._certified_back_to: dict[int, int] = {}
         #: Inverted version index: item identity -> ascending commit versions
-        #: that wrote it (absent in pure scan mode).
+        #: that wrote it.
         self._item_versions: dict[tuple[str, object], list[int]] = {}
         self._pruned_records_total = 0
-
-    @property
-    def _index_enabled(self) -> bool:
-        return self.mode != MODE_SCAN
 
     # -- append / flush ----------------------------------------------------
 
@@ -161,11 +130,10 @@ class CertifierLog:
             )
         self._records.append(record)
         self._certified_back_to[record.commit_version] = record.certified_back_to
-        if self._index_enabled:
-            version = record.commit_version
-            index = self._item_versions
-            for item_id in record.writeset.iter_item_ids():
-                index.setdefault(item_id, []).append(version)
+        version = record.commit_version
+        index = self._item_versions
+        for item_id in record.writeset.iter_item_ids():
+            index.setdefault(item_id, []).append(version)
 
     def mark_durable(self, up_to_version: int) -> None:
         """Advance the durable horizon after a successful flush."""
@@ -258,16 +226,7 @@ class CertifierLog:
             return False
         if after_version < self._base_version:
             return True
-        if self.mode == MODE_SCAN:
-            return self._scan_conflicts(writeset, after_version, end)
-        indexed = self._indexed_conflicts(writeset, after_version, end)
-        if self.mode == MODE_VERIFY:
-            scanned = self._scan_conflicts(writeset, after_version, end)
-            assert indexed == scanned, (
-                f"index/scan divergence: conflicts({after_version}, {end}) "
-                f"indexed={indexed} scan={scanned}"
-            )
-        return indexed
+        return self._indexed_conflicts(writeset, after_version, end)
 
     def first_conflicting_version(self, writeset: WriteSet, after_version: int) -> int | None:
         """Commit version of the earliest conflicting record, or ``None``.
@@ -280,16 +239,7 @@ class CertifierLog:
             return None
         if after_version < self._base_version:
             return self._base_version
-        if self.mode == MODE_SCAN:
-            return self._scan_first_conflicting_version(writeset, after_version)
-        indexed = self._indexed_first_writer(writeset.iter_item_ids(), after_version)
-        if self.mode == MODE_VERIFY:
-            scanned = self._scan_first_conflicting_version(writeset, after_version)
-            assert indexed == scanned, (
-                f"index/scan divergence: first_conflicting({after_version}) "
-                f"indexed={indexed} scan={scanned}"
-            )
-        return indexed
+        return self._indexed_first_writer(writeset.iter_item_ids(), after_version)
 
     def first_writer_version(self, table: str, key: object,
                              after_version: int) -> int | None:
@@ -305,16 +255,7 @@ class CertifierLog:
             return None
         if after_version < self._base_version:
             return self._base_version
-        if self.mode == MODE_SCAN:
-            return self._scan_first_writer(table, key, after_version)
-        indexed = self._indexed_first_writer(((table, key),), after_version)
-        if self.mode == MODE_VERIFY:
-            scanned = self._scan_first_writer(table, key, after_version)
-            assert indexed == scanned, (
-                f"index/scan divergence: first_writer({(table, key)!r}, {after_version}) "
-                f"indexed={indexed} scan={scanned}"
-            )
-        return indexed
+        return self._indexed_first_writer(((table, key),), after_version)
 
     def _indexed_conflicts(self, writeset: WriteSet, after_version: int, end: int) -> bool:
         index = self._item_versions
@@ -342,26 +283,6 @@ class CertifierLog:
                 if earliest is None or version < earliest:
                     earliest = version
         return earliest
-
-    def _scan_conflicts(self, writeset: WriteSet, after_version: int, end: int) -> bool:
-        for record in self.records_between(after_version, end):
-            if writeset.conflicts_with(record.writeset):
-                return True
-        return False
-
-    def _scan_first_conflicting_version(self, writeset: WriteSet,
-                                        after_version: int) -> int | None:
-        for record in self.records_after(after_version):
-            if writeset.conflicts_with(record.writeset):
-                return record.commit_version
-        return None
-
-    def _scan_first_writer(self, table: str, key: object,
-                           after_version: int) -> int | None:
-        for record in self.records_after(after_version):
-            if record.writeset.touches(table, key):
-                return record.commit_version
-        return None
 
     # -- extended certification bookkeeping (Tashkent-API) ------------------
 
@@ -406,20 +327,18 @@ class CertifierLog:
         del self._records[:drop]
         self._base_version = target
         self._pruned_records_total += drop
+        touched: set[tuple[str, object]] = set()
         for record in pruned:
             self._certified_back_to.pop(record.commit_version, None)
-        if self._index_enabled:
-            touched: set[tuple[str, object]] = set()
-            for record in pruned:
-                touched.update(record.writeset.iter_item_ids())
-            index = self._item_versions
-            for item_id in touched:
-                versions = index[item_id]
-                keep_from = bisect_right(versions, target)
-                if keep_from >= len(versions):
-                    del index[item_id]
-                elif keep_from:
-                    del versions[:keep_from]
+            touched.update(record.writeset.iter_item_ids())
+        index = self._item_versions
+        for item_id in touched:
+            versions = index[item_id]
+            keep_from = bisect_right(versions, target)
+            if keep_from >= len(versions):
+                del index[item_id]
+            elif keep_from:
+                del versions[:keep_from]
         return drop
 
     # -- persistence helpers -------------------------------------------------
@@ -458,26 +377,23 @@ class CertifierLog:
         cut = self._durable_version - self._base_version
         lost_records = self._records[cut:]
         del self._records[cut:]
+        touched: set[tuple[str, object]] = set()
         for record in lost_records:
             self._certified_back_to.pop(record.commit_version, None)
-        if self._index_enabled and lost_records:
-            durable = self._durable_version
-            touched: set[tuple[str, object]] = set()
-            for record in lost_records:
-                touched.update(record.writeset.iter_item_ids())
-            index = self._item_versions
-            for item_id in touched:
-                versions = index[item_id]
-                keep_to = bisect_left(versions, durable + 1)
-                if keep_to == 0:
-                    del index[item_id]
-                else:
-                    del versions[keep_to:]
+            touched.update(record.writeset.iter_item_ids())
+        index = self._item_versions
+        for item_id in touched:
+            versions = index[item_id]
+            keep_to = bisect_left(versions, self._durable_version + 1)
+            if keep_to == 0:
+                del index[item_id]
+            else:
+                del versions[keep_to:]
         return len(lost_records)
 
     @classmethod
-    def from_records(cls, records: Iterable[LogRecord], durable: bool = True,
-                     *, mode: str | None = None) -> "CertifierLog":
+    def from_records(cls, records: Iterable[LogRecord],
+                     durable: bool = True) -> "CertifierLog":
         """Rebuild a log from records (certifier state-transfer recovery).
 
         The records may be the retained suffix of a pruned log: the base
@@ -488,7 +404,7 @@ class CertifierLog:
         iterator = iter(records)
         first = next(iterator, None)
         base = 0 if first is None else first.commit_version - 1
-        log = cls(mode=mode, base_version=base)
+        log = cls(base_version=base)
         if first is not None:
             log.append(first)
             for record in iterator:
@@ -503,6 +419,5 @@ class CertifierLog:
     def __repr__(self) -> str:
         return (
             f"CertifierLog(last={self.last_version}, "
-            f"durable={self._durable_version}, pruned={self._base_version}, "
-            f"mode={self.mode})"
+            f"durable={self._durable_version}, pruned={self._base_version})"
         )

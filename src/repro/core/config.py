@@ -3,7 +3,7 @@
 The defaults encode the calibration constants reported in the paper's
 evaluation section (Section 9): an ~8 ms fsync (uniform between 6 and 12 ms),
 a switched 1 Gbps LAN, 10 closed-loop clients per replica for AllUpdates, the
-average writeset sizes per benchmark, and so on.  See DESIGN.md Section 4.
+average writeset sizes per benchmark, and so on.
 """
 
 from __future__ import annotations
@@ -163,7 +163,6 @@ class ReplicationConfig:
 
     system: SystemKind = SystemKind.TASHKENT_MW
     num_replicas: int = 1
-    num_certifiers: int = 3
     clients_per_replica: int = 10
     disk: DiskConfig = field(default_factory=DiskConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
@@ -215,18 +214,6 @@ class ReplicationConfig:
     #: to the frontier — at the cost of more frequent backfills for laggards;
     #: the knob makes snapshot cadence vs. retained-suffix length sweepable.
     certifier_gc_headroom: int | None = None
-    #: Cadence of the background maintenance janitor (milliseconds between
-    #: runs).  Each run vacuums replica version chains down to the
-    #: certifier's replica low-water mark and drives certifier GC/compaction.
-    #: ``None`` (the default) disables the janitor.  Functional and live
-    #: replicas are vacuumed regardless: the proxy's commit path runs a
-    #: budgeted pass every ``MAINTENANCE_INTERVAL_VERSIONS`` applied versions
-    #: (``TransparentProxy.maintain``); the janitor adds a wall-clock cadence
-    #: for idle replicas, the sim's modeled maintenance cost, and certifier GC.
-    vacuum_interval_ms: float | None = None
-    #: Row-visit budget of one incremental vacuum pass (the janitor's
-    #: batching knob; bounds the pause a maintenance pass can inflict).
-    vacuum_batch_rows: int = 4096
     #: One-valued: live nodes always run pipelined.  Kept only because the
     #: frozen ``bench/live.py`` passes the keyword (ROADMAP item 1(d)).
     live_pipeline: bool = True
@@ -265,8 +252,6 @@ class ReplicationConfig:
     def __post_init__(self) -> None:
         if self.num_replicas < 1:
             raise ConfigurationError("num_replicas must be >= 1")
-        if self.num_certifiers < 1:
-            raise ConfigurationError("num_certifiers must be >= 1")
         if self.clients_per_replica < 1:
             raise ConfigurationError("clients_per_replica must be >= 1")
         if not 0.0 <= self.forced_abort_rate < 1.0:
@@ -287,10 +272,6 @@ class ReplicationConfig:
             raise ConfigurationError("certifier_max_flush_batch must be >= 1 or None")
         if self.certifier_gc_headroom is not None and self.certifier_gc_headroom < 0:
             raise ConfigurationError("certifier_gc_headroom must be >= 0 or None")
-        if self.vacuum_interval_ms is not None and self.vacuum_interval_ms <= 0:
-            raise ConfigurationError("vacuum_interval_ms must be positive or None")
-        if self.vacuum_batch_rows < 1:
-            raise ConfigurationError("vacuum_batch_rows must be >= 1")
         if not self.live_pipeline:
             raise ConfigurationError(
                 "live_pipeline=False: the serialized live mode was removed; "
@@ -305,11 +286,6 @@ class ReplicationConfig:
             raise ConfigurationError("live_wal_fsync_floor_ms must be >= 0")
         validate_certifier_crash_schedule(self.certifier_crash_schedule,
                                           self.certifier_shards)
-
-    @property
-    def certifier_majority(self) -> int:
-        """Size of a majority quorum of certifier nodes."""
-        return self.num_certifiers // 2 + 1
 
     def with_system(self, system: SystemKind) -> "ReplicationConfig":
         """Return a copy of this configuration targeting ``system``."""

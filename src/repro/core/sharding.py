@@ -311,7 +311,6 @@ class ShardedCertifier:
         partitioner: Partitioner | None = None,
         forced_abort_rate: float = 0.0,
         abort_chooser: Callable[[], float] | None = None,
-        log_mode: str | None = None,
     ) -> None:
         self.partitioner: Partitioner = (
             partitioner if partitioner is not None else HashPartitioner(num_shards)
@@ -321,10 +320,7 @@ class ShardedCertifier:
                 f"partitioner covers {self.partitioner.num_shards} shards, "
                 f"certifier was asked for {num_shards}"
             )
-        self.shards = [
-            CertifierShard(i, log=CertifierLog(mode=log_mode))
-            for i in range(num_shards)
-        ]
+        self.shards = [CertifierShard(i, log=CertifierLog()) for i in range(num_shards)]
         #: The lightweight global sequencer: allocates commit versions (only
         #: on commit, so the global version space is dense over commits).
         self.system_version = VersionClock()
@@ -910,7 +906,6 @@ class ShardedCertifier:
         partitioner: Partitioner | None = None,
         forced_abort_rate: float = 0.0,
         abort_chooser: Callable[[], float] | None = None,
-        log_mode: str | None = None,
         record_hook: Callable[[int], None] | None = None,
     ) -> "ShardedCertifier":
         """Reconstruct a coordinator from recovered commit rounds.
@@ -945,7 +940,6 @@ class ShardedCertifier:
             partitioner=partitioner,
             forced_abort_rate=forced_abort_rate,
             abort_chooser=abort_chooser,
-            log_mode=log_mode,
         )
         if base_version:
             certifier.system_version = VersionClock(base_version)

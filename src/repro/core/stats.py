@@ -192,45 +192,6 @@ class MvccStats:
         }
 
 
-@dataclass
-class JanitorStats:
-    """Snapshot of one maintenance janitor (or several, merged).
-
-    All fields are additive counters; ``last_horizon`` takes the maximum
-    (it is a position in the shared version space).
-    """
-
-    runs: int = 0
-    vacuum_passes: int = 0
-    versions_reclaimed: int = 0
-    rows_visited: int = 0
-    certifier_gc_runs: int = 0
-    certifier_records_pruned: int = 0
-    last_horizon: int = 0
-
-    def merge(self, other: "JanitorStats") -> "JanitorStats":
-        """Fold another snapshot into this one (in place); returns self."""
-        self.runs += other.runs
-        self.vacuum_passes += other.vacuum_passes
-        self.versions_reclaimed += other.versions_reclaimed
-        self.rows_visited += other.rows_visited
-        self.certifier_gc_runs += other.certifier_gc_runs
-        self.certifier_records_pruned += other.certifier_records_pruned
-        self.last_horizon = max(self.last_horizon, other.last_horizon)
-        return self
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "runs": self.runs,
-            "vacuum_passes": self.vacuum_passes,
-            "versions_reclaimed": self.versions_reclaimed,
-            "rows_visited": self.rows_visited,
-            "certifier_gc_runs": self.certifier_gc_runs,
-            "certifier_records_pruned": self.certifier_records_pruned,
-            "last_horizon": self.last_horizon,
-        }
-
-
 def merged_group_commit_stats(parts: "list[GroupCommitStats]") -> GroupCommitStats:
     """Combine several batching aggregates into a fresh one (never in place)."""
     merged = GroupCommitStats()

@@ -80,6 +80,8 @@ class Database:
         self.remote_writesets_applied = 0
         self.vacuum_runs = 0
         self.last_vacuum_horizon = 0
+        #: Position in ``tables`` where the next budgeted vacuum pass starts.
+        self._vacuum_cursor = 0
 
     # ------------------------------------------------------------------ schema
 
@@ -518,8 +520,10 @@ class Database:
         low-water mark): a vacuum must never reclaim a version that a lagging
         replica, a resubscribing replica or a recovering reader could still
         ask this replica to serve.  ``max_rows`` bounds the candidate rows
-        visited across all tables, making the pass incremental (the
-        maintenance janitor's batching knob).  Returns versions reclaimed.
+        visited across all tables, making the pass incremental.  A pass that
+        runs out of budget is resumed by the next one at the table after the
+        one that used it up, so a table with more candidates than the budget
+        cannot starve the tables behind it.  Returns versions reclaimed.
         """
         horizon = self.oldest_active_snapshot()
         if replication_horizon is not None:
@@ -527,13 +531,18 @@ class Database:
         self.last_vacuum_horizon = horizon
         reclaimed = 0
         budget = max_rows
-        for table in self.tables.values():
+        tables = list(self.tables.values())
+        for offset in range(len(tables)):
             if budget is not None and budget <= 0:
                 break
+            position = (self._vacuum_cursor + offset) % len(tables)
+            table = tables[position]
             visited_before = table.vacuum_rows_visited
             reclaimed += table.vacuum(horizon, max_rows=budget)
             if budget is not None:
                 budget -= table.vacuum_rows_visited - visited_before
+                if budget <= 0:
+                    self._vacuum_cursor = position + 1
         self.vacuum_runs += 1
         return reclaimed
 

@@ -16,10 +16,6 @@ visible version, so reads at recent snapshots never pay for history length.
 Vacuum cuts the chain below the newest version visible to the oldest
 snapshot any reader (local or replicated) can still hold, and drops fully
 dead chains outright so churned keys do not accumulate.
-
-:class:`LegacyVersionedRow` preserves the seed's list-based layout (O(chain)
-head inserts, copy-on-supersede) as the reference for the storage
-micro-benchmark and the vacuum-equivalence oracle.
 """
 
 from __future__ import annotations
@@ -61,12 +57,6 @@ class RowVersion:
         if self.deleted_version is None:
             return True
         return self.deleted_version > snapshot_version
-
-    def mark_deleted(self, deleted_version: int) -> None:
-        """Stamp the xmax in place (O(1) supersede on the hot install path)."""
-        if self.deleted_version is not None:
-            raise StorageError("row version already superseded")
-        self.deleted_version = deleted_version
 
     def with_deletion(self, deleted_version: int) -> "RowVersion":
         """Return a copy of this version marked as superseded."""
@@ -230,78 +220,3 @@ class VersionedRow:
 
     def __repr__(self) -> str:
         return f"VersionedRow(key={self.key!r}, versions={self._length})"
-
-
-class LegacyVersionedRow:
-    """The seed's list-based version chain, kept as a reference layout.
-
-    Installs do a ``list.insert(0, ...)`` (O(chain) memmove) and supersede
-    the head by building a stamped copy — exactly the layout the linked
-    chain above replaced.  The storage micro-benchmark measures both so the
-    structural win is visible independently of the simulation, and the
-    property suite uses it as the behavioural oracle for reads and vacuum.
-    """
-
-    __slots__ = ("key", "_versions")
-
-    def __init__(self, key: object) -> None:
-        self.key = key
-        self._versions: list[RowVersion] = []
-
-    def install(self, version: RowVersion) -> None:
-        if self._versions:
-            head = self._versions[0]
-            if head.deleted_version is None:
-                if version.created_version <= head.created_version:
-                    raise StorageError(
-                        "new row version must be newer than the current head"
-                    )
-                self._versions[0] = head.with_deletion(version.created_version)
-        self._versions.insert(0, version)
-
-    def delete(self, deleted_version: int) -> None:
-        if not self._versions:
-            raise StorageError(f"cannot delete non-existent row {self.key!r}")
-        head = self._versions[0]
-        if head.deleted_version is not None:
-            raise StorageError(f"row {self.key!r} already deleted")
-        self._versions[0] = head.with_deletion(deleted_version)
-
-    def version_for_snapshot(self, snapshot_version: int) -> RowVersion | None:
-        for version in self._versions:
-            if version.visible_to(snapshot_version):
-                return version
-        return None
-
-    def latest(self) -> RowVersion | None:
-        return self._versions[0] if self._versions else None
-
-    def history(self) -> Iterator[RowVersion]:
-        return iter(self._versions)
-
-    def version_count(self) -> int:
-        return len(self._versions)
-
-    def vacuum(self, oldest_active_snapshot: int) -> int:
-        keep: list[RowVersion] = []
-        removed = 0
-        found_visible = False
-        for version in self._versions:
-            if not found_visible:
-                keep.append(version)
-                if version.visible_to(oldest_active_snapshot):
-                    found_visible = True
-            else:
-                removed += 1
-        if not found_visible and keep and all(
-            v.deleted_version is not None
-            and v.deleted_version <= oldest_active_snapshot
-            for v in keep
-        ):
-            removed += len(keep)
-            keep = []
-        self._versions = keep
-        return removed
-
-    def __repr__(self) -> str:
-        return f"LegacyVersionedRow(key={self.key!r}, versions={len(self._versions)})"

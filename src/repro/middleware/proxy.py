@@ -41,9 +41,11 @@ from repro.errors import CertificationAborted, InvalidTransactionState, Transact
 #: Versions a replica applies between two :meth:`TransparentProxy.maintain`
 #: steps — the replica-side twin of the certifier's ``gc_interval_requests``.
 MAINTENANCE_INTERVAL_VERSIONS = 256
-#: Candidate rows one inline vacuum pass may visit.  A version leaves at most
-#: its writeset's rows behind as candidates, so this drains what an interval
-#: of ordinary (up to 16-row) transactions produces.
+#: Least candidate rows one inline vacuum pass may visit.  A row an interval
+#: touches becomes at most one candidate, and every insert or update installs
+#: a version, so a step's budget is this or the row versions installed since
+#: the previous step, whichever is larger: a fixed budget would fall behind
+#: an interval that touches more rows than it.
 MAINTENANCE_VACUUM_ROWS = 4096
 
 
@@ -148,11 +150,10 @@ class TransparentProxy:
         #: The proxy's local copy of the writesets applied here (the paper's
         #: ``proxy_log``), consulted by eager pre-certification and local
         #: certification.  It is the certifier's own log structure — dense
-        #: versions, inverted item index, low-water pruning — and inherits
-        #: ``REPRO_CERTIFIER_MODE`` on purpose: under ``verify`` every proxy
-        #: check is cross-asserted against the linear scan.
+        #: versions, inverted item index, low-water pruning.
         self.proxy_log = CertifierLog(base_version=database.current_version)
         self._maintained_at_version = database.current_version
+        self._installed_at_step = database.mvcc_stats(include_chains=False).versions_installed
         self.conflict_detector = ArtificialConflictDetector()
         self.stats = ProxyStats()
         # Subscribe to the certifier's writeset stream (which also joins the
@@ -522,8 +523,9 @@ class TransparentProxy:
           Every check starts from a live transaction's (effective) start
           version, which is never below its snapshot; a commit parked on its
           certification round trip is still active, so it pins the horizon.
-        * One budgeted :meth:`vacuum` pass (the janitor's recipe; against a
-          live certifier this is the step's single wire call).
+        * One budgeted :meth:`vacuum` pass, sized to cover every row version
+          installed since the previous step (against a live certifier this
+          is the step's single wire call).
         * Under Tashkent-MW the engine WAL's retained records at or below
           the applied version go: the replica recovers from a checkpoint
           plus the certifier's log and never reads this WAL (Section 7).
@@ -537,7 +539,10 @@ class TransparentProxy:
         # Nothing here waits for a disk: the whole log is prunable.
         log.mark_durable(log.last_version)
         log.prune_to(self.database.oldest_active_snapshot())
-        self.vacuum(max_rows=MAINTENANCE_VACUUM_ROWS)
+        installed = self.database.mvcc_stats(include_chains=False).versions_installed
+        self.vacuum(max_rows=max(MAINTENANCE_VACUUM_ROWS,
+                                 installed - self._installed_at_step))
+        self._installed_at_step = installed
         if self.system is SystemKind.TASHKENT_MW:
             self.database.wal.discard_through(self.replica_version.version)
         self._maintained_at_version = self.replica_version.version

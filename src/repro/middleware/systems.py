@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 # Submodule imports (not the package): repro.balancer.session imports the
 # middleware client API, so pulling the balancer *package* here would cycle
@@ -33,7 +33,6 @@ from repro.engine.table import TableSchema
 from repro.errors import ConfigurationError
 from repro.middleware.certifier import CertifierConfig, CertifierService
 from repro.middleware.client_api import ClientSession
-from repro.middleware.janitor import JanitorPolicy, MaintenanceJanitor
 from repro.middleware.replica import Replica
 from repro.middleware.sharded_certifier import (
     ShardedCertifierService,
@@ -57,8 +56,6 @@ class ReplicatedSystem:
     config: ReplicationConfig
     certifier: CertifierService | ShardedCertifierService
     replicas: list[Replica] = field(default_factory=list)
-    #: Lazily built by :meth:`janitor` / :meth:`run_maintenance`.
-    _janitor: MaintenanceJanitor | None = field(default=None, repr=False)
 
     # -- schema / data management ------------------------------------------------
 
@@ -154,46 +151,6 @@ class ReplicatedSystem:
         """Run the bounded-staleness refresh on every replica."""
         return sum(replica.refresh() for replica in self.replicas)
 
-    def janitor(self, policy: JanitorPolicy | None = None) -> MaintenanceJanitor:
-        """The system's maintenance janitor (built on first use).
-
-        Without an explicit ``policy`` the knobs come from the system config
-        (``vacuum_interval_ms`` — defaulting to 250 ms when the config left
-        the janitor off but a caller asks for one anyway — and
-        ``vacuum_batch_rows``).  The functional stack has no background
-        threads: drive the janitor explicitly via :meth:`run_maintenance`
-        (cadence-aware) or ``janitor().run_once()`` (unconditional), exactly
-        like ``refresh_all`` drives the staleness timer.
-        """
-        if policy is not None:
-            self._janitor = None
-        if self._janitor is None:
-            if policy is None:
-                policy = JanitorPolicy(
-                    vacuum_interval_ms=self.config.vacuum_interval_ms or 250.0,
-                    vacuum_batch_rows=self.config.vacuum_batch_rows,
-                )
-            self._janitor = MaintenanceJanitor(
-                [replica.database for replica in self.replicas],
-                replication_horizon=self.certifier.replication_horizon,
-                certifier_gc=self.certifier.collect_garbage,
-                policy=policy,
-            )
-        return self._janitor
-
-    def run_maintenance(self, now_ms: float | None = None) -> bool:
-        """Drive the janitor: vacuum all replicas + certifier GC.
-
-        With ``now_ms`` the janitor's cadence decides whether the run is due
-        (call this from the deployment's clock loop); without it the run is
-        unconditional.  Returns whether maintenance ran.
-        """
-        janitor = self.janitor()
-        if now_ms is None:
-            janitor.run_once()
-            return True
-        return janitor.maybe_run(now_ms)
-
     def vacuum_all(self, *, max_rows: int | None = None) -> int:
         """One horizon-clamped vacuum pass on every replica (no certifier GC)."""
         return sum(replica.vacuum(max_rows=max_rows) for replica in self.replicas)
@@ -240,16 +197,13 @@ class ReplicatedSystem:
         }
 
     def stats(self) -> dict[str, object]:
-        stats: dict[str, object] = {
+        return {
             "system": self.config.system.value,
             "num_replicas": len(self.replicas),
             "certifier": self.certifier.stats(),
             "replicas": [replica.stats_snapshot() for replica in self.replicas],
             "fsyncs": self.total_fsyncs(),
         }
-        if self._janitor is not None:
-            stats["janitor"] = self._janitor.stats.as_dict()
-        return stats
 
     def __repr__(self) -> str:
         return (

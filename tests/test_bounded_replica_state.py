@@ -18,7 +18,7 @@ from repro.core.config import ReplicationConfig, SystemKind
 from repro.engine.recovery import verify_same_state
 from repro.errors import TransactionAborted
 from repro.live.cluster import LiveCluster
-from repro.middleware.proxy import MAINTENANCE_INTERVAL_VERSIONS
+from repro.middleware.proxy import MAINTENANCE_INTERVAL_VERSIONS, MAINTENANCE_VACUUM_ROWS
 from repro.middleware.systems import build_replicated_system
 from repro.recovery.replica_recovery import recover_base_replica, recover_tashkent_mw_replica
 from repro.sim.rng import RandomStreams
@@ -79,6 +79,63 @@ def test_mw_replica_state_is_the_same_after_2000_and_8000_commits():
     # An untrimmed replica pair kept ~2 100 B per commit; what may still grow
     # is the certifier's in-memory log device holding its 4-byte payloads.
     assert (late_bytes - early_bytes) / 6000 < 128
+
+
+class WideAndNarrowRun:
+    """One MW replica whose interval touches more rows than the fixed budget.
+
+    Every commit updates ``WIDE_ROWS_PER_COMMIT`` rows of ``wide`` (created
+    first, keys taken round-robin) and the one row of ``narrow``: an interval
+    installs 256 × 18 = 4 608 row versions over 4 353 rows, more candidates
+    than ``MAINTENANCE_VACUUM_ROWS``.
+    """
+
+    WIDE_ROWS_PER_COMMIT = 17
+    WIDE_KEYS = MAINTENANCE_INTERVAL_VERSIONS * WIDE_ROWS_PER_COMMIT
+
+    def __init__(self) -> None:
+        assert self.WIDE_KEYS > MAINTENANCE_VACUUM_ROWS
+        self.system = build_replicated_system(
+            ReplicationConfig(system=SystemKind.TASHKENT_MW, num_replicas=1))
+        self.system.create_table("wide", ["id", "value"])
+        self.system.create_table("narrow", ["id", "value"])
+        self.session = self.system.session(0)
+        self.session.begin()
+        for key in range(self.WIDE_KEYS):
+            self.session.insert("wide", key, value=0)
+        self.session.insert("narrow", 0, value=0)
+        assert self.session.commit().committed
+        self.proxy = self.system.replica(0).proxy
+        self.commits = 0
+
+    def commit_through_next_step(self, total: int) -> tuple[int, int, int]:
+        """Commit until ``total`` commits are done and a maintenance step has
+        just run; returns (dead candidates, wide and narrow max chain)."""
+        while True:
+            steps = self.proxy.stats.maintenance_runs
+            first = self.commits * self.WIDE_ROWS_PER_COMMIT
+            self.session.begin()
+            for offset in range(self.WIDE_ROWS_PER_COMMIT):
+                self.session.update("wide", (first + offset) % self.WIDE_KEYS,
+                                    value=self.commits)
+            self.session.update("narrow", 0, value=self.commits)
+            assert self.session.commit().committed
+            self.commits += 1
+            if self.commits >= total and self.proxy.stats.maintenance_runs > steps:
+                database = self.system.replica(0).database
+                return (database.dead_candidate_count(),
+                        database.table("wide").mvcc_stats().max_chain_length,
+                        database.table("narrow").mvcc_stats().max_chain_length)
+
+
+def test_inline_vacuum_keeps_up_when_an_interval_outgrows_the_fixed_budget():
+    """The inline step is the only vacuum: its pass must cover every table
+    and everything its interval installed, or a backlog grows every step."""
+    run = WideAndNarrowRun()
+    early = run.commit_through_next_step(2000)
+    late = run.commit_through_next_step(8000)
+    assert early == late
+    assert early[2] <= 2 * MAINTENANCE_INTERVAL_VERSIONS + 2
 
 
 def test_an_open_reader_pins_replica_state_until_it_commits():

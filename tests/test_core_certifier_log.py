@@ -1,14 +1,9 @@
 """Unit tests for the certifier's persistent log."""
 
 import pytest
+from certifier_log_oracle import ScanCertifierLog
 
-from repro.core.certifier_log import (
-    MODE_INDEXED,
-    MODE_SCAN,
-    MODE_VERIFY,
-    CertifierLog,
-    LogRecord,
-)
+from repro.core.certifier_log import CertifierLog, LogRecord
 from repro.core.writeset import make_writeset
 from repro.errors import ConfigurationError, LogPrunedError
 
@@ -114,12 +109,15 @@ def test_record_at_bounds_checked():
     assert log.record_at(2).commit_version == 2
 
 
-# -- inverted index and conflict-check modes ---------------------------------
+# -- inverted index (and the scan oracle it replaced) -------------------------
+
+LOG_CLASSES = pytest.mark.parametrize(
+    "log_class", [CertifierLog, ScanCertifierLog], ids=["indexed", "scan"])
 
 
-@pytest.mark.parametrize("mode", [MODE_INDEXED, MODE_SCAN, MODE_VERIFY])
-def test_conflict_checks_agree_across_modes(mode):
-    log = CertifierLog(mode=mode)
+@LOG_CLASSES
+def test_conflict_checks_agree_across_modes(log_class):
+    log = log_class()
     for version, key in enumerate([1, 2, 1, 3], start=1):
         log.append(record(version, key))
     probe = make_writeset([("t", 1)])
@@ -134,7 +132,7 @@ def test_conflict_checks_agree_across_modes(mode):
 
 
 def test_index_tracks_multiple_writers_per_item():
-    log = CertifierLog(mode=MODE_VERIFY)
+    log = CertifierLog()
     log.append(record(1, 7))
     log.append(record(2, 8))
     log.append(record(3, 7))
@@ -238,9 +236,9 @@ def test_from_records_rebuilds_a_pruned_suffix():
 # -- crash (suffix truncation) consistency ------------------------------------
 
 
-@pytest.mark.parametrize("mode", [MODE_INDEXED, MODE_VERIFY])
-def test_truncate_keeps_index_and_horizons_consistent(mode):
-    log = CertifierLog(mode=mode)
+@LOG_CLASSES
+def test_truncate_keeps_index_and_horizons_consistent(log_class):
+    log = log_class()
     log.append(record(1, 1))
     log.append(record(2, 2))
     log.append(record(3, 1))
@@ -266,7 +264,7 @@ def test_truncate_keeps_index_and_horizons_consistent(mode):
 
 def test_certify_after_crash_truncation_matches_fresh_log():
     """Crash-injection: decisions after truncate == decisions of a rebuilt log."""
-    crashed = CertifierLog(mode=MODE_VERIFY)
+    crashed = CertifierLog()
     for version, keys in enumerate([(1,), (2, 3), (1, 4), (5,)], start=1):
         crashed.append(record(version, *keys))
     crashed.mark_durable(2)

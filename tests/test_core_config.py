@@ -64,9 +64,7 @@ def test_network_config_message_delay_scales_with_size():
         NetworkConfig(one_way_latency_ms=-1)
 
 
-def test_replication_config_validation_and_majority():
-    config = ReplicationConfig(num_replicas=4, num_certifiers=3)
-    assert config.certifier_majority == 2
+def test_replication_config_validation():
     with pytest.raises(ConfigurationError):
         ReplicationConfig(num_replicas=0)
     with pytest.raises(ConfigurationError):

@@ -1,17 +1,16 @@
-"""Unit tests for the MVCC hot path: O(1) installs, incremental vacuum,
-the horizon clamp and the maintenance janitor."""
+"""Unit tests for the MVCC hot path: O(1) installs, incremental vacuum and
+the horizon clamp."""
 
 import pytest
+from row_oracle import LegacyVersionedRow
 
-from repro.core.config import ReplicationConfig, SystemKind, WorkloadName
-from repro.core.stats import JanitorStats, MvccStats
+from repro.core.stats import MvccStats
 from repro.core.writeset import WriteItem, WriteOp, WriteSet
 from repro.engine.database import Database
-from repro.engine.rows import LegacyVersionedRow, RowVersion, VersionedRow
+from repro.engine.rows import RowVersion, VersionedRow
 from repro.engine.table import Table, TableSchema
-from repro.errors import ConfigurationError, StorageError
+from repro.errors import StorageError
 from repro.middleware.certifier import CertifierConfig
-from repro.middleware.janitor import JanitorPolicy, MaintenanceJanitor
 from repro.middleware.sharded_certifier import make_certifier_service
 from repro.middleware.systems import build_tashkent_mw_system
 
@@ -157,7 +156,7 @@ def test_table_mvcc_stats_histogram():
     assert counters_only.chain_histogram == {}
 
 
-def test_mvcc_and_janitor_stats_merge():
+def test_mvcc_stats_merge():
     left = MvccStats(versions_installed=2, max_chain_length=3,
                      chain_histogram={1: 2, 3: 1})
     right = MvccStats(versions_installed=1, max_chain_length=5,
@@ -166,9 +165,6 @@ def test_mvcc_and_janitor_stats_merge():
     assert merged.versions_installed == 3
     assert merged.max_chain_length == 5
     assert merged.chain_histogram == {1: 3, 3: 1}
-    j = JanitorStats(runs=1, last_horizon=4).merge(JanitorStats(runs=2, last_horizon=9))
-    assert j.runs == 3 and j.last_horizon == 9
-    assert j.as_dict()["runs"] == 3
 
 
 # ------------------------------------------------------- database-level vacuum
@@ -232,6 +228,31 @@ def test_database_vacuum_budget_spans_tables():
     assert db.stats()["mvcc"]["versions_reclaimed"] == 6
 
 
+def test_budgeted_vacuum_resumes_at_the_table_after_the_one_that_used_it_up():
+    db = Database("starve")
+    db.create_table("wide", ["id", "v"])
+    db.create_table("narrow", ["id", "v"])
+    for table, keys in (("wide", range(4)), ("narrow", range(1))):
+        for key in keys:
+            txn = db.begin()
+            db.insert(txn, table, key, id=key, v=0)
+            db.commit(txn)
+    txn = db.begin()
+    db.update(txn, "narrow", 0, v=1)
+    db.commit(txn)
+    narrow_candidates = []
+    for value in (1, 2):
+        # Every pass finds "wide" holding the whole budget's worth of rows.
+        txn = db.begin()
+        for key in range(4):
+            db.update(txn, "wide", key, v=value)
+        db.commit(txn)
+        db.vacuum(max_rows=4)
+        narrow_candidates.append(db.table("narrow").dead_candidate_count())
+    # The first pass spends its budget on "wide"; the second starts at "narrow".
+    assert narrow_candidates == [1, 0]
+
+
 def test_apply_writeset_installs_values_without_cloning():
     db = make_database()
     values = {"id": 5, "value": 42}
@@ -243,59 +264,6 @@ def test_apply_writeset_installs_values_without_cloning():
     # Reads still hand out copies, so callers cannot corrupt the store.
     read = db.table("kv").read(5, 3)
     assert read == values and read is not values
-
-
-# --------------------------------------------------------------- the janitor
-
-def test_janitor_policy_validation():
-    with pytest.raises(ConfigurationError):
-        JanitorPolicy(vacuum_interval_ms=0)
-    with pytest.raises(ConfigurationError):
-        JanitorPolicy(vacuum_batch_rows=0)
-    assert JanitorPolicy(vacuum_batch_rows=None).vacuum_batch_rows is None
-
-
-def test_janitor_cadence():
-    db = make_database()
-    janitor = MaintenanceJanitor([db], policy=JanitorPolicy(vacuum_interval_ms=100))
-    assert janitor.maybe_run(now_ms=0.0)      # first run is always due
-    assert not janitor.maybe_run(now_ms=50.0)
-    assert janitor.maybe_run(now_ms=100.0)
-    assert janitor.stats.runs == 2
-    assert janitor.stats.vacuum_passes == 2
-
-
-def test_janitor_run_once_vacuums_and_collects_certifier_garbage():
-    db = make_database()
-    txn = db.begin()
-    db.insert(txn, "kv", 1, id=1, value=0)
-    db.commit(txn)
-    churn(db, 1, 5)
-    pruned_calls = []
-
-    def fake_gc():
-        pruned_calls.append(True)
-        return 7
-
-    janitor = MaintenanceJanitor(
-        [db], replication_horizon=lambda: 6, certifier_gc=fake_gc)
-    summary = janitor.run_once()
-    assert summary["versions_reclaimed"] == 5
-    assert summary["certifier_records_pruned"] == 7
-    assert pruned_calls
-    assert janitor.stats.last_horizon == 6
-    assert janitor.stats.certifier_gc_runs == 1
-
-
-def test_janitor_with_unknown_horizon_uses_local_snapshots_only():
-    db = make_database()
-    txn = db.begin()
-    db.insert(txn, "kv", 1, id=1, value=0)
-    db.commit(txn)
-    churn(db, 1, 3)
-    janitor = MaintenanceJanitor([db])  # standalone: no certifier
-    summary = janitor.run_once()
-    assert summary["versions_reclaimed"] == 3
 
 
 # ------------------------------------------------- certifier horizon plumbing
@@ -320,18 +288,8 @@ def test_replication_horizon_never_negative():
 
 # ----------------------------------------------------- replicated system wiring
 
-def test_config_validates_janitor_knobs():
-    with pytest.raises(ConfigurationError):
-        ReplicationConfig(vacuum_interval_ms=0.0)
-    with pytest.raises(ConfigurationError):
-        ReplicationConfig(vacuum_batch_rows=0)
-    config = ReplicationConfig(vacuum_interval_ms=250.0, vacuum_batch_rows=64)
-    assert config.vacuum_interval_ms == 250.0
-
-
 def test_system_maintenance_bounds_chains_and_drops_dead_rows():
-    system = build_tashkent_mw_system(
-        2, vacuum_interval_ms=10.0, certifier_gc_headroom=0)
+    system = build_tashkent_mw_system(2, certifier_gc_headroom=0)
     system.create_table("kv", ["id", "value"])
     session = system.session(0)
     session.begin()
@@ -351,13 +309,11 @@ def test_system_maintenance_bounds_chains_and_drops_dead_rows():
         session.delete("kv", key)
         session.commit()
     system.refresh_all()  # replicas catch up and report their low-water mark
-    assert system.run_maintenance()
+    assert system.vacuum_all() > 0
     for replica in system.replicas:
         stats = replica.database.mvcc_stats()
         assert stats.max_chain_length == 1
         assert len(replica.database.table("kv")) == 10
-    assert system.janitor().stats.versions_reclaimed > 0
-    assert "janitor" in system.stats()
     assert system.replicas_consistent()
 
 
@@ -380,43 +336,3 @@ def test_replica_vacuum_respects_certifier_horizon():
     assert writer.vacuum() > 0
     assert writer.stats.vacuum_passes == 2
     assert writer.database.table("kv").mvcc_stats().max_chain_length == 1
-
-
-def test_run_maintenance_respects_cadence_with_clock():
-    system = build_tashkent_mw_system(1, vacuum_interval_ms=100.0)
-    system.create_table("kv", ["id", "value"])
-    assert system.run_maintenance(now_ms=0.0)
-    assert not system.run_maintenance(now_ms=99.0)
-    assert system.run_maintenance(now_ms=150.0)
-
-
-# ----------------------------------------------------------------- sim stack
-
-def test_sim_janitor_runs_when_configured():
-    from repro.cluster.experiment import ExperimentConfig, run_experiment
-
-    config = ExperimentConfig(
-        system=SystemKind.TASHKENT_MW,
-        workload=WorkloadName.TPC_B,
-        num_replicas=2,
-        vacuum_interval_ms=50.0,
-        warmup_ms=50.0,
-        measure_ms=300.0,
-    )
-    result = run_experiment(config)
-    assert result.utilization["janitor_runs"] >= 3
-    assert result.utilization["janitor_vacuum_passes"] >= 6
-
-
-def test_sim_janitor_off_by_default():
-    from repro.cluster.experiment import ExperimentConfig, run_experiment
-
-    config = ExperimentConfig(
-        system=SystemKind.TASHKENT_MW,
-        workload=WorkloadName.TPC_B,
-        num_replicas=1,
-        warmup_ms=50.0,
-        measure_ms=200.0,
-    )
-    result = run_experiment(config)
-    assert "janitor_runs" not in result.utilization

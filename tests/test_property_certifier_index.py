@@ -7,14 +7,17 @@ as the seed's linear scan over the full history (for every window that GC
 has not discarded — below the horizon the contract is a conservative
 abort, which is also asserted).
 
-The indexed log additionally runs in ``verify`` mode, so every check is
-*also* cross-validated internally against a scan of the retained records.
+A lockstep test additionally drives the indexed log and the scanning oracle
+of ``tests/certifier_log_oracle.py`` through the same appends, durability
+advances, crash truncations, prunes, rebuilds and certification extensions,
+and after every operation asks both every query the log answers.
 """
 
+from certifier_log_oracle import ScanCertifierLog
 from hypothesis import given, settings, strategies as st
 
 from repro.core.certification import CertificationRequest, Certifier
-from repro.core.certifier_log import MODE_VERIFY, CertifierLog
+from repro.core.certifier_log import CertifierLog, LogRecord
 from repro.core.writeset import make_writeset
 from repro.middleware.certifier import CertifierConfig, CertifierService
 from repro.middleware.sharded_certifier import ShardedCertifierService
@@ -80,7 +83,7 @@ def _pick(low, high, fraction):
 @given(ops)
 @settings(max_examples=120, deadline=None)
 def test_indexed_decisions_match_reference_scan(operations):
-    log = CertifierLog(mode=MODE_VERIFY)
+    log = CertifierLog()
     certifier = Certifier(log)
     reference = ReferenceScanCertifier()
 
@@ -148,7 +151,7 @@ def test_indexed_decisions_match_reference_scan(operations):
 @settings(max_examples=60, deadline=None)
 def test_gc_and_crash_keep_index_rebuildable(operations):
     """After any op sequence, the live index equals a from-scratch rebuild."""
-    log = CertifierLog(mode=MODE_VERIFY)
+    log = CertifierLog()
     certifier = Certifier(log)
     for op in operations:
         kind = op[0]
@@ -176,6 +179,92 @@ def test_gc_and_crash_keep_index_rebuildable(operations):
     for after in range(log.pruned_version, log.last_version + 1):
         assert (log.first_conflicting_version(probe_all, after)
                 == rebuilt.first_conflicting_version(probe_all, after))
+
+
+# ---------------------------------------------------------------------------
+# Every query of the index ≡ the scan oracle, after every operation
+# ---------------------------------------------------------------------------
+
+LOCKSTEP_KEYS = 6
+lockstep_ops = st.lists(
+    st.one_of(
+        # append: the writeset's keys and how far back it was certified.
+        st.tuples(st.just("append"),
+                  st.lists(st.integers(0, LOCKSTEP_KEYS - 1), min_size=1, max_size=3),
+                  st.floats(0.0, 1.0)),
+        st.tuples(st.just("durable"), st.floats(0.0, 1.0)),
+        st.tuples(st.just("crash"), st.floats(0.0, 1.0)),
+        st.tuples(st.just("prune"), st.floats(0.0, 1.0)),
+        st.tuples(st.just("rebuild"), st.booleans()),
+        # extend: which retained record, and how far back to extend it.
+        st.tuples(st.just("extend"), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+LOCKSTEP_PROBES = [make_writeset([("t", k)]) for k in range(LOCKSTEP_KEYS)] + [
+    make_writeset([("t", 0), ("t", 3)]),
+    make_writeset([("t", k) for k in range(LOCKSTEP_KEYS)]),
+    make_writeset([("u", 0)]),
+]
+
+
+def _assert_lockstep(log, oracle):
+    assert (log.last_version, log.durable_version, log.pruned_version) == (
+        oracle.last_version, oracle.durable_version, oracle.pruned_version)
+    last = log.last_version
+    for after in range(max(0, log.pruned_version - 1), last + 1):
+        for probe in LOCKSTEP_PROBES:
+            assert log.conflicts(probe, after) == oracle.conflicts(probe, after)
+            for up_to in sorted({after, after + 1, after + 2, (after + last) // 2, last}):
+                assert (log.conflicts(probe, after, up_to)
+                        == oracle.conflicts(probe, after, up_to)), (after, up_to)
+            assert (log.first_conflicting_version(probe, after)
+                    == oracle.first_conflicting_version(probe, after))
+        for key in range(LOCKSTEP_KEYS):
+            assert (log.first_writer_version("t", key, after)
+                    == oracle.first_writer_version("t", key, after))
+    for version in range(log.pruned_version + 1, last + 1):
+        assert log.certified_back_to(version) == oracle.certified_back_to(version)
+
+
+@given(lockstep_ops)
+@settings(max_examples=150, deadline=None)
+def test_every_index_query_matches_the_scan_oracle_after_every_op(operations):
+    log, oracle = CertifierLog(), ScanCertifierLog()
+    for op in operations:
+        kind = op[0]
+        if kind == "append":
+            _, keys, fraction = op
+            version = log.last_version + 1
+            record = LogRecord(version, make_writeset([("t", k) for k in keys]),
+                               certified_back_to=_pick(0, version - 1, fraction))
+            log.append(record)
+            oracle.append(record)
+        elif kind == "durable":
+            target = _pick(log.durable_version, log.last_version, op[1])
+            log.mark_durable(target)
+            oracle.mark_durable(target)
+        elif kind == "crash":
+            target = _pick(log.durable_version, log.last_version, op[1])
+            for each in (log, oracle):
+                each.mark_durable(target)
+                each.truncate_to_durable()
+        elif kind == "prune":
+            target = _pick(log.pruned_version, log.durable_version, op[1])
+            assert log.prune_to(target) == oracle.prune_to(target)
+        elif kind == "rebuild":
+            # State transfer of the retained suffix, durable or not.
+            log = CertifierLog.from_records(log.iter_records(), durable=op[1])
+            oracle = ScanCertifierLog.from_records(oracle.iter_records(), durable=op[1])
+        elif kind == "extend" and log.retained_count:
+            _, which, back = op
+            version = _pick(log.pruned_version + 1, log.last_version, which)
+            back_to = _pick(0, log.certified_back_to(version), back)
+            assert (log.extend_certification(version, back_to)
+                    == oracle.extend_certification(version, back_to))
+        _assert_lockstep(log, oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ Three invariants guard the fast-path storage layout:
 """
 
 from hypothesis import given, settings, strategies as st
+from row_oracle import LegacyVersionedRow
 
 from repro.core.writeset import WriteSet
 from repro.engine.database import Database
-from repro.engine.rows import LegacyVersionedRow, RowVersion, VersionedRow
+from repro.engine.rows import RowVersion, VersionedRow
 from repro.middleware.systems import build_tashkent_mw_system
 
 keys = st.integers(min_value=0, max_value=5)
@@ -63,7 +64,7 @@ def test_vacuum_never_changes_reads_at_snapshots_above_the_horizon(
     operations, vacuum_points, horizon_lag
 ):
     """Reads at every snapshot >= the highest vacuum horizon are identical
-    with and without maintenance (the janitor-on/off equivalence oracle)."""
+    with and without maintenance (the vacuum-on/off equivalence oracle)."""
     vacuumed = _build_db("vacuumed")
     pristine = _build_db("pristine")
     writesets = _writesets(operations)
@@ -176,8 +177,8 @@ def test_linked_chain_row_matches_legacy_list_row(script_and_max):
 @given(st.lists(st.tuples(st.integers(0, 1), keys, values), min_size=1, max_size=20))
 @settings(max_examples=25, deadline=None)
 def test_system_maintenance_preserves_replica_consistency(operations):
-    """End to end: commits through the proxies, refreshes, and janitor runs
-    leave every replica identical and every chain vacuumable to its horizon."""
+    """End to end: commits through the proxies, refreshes, a vacuum of every
+    replica and certifier GC leave every replica identical and every chain vacuumable to its horizon."""
     system = build_tashkent_mw_system(2, certifier_gc_headroom=0)
     system.create_table("kv", ["id", "value"])
     sessions = [system.session(i, client_name=f"prop-{i}") for i in range(2)]
@@ -194,7 +195,8 @@ def test_system_maintenance_preserves_replica_consistency(operations):
         if session.commit().committed:
             model[key] = value
     system.refresh_all()
-    system.run_maintenance()
+    system.vacuum_all()
+    system.certifier.collect_garbage()
     assert system.replicas_consistent()
     for replica in system.replicas:
         reader = replica.database.begin()
