@@ -116,19 +116,6 @@ PROP_WRITESETS = int(os.environ.get("REPRO_BENCH_PROP_WRITESETS", "256"))
 PROP_BATCH_SIZE = int(os.environ.get("REPRO_BENCH_PROP_BATCH", "32"))
 PROP_FSYNC_MS = float(os.environ.get("REPRO_BENCH_PROP_FSYNC_MS", "0.2"))
 
-#: Scheduler-routing benchmark axes (test_scheduler_routing.py): replica
-#: counts (filtered to the >= 4 points where routing matters) and the
-#: AllUpdates update-burst — how many consecutive transactions a client
-#: aims at the same counter row, the session-affinity axis that separates
-#: conflict-aware routing from round-robin.
-SCHED_REPLICAS = tuple(
-    int(n) for n in os.environ.get(
-        "REPRO_BENCH_SCHED_REPLICAS",
-        ",".join(str(n) for n in REPLICA_COUNTS if n >= 4) or "4,8",
-    ).split(",")
-)
-SCHED_UPDATE_BURST = int(os.environ.get("REPRO_BENCH_SCHED_BURST", "3"))
-
 #: Certifier-sharding benchmark axes (test_certifier_sharding.py): shard
 #: counts, cross-shard writeset ratios, closed-loop client count, the
 #: bounded fsync group (records per certifier log flush — the knob that

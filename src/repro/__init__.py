@@ -28,13 +28,6 @@ The package is organised in layers:
     factories assembling the three replicated systems evaluated in the paper
     (Base, Tashkent-MW and Tashkent-API) on top of real engine instances.
 
-``repro.balancer``
-    The cluster scheduler in front of the replicas: pluggable routing
-    policies (round-robin, least-loaded, staleness-aware, conflict-aware),
-    per-replica admission control with a bounded wait queue, and routed
-    client sessions — the dynamic alternative to the paper's static client
-    pinning.  See ``docs/scheduler.md``.
-
 ``repro.consensus``
     Paxos / multi-Paxos used to replicate the certifier for availability.
 
@@ -59,21 +52,9 @@ The package is organised in layers:
     Result tables and paper-versus-measured reporting helpers.
 
 Start with the top-level ``README.md``; the layer map and subsystem guides
-live in ``docs/architecture.md``, ``docs/scheduler.md`` and
-``docs/benchmarks.md``.
+live in ``docs/architecture.md`` and ``docs/benchmarks.md``.
 """
 
-from repro.balancer import (
-    ClusterScheduler,
-    ConflictAwarePolicy,
-    LeastLoadedPolicy,
-    RoundRobinPolicy,
-    RoutedSession,
-    RoutingPolicy,
-    RoutingRequest,
-    StalenessAwarePolicy,
-    routing_policy_from_name,
-)
 from repro.core.config import (
     DiskConfig,
     NetworkConfig,
@@ -108,8 +89,6 @@ from repro.workloads import allupdates, tpcb, tpcw
 __all__ = [
     "CertificationDecision",
     "Certifier",
-    "ClusterScheduler",
-    "ConflictAwarePolicy",
     "Database",
     "DiskConfig",
     "ExperimentConfig",
@@ -118,18 +97,12 @@ __all__ = [
     "FlushPolicy",
     "ImmediateFlushPolicy",
     "IsolationError",
-    "LeastLoadedPolicy",
     "MessageBus",
     "NetworkConfig",
     "ReplicaSweep",
     "ReplicatedSystem",
     "ReplicationConfig",
-    "RoundRobinPolicy",
-    "RoutedSession",
-    "RoutingPolicy",
-    "RoutingRequest",
     "SizeCappedFlushPolicy",
-    "StalenessAwarePolicy",
     "SystemKind",
     "TimeWindowFlushPolicy",
     "VersionClock",
@@ -142,7 +115,6 @@ __all__ = [
     "build_tashkent_api_system",
     "build_tashkent_mw_system",
     "policy_from_name",
-    "routing_policy_from_name",
     "run_experiment",
     "run_replica_sweep",
     "tpcb",

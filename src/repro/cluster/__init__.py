@@ -26,10 +26,9 @@ per certification shard, the paper's single log writer beside one disk at
 an :class:`~repro.cluster.experiment.ExperimentConfig` and returns an
 :class:`~repro.cluster.experiment.ExperimentResult`;
 :func:`~repro.cluster.sweeps.run_replica_sweep` produces the replica-count
-series plotted in the paper's figures.  ``ExperimentConfig(routing=...)``
-swaps the paper's pinned client populations for one scheduler-routed pool
-(see :mod:`repro.balancer` and ``docs/scheduler.md``); what each figure
-sweep and micro-benchmark measures is described in ``docs/benchmarks.md``.
+series plotted in the paper's figures, with every client pinned to one
+replica as in the paper; what each figure sweep and micro-benchmark measures
+is described in ``docs/benchmarks.md``.
 """
 
 from repro.cluster.experiment import ExperimentConfig, ExperimentResult, run_experiment

@@ -7,23 +7,14 @@ replica is driven at this load").  A closed-loop client issues one
 transaction, waits for it to complete, and immediately issues the next; for
 AllUpdates this is literally "back-to-back short update transactions".
 
-:func:`client_process` is that pinned client.  :func:`routed_client_process`
-is its scheduler-fronted counterpart: the same closed loop, but every
-transaction first passes through the cluster scheduler
-(:mod:`repro.balancer`) — policy routing, per-replica admission control,
-bounded queueing with a deadline — before executing on whichever replica
-was chosen.  Admission failures are recorded as aborted transactions
-(reasons ``admission-timeout`` / ``admission-rejected``) so the front door's
-behaviour shows up in the same goodput and abort-rate metrics the paper
-plots.
+:func:`client_process` is that client, pinned to one replica for its whole
+life as in the paper.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.balancer import ClusterScheduler, RoutingRequest, TicketState
-from repro.errors import SchedulerSaturatedError
 from repro.sim.kernel import Environment
 from repro.sim.metrics import MetricsCollector, TransactionRecord
 from repro.sim.rng import RandomStreams
@@ -32,13 +23,6 @@ from repro.workloads.spec import WorkloadSpec
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.models import SystemModel
     from repro.cluster.nodes import SimReplicaNode
-
-#: Pseudo-replica name under which admission failures are recorded.
-BALANCER_NODE = "balancer"
-
-#: Back-off before retrying after the bounded admission queue shed the
-#: request (milliseconds).
-ADMISSION_RETRY_BACKOFF_MS = 1.0
 
 
 def client_process(
@@ -93,103 +77,3 @@ def client_process(
                 rng.expovariate(f"think:{replica_index}:{client_index}", think_time_ms)
             )
 
-
-def routed_client_process(
-    env: Environment,
-    model: "SystemModel",
-    scheduler: ClusterScheduler,
-    *,
-    home_index: int,
-    client_index: int,
-    workload: WorkloadSpec,
-    rng: RandomStreams,
-    metrics: MetricsCollector,
-    stop_ms: float,
-    think_time_ms: float = 0.0,
-    admission_timeout_ms: float = 200.0,
-) -> Generator:
-    """One closed-loop client routed per-transaction by the scheduler.
-
-    ``home_index`` is the replica this client *would* be pinned to under the
-    paper's methodology; it still keys the workload's key space (so routed
-    and pinned runs generate identical transaction populations) but has no
-    bearing on where a transaction executes.
-    """
-    client_name = f"client-{home_index}-{client_index}"
-    sequence = 0
-    while env.now < stop_ms:
-        profile = workload.next_transaction(
-            rng,
-            replica_index=home_index,
-            client_index=client_index,
-            sequence=sequence,
-        )
-        sequence += 1
-        start_ms = env.now
-        request = RoutingRequest(
-            client=client_name,
-            readonly=profile.readonly,
-            item_ids=profile.writeset.item_ids if not profile.readonly else frozenset(),
-            home_index=home_index,
-        )
-        try:
-            ticket = scheduler.submit(request, now=env.now)
-        except SchedulerSaturatedError:
-            # The bounded wait queue is full: the front door sheds the
-            # request.  Record the rejection and back off briefly.
-            metrics.record(TransactionRecord(
-                start_ms=start_ms, end_ms=env.now, committed=False,
-                readonly=profile.readonly, replica=BALANCER_NODE,
-                aborted_reason="admission-rejected",
-            ))
-            yield env.timeout(ADMISSION_RETRY_BACKOFF_MS)
-            continue
-        if ticket.state is TicketState.QUEUED:
-            # Wait for a slot or the deadline, whichever fires first.  The
-            # race is decided by the ticket's state, not the waker: a
-            # promotion landing on the same timestamp as the deadline wins.
-            woken = env.event()
-
-            def _wake(_event_or_ticket, woken=woken) -> None:
-                if not woken.triggered:
-                    woken.succeed()
-
-            ticket.on_admit = _wake
-            env.timeout(admission_timeout_ms).add_callback(_wake)
-            yield woken
-            if ticket.state is not TicketState.ADMITTED:
-                scheduler.give_up(ticket, now=env.now)
-                metrics.record(TransactionRecord(
-                    start_ms=start_ms, end_ms=env.now, committed=False,
-                    readonly=profile.readonly, replica=BALANCER_NODE,
-                    aborted_reason="admission-timeout",
-                ))
-                continue
-        assert ticket.replica_index is not None
-        replica = model.replicas[ticket.replica_index]
-        try:
-            # BEGIN on the routed replica: the snapshot is *its* watermark.
-            tx_start_version = replica.replica_version
-            yield from replica.cpu.execute(profile.exec_cpu_ms)
-            if profile.readonly:
-                committed, abort_reason = True, None
-            else:
-                committed, abort_reason = yield from model.commit_update(
-                    replica, profile, tx_start_version
-                )
-        finally:
-            scheduler.release(ticket, now=env.now)
-        metrics.record(
-            TransactionRecord(
-                start_ms=start_ms,
-                end_ms=env.now,
-                committed=committed,
-                readonly=profile.readonly,
-                replica=replica.name,
-                aborted_reason=abort_reason,
-            )
-        )
-        if think_time_ms > 0:
-            yield env.timeout(
-                rng.expovariate(f"think:{home_index}:{client_index}", think_time_ms)
-            )

@@ -45,16 +45,6 @@ class ExperimentConfig:
     dedicated_io: bool = False
     #: Forced system-wide abort rate at the certifier (Section 9.5).
     forced_abort_rate: float = 0.0
-    #: Routing policy name for the cluster scheduler (see
-    #: :mod:`repro.balancer`).  ``None`` keeps the paper's static client
-    #: pinning; any other value replaces the per-replica client populations
-    #: with one shared pool whose transactions are routed per-transaction.
-    routing: str | None = None
-    #: Per-replica admission limit when routing (``None`` = unlimited).
-    multiprogramming_limit: int | None = None
-    #: Deadline for a routed transaction waiting in the admission queue; a
-    #: miss is recorded as an ``admission-timeout`` abort.
-    admission_timeout_ms: float = 200.0
     #: Number of certification shards at the certifier (1 = the paper's
     #: single certifier; see ``docs/certifier.md``).
     certifier_shards: int = 1
@@ -71,9 +61,6 @@ class ExperimentConfig:
     #: mark (``None`` = the sim node's default; see
     #: :class:`~repro.core.config.ReplicationConfig.certifier_gc_headroom`).
     certifier_gc_headroom: int | None = None
-    #: Extra workload constructor options (scenario axes such as
-    #: AllUpdates' ``update_burst``); forwarded to ``workload_by_name``.
-    workload_options: Mapping[str, object] | None = None
     warmup_ms: float = 1_000.0
     measure_ms: float = 4_000.0
     seed: int = 20060418
@@ -83,8 +70,6 @@ class ExperimentConfig:
             raise ConfigurationError("num_replicas must be >= 1")
         if self.system is SystemKind.STANDALONE and self.num_replicas != 1:
             raise ConfigurationError("a standalone system has exactly one database")
-        if self.system is SystemKind.STANDALONE and self.routing is not None:
-            raise ConfigurationError("a standalone system has nothing to route")
         if self.measure_ms <= 0 or self.warmup_ms < 0:
             raise ConfigurationError("measurement window must be positive")
         validate_certifier_crash_schedule(self.certifier_crash_schedule,
@@ -99,9 +84,6 @@ class ExperimentConfig:
             clients_per_replica=clients,
             disk=disk,
             forced_abort_rate=self.forced_abort_rate,
-            routing_policy=self.routing,
-            multiprogramming_limit=self.multiprogramming_limit,
-            admission_timeout_ms=self.admission_timeout_ms,
             certifier_shards=self.certifier_shards,
             certifier_max_flush_batch=self.certifier_max_flush_batch,
             certifier_crash_schedule=self.certifier_crash_schedule,
@@ -157,7 +139,6 @@ class ExperimentResult:
             "workload": self.config.workload.value,
             "replicas": self.config.num_replicas,
             "dedicated_io": self.config.dedicated_io,
-            "routing": self.config.routing or "pinned",
             "certifier_shards": self.config.certifier_shards,
             "throughput_tps": round(self.throughput_tps, 1),
             "mean_response_ms": round(self.mean_response_ms, 1),
@@ -180,8 +161,7 @@ _MODEL_CLASSES: dict[SystemKind, type[SystemModel]] = {
 
 def build_model(config: ExperimentConfig) -> tuple[SystemModel, MetricsCollector, Environment]:
     """Construct the simulation for ``config`` without running it."""
-    workload = workload_by_name(config.workload, num_replicas=config.num_replicas,
-                                **dict(config.workload_options or {}))
+    workload = workload_by_name(config.workload, num_replicas=config.num_replicas)
     replication = config.replication_config(workload)
     env = Environment()
     rng = RandomStreams(config.seed)

@@ -13,14 +13,13 @@ from __future__ import annotations
 import abc
 from typing import Generator
 
-from repro.balancer import ClusterScheduler, routing_policy_from_name
 from repro.core.certification import CertificationRequest
 from repro.core.config import ReplicationConfig, SystemKind
 from repro.sim.kernel import Environment
 from repro.sim.metrics import MetricsCollector
 from repro.sim.rng import RandomStreams
 from repro.workloads.spec import TransactionProfile, WorkloadSpec
-from repro.cluster.client import client_process, routed_client_process
+from repro.cluster.client import client_process
 from repro.cluster.nodes import SimCertifierNode, SimReplicaNode
 
 
@@ -69,7 +68,6 @@ class SystemModel(abc.ABC):
                 self.certifier_node.register_replica(replica.name)
                 env.process(self._staleness_refresh(replica),
                             name=f"{replica.name}-staleness-refresh")
-        self.scheduler = self._build_scheduler()
 
     # -- construction ------------------------------------------------------------
 
@@ -83,62 +81,8 @@ class SystemModel(abc.ABC):
             durability_enabled=self.config.system.durability_in_certifier,
         )
 
-    def _build_scheduler(self) -> ClusterScheduler | None:
-        """The cluster scheduler, when dynamic routing is configured.
-
-        Endpoint signals are wired live: the applied version is the
-        replica's proxy watermark and the lag is the number of writesets
-        pending on its transport subscription at the certifier.
-        """
-        if self.config.routing_policy is None or self.certifier_node is None:
-            return None
-        scheduler = ClusterScheduler(
-            routing_policy_from_name(self.config.routing_policy),
-            multiprogramming_limit=self.config.multiprogramming_limit,
-            max_queue_depth=self.config.admission_queue_depth,
-            queue_timeout_ms=self.config.admission_timeout_ms,
-        )
-        certifier_node = self.certifier_node
-        for replica in self.replicas:
-            scheduler.add_replica(
-                replica.name,
-                applied_version=lambda r=replica: r.replica_version,
-                lag=lambda name=replica.name:
-                    certifier_node.subscription(name).pending_writesets,
-            )
-        return scheduler
-
     def start_clients(self, stop_ms: float) -> None:
-        """Spawn the closed-loop clients.
-
-        Pinned mode (the paper's methodology, ``routing_policy=None``)
-        attaches ``clients_per_replica`` clients to every replica.  Routed
-        mode spawns the same total population as one shared pool whose
-        transactions are routed per-transaction by the cluster scheduler;
-        each client keeps its pinned-mode ``home_index`` so the workload
-        generates an identical key space and conflict structure — only the
-        placement of transactions changes.
-        """
-        if self.scheduler is not None:
-            for home_index in range(self.config.num_replicas):
-                for client_index in range(self.config.clients_per_replica):
-                    self.env.process(
-                        routed_client_process(
-                            self.env,
-                            self,
-                            self.scheduler,
-                            home_index=home_index,
-                            client_index=client_index,
-                            workload=self.workload,
-                            rng=self.rng,
-                            metrics=self.metrics,
-                            stop_ms=stop_ms,
-                            think_time_ms=self.workload.think_time_ms,
-                            admission_timeout_ms=self.config.admission_timeout_ms,
-                        ),
-                        name=f"routed-client-{home_index}-{client_index}",
-                    )
-            return
+        """Spawn ``clients_per_replica`` closed-loop clients pinned to each replica."""
         for replica_index, replica in enumerate(self.replicas):
             for client_index in range(self.config.clients_per_replica):
                 self.env.process(
@@ -256,15 +200,4 @@ class SystemModel(abc.ABC):
         stats["replica_records_per_fsync"] = (
             sum(records) / len(records) if records else 0.0
         )
-        if self.scheduler is not None:
-            sched = self.scheduler.stats
-            stats["scheduler_queued"] = float(sched.queued)
-            stats["scheduler_admission_timeouts"] = float(sched.admission_timeouts)
-            stats["scheduler_load_shed"] = float(sched.saturation_rejections)
-            routed = list(sched.routed_per_replica.values())
-            if routed:
-                mean = sum(routed) / len(routed)
-                stats["scheduler_routed_imbalance"] = (
-                    max(routed) / mean if mean else 0.0
-                )
         return stats

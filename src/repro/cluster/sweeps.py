@@ -10,7 +10,7 @@ same rows the paper plots and which EXPERIMENTS.md records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.config import SystemKind, WorkloadName
 from repro.cluster.experiment import ExperimentConfig, ExperimentResult, run_experiment
@@ -102,22 +102,17 @@ def run_replica_sweep(
     dedicated_io: bool = False,
     forced_abort_rate: float = 0.0,
     clients_per_replica: int | None = None,
-    routing: str | None = None,
     certifier_shards: int = 1,
     certifier_max_flush_batch: int | None = None,
     certifier_crash_schedule: tuple[tuple[int, float, float], ...] = (),
     certifier_gc_headroom: int | None = None,
-    workload_options: Mapping[str, object] | None = None,
     warmup_ms: float = 1_000.0,
     measure_ms: float = 4_000.0,
     seed: int = 20060418,
 ) -> ReplicaSweep:
     """Run the replica-count sweep for ``workload`` across ``systems``.
 
-    ``routing`` selects a cluster-scheduler policy (``None`` = the paper's
-    pinned clients), so a figure sweep can be re-run in routed mode and
-    compared point-for-point against the pinned curves.  ``certifier_shards``
-    re-runs the same sweep against a sharded certifier (with
+    ``certifier_shards`` re-runs the same sweep against a sharded certifier (with
     ``certifier_max_flush_batch`` bounding each shard's fsync group), so the
     figures can be regenerated with the certifier scaled out.
     ``certifier_crash_schedule`` injects deterministic shard-leader outages
@@ -136,12 +131,10 @@ def run_replica_sweep(
                 clients_per_replica=clients_per_replica,
                 dedicated_io=dedicated_io,
                 forced_abort_rate=forced_abort_rate,
-                routing=routing,
                 certifier_shards=certifier_shards,
                 certifier_max_flush_batch=certifier_max_flush_batch,
                 certifier_crash_schedule=certifier_crash_schedule,
                 certifier_gc_headroom=certifier_gc_headroom,
-                workload_options=workload_options,
                 warmup_ms=warmup_ms,
                 measure_ms=measure_ms,
                 seed=seed,

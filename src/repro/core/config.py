@@ -176,17 +176,6 @@ class ReplicationConfig:
     local_certification: bool = True
     #: Enables eager pre-certification / deadlock avoidance (Section 8.2).
     eager_pre_certification: bool = True
-    #: Routing policy name for the cluster scheduler (``None`` keeps the
-    #: paper's static client pinning; see :mod:`repro.balancer`).
-    routing_policy: str | None = None
-    #: Per-replica admission limit enforced by the scheduler when routing is
-    #: enabled (``None`` = unlimited: routing without admission control).
-    multiprogramming_limit: int | None = None
-    #: Bounded admission wait queue depth (requests beyond it are shed).
-    admission_queue_depth: int = 64
-    #: How long a routed transaction waits for a multiprogramming slot
-    #: before giving up (recorded as an ``admission-timeout`` abort).
-    admission_timeout_ms: float = 200.0
     #: Number of certification shards the item keyspace is partitioned
     #: across.  1 is the paper's single certifier; higher values give each
     #: shard its own log, fsync pipeline and propagation stream, with a
@@ -258,14 +247,6 @@ class ReplicationConfig:
             raise ConfigurationError("forced_abort_rate must be in [0, 1)")
         if self.staleness_bound_ms <= 0:
             raise ConfigurationError("staleness_bound_ms must be positive")
-        if self.multiprogramming_limit is not None and self.multiprogramming_limit < 1:
-            raise ConfigurationError("multiprogramming_limit must be >= 1")
-        if self.admission_queue_depth < 0:
-            raise ConfigurationError("admission_queue_depth must be >= 0")
-        if self.admission_timeout_ms <= 0:
-            raise ConfigurationError("admission_timeout_ms must be positive")
-        if self.routing_policy is not None and self.system is SystemKind.STANDALONE:
-            raise ConfigurationError("a standalone system has nothing to route")
         if self.certifier_shards < 1:
             raise ConfigurationError("certifier_shards must be >= 1")
         if self.certifier_max_flush_batch is not None and self.certifier_max_flush_batch < 1:

@@ -102,29 +102,3 @@ class QuorumUnavailableError(ConsensusError):
 
 class SimulationError(ReproError):
     """The discrete-event simulator was used incorrectly."""
-
-
-class SchedulerError(ReproError):
-    """Base class for cluster-scheduler (transaction routing) failures."""
-
-
-class NoHealthyReplicaError(SchedulerError):
-    """Every replica known to the scheduler is marked unhealthy."""
-
-
-class AdmissionTimeoutError(SchedulerError):
-    """A routed transaction waited at the admission queue past its deadline.
-
-    Raised by the functional routed session when no replica has a free
-    multiprogramming slot (the single-threaded functional stack cannot block
-    waiting for one); recorded as an ``admission-timeout`` abort by the
-    simulated routed clients.
-    """
-
-
-class SchedulerSaturatedError(SchedulerError):
-    """The scheduler's bounded admission wait queue is full.
-
-    The front door sheds load instead of queueing without bound — the caller
-    should back off and retry (or surface the rejection to its client).
-    """

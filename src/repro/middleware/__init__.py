@@ -7,10 +7,8 @@ variants of the paper — Base, Tashkent-MW and Tashkent-API — differ only in
 where durability lives and in whether the proxy can pass the global commit
 order to the database; everything else is shared.
 
-Clients attach either pinned (``ReplicatedSystem.session``, the paper's
-static assignment) or routed through the cluster scheduler
-(``ReplicatedSystem.routed_session``, see :mod:`repro.balancer` and
-``docs/scheduler.md``).  The certifier front-end is either the paper's
+Clients are pinned to one replica (``ReplicatedSystem.session``, the paper's
+static assignment).  The certifier front-end is either the paper's
 single :class:`CertifierService` or, with ``certifier_shards > 1``, the
 :class:`ShardedCertifierService` (``docs/certifier.md``).  The layer map is
 in ``docs/architecture.md``.

@@ -6,27 +6,16 @@ and helpers to create client sessions, load schemas and data on every
 replica, and collect statistics.  The three paper variants are produced by
 :func:`build_base_system`, :func:`build_tashkent_mw_system` and
 :func:`build_tashkent_api_system`; :func:`build_replicated_system` is the
-generic entry point used by the examples and tests.
-
-Clients connect in one of two modes: **pinned** (:meth:`ReplicatedSystem.session`
-— the paper's static assignment, one replica per session for life) or
-**routed** (:meth:`ReplicatedSystem.routed_session` — every transaction asks
-the cluster scheduler of :mod:`repro.balancer` for a replica, with admission
-control and health-aware fallback; see ``docs/scheduler.md``).
+generic entry point used by the examples and tests.  Clients are pinned, as
+in the paper: :meth:`ReplicatedSystem.session` binds one replica for life.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-# Submodule imports (not the package): repro.balancer.session imports the
-# middleware client API, so pulling the balancer *package* here would cycle
-# when repro.balancer is imported first.  RoutedSession is imported lazily in
-# :meth:`ReplicatedSystem.routed_session` for the same reason.
-from repro.balancer.policies import routing_policy_from_name
-from repro.balancer.scheduler import ClusterScheduler
 from repro.core.config import ReplicationConfig, SystemKind
 from repro.engine.database import Database
 from repro.engine.table import TableSchema
@@ -38,9 +27,6 @@ from repro.middleware.sharded_certifier import (
     ShardedCertifierService,
     make_certifier_service,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.balancer.session import RoutedSession
 
 
 @dataclass
@@ -100,50 +86,6 @@ class ReplicatedSystem:
             self.session(i % len(self.replicas), client_name=f"client-{i}")
             for i in range(count)
         ]
-
-    # -- routed mode (the cluster scheduler) ------------------------------------------
-
-    def scheduler(self, policy: str = "least-loaded", *,
-                  multiprogramming_limit: int | None = None,
-                  max_queue_depth: int = 64,
-                  queue_timeout_ms: float = 200.0) -> ClusterScheduler:
-        """Build a cluster scheduler fronting this system's replicas.
-
-        The endpoints' live signals are wired to each replica: the applied
-        version is the proxy's GSI watermark and the lag is the number of
-        writesets pending on the replica's transport subscription.  One
-        scheduler should front all routed sessions of a deployment — routing
-        state (round-robin cursor, conflict affinities, in-flight counts) is
-        only meaningful when shared.
-        """
-        scheduler = ClusterScheduler(
-            routing_policy_from_name(policy),
-            multiprogramming_limit=multiprogramming_limit,
-            max_queue_depth=max_queue_depth,
-            queue_timeout_ms=queue_timeout_ms,
-        )
-        for replica in self.replicas:
-            scheduler.add_replica(
-                replica.name,
-                applied_version=lambda r=replica: r.replica_version,
-                lag=lambda r=replica: r.proxy.subscription.pending_writesets,
-            )
-        return scheduler
-
-    def routed_session(self, scheduler: ClusterScheduler | str = "least-loaded",
-                       *, client_name: str = "client") -> "RoutedSession":
-        """Open a scheduler-routed client session (the dynamic front door).
-
-        Pass an existing :class:`ClusterScheduler` to share routing state
-        between sessions (the normal deployment shape), or a policy name to
-        get a session fronted by a fresh single-session scheduler (handy in
-        tests and examples).
-        """
-        from repro.balancer.session import RoutedSession
-
-        if isinstance(scheduler, str):
-            scheduler = self.scheduler(scheduler)
-        return RoutedSession(self, scheduler, client_name=client_name)
 
     # -- maintenance ---------------------------------------------------------------------
 

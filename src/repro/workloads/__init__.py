@@ -10,11 +10,6 @@ Each workload comes in two forms that share the same parameters:
   :meth:`WorkloadSpec.setup`, :meth:`WorkloadSpec.run_transaction`) that runs
   real transactions through the public client API against the real engine,
   used by the examples and the integration tests.
-
-Scenario axes beyond the paper (e.g. AllUpdates' ``update_burst``
-session-affinity knob) are plain constructor options, forwarded through
-``workload_by_name(..., **options)``; ``docs/benchmarks.md`` lists which
-benchmark exercises which axis.
 """
 
 from repro.workloads.spec import TransactionProfile, WorkloadSpec, workload_by_name

@@ -10,18 +10,6 @@ client, so there are never write-write conflicts (neither genuine nor
 artificial), which is why Tashkent-API can group every commit record and why
 forced aborts (Section 9.5) have to be injected at the certifier to study
 abort behaviour at all.
-
-``update_burst`` opens a scenario axis beyond the paper: with a burst of
-*b*, each client re-updates its current counter row *b* times before moving
-to the next slot (``update_burst=1``, the default, is exactly the paper's
-cycling behaviour).  Burstiness is invisible under the paper's static client
-pinning — a client's own replica always observed its previous commit, so
-consecutive rewrites never conflict — but it is the workload property that
-separates routing policies: a scheduler that bounces a mid-burst client to a
-replica which has not yet applied its previous commit buys a certain
-certification abort (the writeset intersects its own predecessor), while
-conflict-aware affinity routing keeps the burst on one replica.  See
-``docs/scheduler.md`` and ``benchmarks/test_scheduler_routing.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +19,6 @@ from typing import Sequence
 from repro.core.config import WorkloadName
 from repro.core.writeset import WriteSet
 from repro.engine.table import TableSchema
-from repro.errors import ConfigurationError
 from repro.sim.rng import RandomStreams
 from repro.workloads.spec import TransactionProfile, WorkloadSpec
 
@@ -47,15 +34,6 @@ class AllUpdatesWorkload(WorkloadSpec):
     exec_cpu_ms = 1.3
     #: Rows per client in the counters table (functional form).
     rows_per_client = 4
-
-    def __init__(self, *, num_replicas: int = 1, scale: int = 1,
-                 update_burst: int = 1) -> None:
-        super().__init__(num_replicas=num_replicas, scale=scale)
-        if update_burst < 1:
-            raise ConfigurationError("update_burst must be >= 1")
-        #: Consecutive transactions a client aims at the same counter row
-        #: before advancing to the next slot (1 = the paper's behaviour).
-        self.update_burst = update_burst
 
     # -- simulation profile ---------------------------------------------------------
 
@@ -74,7 +52,7 @@ class AllUpdatesWorkload(WorkloadSpec):
         )
 
     def _counter_key(self, replica_index: int, client_index: int, sequence: int) -> str:
-        slot = (sequence // self.update_burst) % self.rows_per_client
+        slot = sequence % self.rows_per_client
         return f"r{replica_index}-c{client_index}-{slot}"
 
     # -- functional form ----------------------------------------------------------------

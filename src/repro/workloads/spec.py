@@ -101,14 +101,8 @@ class WorkloadSpec(abc.ABC):
 
 
 def workload_by_name(name: WorkloadName | str, *, num_replicas: int = 1,
-                     scale: int = 1, **options: object) -> WorkloadSpec:
-    """Instantiate a workload from its :class:`WorkloadName`.
-
-    Extra keyword ``options`` are forwarded to the workload constructor —
-    the scenario axes a specific benchmark exposes beyond the paper's
-    parameters (e.g. ``update_burst`` for AllUpdates).  Unknown options
-    raise ``TypeError`` from the constructor.
-    """
+                     scale: int = 1) -> WorkloadSpec:
+    """Instantiate a workload from its :class:`WorkloadName`."""
     from repro.workloads.allupdates import AllUpdatesWorkload
     from repro.workloads.tpcb import TPCBWorkload
     from repro.workloads.tpcw import TPCWWorkload
@@ -119,4 +113,4 @@ def workload_by_name(name: WorkloadName | str, *, num_replicas: int = 1,
         WorkloadName.TPC_B: TPCBWorkload,
         WorkloadName.TPC_W: TPCWWorkload,
     }
-    return classes[name](num_replicas=num_replicas, scale=scale, **options)
+    return classes[name](num_replicas=num_replicas, scale=scale)

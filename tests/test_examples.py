@@ -37,8 +37,7 @@ def run_example(script: str) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("script", ["quickstart.py", "bank_tpcb.py",
-                                    "routed_cluster.py"])
+@pytest.mark.parametrize("script", ["quickstart.py", "bank_tpcb.py"])
 def test_example_runs_to_completion(script):
     result = run_example(script)
     assert result.returncode == 0, (
@@ -62,13 +61,3 @@ def test_bank_tpcb_all_designs_converge():
     assert result.returncode == 0, result.stderr
     assert result.stdout.count("True") >= 3  # consistent column for 3 designs
 
-
-def test_routed_cluster_shows_the_affinity_story():
-    result = run_example("routed_cluster.py")
-    assert result.returncode == 0, result.stderr
-    # Round-robin bounces into staleness self-conflicts...
-    assert "aborted (certification)" in result.stdout
-    # ...conflict-aware affinity routing commits every rewrite...
-    assert "[conflict-aware] commits=6 aborts=0" in result.stdout
-    # ...and admission control sheds the over-limit client.
-    assert "admission refused" in result.stdout

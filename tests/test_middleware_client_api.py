@@ -84,6 +84,29 @@ def test_conflicting_sessions_one_wins(system):
     assert results.count(True) == 1
 
 
+def test_eager_precertification_abort_ends_the_session_transaction(system):
+    # Commit a write to row 1 through replica 0 while replica 1 is stale.
+    writer = system.session(0, client_name="writer")
+    writer.begin()
+    writer.update("items", 1, value=10)
+    assert writer.commit().committed
+
+    # Begin on stale replica 1, then let the refresh deliver the conflicting
+    # writeset mid-transaction: the write hits eager pre-certification,
+    # which aborts the statement and the session's transaction with it.
+    stale = system.session(1, client_name="stale")
+    stale.begin()
+    system.replicas[1].refresh()
+    with pytest.raises(TransactionAborted):
+        stale.update("items", 1, value=99)
+    assert not stale.in_transaction
+    assert stale.aborts == 1
+    assert system.replicas[1].proxy.stats.eager_precert_aborts == 1
+    stale.begin()
+    stale.update("items", 1, value=11)
+    assert stale.commit().committed
+
+
 def test_scan_through_session(system):
     session = system.session(0)
     session.begin()
