@@ -109,13 +109,6 @@ CERT_WS_SIZES = tuple(
 )
 CERT_MEASURE_SECONDS = float(os.environ.get("REPRO_BENCH_CERT_SECONDS", "0.4"))
 
-#: Propagation-batching micro-benchmark axes (test_propagation_batching.py):
-#: writesets propagated per leg, the size-capped batch bound, and the modeled
-#: minimum fsync service time at the replicas (milliseconds).
-PROP_WRITESETS = int(os.environ.get("REPRO_BENCH_PROP_WRITESETS", "256"))
-PROP_BATCH_SIZE = int(os.environ.get("REPRO_BENCH_PROP_BATCH", "32"))
-PROP_FSYNC_MS = float(os.environ.get("REPRO_BENCH_PROP_FSYNC_MS", "0.2"))
-
 #: Certifier-sharding benchmark axes (test_certifier_sharding.py): shard
 #: counts, cross-shard writeset ratios, closed-loop client count, the
 #: bounded fsync group (records per certifier log flush — the knob that

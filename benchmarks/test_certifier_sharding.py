@@ -9,8 +9,7 @@ transactions scale that ceiling with the shard count, while cross-shard
 transactions pay the merge: a log record on *every* touched shard, release
 only after the slowest touched flush, and certification CPU per fragment.
 
-This benchmark drives the simulated certifier nodes directly (no replicas —
-the replica-side pipeline is measured by ``test_propagation_batching.py``)
+This benchmark drives the simulated certifier nodes directly (no replicas)
 with closed-loop clients issuing 2-item writesets:
 
 * a **single-shard** transaction draws both items from one shard's key pool;

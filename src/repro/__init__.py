@@ -19,9 +19,8 @@ The package is organised in layers:
 
 ``repro.transport``
     The propagation subsystem shared by the functional and simulated stacks:
-    a topic message bus, pluggable batching/flush policies (immediate,
-    size-capped, time-windowed) and the ``WritesetStream`` that pushes
-    batches of certified writesets from the certifier to every replica.
+    the ``WritesetStream`` that pushes certified writesets from the
+    certifier to every replica, one batch per fsync group.
 
 ``repro.middleware``
     The replication middleware: the transparent proxy and the certifier, and
@@ -74,16 +73,7 @@ from repro.middleware.systems import (
 )
 from repro.cluster.experiment import ExperimentConfig, ExperimentResult, run_experiment
 from repro.cluster.sweeps import ReplicaSweep, run_replica_sweep
-from repro.transport import (
-    ExplicitFlushPolicy,
-    FlushPolicy,
-    ImmediateFlushPolicy,
-    MessageBus,
-    SizeCappedFlushPolicy,
-    TimeWindowFlushPolicy,
-    WritesetStream,
-    policy_from_name,
-)
+from repro.transport import WritesetStream
 from repro.workloads import allupdates, tpcb, tpcw
 
 __all__ = [
@@ -93,18 +83,12 @@ __all__ = [
     "DiskConfig",
     "ExperimentConfig",
     "ExperimentResult",
-    "ExplicitFlushPolicy",
-    "FlushPolicy",
-    "ImmediateFlushPolicy",
     "IsolationError",
-    "MessageBus",
     "NetworkConfig",
     "ReplicaSweep",
     "ReplicatedSystem",
     "ReplicationConfig",
-    "SizeCappedFlushPolicy",
     "SystemKind",
-    "TimeWindowFlushPolicy",
     "VersionClock",
     "WorkloadName",
     "WriteItem",
@@ -114,7 +98,6 @@ __all__ = [
     "build_base_system",
     "build_tashkent_api_system",
     "build_tashkent_mw_system",
-    "policy_from_name",
     "run_experiment",
     "run_replica_sweep",
     "tpcb",

@@ -20,9 +20,7 @@ from repro.sim.kernel import Environment, Event
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
 from repro.transport import (
-    FlushPolicy,
     MergedSubscription,
-    MessageBus,
     WritesetStream,
     publish_frontier,
     subscribe_merged,
@@ -73,7 +71,6 @@ class SimCertifierNode:
         *,
         durability_enabled: bool,
         name: str = "certifier",
-        propagation_policy: FlushPolicy | None = None,
     ) -> None:
         self.env = env
         self.config = config
@@ -113,19 +110,10 @@ class SimCertifierNode:
         ]
         self.batch_stats = GroupCommitStats()
         self._flushes_since_gc = 0
-        # The transport fabric of this node: the log writers offer freshly
-        # durable writesets to the streams; replica subscriptions are drained
-        # by the bounded-staleness processes with network-modeled delivery.
-        self.bus = MessageBus(name=f"{name}-bus")
-        #: With no explicit policy, propagation batches align with fsync
-        #: batches (a log writer flushes the streams after every sync).
-        self._fsync_aligned_propagation = propagation_policy is None
-        #: Per-shard propagation streams on one bus, one topic per shard.
-        self.streams = [
-            WritesetStream(policy=propagation_policy, bus=self.bus,
-                           topic=f"writesets-shard{i}")
-            for i in range(shards)
-        ]
+        #: Per-shard propagation streams: a log writer delivers each fsync
+        #: group as one batch; replica subscriptions are drained by the
+        #: bounded-staleness processes with network-modeled delivery.
+        self.streams = [WritesetStream() for _ in range(shards)]
         self._subscriptions: dict[str, MergedSubscription] = {}
         #: Global version -> [event, remaining-shard-count]: a committed
         #: transaction's decision is released once every touched shard has
@@ -206,9 +194,8 @@ class SimCertifierNode:
             else:
                 # tashAPInoCERT: decision released without waiting for the
                 # (lazily flushed) log writes, so propagate immediately.
-                publish_frontier(self.core, self.streams, now=self.env.now,
-                                 up_to=self.core.last_version,
-                                 aligned=self._fsync_aligned_propagation)
+                publish_frontier(self.core, self.streams,
+                                 up_to=self.core.last_version)
         yield self.network.transfer(result.response_size_bytes())
         return result
 
@@ -235,11 +222,6 @@ class SimCertifierNode:
         on the network/CPU would otherwise be delivered again.
         """
         subscription = self._subscriptions[replica_name]
-        # Bounded staleness is the escape hatch for every batching policy: a
-        # refresh delivers whatever is pending, even a sub-cap/sub-window
-        # tail that the policy would keep holding.
-        for stream in self.streams:
-            stream.flush(now=self.env.now)
         if applied_version is not None:
             subscription.advance_to(applied_version)
         # The poll request itself (a tiny heartbeat-sized message), plus the
@@ -295,8 +277,7 @@ class SimCertifierNode:
                             waiter[0].succeed(version)
                 # Whatever is now durable on every shard it touches goes to
                 # its home stream, in strict global order.
-                publish_frontier(self.core, self.streams, now=self.env.now,
-                                 aligned=self._fsync_aligned_propagation)
+                publish_frontier(self.core, self.streams)
                 self._flushes_since_gc += 1
                 if (self.gc_interval_flushes
                         and self._flushes_since_gc >= self.gc_interval_flushes):

@@ -33,10 +33,6 @@ class SystemKind(str, enum.Enum):
     TASHKENT_API_NO_CERT = "tashkent-api-nocert"
 
     @property
-    def is_replicated(self) -> bool:
-        return self is not SystemKind.STANDALONE
-
-    @property
     def durability_in_database(self) -> bool:
         """Whether the database replica performs synchronous commit writes."""
         return self in (
@@ -226,7 +222,7 @@ class ReplicationConfig:
     #: on real disks ("fsync takes about 8ms ... 6ms-12ms").  A non-zero
     #: floor holds the shard's append for at least this long, putting the
     #: live backend in the same fsync-bound regime as the simulated stack's
-    #: :class:`DiskConfig`/``ThrottledLogDevice``.  0 (default) = raw fsync.
+    #: :class:`DiskConfig`.  0 (default) = raw fsync.
     live_wal_fsync_floor_ms: float = 0.0
     #: Replicated live scheduler: boot a standby scheduler process next to
     #: the primary and write full certification-round entries (not opaque

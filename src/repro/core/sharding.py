@@ -233,11 +233,6 @@ class CertifierShard:
 
     # -- recovery accessors --------------------------------------------------
 
-    @property
-    def pruned_global(self) -> int:
-        """Global version the pruned local prefix maps to (GC horizon)."""
-        return self._pruned_global
-
     def global_map(self) -> tuple[int, ...]:
         """The retained local→global version map (ascending global versions;
         entry ``i`` belongs to local version ``pruned_version + 1 + i``)."""
@@ -1042,12 +1037,3 @@ class ShardedCertifier:
             f"version={self.system_version.version}, "
             f"durable={self._durable_version}, pruned={self._base_version})"
         )
-
-
-def split_iterable_by_shard(partitioner: Partitioner,
-                            item_ids: Iterable[tuple[str, object]]) -> dict[int, list]:
-    """Group item identities by owning shard (router / diagnostics helper)."""
-    by_shard: dict[int, list] = {}
-    for item_id in item_ids:
-        by_shard.setdefault(partitioner.shard_of(item_id), []).append(item_id)
-    return by_shard

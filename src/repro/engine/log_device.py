@@ -1,15 +1,12 @@
 """Log devices: where the write-ahead log puts its bytes.
 
 The engine's WAL and the certifier's persistent log both write through a
-:class:`LogDevice`.  Three implementations are provided:
+:class:`LogDevice`.  Two implementations are provided:
 
 * :class:`CountingLogDevice` — an in-memory device that retains the records
   and counts fsyncs.  It is the default for the functional path and for
   tests; the fsync count is exactly the statistic the paper's analysis is
   about (commits per synchronous write).
-* :class:`ThrottledLogDevice` — a counting device whose ``sync`` also costs
-  a configurable minimum service time, used by wall-clock benchmarks that
-  need the realistic fsync-bound regime without a filesystem.
 * :class:`FileLogDevice` — an append-only file on the real filesystem with a
   real ``os.fsync``.  It exists so the durability path can be exercised end
   to end (and so the library could be pointed at a real disk), but the
@@ -19,7 +16,6 @@ The engine's WAL and the certifier's persistent log both write through a
 from __future__ import annotations
 
 import os
-import time
 from typing import Callable, Protocol
 
 
@@ -102,31 +98,6 @@ class CountingLogDevice:
         lost = len(self._pending)
         self._pending.clear()
         return lost
-
-
-class ThrottledLogDevice(CountingLogDevice):
-    """An in-memory log device whose ``sync`` takes a minimum service time.
-
-    Real synchronous writes have a hard latency floor — the paper measures
-    ~8 ms on its disks; a battery-backed or NVMe write cache still costs a
-    few hundred microseconds.  :class:`CountingLogDevice` makes fsyncs free,
-    which lets wall-clock benchmarks of commit paths understate the value of
-    batching by orders of magnitude.  This device holds the caller for a
-    configurable service time per sync, so a benchmark sees the realistic
-    fsync-bound regime while staying filesystem-free and deterministic in
-    its accounting.
-    """
-
-    def __init__(self, sync_latency_ms: float = 0.2) -> None:
-        super().__init__()
-        if sync_latency_ms < 0:
-            raise ValueError("sync_latency_ms must be non-negative")
-        self.sync_latency_ms = sync_latency_ms
-
-    def sync(self) -> None:
-        if self.sync_latency_ms > 0:
-            time.sleep(self.sync_latency_ms / 1000.0)
-        super().sync()
 
 
 class FileLogDevice:

@@ -175,10 +175,6 @@ class WriteAheadLog:
         return self._records[: self._durable_count]
 
     @property
-    def all_records(self) -> list[WalRecord]:
-        return list(self._records)
-
-    @property
     def pending_count(self) -> int:
         return self._batcher.pending_count
 

@@ -6,13 +6,13 @@ Two callers live here:
     Runs *inside a replica node process*.  It quacks exactly like the
     in-process :class:`~repro.middleware.certifier.CertifierService` surface
     the :class:`~repro.middleware.proxy.TransparentProxy` consumes —
-    ``certify`` / ``subscribe_replica`` / ``flush_propagation`` /
-    ``register_replica`` / ``extend_remote_horizons`` /
-    ``replication_horizon`` — but every call is a framed round trip to the
-    scheduler process.  A commit's certification carries the client-supplied
-    transaction id (``next_tx_id``), which the scheduler uses for its
-    exactly-once table; the call itself retries through scheduler outages,
-    which is safe precisely because of that table.
+    ``certify`` / ``subscribe_replica`` / ``register_replica`` /
+    ``extend_remote_horizons`` / ``replication_horizon`` — but every call
+    is a framed round trip to the scheduler process.  A commit's
+    certification carries the client-supplied transaction id
+    (``next_tx_id``), which the scheduler uses for its exactly-once table;
+    the call itself retries through scheduler outages, which is safe
+    precisely because of that table.
 
 :class:`LiveSession`
     Runs *in the driver process* (a test, a benchmark, the CLI) and mirrors
@@ -229,9 +229,6 @@ class LiveCertifierClient:
         self._client.call_retrying("hello_replica", replica=replica,
                                    from_version=from_version)
         return LiveSubscription(self._client, replica)
-
-    def flush_propagation(self) -> None:
-        self._client.call_retrying("flush_propagation")
 
     def register_replica(self, replica: str, version: int = 0) -> None:
         self._client.call_retrying("register_replica", replica=replica, version=version)

@@ -43,19 +43,18 @@ from repro.live.wal import RemoteWalDevice
 from repro.live.wire import ConnectionLost, RemoteCallError, WireClient
 from repro.middleware.certifier import CertifierConfig
 from repro.middleware.sharded_certifier import ShardedCertifierService
-from repro.transport import ExplicitFlushPolicy, TimeWindowFlushPolicy
 
 
 class _CertifyBatcher:
     """Collects concurrent ``certify`` requests into certification rounds.
 
     Lives on the event loop; submission parks an ``asyncio`` future, the
-    flusher loop cuts rounds by the configured flush policy and *admits*
-    each round right here.  Admission never waits for the disk: with a zero
-    window a round is whatever the loop has read since the previous one, and
-    the grouping into fsyncs happens at the shards.  A future resolves at
-    once or when the durable frontier releases its decision
-    (:meth:`SchedulerRole._release`).
+    flusher loop cuts a round at ``batch_max`` requests or once
+    ``batch_window_ms`` has elapsed, and *admits* each round right here.
+    Admission never waits for the disk: with a zero window a round is
+    whatever the loop has read since the previous one, and the grouping into
+    fsyncs happens at the shards.  A future resolves at once or when the
+    durable frontier releases its decision (:meth:`SchedulerRole._release`).
     """
 
     def __init__(self, role: "SchedulerRole", loop: asyncio.AbstractEventLoop) -> None:
@@ -64,11 +63,7 @@ class _CertifyBatcher:
         self._pending: list[tuple[dict, asyncio.Future]] = []
         self._wake = asyncio.Event()
         self._window_ms = role.batch_window_ms
-        if self._window_ms > 0:
-            self._policy = TimeWindowFlushPolicy(self._window_ms,
-                                                 max_batch=role.batch_max)
-        else:
-            self._policy = ExplicitFlushPolicy(role.batch_max)
+        self._batch_max = role.batch_max
         #: Seconds spent admitting rounds (the rest of wall time the batcher
         #: was waiting for requests to arrive).
         self.busy_s = 0.0
@@ -86,8 +81,8 @@ class _CertifyBatcher:
                 self._wake.clear()
                 await self._wake.wait()
             if self._window_ms > 0:
-                # Accumulate until the policy fires (window elapsed or batch
-                # cap reached) — or until arrivals go quiescent: when every
+                # Accumulate until the window elapses or the batch cap is
+                # reached — or until arrivals go quiescent: when every
                 # certify the scheduler has read is already in ``pending``
                 # and nothing new landed across two polls, waiting out the
                 # rest of the window only adds latency, so cut early.
@@ -95,9 +90,8 @@ class _CertifyBatcher:
                 step = max(self._window_ms / 8000.0, 0.00025)
                 stable_polls = 0
                 last_seen = len(self._pending)
-                while not self._policy.should_flush(
-                        len(self._pending),
-                        (self._loop.time() - started) * 1000.0):
+                while (len(self._pending) < self._batch_max
+                       and (self._loop.time() - started) * 1000.0 < self._window_ms):
                     await asyncio.sleep(step)
                     pending = len(self._pending)
                     in_flight = (self._role.server_stats.in_flight
@@ -109,8 +103,7 @@ class _CertifyBatcher:
                     else:
                         stable_polls = 0
                     last_seen = pending
-            cap = self._policy.max_batch or len(self._pending)
-            batch = self._pending[:cap]
+            batch = self._pending[:self._batch_max]
             del self._pending[:len(batch)]
             payloads = [payload for payload, _ in batch]
             # Held decisions are released on this loop too: it reads the acks.
@@ -410,9 +403,6 @@ class SchedulerRole(Role):
         return {"writesets": [codec.encode_remote_info(i)
                               for i in subscription.poll_flat()]}
 
-    def flush_propagation(self, payload: dict):
-        self.service.flush_propagation()
-
     def register_replica(self, payload: dict):
         self.service.register_replica(payload["replica"], int(payload.get("version", 0)))
 
@@ -470,7 +460,6 @@ class SchedulerRole(Role):
         "commit_status": Op(commit_status, POOLED),
         "hello_replica": Op(hello_replica, POOLED),
         "poll_writesets": Op(poll_writesets, POOLED),
-        "flush_propagation": Op(flush_propagation, POOLED),
         "register_replica": Op(register_replica, POOLED),
         "extend_remote_horizons": Op(extend_remote_horizons, POOLED),
         "replication_horizon": Op(

@@ -13,10 +13,12 @@ with the two responsibilities the paper gives the certifier process:
   experiment, driven by a deterministic RNG.
 
 The functional path in this module is synchronous (a certification request
-returns only once the decision is durable).  The simulated certifier node in
-:mod:`repro.cluster.certifier_node` reuses the same :class:`CertifierService`
-but overlaps many requests against one flush, which is where batching pays
-off.
+returns only once the decision is durable).  The simulated certifier node,
+:class:`repro.cluster.SimCertifierNode`, drives the pure
+:class:`~repro.core.sharding.ShardedCertifier` directly and overlaps many
+requests against one flush, which is where batching pays off.
+
+Every flush propagates its fsync group as one batch on :attr:`stream`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.core.group_commit import GroupCommitBatcher
 from repro.core.stats import CertifierServiceStats
 from repro.engine.log_device import CountingLogDevice, LogDevice
 from repro.errors import ConfigurationError, ReproError
-from repro.transport import FlushPolicy, WritesetStream, WritesetSubscription
+from repro.transport import WritesetStream, WritesetSubscription
 
 
 @dataclass
@@ -56,11 +58,6 @@ class CertifierConfig:
     #: start version slightly trails their replica's reported version are
     #: never conservatively aborted ("snapshot too old").
     gc_headroom_versions: int = 256
-    #: Batching policy of the outbound writeset stream.  ``None`` keeps the
-    #: stream on explicit flushing, which aligns every propagation batch with
-    #: a durability flush: exactly the writesets that shared one fsync are
-    #: delivered to the replicas as one batch.
-    propagation_policy: FlushPolicy | None = None
     #: Number of certification shards.  1 (the default, and the paper's
     #: design) is served by :class:`CertifierService`; higher values are
     #: served by :class:`~repro.middleware.sharded_certifier.
@@ -95,10 +92,7 @@ class CertifierService:
         )
         self._batcher: GroupCommitBatcher[int] = GroupCommitBatcher()
         #: The outbound propagation channel shared by every replica proxy.
-        self.stream = WritesetStream(policy=self.config.propagation_policy)
-        #: With no custom policy, propagation batches align with durability
-        #: flushes (the fsync group is the batch boundary).
-        self._fsync_aligned_propagation = self.config.propagation_policy is None
+        self.stream = WritesetStream()
 
     # -- main request path ------------------------------------------------------
 
@@ -112,10 +106,8 @@ class CertifierService:
             else:
                 # The decision is released before the log write, so the
                 # writeset propagates immediately rather than at flush time.
-                self.stream.propagate_from_log(
-                    self.core.log, (result.tx_commit_version,),
-                    aligned=self._fsync_aligned_propagation,
-                )
+                self.stream.propagate_from_log(self.core.log,
+                                               (result.tx_commit_version,))
         interval = self.config.gc_interval_requests
         if interval > 0 and self.core.certification_requests % interval == 0:
             if not self.config.durability_enabled:
@@ -151,10 +143,8 @@ class CertifierService:
             if result.committed and result.tx_commit_version is not None:
                 self._batcher.enqueue(result.tx_commit_version)
                 if not self.config.durability_enabled:
-                    self.stream.propagate_from_log(
-                        self.core.log, (result.tx_commit_version,),
-                        aligned=self._fsync_aligned_propagation,
-                    )
+                    self.stream.propagate_from_log(self.core.log,
+                                                   (result.tx_commit_version,))
         if self.config.durability_enabled:
             self.flush()
         interval = self.config.gc_interval_requests
@@ -238,24 +228,12 @@ class CertifierService:
         self.device.sync()
         self._batcher.complete_batch()
         self.core.log.mark_durable(max(batch))
-        # Propagate the freshly durable writesets: with the default explicit
-        # policy the delivered batch is exactly this fsync group; a custom
-        # policy decides its own batch boundaries.
-        self.stream.propagate_from_log(self.core.log, batch,
-                                       aligned=self._fsync_aligned_propagation)
+        # Propagate the freshly durable writesets: the delivered batch is
+        # exactly this fsync group.
+        self.stream.propagate_from_log(self.core.log, batch)
         return len(batch)
 
     # -- propagation (the transport layer) -------------------------------------
-
-    def flush_propagation(self) -> None:
-        """Deliver everything the stream is still holding (refresh override).
-
-        Bounded staleness overrides the batching policy: a refresh delivers
-        whatever the certifier has released, even a sub-cap/sub-window tail.
-        One method on both certifier front-ends (the sharded service flushes
-        every shard stream), so the proxy needs no knowledge of the shape.
-        """
-        self.stream.flush()
 
     def subscribe_replica(self, replica: str, from_version: int = 0) -> WritesetSubscription:
         """Attach a replica to the writeset stream (and the GC protocol).

@@ -61,8 +61,6 @@ class CertifierFrontEnd(Protocol):
 
     def subscribe_replica(self, replica: str, from_version: int = 0): ...
 
-    def flush_propagation(self) -> None: ...
-
     def register_replica(self, replica: str, version: int = 0) -> None: ...
 
     def extend_remote_horizons(self, infos: list[RemoteWriteSetInfo],
@@ -463,11 +461,6 @@ class TransparentProxy:
         group — the paper's grouped remote transaction (T1_2_3) — so a
         refresh costs at most one synchronous write on the serial path.
         """
-        # Bounded staleness overrides the batching policy: deliver whatever
-        # the certifier has released, even a sub-cap/sub-window tail the
-        # policy would keep holding.  (One call on either certifier shape:
-        # the sharded service flushes every shard stream.)
-        self.certifier.flush_propagation()
         # The subscription cursor can trail ``replica_version`` when writesets
         # arrived in-band with a certification response; advancing it first
         # drops those from the poll, so the ordered path never re-applies a

@@ -22,9 +22,9 @@ duties of a certifier deployment, one pipeline *per shard*:
   and :meth:`Database.apply_writeset_batch` work unchanged.
 
 The service mirrors the :class:`~repro.middleware.certifier.CertifierService`
-surface (``certify`` / ``subscribe_replica`` / ``flush`` /
-``flush_propagation`` / ``stats`` / ...) — the transparent proxy and the
-system factories treat the two interchangeably.  :func:`make_certifier_service`
+surface (``certify`` / ``subscribe_replica`` / ``flush`` / ``stats`` / ...)
+— the transparent proxy and the system factories treat the two
+interchangeably.  :func:`make_certifier_service`
 picks the implementation from ``CertifierConfig.shards``; with ``shards=1``
 the seed service is used, byte for byte.
 """
@@ -96,11 +96,7 @@ class ShardedCertifierService:
         #: decisions from here.
         self.on_frontier: Callable[[int], None] | None = None
         #: Per-shard outbound propagation channels (home-shard publication).
-        self.streams = [
-            WritesetStream(policy=self.config.propagation_policy)
-            for _ in range(shards)
-        ]
-        self._fsync_aligned_propagation = self.config.propagation_policy is None
+        self.streams = [WritesetStream() for _ in range(shards)]
 
     # -- main request path ------------------------------------------------------
 
@@ -258,13 +254,7 @@ class ShardedCertifierService:
     def _propagate_up_to(self, version: int | None = None) -> None:
         """Offer committed records up to ``version`` to their home streams
         (:func:`repro.transport.publish_frontier`, shared with the sim node)."""
-        publish_frontier(self.core, self.streams, up_to=version,
-                         aligned=self._fsync_aligned_propagation)
-
-    def flush_propagation(self) -> None:
-        """Deliver everything every shard stream is still holding."""
-        for stream in self.streams:
-            stream.flush()
+        publish_frontier(self.core, self.streams, up_to=version)
 
     def subscribe_replica(self, replica: str, from_version: int = 0) -> MergedSubscription:
         """Attach a replica to every shard stream behind one merged view

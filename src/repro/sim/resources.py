@@ -73,14 +73,6 @@ class Resource:
 
     # -- interrogation ------------------------------------------------------------------
 
-    @property
-    def in_use(self) -> int:
-        return self._users
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def busy_time(self) -> float:
         """Total time the resource has had at least one user."""
         total = self._busy_time

@@ -95,8 +95,8 @@ class MergedSubscription:
         """Move the cursor forward (versions received out-of-band).
 
         Held writesets at or below the cursor are dropped on the spot, and
-        the advance is forwarded to every part so their bus queues trim
-        in-band exactly as with a single subscription.
+        the advance is forwarded to every part so their queues trim in-band
+        exactly as with a single subscription.
         """
         if version > self.version:
             self.version = version
@@ -136,20 +136,19 @@ class MergedSubscription:
 
 
 def publish_frontier(core: "ShardedCertifier", streams: Sequence[WritesetStream],
-                     *, aligned: bool, up_to: int | None = None,
-                     now: float = 0.0) -> None:
-    """Offer the records up to ``up_to`` to their home-shard streams.
+                     *, up_to: int | None = None) -> None:
+    """Deliver the records up to ``up_to`` on their home-shard streams.
 
     One call per frontier advance.  The frontier-ordered walk itself is
     :meth:`ShardedCertifier.take_propagatable
     <repro.core.sharding.ShardedCertifier.take_propagatable>` (``None``
     means "whatever is fully durable", so a flush that completes the last
     outstanding fragment propagates its own records); this function only
-    places each record on its home stream and cuts the batches.  Strict
-    global order means each shard stream carries an ascending (sparse) slice
-    of the commit order, so the replica-side :class:`MergedSubscription` can
-    release contiguous runs.  ``aligned`` cuts a batch per call (propagation
-    batches equal fsync groups); otherwise the stream's policy decides.
+    places each record on its home stream and flushes every stream it
+    touched, so each call is one batch per home shard.  Strict global order
+    means each shard stream carries an ascending (sparse) slice of the
+    commit order, so the replica-side :class:`MergedSubscription` can
+    release contiguous runs.
     """
     touched: set[int] = set()
     for record in core.take_propagatable(up_to):
@@ -160,14 +159,10 @@ def publish_frontier(core: "ShardedCertifier", streams: Sequence[WritesetStream]
                 origin_replica=record.origin_replica,
                 conflict_free_back_to=core.certified_back_to(record.commit_version),
             ),
-            now=now,
         )
         touched.add(record.home_shard)
     for shard_id in touched:
-        if aligned:
-            streams[shard_id].flush(now=now)
-        else:
-            streams[shard_id].flush_due(now=now)
+        streams[shard_id].flush()
 
 
 def subscribe_merged(core: "ShardedCertifier", streams: Sequence[WritesetStream],

@@ -2,30 +2,30 @@
 
 The :class:`WritesetStream` is the one propagation path in the system: the
 certifier *offers* every certified (and, when durability is on, durable)
-writeset to the stream; a :class:`~repro.transport.policy.FlushPolicy`
-decides when the pending writesets are cut into a **batch**; each batch is
-published on a :class:`~repro.transport.bus.MessageBus` topic and lands in
-every replica's :class:`WritesetSubscription`.  Replicas then apply whole
-batches — one version bump and one WAL append per batch on the group-apply
-path of :meth:`repro.engine.database.Database.apply_writeset_batch`.
+writeset to the stream, and :meth:`WritesetStream.flush` cuts everything
+pending into one **batch** and appends that batch to every replica's
+:class:`WritesetSubscription`.  The certifier flushes once per
+fsync group, so a propagation batch is exactly the group of writesets that
+shared one synchronous log write (the paper's writesets-per-fsync).
+Replicas then apply whole batches — one version bump and one WAL append per
+batch on the group-apply path of
+:meth:`repro.engine.database.Database.apply_writeset_batch`.
 
 The pending queue is a :class:`~repro.core.group_commit.GroupCommitBatcher`,
 the same batching engine that backs the engine WAL's group commit and the
 certifier's log flush, so the propagation batch-size statistics reported by
 the benchmarks come from the single shared implementation.
 
-Both stacks use this class unchanged:
-
-* the **functional** middleware drains subscriptions inline during
-  ``refresh()`` (no clock: ``now`` stays 0.0 and time-windowed policies
-  degenerate to explicit flushing);
-* the **simulated** cluster offers writesets from the certifier's log-writer
-  process and wraps each subscription drain in a network-transfer delay, so
-  batch boundaries translate into messages on the modeled LAN.
+Both stacks use this class unchanged: the **functional** middleware drains
+subscriptions inline during ``refresh()``; the **simulated** cluster offers
+writesets from the certifier's log-writer process and wraps each
+subscription drain in a network-transfer delay, so batch boundaries
+translate into messages on the modeled LAN.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.certification import RemoteWriteSetInfo
@@ -34,11 +34,6 @@ from repro.core.group_commit import GroupCommitBatcher, GroupCommitStats
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.certification import Certifier
     from repro.core.certifier_log import CertifierLog
-from repro.transport.bus import BusSubscription, Message, MessageBus
-from repro.transport.policy import ExplicitFlushPolicy, FlushPolicy
-
-#: Default bus topic carrying writeset batches.
-WRITESETS_TOPIC = "writesets"
 
 
 class WritesetSubscription:
@@ -56,9 +51,8 @@ class WritesetSubscription:
         self.name = name
         #: Highest commit version handed out by :meth:`poll` so far.
         self.version = from_version
-        self._bus_subscription: BusSubscription = stream.bus.subscribe(
-            stream.topic, name
-        )
+        #: Delivered batches not yet polled, oldest first.
+        self._queue: deque[list[RemoteWriteSetInfo]] = deque()
         self.batches_received = 0
         self.writesets_received = 0
 
@@ -73,10 +67,10 @@ class WritesetSubscription:
         is still in flight.
         """
         batches: list[list[RemoteWriteSetInfo]] = []
-        for message in self._bus_subscription.poll():
+        while self._queue:
             batch = [
                 info
-                for info in message.payload  # type: ignore[union-attr]
+                for info in self._queue.popleft()
                 if info.commit_version > self.version
             ]
             if not batch:
@@ -101,23 +95,22 @@ class WritesetSubscription:
         """
         if version > self.version:
             self.version = version
-        queue = self._bus_subscription._queue
-        while queue and all(
-            info.commit_version <= self.version
-            for info in queue[0].payload  # type: ignore[union-attr]
-        ):
+        queue = self._queue
+        while queue and all(info.commit_version <= self.version
+                            for info in queue[0]):
             queue.popleft()
 
     @property
     def pending_batches(self) -> int:
-        return self._bus_subscription.pending
+        return len(self._queue)
 
     @property
     def pending_writesets(self) -> int:
-        return sum(len(m.payload) for m in self._bus_subscription._queue)  # type: ignore[arg-type]
+        return sum(len(batch) for batch in self._queue)
 
     def close(self) -> None:
-        self._bus_subscription.close()
+        """Stop receiving batches; queued ones are dropped."""
+        self._queue.clear()
         self.stream._drop_subscription(self)
 
     def __repr__(self) -> str:
@@ -128,52 +121,23 @@ class WritesetSubscription:
 
 
 class WritesetStream:
-    """The certifier-to-replicas propagation channel with pluggable batching."""
+    """The certifier-to-replicas propagation channel."""
 
-    def __init__(
-        self,
-        *,
-        policy: FlushPolicy | None = None,
-        bus: MessageBus | None = None,
-        topic: str = WRITESETS_TOPIC,
-    ) -> None:
-        self.policy: FlushPolicy = policy if policy is not None else ExplicitFlushPolicy()
-        self.bus: MessageBus = bus if bus is not None else MessageBus(name="writeset-bus")
-        self.topic = topic
-        self._batcher: GroupCommitBatcher[RemoteWriteSetInfo] = GroupCommitBatcher(
-            max_batch_size=self.policy.max_batch
-        )
-        self._oldest_enqueued_at: float | None = None
+    def __init__(self) -> None:
+        self._batcher: GroupCommitBatcher[RemoteWriteSetInfo] = GroupCommitBatcher()
         self._subscriptions: list[WritesetSubscription] = []
         #: Highest commit version ever offered (used to seed late subscribers).
         self.offered_version = 0
 
     # -- producer side (the certifier) ---------------------------------------
 
-    def offer(self, info: RemoteWriteSetInfo, *, now: float = 0.0) -> int:
-        """Enqueue one certified writeset; flush if the policy says so.
-
-        Returns the number of writesets delivered as a consequence (0 when
-        the writeset merely joined the pending batch).
-        """
+    def offer(self, info: RemoteWriteSetInfo) -> None:
+        """Enqueue one certified writeset for the next :meth:`flush`."""
         self._batcher.enqueue(info)
         if info.commit_version > self.offered_version:
             self.offered_version = info.commit_version
-        if self._oldest_enqueued_at is None:
-            self._oldest_enqueued_at = now
-        if self.policy.should_flush(self._batcher.pending_count,
-                                    now - self._oldest_enqueued_at):
-            return sum(len(batch) for batch in self.flush(now=now))
-        return 0
 
-    def offer_many(self, infos: Iterable[RemoteWriteSetInfo], *, now: float = 0.0) -> int:
-        delivered = 0
-        for info in infos:
-            delivered += self.offer(info, now=now)
-        return delivered
-
-    def offer_log_record(self, log: "CertifierLog", commit_version: int, *,
-                         now: float = 0.0) -> bool:
+    def offer_log_record(self, log: "CertifierLog", commit_version: int) -> bool:
         """Offer the certifier log record at ``commit_version`` exactly once.
 
         The stream's ``offered_version`` high-water mark is the idempotence
@@ -192,55 +156,35 @@ class WritesetStream:
                 origin_replica=record.origin_replica,
                 conflict_free_back_to=log.certified_back_to(commit_version),
             ),
-            now=now,
         )
         return True
 
-    def flush(self, *, now: float = 0.0) -> list[list[RemoteWriteSetInfo]]:
-        """Cut every pending writeset into batches and publish them.
+    def flush(self) -> None:
+        """Cut every pending writeset into one batch and deliver it.
 
-        A policy ``max_batch`` may split the pending queue into several
-        batches; each is published as one bus message (one delivery, one
-        simulated network transfer).  Returns the batches published.
+        The batch is appended to every open subscription (one delivery, one
+        simulated network transfer); nothing pending means no batch.
         """
-        batches: list[list[RemoteWriteSetInfo]] = []
-        while self._batcher.has_pending:
-            batch = self._batcher.take_batch()
-            self._batcher.complete_batch()
-            self.bus.publish(self.topic, batch)
-            batches.append(batch)
-        self._oldest_enqueued_at = None
-        return batches
+        if not self._batcher.has_pending:
+            return
+        batch = self._batcher.take_batch()
+        self._batcher.complete_batch()
+        for subscription in self._subscriptions:
+            subscription._queue.append(batch)
 
-    def propagate_from_log(self, log: "CertifierLog", versions: Iterable[int], *,
-                           now: float = 0.0, aligned: bool = True) -> int:
-        """Offer a group of certifier log records and cut batches.
+    def propagate_from_log(self, log: "CertifierLog", versions: Iterable[int]) -> int:
+        """Offer a group of certifier log records and deliver them as one batch.
 
         The one sequence both certifier front-ends use after releasing
-        commit decisions: with ``aligned`` (the default, no custom policy)
-        the whole group is published as a single batch boundary — e.g. a
-        durability fsync group propagates as exactly one delivery; otherwise
-        the configured policy decides via :meth:`flush_due`.  Returns the
-        number of records newly offered.
+        commit decisions: a durability fsync group propagates as exactly one
+        delivery.  Returns the number of records newly offered.
         """
         offered = 0
         for version in sorted(versions):
-            if self.offer_log_record(log, version, now=now):
+            if self.offer_log_record(log, version):
                 offered += 1
-        if aligned:
-            self.flush(now=now)
-        else:
-            self.flush_due(now=now)
+        self.flush()
         return offered
-
-    def flush_due(self, *, now: float = 0.0) -> list[list[RemoteWriteSetInfo]]:
-        """Flush only if the policy's window/size trigger has fired."""
-        if self._oldest_enqueued_at is None:
-            return []
-        if self.policy.should_flush(self._batcher.pending_count,
-                                    now - self._oldest_enqueued_at):
-            return self.flush(now=now)
-        return []
 
     # -- consumer side (replicas) --------------------------------------------
 
@@ -259,11 +203,8 @@ class WritesetStream:
             info for info in backfill if info.commit_version > from_version
         ]
         if backfill_batch:
-            # A synthetic message outside the bus sequence: only this
-            # subscriber missed these writesets.
-            subscription._bus_subscription._deliver(
-                Message(topic=self.topic, payload=backfill_batch, seq=0)
-            )
+            # Only this subscriber missed these writesets.
+            subscription._queue.append(backfill_batch)
         return subscription
 
     def attach_replica(self, certifier: "Certifier", replica: str,
@@ -304,13 +245,8 @@ class WritesetStream:
         """Batch-size statistics from the shared group-commit engine."""
         return self._batcher.stats
 
-    @property
-    def pending_count(self) -> int:
-        return self._batcher.pending_count
-
     def __repr__(self) -> str:
         return (
-            f"WritesetStream(policy={self.policy.describe()}, "
-            f"subscribers={len(self._subscriptions)}, pending={self.pending_count}, "
+            f"WritesetStream(subscribers={len(self._subscriptions)}, "
             f"batches={self.stats.flushes})"
         )

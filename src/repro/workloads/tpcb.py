@@ -142,9 +142,3 @@ class TPCBWorkload(WorkloadSpec):
             delta=delta,
         )
         return session.commit().committed
-
-    # -- analysis helpers ---------------------------------------------------------------------
-
-    def expected_conflict_tables(self) -> frozenset[str]:
-        """Tables whose rows are hot enough to produce real conflicts."""
-        return frozenset({"branches", "tellers"})

@@ -70,7 +70,6 @@ GOLDEN = {
         "commit_status": (POOLED, False),
         "hello_replica": (POOLED, False),
         "poll_writesets": (POOLED, False),
-        "flush_propagation": (POOLED, False),
         "register_replica": (POOLED, False),
         "extend_remote_horizons": (POOLED, False),
         "replication_horizon": (POOLED, False),

@@ -349,8 +349,6 @@ def test_sharded_certifier_matches_single_decisions_and_replica_state(operations
             assert ([i.commit_version for i in result_sharded.remote_writesets]
                     == [i.commit_version for i in result_single.remote_writesets])
         elif kind == "poll":
-            single.flush_propagation()
-            sharded.flush_propagation()
             single_seen = _drain(single_sub, single_state, single_seen)
             sharded_seen = _drain(sharded_sub, sharded_state, sharded_seen)
             # Feed the observer's watermark so log GC can make progress.
@@ -365,8 +363,6 @@ def test_sharded_certifier_matches_single_decisions_and_replica_state(operations
         assert sharded.system_version == single.system_version
 
     # Final drain: both replicas converge to the identical state.
-    single.flush_propagation()
-    sharded.flush_propagation()
     single_seen = _drain(single_sub, single_state, single_seen)
     sharded_seen = _drain(sharded_sub, sharded_state, sharded_seen)
     assert sharded_seen == single_seen

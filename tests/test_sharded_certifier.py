@@ -355,8 +355,6 @@ def test_sim_sharded_node_merges_in_version_order():
     assert sum(1 for r in results if r.committed) == 40
 
     subscription = node.subscription("replica-0")
-    for stream in node.streams:
-        stream.flush(now=env.now)
     delivered = subscription.poll_flat()
     assert [i.commit_version for i in delivered] == list(range(1, 41))
 

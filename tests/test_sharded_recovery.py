@@ -227,7 +227,6 @@ def test_service_failover_rebuilds_from_exported_rounds():
             origin_replica="replica-0",
         ))
         assert result.committed
-    primary.flush_propagation()
     for info in subscription.poll_flat():
         seen = info.commit_version
         for item_id in info.writeset.iter_item_ids():
@@ -263,6 +262,5 @@ def test_service_failover_rebuilds_from_exported_rounds():
     ))
     assert result.committed
     assert result.tx_commit_version == 9
-    standby.flush_propagation()
     tail = resubscription.poll_flat()
     assert [info.commit_version for info in tail] == [9]

@@ -1,5 +1,6 @@
-"""Tests for the transport layer: bus, flush policies, writeset stream, and
-the group-apply path that consumes its batches — in both stacks."""
+"""Tests for the transport layer: the writeset stream, its one propagation
+rule (a propagation batch is one fsync group) on every certifier front end,
+and the group-apply path that consumes its batches — in both stacks."""
 
 import pytest
 
@@ -11,21 +12,13 @@ from repro.cluster.experiment import ExperimentConfig, build_model
 from repro.cluster.nodes import SimCertifierNode
 from repro.cluster.tashkent_mw import TashkentMWModel
 from repro.engine.database import Database
-from repro.errors import ConfigurationError
 from repro.middleware.certifier import CertifierConfig, CertifierService
 from repro.middleware.replica import Replica
+from repro.middleware.sharded_certifier import ShardedCertifierService
 from repro.sim.kernel import Environment
 from repro.sim.metrics import MetricsCollector
 from repro.sim.rng import RandomStreams
-from repro.transport import (
-    ExplicitFlushPolicy,
-    ImmediateFlushPolicy,
-    MessageBus,
-    SizeCappedFlushPolicy,
-    TimeWindowFlushPolicy,
-    WritesetStream,
-    policy_from_name,
-)
+from repro.transport import WritesetStream
 from repro.workloads.allupdates import AllUpdatesWorkload
 
 
@@ -38,113 +31,88 @@ def info(version, *keys, table="t"):
     )
 
 
-# ------------------------------------------------------------------- policies
-
-def test_policy_from_name_builds_each_kind():
-    assert isinstance(policy_from_name("immediate"), ImmediateFlushPolicy)
-    assert policy_from_name("size", batch_size=8).max_batch == 8
-    assert policy_from_name("window", window_ms=5.0).window_ms == 5.0
-    assert isinstance(policy_from_name("explicit"), ExplicitFlushPolicy)
-    with pytest.raises(ConfigurationError):
-        policy_from_name("nope")
-
-
-def test_policy_triggers():
-    assert ImmediateFlushPolicy().should_flush(1, 0.0)
-    size = SizeCappedFlushPolicy(3)
-    assert not size.should_flush(2, 100.0)
-    assert size.should_flush(3, 0.0)
-    window = TimeWindowFlushPolicy(10.0, max_batch=5)
-    assert not window.should_flush(1, 9.0)
-    assert window.should_flush(1, 10.0)
-    assert window.should_flush(5, 0.0)  # cap fires before the window
-    assert not ExplicitFlushPolicy().should_flush(1000, 1e9)
-
-
-def test_policy_validation():
-    with pytest.raises(ConfigurationError):
-        SizeCappedFlushPolicy(0)
-    with pytest.raises(ConfigurationError):
-        TimeWindowFlushPolicy(-1.0)
-
-
-# ------------------------------------------------------------------- bus
-
-def test_bus_fan_out_and_drain():
-    bus = MessageBus()
-    a = bus.subscribe("updates", "a")
-    b = bus.subscribe("updates", "b")
-    bus.publish("updates", 1)
-    bus.publish("updates", 2)
-    assert [m.payload for m in a.poll()] == [1, 2]
-    assert a.poll() == []
-    assert [m.payload for m in b.poll(max_messages=1)] == [1]
-    assert b.pending == 1
-
-
-def test_bus_callback_subscription_and_unsubscribe():
-    bus = MessageBus()
-    seen = []
-    sub = bus.subscribe("events", "cb", callback=seen.append)
-    bus.publish("events", "x")
-    assert [m.payload for m in seen] == ["x"]
-    sub.close()
-    bus.publish("events", "y")
-    assert len(seen) == 1
-    # Publishing to a topic with no subscribers is counted, not an error.
-    assert bus.stats.dropped >= 1
-
-
 # ------------------------------------------------------------------- stream
 
-def test_stream_immediate_policy_delivers_per_writeset_batches():
-    stream = WritesetStream(policy=ImmediateFlushPolicy())
-    sub = stream.subscribe("r0")
-    for v in (1, 2, 3):
-        stream.offer(info(v, v))
-    batches = sub.poll()
-    assert [len(batch) for batch in batches] == [1, 1, 1]
-    assert sub.version == 3
-
-
-def test_stream_size_capped_policy_batches():
-    stream = WritesetStream(policy=SizeCappedFlushPolicy(2))
-    sub = stream.subscribe("r0")
-    stream.offer(info(1, "a"))
-    assert sub.poll() == []  # below the cap: nothing delivered yet
-    stream.offer(info(2, "b"))
-    stream.offer(info(3, "c"))
-    stream.flush()  # drain the straggler
-    batches = sub.poll()
-    assert [[i.commit_version for i in batch] for batch in batches] == [[1, 2], [3]]
-    # Batch statistics come from the shared GroupCommitBatcher engine.
-    assert stream.stats.flushes == 2
-    assert stream.stats.largest_batch == 2
-
-
-def test_stream_time_window_policy():
-    stream = WritesetStream(policy=TimeWindowFlushPolicy(10.0))
-    sub = stream.subscribe("r0")
-    stream.offer(info(1, "a"), now=0.0)
-    assert stream.flush_due(now=5.0) == []
-    stream.offer(info(2, "b"), now=12.0)  # oldest has waited 12ms >= 10ms
-    assert [i.commit_version for batch in sub.poll() for i in batch] == [1, 2]
-
-
 def test_subscription_cursor_filters_redelivery_and_backfill():
-    stream = WritesetStream(policy=ImmediateFlushPolicy())
+    stream = WritesetStream()
     early = stream.subscribe("early")
     stream.offer(info(1, "a"))
     stream.offer(info(2, "b"))
+    stream.flush()
     # A late joiner is backfilled with what it missed, once.
     late = stream.subscribe("late", from_version=1,
                             backfill=[info(1, "a"), info(2, "b")])
     stream.offer(info(3, "c"))
+    stream.flush()
     assert [i.commit_version for b in late.poll() for i in b] == [2, 3]
     # The cursor makes polling idempotent even if versions were seen
     # out-of-band.
     early.advance_to(2)
     assert [i.commit_version for b in early.poll() for i in b] == [3]
+
+
+# ------------------------------------------------------------------- the one rule
+
+def _disjoint_requests(count):
+    return [
+        CertificationRequest(
+            tx_start_version=0,
+            writeset=make_writeset([("t", key)]),
+            replica_version=0,
+            origin_replica="writer",
+        )
+        for key in range(count)
+    ]
+
+
+def _functional_round(service):
+    """Certify 5 disjoint requests as one round; return (fsyncs, polled)."""
+    observer = service.subscribe_replica("observer")
+    outcomes = service.certify_batch(_disjoint_requests(5))
+    assert all(outcome.committed for outcome in outcomes)
+    batches = observer.poll()
+    return service.fsync_count, [[i.commit_version for i in b] for b in batches]
+
+
+def _sim_clients(clients=4, certifications=10):
+    env, node = make_sim_certifier(num_replicas=clients)
+
+    def client_loop(client):
+        for step in range(certifications):
+            version = node.core.system_version.version
+            result = yield from node.certify(CertificationRequest(
+                tx_start_version=version,
+                writeset=make_writeset([("t", (client, step))]),
+                replica_version=version,
+                origin_replica=f"replica-{client}",
+            ))
+            assert result.committed
+
+    procs = [env.process(client_loop(client)) for client in range(clients)]
+    for proc in procs:
+        env.run_until_complete(proc)
+    return node
+
+
+@pytest.mark.parametrize("front_end", ["service", "sharded", "sim"])
+def test_a_propagation_batch_is_one_fsync_group(front_end):
+    if front_end == "service":
+        fsyncs, polled = _functional_round(CertifierService())
+        assert fsyncs == 1
+        assert polled == [[1, 2, 3, 4, 5]]
+    elif front_end == "sharded":
+        service = ShardedCertifierService(CertifierConfig(shards=2))
+        fsyncs, polled = _functional_round(service)
+        # One fsync per touched shard; the replica's merged view sees the
+        # round as one batch.
+        assert fsyncs == 2
+        assert polled == [[1, 2, 3, 4, 5]]
+    else:
+        node = _sim_clients()
+        assert node.core.last_version == 40
+        flushes = node.streams[0].stats.flushes
+        assert flushes == node.batch_stats.flushes == node.fsync_count
+        assert flushes < 40  # concurrent clients shared fsyncs
 
 
 def test_group_commit_stats_histogram_is_bounded():
@@ -259,39 +227,6 @@ def test_replica_counts_noop_refreshes_separately():
     assert replica.stats.noop_refreshes == 2
 
 
-def test_propagation_policy_is_pluggable_at_the_service():
-    service = CertifierService(
-        CertifierConfig(propagation_policy=SizeCappedFlushPolicy(4))
-    )
-    replica_a = build_replica(service, "replica-A")
-    replica_b = build_replica(service, "replica-B")
-    for i in range(8):
-        txn = replica_a.proxy.begin()
-        replica_a.proxy.insert(txn, "accounts", i, id=i, balance=i)
-        assert replica_a.proxy.commit(txn).committed
-    # Size-capped batching: 8 writesets arrive as 2 batches of 4.
-    assert replica_b.proxy.subscription.pending_batches == 2
-    assert replica_b.refresh() == 8
-    assert service.stream.stats.largest_batch == 4
-
-
-def test_refresh_delivers_sub_cap_tail_under_any_policy():
-    """Bounded staleness overrides the batching policy: a refresh must
-    deliver a pending tail the policy would keep holding."""
-    for policy in (SizeCappedFlushPolicy(4), TimeWindowFlushPolicy(60_000.0)):
-        service = CertifierService(CertifierConfig(propagation_policy=policy))
-        replica_a = build_replica(service, "replica-A")
-        replica_b = build_replica(service, "replica-B")
-        for i in range(5):  # 5 does not divide by the cap; window never fires
-            txn = replica_a.proxy.begin()
-            replica_a.proxy.insert(txn, "accounts", i, id=i, balance=i)
-            assert replica_a.proxy.commit(txn).committed
-        assert replica_b.refresh() == 5
-        assert replica_b.proxy.replica_version.version == service.system_version
-        # Nothing stranded: the next refresh is a genuine no-op.
-        assert replica_b.refresh() == 0
-
-
 def test_ordered_refresh_extends_horizons_and_shares_one_flush():
     """A Tashkent-API refresh batch of conflict-free writesets must share one
     submission group (one flush), not serialize on propagation-time horizons."""
@@ -312,9 +247,9 @@ def test_disconnect_replica_closes_stream_subscription():
     service = CertifierService()
     replica_a = build_replica(service, "replica-A")
     build_replica(service, "replica-B")
-    assert service.stream.bus.subscriber_count(service.stream.topic) == 2
+    assert len(list(service.stream.subscriptions())) == 2
     service.disconnect_replica("replica-B")
-    assert service.stream.bus.subscriber_count(service.stream.topic) == 1
+    assert len(list(service.stream.subscriptions())) == 1
     # Batches published after the disconnect are not retained for B.
     txn = replica_a.proxy.begin()
     replica_a.proxy.insert(txn, "accounts", 1, id=1, balance=1)
@@ -387,27 +322,6 @@ def test_sim_propagate_skips_writesets_already_applied_in_band():
     assert remote == []
     # Only the heartbeat-sized poll/ack pair crossed the LAN.
     assert node.network.bytes_sent - bytes_before == 32
-
-
-def test_sim_propagate_flushes_policy_held_tail():
-    env = Environment()
-    config = ReplicationConfig(system=SystemKind.TASHKENT_MW, num_replicas=2)
-    node = SimCertifierNode(env, config, RandomStreams(7),
-                            durability_enabled=True,
-                            propagation_policy=SizeCappedFlushPolicy(32))
-    node.register_replica("replica-0")
-    node.register_replica("replica-1")
-    for version in range(1, 4):  # a burst far below the cap, then silence
-        request = CertificationRequest(
-            tx_start_version=version - 1,
-            writeset=make_writeset([("t", version)]),
-            replica_version=version - 1,
-            origin_replica="replica-0",
-        )
-        env.run_until_complete(env.process(node.certify(request)))
-    assert node.streams[0].pending_count == 3  # held by the size cap
-    remote = env.run_until_complete(env.process(node.propagate("replica-1")))
-    assert [info.commit_version for info in remote] == [1, 2, 3]
 
 
 def test_sim_staleness_refresh_updates_idle_replica():

@@ -11,7 +11,7 @@ Only metrics that are stable across machines are guarded:
 * **deterministic** metrics come from the discrete-event simulation and must
   reproduce almost exactly on any host (tolerance still applies, so a
   deliberate re-calibration inside the band does not need a baseline bump);
-* **ratio** metrics (speedups, fsyncs-per-writeset) divide out the host's
+* **ratio** metrics (speedups) divide out the host's
   absolute speed, so wall-clock micro-benchmarks are compared by their
   shape, not by the raw ops/sec of whatever runner CI landed on.
 
@@ -95,10 +95,6 @@ GUARDS: tuple[Guard, ...] = (
     # index is a ~100x collapse and still fails loudly).
     Guard("BENCH_certifier.json", "scaling",
           ("log_length", "ws_size"), "speedup", "higher", tolerance=0.6),
-    Guard("BENCH_propagation.json", "results",
-          ("policy", "replicas"), "fsyncs_per_writeset", "lower"),
-    Guard("BENCH_propagation.json", "results",
-          ("policy", "replicas"), "mean_batch_size", "higher", tolerance=0.6),
     # MVCC vacuum: the structure metrics are deterministic functions of the
     # benchmark axes (chain length and retained rows after maintenance must
     # not creep up); the scan and install speedups are wall-clock ratios,
