@@ -40,6 +40,7 @@ for _path in (_REPO_ROOT / "src", _REPO_ROOT / "tests"):
         sys.path.insert(0, str(_path))
 
 from repro.core.config import SystemKind, WorkloadName  # noqa: E402
+from repro.cluster.experiment import ExperimentConfig  # noqa: E402
 from repro.cluster.sweeps import ReplicaSweep, run_replica_sweep  # noqa: E402
 
 #: Where a default run leaves its result files (git-ignored).
@@ -184,13 +185,11 @@ def cached_sweep(workload: WorkloadName, dedicated_io: bool,
                  replica_counts: tuple[int, ...] = REPLICA_COUNTS) -> ReplicaSweep:
     """Run (once) and cache the sweep shared by a figure's benchmarks."""
     return run_replica_sweep(
-        workload,
+        ExperimentConfig(workload=workload, dedicated_io=dedicated_io,
+                         forced_abort_rate=forced_abort_rate,
+                         warmup_ms=WARMUP_MS, measure_ms=MEASURE_MS),
         systems=systems,
         replica_counts=replica_counts,
-        dedicated_io=dedicated_io,
-        forced_abort_rate=forced_abort_rate,
-        warmup_ms=WARMUP_MS,
-        measure_ms=MEASURE_MS,
     )
 
 

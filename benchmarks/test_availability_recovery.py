@@ -101,7 +101,7 @@ def _run_scenario(crash_schedule: tuple) -> dict:
         certifier_max_flush_batch=RECOVERY_FLUSH_CAP,
         certifier_crash_schedule=crash_schedule,
     )
-    node = SimCertifierNode(env, config, rng_streams, durability_enabled=True)
+    node = SimCertifierNode(env, config, rng_streams)
     pools = _key_pools(RECOVERY_SHARDS)
     run_end = RECOVERY_WARMUP_MS + RECOVERY_MEASURE_MS
     commit_times: list[float] = []

@@ -114,7 +114,7 @@ def _run_point(shards: int, cross_ratio: float) -> dict:
         certifier_shards=shards,
         certifier_max_flush_batch=SHARD_FLUSH_CAP,
     )
-    node = SimCertifierNode(env, config, rng_streams, durability_enabled=True)
+    node = SimCertifierNode(env, config, rng_streams)
     pools = _key_pools(shards)
     run_end = SHARD_WARMUP_MS + SHARD_MEASURE_MS
     counters = {"commits": 0, "aborts": 0,

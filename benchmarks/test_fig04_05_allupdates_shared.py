@@ -6,7 +6,7 @@ req/s (3.0x Base), tashAPInoCERT ≈ 2901 req/s; Base response time roughly
 doubles between one and two replicas.
 """
 
-from conftest import FIGURE_SYSTEMS, cached_sweep, largest_replica_count
+from conftest import cached_sweep, largest_replica_count
 
 from repro.analysis.report import render_figure
 from repro.analysis.results import summarize_sweep

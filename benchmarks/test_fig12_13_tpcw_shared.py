@@ -12,7 +12,7 @@ Tashkent-API than for Tashkent-MW.
 from conftest import MEASURE_MS, WARMUP_MS, REPLICA_COUNTS, largest_replica_count
 
 from repro.analysis.report import render_figure
-from repro.cluster.experiment import ExperimentConfig, run_experiment
+from repro.cluster.experiment import ExperimentConfig
 from repro.cluster.sweeps import run_replica_sweep
 from repro.core.config import SystemKind, WorkloadName
 from functools import lru_cache
@@ -23,12 +23,10 @@ SYSTEMS = (SystemKind.BASE, SystemKind.TASHKENT_MW, SystemKind.TASHKENT_API)
 @lru_cache(maxsize=None)
 def _sweep():
     return run_replica_sweep(
-        WorkloadName.TPC_W,
+        ExperimentConfig(workload=WorkloadName.TPC_W, dedicated_io=False,
+                         warmup_ms=WARMUP_MS, measure_ms=max(MEASURE_MS, 2000.0)),
         systems=SYSTEMS,
         replica_counts=REPLICA_COUNTS,
-        dedicated_io=False,
-        warmup_ms=WARMUP_MS,
-        measure_ms=max(MEASURE_MS, 2000.0),
     )
 
 

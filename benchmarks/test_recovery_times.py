@@ -20,7 +20,7 @@ from repro.core.writeset import make_writeset
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.database import Database
 from repro.middleware.certifier import CertifierService
-from repro.recovery.replica_recovery import recover_tashkent_mw_replica, replay_writesets_from_certifier
+from repro.recovery.replica_recovery import recover_tashkent_mw_replica
 from repro.recovery.timings import RecoveryTimingModel
 
 

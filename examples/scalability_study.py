@@ -12,7 +12,7 @@ Run with:  python examples/scalability_study.py          (takes ~1 minute)
 
 import sys
 
-from repro import run_replica_sweep
+from repro import ExperimentConfig, run_replica_sweep
 from repro.analysis.report import render_figure
 from repro.analysis.results import summarize_sweep
 from repro.core.config import SystemKind, WorkloadName
@@ -25,13 +25,11 @@ def main() -> None:
 
     print("Running the AllUpdates replica sweep (shared IO channel)...")
     sweep = run_replica_sweep(
-        WorkloadName.ALL_UPDATES,
+        ExperimentConfig(workload=WorkloadName.ALL_UPDATES, dedicated_io=False,
+                         warmup_ms=400.0, measure_ms=measure_ms),
         systems=(SystemKind.BASE, SystemKind.TASHKENT_MW, SystemKind.TASHKENT_API,
                  SystemKind.TASHKENT_API_NO_CERT),
         replica_counts=replica_counts,
-        dedicated_io=False,
-        warmup_ms=400.0,
-        measure_ms=measure_ms,
     )
 
     print()

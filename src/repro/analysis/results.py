@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.config import SystemKind
 from repro.cluster.sweeps import ReplicaSweep

@@ -108,7 +108,6 @@ class ExperimentResult:
     readonly_response_ms: float
     update_response_ms: float
     completed_transactions: int
-    per_replica_tps: Mapping[str, float] = field(default_factory=dict)
     utilization: Mapping[str, float] = field(default_factory=dict)
 
     @property
@@ -193,6 +192,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         readonly_response_ms=metrics.mean_response_ms(readonly=True),
         update_response_ms=metrics.mean_response_ms(readonly=False),
         completed_transactions=len(metrics.records),
-        per_replica_tps=metrics.per_replica_throughput(),
         utilization=utilization,
     )

@@ -74,12 +74,7 @@ class SystemModel(abc.ABC):
     def _build_certifier(self) -> SimCertifierNode | None:
         if self.config.system is SystemKind.STANDALONE:
             return None
-        return SimCertifierNode(
-            self.env,
-            self.config,
-            self.rng,
-            durability_enabled=self.config.system.durability_in_certifier,
-        )
+        return SimCertifierNode(self.env, self.config, self.rng)
 
     def start_clients(self, stop_ms: float) -> None:
         """Spawn ``clients_per_replica`` closed-loop clients pinned to each replica."""

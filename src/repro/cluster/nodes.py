@@ -69,13 +69,14 @@ class SimCertifierNode:
         config: ReplicationConfig,
         rng: RandomStreams,
         *,
-        durability_enabled: bool,
         name: str = "certifier",
     ) -> None:
         self.env = env
         self.config = config
         self.name = name
-        self.durability_enabled = durability_enabled
+        #: Whether a decision waits for its log write (the paper's systems
+        #: differ in this one switch).
+        self.durability_enabled = config.system.durability_in_certifier
         #: Bound on records per fsync (None = everything pending, the seed
         #: behaviour).  A bounded log buffer caps a single log device at
         #: ``bound / fsync_time`` certifications per second — the saturation

@@ -9,7 +9,7 @@ same rows the paper plots and which EXPERIMENTS.md records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from repro.core.config import SystemKind, WorkloadName
@@ -95,50 +95,22 @@ class ReplicaSweep:
 
 
 def run_replica_sweep(
-    workload: WorkloadName,
+    template: ExperimentConfig,
     *,
     systems: Sequence[SystemKind] = DEFAULT_SYSTEMS,
     replica_counts: Iterable[int] = DEFAULT_REPLICA_COUNTS,
-    dedicated_io: bool = False,
-    forced_abort_rate: float = 0.0,
-    clients_per_replica: int | None = None,
-    certifier_shards: int = 1,
-    certifier_max_flush_batch: int | None = None,
-    certifier_crash_schedule: tuple[tuple[int, float, float], ...] = (),
-    certifier_gc_headroom: int | None = None,
-    warmup_ms: float = 1_000.0,
-    measure_ms: float = 4_000.0,
-    seed: int = 20060418,
 ) -> ReplicaSweep:
-    """Run the replica-count sweep for ``workload`` across ``systems``.
+    """Run ``template`` at every replica count, once per system.
 
-    ``certifier_shards`` re-runs the same sweep against a sharded certifier (with
-    ``certifier_max_flush_batch`` bounding each shard's fsync group), so the
-    figures can be regenerated with the certifier scaled out.
-    ``certifier_crash_schedule`` injects deterministic shard-leader outages
-    into every point of the sweep — the availability axis: each curve shows
-    what the paper's workloads look like while a certifier shard crashes and
-    fails over mid-measurement.  ``certifier_gc_headroom`` sweeps the GC
-    headroom (snapshot cadence vs. retained-suffix length).
+    Every point is ``template`` with its ``system`` and ``num_replicas``
+    replaced, so each other axis — IO configuration, forced aborts,
+    certifier shards, crash schedule, GC headroom, windows, seed — is set
+    once on the template and holds across the whole sweep.
     """
-    sweep = ReplicaSweep(workload=workload, dedicated_io=dedicated_io)
+    sweep = ReplicaSweep(workload=template.workload, dedicated_io=template.dedicated_io)
     for system in systems:
         for num_replicas in replica_counts:
-            config = ExperimentConfig(
-                system=system,
-                workload=workload,
-                num_replicas=num_replicas,
-                clients_per_replica=clients_per_replica,
-                dedicated_io=dedicated_io,
-                forced_abort_rate=forced_abort_rate,
-                certifier_shards=certifier_shards,
-                certifier_max_flush_batch=certifier_max_flush_batch,
-                certifier_crash_schedule=certifier_crash_schedule,
-                certifier_gc_headroom=certifier_gc_headroom,
-                warmup_ms=warmup_ms,
-                measure_ms=measure_ms,
-                seed=seed,
-            )
+            config = replace(template, system=system, num_replicas=num_replicas)
             sweep.points.append(
                 SweepPoint(system=system, num_replicas=num_replicas,
                            result=run_experiment(config))

@@ -11,9 +11,9 @@ which is exactly the one-round-trip-plus-fsync behaviour the paper assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.consensus.paxos import Acceptor, Ballot, Proposer
+from repro.consensus.paxos import Acceptor, Proposer
 from repro.errors import ConsensusError, NotLeaderError, QuorumUnavailableError
 
 

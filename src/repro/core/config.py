@@ -88,18 +88,12 @@ class DiskConfig:
     fsync_min_ms: float = 6.0
     fsync_max_ms: float = 12.0
     dedicated_log_channel: bool = False
-    #: Extra mean service time (ms) added per fsync on a *shared* channel to
-    #: model interference from page reads and dirty-page write-back.  The
-    #: workload scales this by its page-IO intensity.
-    shared_channel_interference_ms: float = 2.0
 
     def __post_init__(self) -> None:
         if self.fsync_min_ms <= 0 or self.fsync_max_ms < self.fsync_min_ms:
             raise ConfigurationError("fsync bounds must satisfy 0 < min <= max")
         if not (self.fsync_min_ms <= self.fsync_mean_ms <= self.fsync_max_ms):
             raise ConfigurationError("fsync mean must lie within [min, max]")
-        if self.shared_channel_interference_ms < 0:
-            raise ConfigurationError("interference must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -194,13 +188,14 @@ class ReplicationConfig:
     #: ``certifier_shards=1``.
     certifier_crash_schedule: tuple[tuple[int, float, float], ...] = ()
     #: Versions of headroom the certifier keeps below the replicas'
-    #: low-water mark when garbage collecting (``None`` = the sim node's
-    #: default).  Smaller headroom means tighter logs and snapshots closer
-    #: to the frontier — at the cost of more frequent backfills for laggards;
-    #: the knob makes snapshot cadence vs. retained-suffix length sweepable.
+    #: low-water mark when garbage collecting (``None`` = each stack's own
+    #: default: 256 in the certifier services, 512 in the sim node).
+    #: Smaller headroom means tighter logs and snapshots closer to the
+    #: frontier — at the cost of more frequent backfills for laggards; the
+    #: knob makes snapshot cadence vs. retained-suffix length sweepable.
     certifier_gc_headroom: int | None = None
     #: One-valued: live nodes always run pipelined.  Kept only because the
-    #: frozen ``bench/live.py`` passes the keyword (ROADMAP item 1(d)).
+    #: frozen ``bench/live.py`` passes the keyword (ROADMAP item 1(c)).
     live_pipeline: bool = True
     #: How long the live scheduler's certify batcher waits for more
     #: concurrent requests before cutting a round (milliseconds).  0 (the
@@ -212,10 +207,6 @@ class ReplicationConfig:
     #: Upper bound on one live certification round (and thus on the records
     #: sharing one WAL fsync).
     live_certify_batch_max: int = 64
-    #: Worker threads per live replica node; bounds how many client sessions
-    #: one replica processes concurrently (commits overlap only during the
-    #: certification round trip; local work is serialized per replica).
-    live_replica_workers: int = 8
     #: Wall-clock floor (milliseconds) on one live WAL shard batch fsync.
     #: Container filesystems acknowledge ``os.fsync`` in ~0.1 ms, which makes
     #: durability free and hides the group-commit effect the paper measures
@@ -257,8 +248,6 @@ class ReplicationConfig:
             raise ConfigurationError("live_certify_batch_window_ms must be >= 0")
         if self.live_certify_batch_max < 1:
             raise ConfigurationError("live_certify_batch_max must be >= 1")
-        if self.live_replica_workers < 1:
-            raise ConfigurationError("live_replica_workers must be >= 1")
         if self.live_wal_fsync_floor_ms < 0:
             raise ConfigurationError("live_wal_fsync_floor_ms must be >= 0")
         validate_certifier_crash_schedule(self.certifier_crash_schedule,
@@ -271,3 +260,28 @@ class ReplicationConfig:
     def with_replicas(self, num_replicas: int) -> "ReplicationConfig":
         """Return a copy of this configuration with ``num_replicas`` replicas."""
         return dataclasses.replace(self, num_replicas=num_replicas)
+
+
+def config_to_json(config: ReplicationConfig) -> dict:
+    """Every field of ``config`` under its own name, as plain JSON values.
+
+    The live cluster writes this into its spec file and every node reads it
+    back with :func:`config_from_json`, so a node runs with exactly the
+    configuration the cluster was given — no setting is renamed or
+    re-defaulted on the way.
+    """
+    data = dataclasses.asdict(config)
+    data["system"] = config.system.value
+    return data
+
+
+def config_from_json(data: dict) -> ReplicationConfig:
+    """The :class:`ReplicationConfig` :func:`config_to_json` wrote."""
+    return ReplicationConfig(**{
+        **data,
+        "system": SystemKind(data["system"]),
+        "disk": DiskConfig(**data["disk"]),
+        "network": NetworkConfig(**data["network"]),
+        "certifier_crash_schedule": tuple(
+            tuple(w) for w in data["certifier_crash_schedule"]),
+    })

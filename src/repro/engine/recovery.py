@@ -24,7 +24,6 @@ from repro.engine.database import Database
 from repro.engine.log_device import LogDevice
 from repro.engine.table import TableSchema
 from repro.engine.wal import WalRecord, WriteAheadLog
-from repro.errors import RecoveryError
 
 
 def recover_from_wal(

@@ -9,7 +9,7 @@ buffering, locking and writeset extraction live above it in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.core.stats import MvccStats

@@ -18,7 +18,7 @@ the paper's analysis are modelled explicitly:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.group_commit import GroupCommitBatcher

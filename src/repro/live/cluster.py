@@ -15,10 +15,11 @@ sim             discrete-event model, simulated time        ``repro.cluster.expe
 functional backend and maps it to processes exactly the way
 ``build_replicated_system`` maps it to objects: ``certifier_shards`` WAL
 shard processes, one scheduler process hosting the certifier service, and
-``num_replicas`` replica processes named ``replica-0..n-1``.  Table schemas
-(from ``workload.schemas()``) travel to the replica nodes through a spec
-file in the run directory, so the unmodified workload definitions drive the
-cluster through :class:`~repro.live.client.LiveSession`.
+``num_replicas`` replica processes named ``replica-0..n-1``.  The config
+itself and the table schemas (from ``workload.schemas()``) travel to the
+scheduler and replica nodes through a spec file in the run directory, so
+the unmodified workload definitions drive the cluster through
+:class:`~repro.live.client.LiveSession`.
 
 Boot order is shards → scheduler → replicas (each tier's addresses are
 discovered from the previous tier's stdout handshakes), teardown is the
@@ -29,7 +30,6 @@ harness context manager (reap + orphan check), and the fault surface —
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from pathlib import Path
@@ -41,6 +41,7 @@ from repro.errors import TransactionAborted
 from repro.live import codec
 from repro.live.client import CommitInDoubt, LiveSession
 from repro.live.harness import NodeHandle, ProcessHarness
+from repro.live.server import write_spec
 from repro.live.wire import WireClient
 from repro.sim.rng import RandomStreams
 
@@ -80,32 +81,7 @@ class LiveCluster:
         return self.harness.run_dir / "cluster-spec.json"
 
     def _write_spec(self) -> None:
-        spec = {
-            "system": self.config.system.value,
-            "local_certification": self.config.local_certification,
-            "eager_pre_certification": self.config.eager_pre_certification,
-            "schemas": [
-                {"name": s.name, "columns": list(s.columns), "primary_key": s.primary_key}
-                for s in self.schemas
-            ],
-            # Mirrors build_replicated_system's CertifierConfig mapping.
-            "certifier": {
-                "durability_enabled": self.config.system.durability_in_certifier,
-                "forced_abort_rate": self.config.forced_abort_rate,
-                "rng_seed": self.config.rng_seed,
-                "shards": self.config.certifier_shards,
-                "gc_headroom_versions": self.config.certifier_gc_headroom,
-            },
-            # Live-backend concurrency knobs (group certification, replica
-            # worker pool) and the standby deployment shape.
-            "live": {
-                "certify_batch_window_ms": self.config.live_certify_batch_window_ms,
-                "certify_batch_max": self.config.live_certify_batch_max,
-                "replica_workers": self.config.live_replica_workers,
-                "scheduler_standby": self.config.live_scheduler_standby,
-            },
-        }
-        self.spec_path.write_text(json.dumps(spec, indent=2), encoding="utf-8")
+        write_spec(self.spec_path, self.config, self.schemas)
 
     def start(self) -> "LiveCluster":
         if self._started:

@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=0,
                         help="0 (default) lets the kernel pick; the handshake reports it")
     parser.add_argument("--spec", default=None,
-                        help="cluster spec JSON (schemas, system kind, certifier config)")
+                        help="cluster spec JSON: the ReplicationConfig and the table schemas")
     parser.add_argument("--wal", default=None, help="WAL file path (certifier-shard)")
     parser.add_argument("--shard-id", type=int, default=0)
     parser.add_argument("--shard", action="append", default=None, metavar="HOST:PORT",
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scheduler", default=None, metavar="HOST:PORT")
     parser.add_argument("--standby", action="store_true",
                         help="boot this scheduler as an unpromoted standby "
-                             "(requires live.scheduler_standby in the spec)")
+                             "(requires live_scheduler_standby in the spec)")
     parser.add_argument("--primary", default=None, metavar="HOST:PORT",
                         help="primary scheduler a standby seeds its state "
                              "transfer from (best effort)")

@@ -23,11 +23,9 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
-from repro.core.config import SystemKind
 from repro.engine.database import Database
 from repro.engine.locks import LockBlockedError
 from repro.engine.log_device import FileLogDevice
-from repro.engine.table import TableSchema
 from repro.errors import TransactionAborted
 from repro.live import codec
 from repro.live.client import CommitGate, LiveCertifierClient
@@ -37,6 +35,11 @@ from repro.live.wire import RemoteCallError
 from repro.middleware.client_api import ClientSession
 from repro.middleware.replica import Replica
 
+#: Worker threads per replica: how many client sessions one replica serves
+#: concurrently (commits overlap only during the certification round trip;
+#: local work is serialized under the state lock).
+WORKERS = 8
+
 
 class ReplicaRole(Role):
     """One database replica: engine + transparent proxy + session server."""
@@ -45,13 +48,11 @@ class ReplicaRole(Role):
 
     def __init__(self, args: argparse.Namespace) -> None:
         super().__init__()
-        spec = load_spec(args)
+        config, schemas = load_spec(args)
         if args.scheduler is None:
             raise SystemExit("replica role requires --scheduler host:port")
         host, port = parse_addr(args.scheduler)
-        live = spec.get("live", {})
         self.name = args.name
-        self.workers = int(live.get("replica_workers", 8))
         self.wedge_before_commit_op = args.wedge_before_commit_op
         self.wedge_after_commit_op = args.wedge_after_commit_op
         self.commit_ops = 0
@@ -60,12 +61,8 @@ class ReplicaRole(Role):
         # path and group-apply fsync accounting are the real thing.
         device = FileLogDevice(f"{self.name}.engine.wal")
         database = Database(name=self.name, synchronous_commit=True, log_device=device)
-        for schema in spec.get("schemas", []):
-            database.create_table_from_schema(TableSchema(
-                name=schema["name"],
-                columns=tuple(schema["columns"]),
-                primary_key=schema.get("primary_key", "id"),
-            ))
+        for schema in schemas:
+            database.create_table_from_schema(schema)
         fallbacks: tuple[tuple[str, int], ...] = ()
         if args.scheduler_standby:
             fallbacks = (parse_addr(args.scheduler_standby),)
@@ -76,16 +73,15 @@ class ReplicaRole(Role):
         self.cert_client = LiveCertifierClient(host, port, replica_name=self.name,
                                                state_lock=self.lock, gate=CommitGate(),
                                                fallbacks=fallbacks)
-        self.executor = ThreadPoolExecutor(max_workers=self.workers,
+        self.executor = ThreadPoolExecutor(max_workers=WORKERS,
                                            thread_name_prefix=f"{self.name}-worker")
-        system = SystemKind(spec.get("system", "tashkent-mw"))
         self.replica = Replica(
             self.name,
             database,
             self.cert_client,  # quacks like CertifierService for the proxy
-            system=system,
-            local_certification=spec.get("local_certification", True),
-            eager_pre_certification=spec.get("eager_pre_certification", True),
+            system=config.system,
+            local_certification=config.local_certification,
+            eager_pre_certification=config.eager_pre_certification,
         )
         #: session id -> ClientSession (the unmodified client API object).
         self.sessions: dict[int, ClientSession] = {}
@@ -204,7 +200,7 @@ class ReplicaRole(Role):
     def stats(self, payload: dict):
         return {"stats": self.replica.stats_snapshot(),
                 "commit_ops": self.commit_ops,
-                "workers": self.workers,
+                "workers": WORKERS,
                 "certifier_wire": self.cert_client.wire_stats(),
                 "commit_wire_wait_s": self.cert_client.wire_wait_s,
                 "commit_gate_wait_s": self.cert_client.gate_wait_s,

@@ -47,11 +47,12 @@ from repro.consensus.sharded import (
     ShardLogEntry,
 )
 from repro.core.certification import CertificationRequest, CertificationResult
+from repro.core.config import ReplicationConfig
 from repro.core.sharding import Partitioner
 from repro.engine.log_device import ship
 from repro.errors import ReproError
 from repro.live.codec import decode_shard_log_entry, encode_shard_log_entry
-from repro.middleware.certifier import CertifierConfig
+from repro.middleware.certifier import gc_headroom
 from repro.middleware.sharded_certifier import ShardedCertifierService
 from repro.recovery.sharded_recovery import (
     ShardedCertifierRecoveryReport,
@@ -72,7 +73,7 @@ def decode_entry_payload(payload: bytes) -> ShardLogEntry:
 class LiveReplicatedCertifierService(ShardedCertifierService):
     """A sharded certifier service whose WAL payloads rebuild the scheduler.
 
-    Used by the live scheduler when ``live.scheduler_standby`` is on — at
+    Used by the live scheduler when ``live_scheduler_standby`` is on — at
     *any* shard count, including one: the seed
     :class:`~repro.middleware.certifier.CertifierService` has no failover
     hooks, and the single-shard sharded service is decision-equivalent to
@@ -81,7 +82,7 @@ class LiveReplicatedCertifierService(ShardedCertifierService):
 
     def __init__(
         self,
-        config: CertifierConfig | None = None,
+        config: ReplicationConfig | None = None,
         *,
         log_devices=None,
         partitioner: Partitioner | None = None,
@@ -138,7 +139,7 @@ class LiveReplicatedCertifierService(ShardedCertifierService):
         the prune happens (and is counted) when the last shard acknowledges
         its marker — the return value is what was pruned by then.
         """
-        target = self.core.gc_target(headroom=self.config.gc_headroom_versions)
+        target = self.core.gc_target(headroom=self.gc_headroom_versions)
         if target is None:
             return 0
         marker = encode_entry_payload(
@@ -162,7 +163,7 @@ class LiveReplicatedCertifierService(ShardedCertifierService):
 def rebuild_from_shard_wals(
     per_shard_entries: list[list[ShardLogEntry]],
     *,
-    config: CertifierConfig | None = None,
+    config: ReplicationConfig | None = None,
     partitioner: Partitioner | None = None,
 ) -> tuple[ReplicatedShardedCertifier, ShardedCertifierRecoveryReport,
            list[tuple[int, ShardLogEntry]]]:
@@ -180,14 +181,14 @@ def rebuild_from_shard_wals(
     finish interrupted rounds — the caller must append them durably to the
     real shard WALs before acknowledging any new work.
     """
-    base = config if config is not None else CertifierConfig()
+    config = config if config is not None else ReplicationConfig()
     certifier = ReplicatedShardedCertifier(
         max(1, len(per_shard_entries)),
         nodes_per_shard=1,
         partitioner=partitioner,
-        forced_abort_rate=base.forced_abort_rate,
-        abort_chooser=random.Random(base.rng_seed).random,
-        gc_headroom=base.gc_headroom_versions,
+        forced_abort_rate=config.forced_abort_rate,
+        abort_chooser=random.Random(config.rng_seed).random,
+        gc_headroom=gc_headroom(config),
     )
     for shard_id, entries in enumerate(per_shard_entries):
         for entry in entries:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import binascii
-import dataclasses
 import functools
 import sys
 import threading
@@ -41,7 +40,6 @@ from repro.live.server import (ASYNC, POOLED, WEDGE, Op, Role, error_envelope,
                                load_spec, parse_addr)
 from repro.live.wal import RemoteWalDevice
 from repro.live.wire import ConnectionLost, RemoteCallError, WireClient
-from repro.middleware.certifier import CertifierConfig
 from repro.middleware.sharded_certifier import ShardedCertifierService
 
 
@@ -49,8 +47,8 @@ class _CertifyBatcher:
     """Collects concurrent ``certify`` requests into certification rounds.
 
     Lives on the event loop; submission parks an ``asyncio`` future, the
-    flusher loop cuts a round at ``batch_max`` requests or once
-    ``batch_window_ms`` has elapsed, and *admits* each round right here.
+    flusher loop cuts a round at ``live_certify_batch_max`` requests or once
+    ``live_certify_batch_window_ms`` has elapsed, and *admits* each round right here.
     Admission never waits for the disk: with a zero window a round is
     whatever the loop has read since the previous one, and the grouping into
     fsyncs happens at the shards.  A future resolves at once or when the
@@ -62,8 +60,8 @@ class _CertifyBatcher:
         self._loop = loop
         self._pending: list[tuple[dict, asyncio.Future]] = []
         self._wake = asyncio.Event()
-        self._window_ms = role.batch_window_ms
-        self._batch_max = role.batch_max
+        self._window_ms = role.config.live_certify_batch_window_ms
+        self._batch_max = role.config.live_certify_batch_max
         #: Seconds spent admitting rounds (the rest of wall time the batcher
         #: was waiting for requests to arrive).
         self.busy_s = 0.0
@@ -143,23 +141,12 @@ class SchedulerRole(Role):
 
     def __init__(self, args: argparse.Namespace) -> None:
         super().__init__()
-        spec = load_spec(args)
-        cert = spec.get("certifier", {})
-        live = spec.get("live", {})
+        config, _ = load_spec(args)
         shards = [parse_addr(a) for a in (args.shard or [])]
-        config = CertifierConfig(
-            durability_enabled=cert.get("durability_enabled", True),
-            forced_abort_rate=cert.get("forced_abort_rate", 0.0),
-            rng_seed=cert.get("rng_seed", 1),
-            shards=max(1, len(shards)) if cert.get("shards") is None else cert["shards"],
-        )
-        if cert.get("gc_headroom_versions") is not None:
-            config = dataclasses.replace(
-                config, gc_headroom_versions=cert["gc_headroom_versions"])
-        if len(shards) != config.shards:
+        if len(shards) != config.certifier_shards:
             raise SystemExit(
                 f"scheduler needs one --shard address per certifier shard "
-                f"({config.shards}), got {len(shards)}"
+                f"({config.certifier_shards}), got {len(shards)}"
             )
         #: Serialises the (not thread-safe) service between the event loop,
         #: which admits rounds and — reading the shards' acknowledgements —
@@ -169,11 +156,11 @@ class SchedulerRole(Role):
         self.shard_addrs = shards
         self._loop: asyncio.AbstractEventLoop | None = None
         self.devices = [self._wal_device(i) for i in range(len(shards))]
-        self.cert_config = config
+        self.config = config
         #: Replicated-scheduler mode: shard WAL payloads are full round
         #: entries a standby can rebuild the certifier from (tentpole of the
         #: failover work); off keeps the opaque-marker WAL shape.
-        self.replicated = bool(live.get("scheduler_standby", False))
+        self.replicated = config.live_scheduler_standby
         self.standby = bool(args.standby)
         #: A standby answers only control-plane ops until promoted; clients
         #: see ``NotPromoted`` errors their retry loop backs off on.
@@ -182,7 +169,7 @@ class SchedulerRole(Role):
         self.last_promotion: dict | None = None
         self.seed_package = None
         if self.standby and not self.replicated:
-            raise SystemExit("--standby requires live.scheduler_standby in the spec")
+            raise SystemExit("--standby requires live_scheduler_standby in the spec")
         if self.replicated:
             self.service = LiveReplicatedCertifierService(
                 config, log_devices=list(self.devices))
@@ -198,8 +185,6 @@ class SchedulerRole(Role):
         self.wedge_before_certify_round = args.wedge_before_certify_round
         self.wedge_after_certify_round = args.wedge_after_certify_round
         self.certify_rounds = 0
-        self.batch_window_ms = float(live.get("certify_batch_window_ms", 0.0))
-        self.batch_max = int(live.get("certify_batch_max", 64))
         #: Certification-round size histogram (how many concurrent certifies
         #: shared one round, and with it one WAL fsync per touched shard).
         self.batch_stats = GroupCommitStats()
@@ -290,7 +275,7 @@ class SchedulerRole(Role):
         ]
         log_ends = [int(response["records"]) for response in responses]
         certifier, report, completions = rebuild_from_shard_wals(
-            per_shard_entries, config=self.cert_config)
+            per_shard_entries, config=self.config)
         package = self.seed_package
         if package is not None:
             # The WAL rebuild must dominate the state-transfer seed: every
@@ -317,7 +302,7 @@ class SchedulerRole(Role):
         for device in self.devices:  # ... and all of them are waited for
             device.sync()
         self.service = LiveReplicatedCertifierService.from_recovered_core(
-            certifier.core, config=self.cert_config,
+            certifier.core, config=self.config,
             log_devices=list(self.devices))
         self.service.on_frontier = self._release
         acks = certifier.committed_acks()
@@ -635,6 +620,6 @@ class SchedulerRole(Role):
             self._held.popleft().sink(error_envelope(error))
 
     def describe(self) -> dict:
-        return {"shards": self.service.config.shards,
+        return {"shards": self.config.certifier_shards,
                 "standby": self.standby, "replicated": self.replicated}
 

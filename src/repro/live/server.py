@@ -28,8 +28,11 @@ import os
 import sys
 import time
 import traceback
-from typing import Any, Callable, NamedTuple
+from pathlib import Path
+from typing import Any, Callable, NamedTuple, Sequence
 
+from repro.core.config import ReplicationConfig, config_from_json, config_to_json
+from repro.engine.table import TableSchema
 from repro.errors import ReproError, TransactionAborted
 from repro.live.harness import READY_PREFIX
 from repro.live.wire import RemoteCallError, WireError, encode_frame, read_frame
@@ -82,11 +85,25 @@ class Role:
         """Called once on the serving loop, before the first connection."""
 
 
-def load_spec(args: argparse.Namespace) -> dict:
+def write_spec(path: Path, config: ReplicationConfig,
+               schemas: Sequence[TableSchema]) -> None:
+    """The cluster spec file every scheduler and replica node reads."""
+    spec = {
+        "config": config_to_json(config),
+        "schemas": [{"name": s.name, "columns": list(s.columns),
+                     "primary_key": s.primary_key} for s in schemas],
+    }
+    path.write_text(json.dumps(spec, indent=2), encoding="utf-8")
+
+
+def load_spec(args: argparse.Namespace) -> tuple[ReplicationConfig, list[TableSchema]]:
+    """The configuration and table schemas of ``--spec`` (defaults without one)."""
     if args.spec is None:
-        return {}
-    with open(args.spec, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return ReplicationConfig(), []
+    spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    schemas = [TableSchema(name=s["name"], columns=tuple(s["columns"]),
+                           primary_key=s["primary_key"]) for s in spec["schemas"]]
+    return config_from_json(spec["config"]), schemas
 
 
 def parse_addr(addr: str) -> tuple[str, int]:

@@ -24,7 +24,6 @@ Every flush propagates its fsync group as one batch on :attr:`stream`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from repro.core.certification import (
     CertificationRequest,
@@ -33,6 +32,7 @@ from repro.core.certification import (
     RemoteWriteSetInfo,
 )
 from repro.core.certifier_log import CertifierLog
+from repro.core.config import ReplicationConfig
 from repro.core.group_commit import GroupCommitBatcher
 from repro.core.stats import CertifierServiceStats
 from repro.engine.log_device import CountingLogDevice, LogDevice
@@ -40,30 +40,20 @@ from repro.errors import ConfigurationError, ReproError
 from repro.transport import WritesetStream, WritesetSubscription
 
 
-@dataclass
-class CertifierConfig:
-    """Behavioural switches of the certifier service."""
+#: Certification requests between two automatic log garbage collections.
+GC_INTERVAL_REQUESTS = 256
+#: Records kept below the replicas' low-water mark when
+#: ``ReplicationConfig.certifier_gc_headroom`` is ``None``, so in-flight
+#: transactions whose start version slightly trails their replica's reported
+#: version are never conservatively aborted ("snapshot too old").
+DEFAULT_GC_HEADROOM = 256
 
-    #: Write the certification log to the log device on the critical path.
-    durability_enabled: bool = True
-    #: Fraction of successfully certified requests aborted anyway (§9.5).
-    forced_abort_rate: float = 0.0
-    rng_seed: int = 1
-    #: Run log garbage collection every this many certification requests.
-    #: 0 disables automatic GC (the log then grows without bound, as in the
-    #: seed implementation); :meth:`CertifierService.collect_garbage` can
-    #: still be called explicitly.
-    gc_interval_requests: int = 256
-    #: Records kept below the low-water mark so in-flight transactions whose
-    #: start version slightly trails their replica's reported version are
-    #: never conservatively aborted ("snapshot too old").
-    gc_headroom_versions: int = 256
-    #: Number of certification shards.  1 (the default, and the paper's
-    #: design) is served by :class:`CertifierService`; higher values are
-    #: served by :class:`~repro.middleware.sharded_certifier.
-    #: ShardedCertifierService`, which partitions the item keyspace across
-    #: independent certify/flush/propagate pipelines (``docs/certifier.md``).
-    shards: int = 1
+
+def gc_headroom(config: ReplicationConfig) -> int:
+    """The GC headroom a certifier service built from ``config`` keeps."""
+    if config.certifier_gc_headroom is None:
+        return DEFAULT_GC_HEADROOM
+    return config.certifier_gc_headroom
 
 
 class CertifierService:
@@ -71,18 +61,22 @@ class CertifierService:
 
     def __init__(
         self,
-        config: CertifierConfig | None = None,
+        config: ReplicationConfig | None = None,
         *,
         log_device: LogDevice | None = None,
         log: CertifierLog | None = None,
     ) -> None:
-        self.config = config if config is not None else CertifierConfig()
-        if self.config.shards > 1:
+        self.config = config if config is not None else ReplicationConfig()
+        if self.config.certifier_shards > 1:
             raise ConfigurationError(
                 "CertifierService serves exactly one shard; build a "
                 "ShardedCertifierService (or use make_certifier_service) "
-                f"for shards={self.config.shards}"
+                f"for certifier_shards={self.config.certifier_shards}"
             )
+        #: Whether the log write is on the commit critical path (off only
+        #: in the tashAPInoCERT ablation).
+        self._durable = self.config.system.durability_in_certifier
+        self.gc_headroom_versions = gc_headroom(self.config)
         self.device: LogDevice = log_device if log_device is not None else CountingLogDevice()
         self._rng = random.Random(self.config.rng_seed)
         self.core = Certifier(
@@ -101,16 +95,15 @@ class CertifierService:
         result = self.core.certify(request)
         if result.committed and result.tx_commit_version is not None:
             self._batcher.enqueue(result.tx_commit_version)
-            if self.config.durability_enabled:
+            if self._durable:
                 self.flush()
             else:
                 # The decision is released before the log write, so the
                 # writeset propagates immediately rather than at flush time.
                 self.stream.propagate_from_log(self.core.log,
                                                (result.tx_commit_version,))
-        interval = self.config.gc_interval_requests
-        if interval > 0 and self.core.certification_requests % interval == 0:
-            if not self.config.durability_enabled:
+        if self.core.certification_requests % GC_INTERVAL_REQUESTS == 0:
+            if not self._durable:
                 # tashAPInoCERT keeps the log write off the critical path but
                 # still writes it eventually (the sim's lazy log-writer loop);
                 # flush here so the durable horizon — and with it GC — keeps
@@ -142,15 +135,14 @@ class CertifierService:
             outcomes.append(result)
             if result.committed and result.tx_commit_version is not None:
                 self._batcher.enqueue(result.tx_commit_version)
-                if not self.config.durability_enabled:
+                if not self._durable:
                     self.stream.propagate_from_log(self.core.log,
                                                    (result.tx_commit_version,))
-        if self.config.durability_enabled:
+        if self._durable:
             self.flush()
-        interval = self.config.gc_interval_requests
-        if interval > 0 and (before // interval
-                             != self.core.certification_requests // interval):
-            if not self.config.durability_enabled:
+        if (before // GC_INTERVAL_REQUESTS
+                != self.core.certification_requests // GC_INTERVAL_REQUESTS):
+            if not self._durable:
                 self.flush()
             self.collect_garbage()
         return outcomes
@@ -193,7 +185,7 @@ class CertifierService:
 
     def collect_garbage(self) -> int:
         """Prune the durable log prefix below the replicas' low-water mark."""
-        return self.core.collect_garbage(headroom=self.config.gc_headroom_versions)
+        return self.core.collect_garbage(headroom=self.gc_headroom_versions)
 
     def replication_horizon(self) -> int:
         """Highest version every subscribed replica has already applied.
@@ -208,7 +200,7 @@ class CertifierService:
         low_water = self.core.low_water_mark()
         if low_water is None:
             return 0
-        return max(0, low_water - self.config.gc_headroom_versions)
+        return max(0, low_water - self.gc_headroom_versions)
 
     # -- durability ---------------------------------------------------------------
 

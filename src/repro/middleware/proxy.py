@@ -39,7 +39,7 @@ from repro.engine.transaction import EngineTransaction, TransactionStatus
 from repro.errors import CertificationAborted, InvalidTransactionState, TransactionAborted
 
 #: Versions a replica applies between two :meth:`TransparentProxy.maintain`
-#: steps — the replica-side twin of the certifier's ``gc_interval_requests``.
+#: steps — the replica-side twin of the certifier's ``GC_INTERVAL_REQUESTS``.
 MAINTENANCE_INTERVAL_VERSIONS = 256
 #: Least candidate rows one inline vacuum pass may visit.  A row an interval
 #: touches becomes at most one candidate, and every insert or update installs

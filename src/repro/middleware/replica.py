@@ -9,8 +9,8 @@ simulated path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core.config import SystemKind
 from repro.engine.checkpoint import Checkpoint, CheckpointStore

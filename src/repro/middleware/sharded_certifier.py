@@ -25,8 +25,8 @@ The service mirrors the :class:`~repro.middleware.certifier.CertifierService`
 surface (``certify`` / ``subscribe_replica`` / ``flush`` / ``stats`` / ...)
 — the transparent proxy and the system factories treat the two
 interchangeably.  :func:`make_certifier_service`
-picks the implementation from ``CertifierConfig.shards``; with ``shards=1``
-the seed service is used, byte for byte.
+picks the implementation from ``ReplicationConfig.certifier_shards``; with
+one shard the seed service is used, byte for byte.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.core.certification import (
     CertificationResult,
     RemoteWriteSetInfo,
 )
+from repro.core.config import ReplicationConfig
 from repro.core.group_commit import GroupCommitStats
 from repro.core.sharding import Partitioner, ShardedCertifier
 from repro.core.stats import (
@@ -49,7 +50,11 @@ from repro.core.stats import (
 )
 from repro.engine.log_device import CountingLogDevice, LogDevice, ship
 from repro.errors import ConfigurationError, ReproError
-from repro.middleware.certifier import CertifierConfig, CertifierService
+from repro.middleware.certifier import (
+    GC_INTERVAL_REQUESTS,
+    CertifierService,
+    gc_headroom,
+)
 from repro.transport import (
     MergedSubscription,
     WritesetStream,
@@ -63,19 +68,21 @@ class ShardedCertifierService:
 
     def __init__(
         self,
-        config: CertifierConfig | None = None,
+        config: ReplicationConfig | None = None,
         *,
         log_devices: list[LogDevice] | None = None,
         partitioner: Partitioner | None = None,
     ) -> None:
-        self.config = config if config is not None else CertifierConfig()
-        if self.config.shards < 1:
-            raise ConfigurationError("shards must be >= 1")
-        shards = self.config.shards
+        self.config = config if config is not None else ReplicationConfig()
+        shards = self.config.certifier_shards
         if log_devices is not None and len(log_devices) != shards:
             raise ConfigurationError(
                 f"need one log device per shard ({shards}), got {len(log_devices)}"
             )
+        #: Whether decisions wait for the log write (off only in the
+        #: tashAPInoCERT ablation).
+        self._durable = self.config.system.durability_in_certifier
+        self.gc_headroom_versions = gc_headroom(self.config)
         self._rng = random.Random(self.config.rng_seed)
         self.core = ShardedCertifier(
             shards,
@@ -114,7 +121,7 @@ class ShardedCertifierService:
         """:meth:`admit_batch`, then wait until the round is durable — the
         synchronous contract: a returned commit is on every shard it touched."""
         outcomes = self.admit_batch(requests)
-        if self.config.durability_enabled:
+        if self._durable:
             self.flush()
         return outcomes
 
@@ -152,14 +159,13 @@ class ShardedCertifierService:
                         (outcome.tx_commit_version, local))
                     touched.add(shard_id)
         if touched:
-            if self.config.durability_enabled:
+            if self._durable:
                 self._ship(touched)
             else:
                 self._propagate_up_to(self.core.last_version)
-        interval = self.config.gc_interval_requests
-        if interval > 0 and (before // interval
-                             != self.core.certification_requests // interval):
-            if not self.config.durability_enabled:
+        if (before // GC_INTERVAL_REQUESTS
+                != self.core.certification_requests // GC_INTERVAL_REQUESTS):
+            if not self._durable:
                 self.flush()
             self.collect_garbage()
         return outcomes
@@ -193,7 +199,7 @@ class ShardedCertifierService:
 
     def collect_garbage(self) -> int:
         """Prune the directory and every shard log below the low-water mark."""
-        return self.core.collect_garbage(headroom=self.config.gc_headroom_versions)
+        return self.core.collect_garbage(headroom=self.gc_headroom_versions)
 
     def replication_horizon(self) -> int:
         """Highest version every subscribed replica has applied, minus the GC
@@ -202,7 +208,7 @@ class ShardedCertifierService:
         low_water = self.core.low_water_mark()
         if low_water is None:
             return 0
-        return max(0, low_water - self.config.gc_headroom_versions)
+        return max(0, low_water - self.gc_headroom_versions)
 
     # -- durability ---------------------------------------------------------------
 
@@ -211,7 +217,7 @@ class ShardedCertifierService:
         far is durable.  Returns the number of log records that became
         durable meanwhile."""
         before = sum(stats.records_flushed for stats in self._flush_stats)
-        self._ship(range(self.config.shards))
+        self._ship(range(self.config.certifier_shards))
         for device in self.devices:
             if hasattr(device, "ship"):
                 device.sync()
@@ -299,7 +305,7 @@ class ShardedCertifierService:
         cls,
         package: "StateTransferPackage",
         *,
-        config: CertifierConfig | None = None,
+        config: ReplicationConfig | None = None,
         log_devices: list[LogDevice] | None = None,
         partitioner: Partitioner | None = None,
     ) -> "ShardedCertifierService":
@@ -322,7 +328,7 @@ class ShardedCertifierService:
         cls,
         core: ShardedCertifier,
         *,
-        config: CertifierConfig | None = None,
+        config: ReplicationConfig | None = None,
         log_devices: list[LogDevice] | None = None,
     ) -> "ShardedCertifierService":
         """Build a service around a recovered coordinator (failover).
@@ -334,9 +340,9 @@ class ShardedCertifierService:
         :meth:`subscribe_replica`, so the fresh streams only ever carry
         post-failover commits.
         """
-        base = config if config is not None else CertifierConfig()
+        base = config if config is not None else ReplicationConfig()
         service = cls(
-            dataclasses.replace(base, shards=core.num_shards),
+            dataclasses.replace(base, certifier_shards=core.num_shards),
             log_devices=log_devices,
             partitioner=core.partitioner,
         )
@@ -368,7 +374,7 @@ class ShardedCertifierService:
             propagation=merged_group_commit_stats([s.stats for s in self.streams]),
             fsyncs=self.fsync_count,
             durable_version=self.core.durable_version,
-            shards=self.config.shards,
+            shards=self.config.certifier_shards,
         )
 
     def stats(self) -> dict[str, float]:
@@ -379,23 +385,23 @@ class ShardedCertifierService:
 
     def __repr__(self) -> str:
         return (
-            f"ShardedCertifierService(shards={self.config.shards}, "
+            f"ShardedCertifierService(shards={self.config.certifier_shards}, "
             f"version={self.system_version}, durable={self.core.durable_version}, "
             f"fsyncs={self.fsync_count})"
         )
 
 
 def make_certifier_service(
-    config: CertifierConfig | None = None,
+    config: ReplicationConfig | None = None,
     **kwargs: object,
 ) -> "CertifierService | ShardedCertifierService":
-    """Build the certifier front-end matching ``config.shards``.
+    """Build the certifier front-end matching ``config.certifier_shards``.
 
-    ``shards=1`` (the default) returns the seed :class:`CertifierService` —
+    One shard (the default) returns the seed :class:`CertifierService` —
     the sharded machinery is not even constructed, so the single-shard
     deployment is byte-for-byte the paper's certifier.
     """
-    config = config if config is not None else CertifierConfig()
-    if config.shards <= 1:
+    config = config if config is not None else ReplicationConfig()
+    if config.certifier_shards == 1:
         return CertifierService(config, **kwargs)  # type: ignore[arg-type]
     return ShardedCertifierService(config, **kwargs)  # type: ignore[arg-type]

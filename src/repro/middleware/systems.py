@@ -12,7 +12,6 @@ in the paper: :meth:`ReplicatedSystem.session` binds one replica for life.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -20,7 +19,7 @@ from repro.core.config import ReplicationConfig, SystemKind
 from repro.engine.database import Database
 from repro.engine.table import TableSchema
 from repro.errors import ConfigurationError
-from repro.middleware.certifier import CertifierConfig, CertifierService
+from repro.middleware.certifier import CertifierService
 from repro.middleware.client_api import ClientSession
 from repro.middleware.replica import Replica
 from repro.middleware.sharded_certifier import (
@@ -163,17 +162,7 @@ def build_replicated_system(config: ReplicationConfig) -> ReplicatedSystem:
         raise ConfigurationError(
             "use repro.engine.Database directly for a standalone database"
         )
-    certifier_config = CertifierConfig(
-        durability_enabled=config.system.durability_in_certifier,
-        forced_abort_rate=config.forced_abort_rate,
-        rng_seed=config.rng_seed,
-        shards=config.certifier_shards,
-    )
-    if config.certifier_gc_headroom is not None:
-        certifier_config = dataclasses.replace(
-            certifier_config, gc_headroom_versions=config.certifier_gc_headroom
-        )
-    certifier = make_certifier_service(certifier_config)
+    certifier = make_certifier_service(config)
     system = ReplicatedSystem(config=config, certifier=certifier)
     for index in range(config.num_replicas):
         name = f"replica-{index}"

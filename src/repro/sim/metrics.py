@@ -126,14 +126,6 @@ class MetricsCollector:
             total += 1
         return total
 
-    def per_replica_throughput(self) -> dict[str, float]:
-        counts: dict[str, int] = {}
-        for r in self.records:
-            if r.committed:
-                counts[r.replica] = counts.get(r.replica, 0) + 1
-        seconds = self._seconds()
-        return {replica: count / seconds for replica, count in counts.items()}
-
     def summary(self) -> dict[str, float]:
         return {
             "throughput_tps": self.goodput_tps(),

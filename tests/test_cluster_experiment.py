@@ -135,11 +135,10 @@ def test_tashkent_systems_beat_base_at_moderate_scale():
 
 def test_sweep_and_analysis_helpers():
     sweep = run_replica_sweep(
-        WorkloadName.ALL_UPDATES,
+        ExperimentConfig(workload=WorkloadName.ALL_UPDATES, warmup_ms=200.0,
+                         measure_ms=600.0),
         systems=(SystemKind.BASE, SystemKind.TASHKENT_MW, SystemKind.TASHKENT_API),
         replica_counts=(1, 3),
-        warmup_ms=200.0,
-        measure_ms=600.0,
     )
     assert len(sweep.points) == 6
     assert len(sweep.curve(SystemKind.BASE)) == 2

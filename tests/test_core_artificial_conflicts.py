@@ -1,6 +1,6 @@
 """Unit tests for artificial-conflict detection (paper Section 5.2.1)."""
 
-from repro.core.artificial_conflicts import ArtificialConflictDetector, SubmissionPlan
+from repro.core.artificial_conflicts import ArtificialConflictDetector
 from repro.core.certification import RemoteWriteSetInfo
 from repro.core.writeset import make_writeset
 

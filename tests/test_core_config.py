@@ -51,8 +51,6 @@ def test_disk_config_validation():
         DiskConfig(fsync_min_ms=0)
     with pytest.raises(ConfigurationError):
         DiskConfig(fsync_mean_ms=20.0)
-    with pytest.raises(ConfigurationError):
-        DiskConfig(shared_channel_interference_ms=-1)
 
 
 def test_network_config_message_delay_scales_with_size():

@@ -1,7 +1,5 @@
 """Unit tests for writesets and their intersection semantics."""
 
-import pytest
-
 from repro.core.writeset import WriteItem, WriteOp, WriteSet, make_writeset
 
 

@@ -280,13 +280,11 @@ def test_sim_touching_crash_windows_behave_as_one_outage():
 
 def test_sweep_accepts_crash_schedule_axis():
     sweep = run_replica_sweep(
-        WorkloadName.ALL_UPDATES,
+        ExperimentConfig(workload=WorkloadName.ALL_UPDATES, certifier_shards=2,
+                         certifier_crash_schedule=((0, 200.0, 400.0),),
+                         warmup_ms=100.0, measure_ms=500.0),
         systems=(SystemKind.TASHKENT_MW,),
         replica_counts=(1,),
-        certifier_shards=2,
-        certifier_crash_schedule=((0, 200.0, 400.0),),
-        warmup_ms=100.0,
-        measure_ms=500.0,
     )
     point = sweep.points[0]
     assert point.result.utilization["certifier_crash_events"] == 1.0

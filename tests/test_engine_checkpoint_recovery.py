@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.writeset import make_writeset
-from repro.engine.checkpoint import Checkpoint, CheckpointStore
+from repro.engine.checkpoint import CheckpointStore
 from repro.engine.database import Database
 from repro.engine.recovery import recover_from_checkpoint, recover_from_wal, verify_same_state
 from repro.errors import RecoveryError

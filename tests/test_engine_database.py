@@ -9,7 +9,6 @@ from repro.errors import (
     DuplicateKeyError,
     InvalidTransactionState,
     StorageError,
-    TransactionAborted,
     UnknownTableError,
     WriteConflictError,
 )

@@ -5,12 +5,12 @@ import pytest
 from row_oracle import LegacyVersionedRow
 
 from repro.core.stats import MvccStats
+from repro.core.config import ReplicationConfig
 from repro.core.writeset import WriteItem, WriteOp, WriteSet
 from repro.engine.database import Database
 from repro.engine.rows import RowVersion, VersionedRow
 from repro.engine.table import Table, TableSchema
 from repro.errors import StorageError
-from repro.middleware.certifier import CertifierConfig
 from repro.middleware.sharded_certifier import make_certifier_service
 from repro.middleware.systems import build_tashkent_mw_system
 
@@ -271,7 +271,7 @@ def test_apply_writeset_installs_values_without_cloning():
 @pytest.mark.parametrize("shards", [1, 2])
 def test_replication_horizon_tracks_low_water_minus_headroom(shards):
     service = make_certifier_service(
-        CertifierConfig(shards=shards, gc_headroom_versions=10))
+        ReplicationConfig(certifier_shards=shards, certifier_gc_headroom=10))
     assert service.replication_horizon() == 0  # no replica reported yet
     service.register_replica("r1", 500)
     service.register_replica("r2", 300)
@@ -281,7 +281,7 @@ def test_replication_horizon_tracks_low_water_minus_headroom(shards):
 
 
 def test_replication_horizon_never_negative():
-    service = make_certifier_service(CertifierConfig(gc_headroom_versions=100))
+    service = make_certifier_service(ReplicationConfig(certifier_gc_headroom=100))
     service.register_replica("r1", 5)
     assert service.replication_horizon() == 0
 

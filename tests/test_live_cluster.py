@@ -19,6 +19,8 @@ import pytest
 from repro.core.config import ReplicationConfig, SystemKind
 from repro.errors import ConfigurationError
 from repro.live.cluster import LiveCluster
+from repro.live.node import build_parser
+from repro.live.server import load_spec
 from repro.live.wire import ConnectionLost
 from repro.middleware.systems import build_replicated_system
 from repro.sim.rng import RandomStreams
@@ -240,7 +242,12 @@ def test_serialized_mode_is_rejected_and_absent_from_the_cluster_spec(tmp_path):
         ReplicationConfig(live_pipeline=False)
     cluster = LiveCluster(ReplicationConfig(), run_dir=tmp_path)
     cluster._write_spec()  # boots nothing
-    assert "pipeline" not in json.loads(cluster.spec_path.read_text())["live"]
+    spec = json.loads(cluster.spec_path.read_text())
+    spec["config"]["live_pipeline"] = False
+    cluster.spec_path.write_text(json.dumps(spec))
+    with pytest.raises(ConfigurationError, match="serialized live mode was removed"):
+        load_spec(build_parser().parse_args(
+            ["--role", "replica", "--spec", str(cluster.spec_path)]))
 
 
 def test_run_workload_raises_when_a_client_cannot_open_its_session(tmp_path):

@@ -22,17 +22,17 @@ thing an admitted round produces becomes visible:
 from __future__ import annotations
 
 import asyncio
-import json
 
 import pytest
 
 from faults import SplitPhaseDevice
 from repro.core.certification import CertificationRequest
+from repro.core.config import ReplicationConfig
 from repro.core.writeset import make_writeset
 from repro.live import codec
 from repro.live.node import build_parser
 from repro.live.scheduler import SchedulerRole, _CertifyBatcher
-from repro.live.server import WEDGE, call
+from repro.live.server import WEDGE, call, write_spec
 from repro.live.wire import RemoteCallError
 
 #: What ``commit_status`` says about a held transaction, after the retryable
@@ -41,9 +41,9 @@ HELD = {"known": False, "held": True}
 
 
 def make_role(tmp_path, shards: int = 2, extra_args: tuple[str, ...] = (),
-              **live) -> tuple[SchedulerRole, list[SplitPhaseDevice]]:
+              **overrides) -> tuple[SchedulerRole, list[SplitPhaseDevice]]:
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"live": live, "certifier": {"shards": shards}}))
+    write_spec(spec, ReplicationConfig(certifier_shards=shards, **overrides), ())
     argv = ["--role", "scheduler", "--spec", str(spec), *extra_args]
     for index in range(shards):
         argv += ["--shard", f"127.0.0.1:{index + 1}"]  # never dialled
@@ -212,7 +212,7 @@ def test_a_refused_batch_fails_held_decisions_and_later_rounds_loudly(tmp_path):
 
 
 def test_batcher_cuts_parked_requests_into_rounds_of_at_most_certify_batch_max(tmp_path):
-    role, (device,) = make_role(tmp_path, shards=1, certify_batch_max=8)
+    role, (device,) = make_role(tmp_path, shards=1, live_certify_batch_max=8)
     payloads = [certify_payload(role, f"tx-{index}", [index]) for index in range(20)]
 
     async def scenario() -> list[dict]:

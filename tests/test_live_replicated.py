@@ -13,6 +13,7 @@ import dataclasses
 import pytest
 
 from repro.core.certification import CertificationRequest
+from repro.core.config import ReplicationConfig
 from repro.engine.log_device import CountingLogDevice
 from repro.errors import ReproError
 from repro.live.codec import (
@@ -28,7 +29,6 @@ from repro.live.replicated import (
     rebuild_from_shard_wals,
 )
 from repro.core.writeset import WriteSet, make_writeset
-from repro.middleware.certifier import CertifierConfig
 from repro.consensus.sharded import ENTRY_GC, ShardLogEntry
 
 
@@ -38,7 +38,7 @@ def ws(*keys: object, table: str = "t") -> WriteSet:
 
 def _config(shards, **overrides):
     return dataclasses.replace(
-        CertifierConfig(shards=shards, gc_interval_requests=0), **overrides)
+        ReplicationConfig(certifier_shards=shards), **overrides)
 
 
 def _service(shards):
@@ -170,7 +170,7 @@ def test_rebuild_refuses_a_version_hole_instead_of_renumbering():
 
 
 def test_rebuild_restores_gc_horizon_and_prunes_ack_table():
-    config = _config(2, gc_headroom_versions=0)
+    config = _config(2, certifier_gc_headroom=0)
     devices = [CountingLogDevice() for _ in range(2)]
     service = LiveReplicatedCertifierService(config, log_devices=devices)
     committed = _drive(service, count=6)
@@ -195,7 +195,7 @@ def test_gc_prunes_only_once_every_shard_holds_the_marker():
     # shard has acknowledged its marker.
     from faults import SplitPhaseDevice
 
-    config = _config(2, gc_headroom_versions=0)
+    config = _config(2, certifier_gc_headroom=0)
     devices = [SplitPhaseDevice(manual=True) for _ in range(2)]
     service = LiveReplicatedCertifierService(config, log_devices=devices)
     for i in range(4):

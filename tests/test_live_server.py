@@ -22,7 +22,6 @@ spoken to over a localhost socket.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import pkgutil
 import subprocess
@@ -49,6 +48,7 @@ from repro.live.server import (
     dispatch,
     lookup,
     start_server,
+    write_spec,
 )
 from repro.live.shard import CertifierShardRole
 from repro.live.wire import RemoteCallError, encode_frame, read_frame
@@ -119,8 +119,7 @@ def standby(tmp_path) -> SchedulerRole:
     """A cold, unpromoted standby scheduler; its shard address is never dialled
     (the real devices stay: ``stats`` reads their wire counters)."""
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"live": {"scheduler_standby": True},
-                                "certifier": {"shards": 1}}))
+    write_spec(spec, ReplicationConfig(live_scheduler_standby=True), ())
     return SchedulerRole(build_parser().parse_args(
         ["--role", "scheduler", "--spec", str(spec), "--standby",
          "--shard", "127.0.0.1:1"]))

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.certification import CertificationRequest
-from repro.core.writeset import WriteSet, make_writeset
-from repro.middleware.certifier import CertifierConfig, CertifierService
+from repro.core.writeset import make_writeset
+from repro.core.config import ReplicationConfig, SystemKind
+from repro.middleware.certifier import GC_INTERVAL_REQUESTS, CertifierService
 
 
 def request(keys, start=0, replica_version=0, replica="replica-0"):
@@ -25,7 +26,7 @@ def test_commit_decisions_are_durable_before_release():
 
 
 def test_durability_disabled_skips_the_critical_path_flush():
-    service = CertifierService(CertifierConfig(durability_enabled=False))
+    service = CertifierService(ReplicationConfig(system=SystemKind.TASHKENT_API_NO_CERT))
     result = service.certify(request(["a"]))
     assert result.committed
     assert service.fsync_count == 0
@@ -36,7 +37,7 @@ def test_durability_disabled_skips_the_critical_path_flush():
 
 
 def test_flush_groups_all_pending_writesets():
-    service = CertifierService(CertifierConfig(durability_enabled=False))
+    service = CertifierService(ReplicationConfig(system=SystemKind.TASHKENT_API_NO_CERT))
     for key in "abcde":
         service.certify(request([key]))
     flushed = service.flush()
@@ -55,7 +56,7 @@ def test_aborted_requests_write_nothing():
 
 
 def test_forced_abort_rate_is_deterministic_per_seed():
-    config = CertifierConfig(forced_abort_rate=0.5, rng_seed=7)
+    config = ReplicationConfig(forced_abort_rate=0.5, rng_seed=7)
     outcomes_a = [
         CertifierService(config).certify(request([f"k{i}"])).committed for i in range(20)
     ]
@@ -66,7 +67,7 @@ def test_forced_abort_rate_is_deterministic_per_seed():
 
 
 def test_forced_abort_rate_roughly_matches_target():
-    service = CertifierService(CertifierConfig(forced_abort_rate=0.4, rng_seed=3))
+    service = CertifierService(ReplicationConfig(forced_abort_rate=0.4, rng_seed=3))
     total = 400
     aborted = 0
     for i in range(total):
@@ -95,21 +96,22 @@ def test_stats_expose_paper_metrics():
 
 
 def test_automatic_gc_bounds_the_log():
-    service = CertifierService(CertifierConfig(
-        gc_interval_requests=10, gc_headroom_versions=5))
-    for i in range(100):
+    service = CertifierService(ReplicationConfig(certifier_gc_headroom=5))
+    count = GC_INTERVAL_REQUESTS
+    for i in range(count):
         version = service.system_version
         service.certify(request([f"k{i}"], start=version, replica_version=version))
-    # The replica reported up to version 99; GC keeps the headroom suffix.
-    assert service.log.last_version == 100
+    # The replica reported up to version count - 1; GC keeps the headroom suffix.
+    assert service.log.last_version == count
     assert service.log.pruned_version > 0
-    assert service.log.retained_count <= 100 - service.log.pruned_version
-    assert service.log.pruned_version >= 100 - 5 - 10 - 1
+    assert service.log.retained_count <= count - service.log.pruned_version
+    assert service.log.pruned_version >= count - 5 - 1
     # Decisions above the horizon are unaffected.
     version = service.system_version
-    result = service.certify(request(["k99"], start=version - 1, replica_version=version))
-    assert not result.committed  # k99 committed at version 100
-    assert result.conflicting_version == 100
+    result = service.certify(request([f"k{count - 1}"], start=version - 1,
+                                     replica_version=version))
+    assert not result.committed  # k{count - 1} committed at version count
+    assert result.conflicting_version == count
 
 
 def test_gc_still_runs_with_durability_disabled():
@@ -118,23 +120,23 @@ def test_gc_still_runs_with_durability_disabled():
     Without the lazy flush on the GC tick, durable_version would stay 0 and
     prune_to would clamp every collection to a no-op forever.
     """
-    service = CertifierService(CertifierConfig(
-        durability_enabled=False, gc_interval_requests=10, gc_headroom_versions=0))
-    for i in range(40):
+    service = CertifierService(ReplicationConfig(
+        system=SystemKind.TASHKENT_API_NO_CERT, certifier_gc_headroom=0))
+    for i in range(GC_INTERVAL_REQUESTS):
         version = service.system_version
         service.certify(request([f"k{i}"], start=version, replica_version=version))
     assert service.log.durable_version > 0  # lazily flushed off the critical path
     assert service.log.pruned_version > 0  # ...which unblocks GC
-    assert service.log.retained_count < 40
+    assert service.log.retained_count < GC_INTERVAL_REQUESTS
 
 
 def test_idle_registered_replica_blocks_gc():
-    service = CertifierService(CertifierConfig(
-        gc_interval_requests=5, gc_headroom_versions=0))
+    service = CertifierService(ReplicationConfig(certifier_gc_headroom=0))
     service.register_replica("idle-replica")  # never advances past 0
     for i in range(50):
         version = service.system_version
         service.certify(request([f"k{i}"], start=version, replica_version=version))
+    service.collect_garbage()
     assert service.log.pruned_version == 0  # the idle replica pins the log
     service.disconnect_replica("idle-replica")
     service.collect_garbage()

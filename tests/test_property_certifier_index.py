@@ -18,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.certification import CertificationRequest, Certifier
 from repro.core.certifier_log import CertifierLog, LogRecord
+from repro.core.config import ReplicationConfig
 from repro.core.writeset import make_writeset
-from repro.middleware.certifier import CertifierConfig, CertifierService
+from repro.middleware.certifier import CertifierService
 from repro.middleware.sharded_certifier import ShardedCertifierService
 
 # A small keyspace keeps both conflicts and re-writes of the same item
@@ -294,10 +295,8 @@ shard_ops = st.lists(
 
 
 def _service_config(**overrides):
-    base = dict(durability_enabled=True, gc_interval_requests=16,
-                gc_headroom_versions=4, rng_seed=7)
-    base.update(overrides)
-    return CertifierConfig(**base)
+    return ReplicationConfig(**{"certifier_gc_headroom": 4, "rng_seed": 7,
+                                **overrides})
 
 
 def _drain(subscription, state, last_seen):
@@ -319,7 +318,7 @@ def _drain(subscription, state, last_seen):
 @settings(max_examples=80, deadline=None)
 def test_sharded_certifier_matches_single_decisions_and_replica_state(operations, shards):
     single = CertifierService(_service_config())
-    sharded = ShardedCertifierService(_service_config(shards=shards))
+    sharded = ShardedCertifierService(_service_config(certifier_shards=shards))
 
     single_sub = single.subscribe_replica("observer", 0)
     sharded_sub = sharded.subscribe_replica("observer", 0)
@@ -379,7 +378,7 @@ def test_sharded_forced_aborts_match_single(operations, shards, rate):
     chooser is consulted at the same decision points with the same RNG."""
     single = CertifierService(_service_config(forced_abort_rate=rate))
     sharded = ShardedCertifierService(_service_config(forced_abort_rate=rate,
-                                                      shards=shards))
+                                                      certifier_shards=shards))
     for op in operations:
         if op[0] != "certify":
             continue

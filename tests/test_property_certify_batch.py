@@ -29,11 +29,11 @@ from faults import SplitPhaseDevice
 from hypothesis import given, settings, strategies as st
 
 from repro.core.certification import CertificationRequest, CertificationResult
+from repro.core.config import ReplicationConfig, SystemKind
 from repro.core.sharding import ShardedCertifier
 from repro.core.writeset import make_writeset
 from repro.engine.log_device import CountingLogDevice
 from repro.errors import ReproError
-from repro.middleware.certifier import CertifierConfig
 from repro.middleware.sharded_certifier import ShardedCertifierService
 
 # A small key alphabet keeps genuine write-write conflicts frequent.
@@ -136,8 +136,9 @@ def _delivered(subscriptions) -> list[list[int]]:
        stream=st.lists(rounds, min_size=0, max_size=8))
 @settings(max_examples=80, deadline=None)
 def test_streaming_flush_matches_the_sequential_loop(shards, durable, stream):
-    config = CertifierConfig(shards=shards, durability_enabled=durable,
-                             gc_interval_requests=4, gc_headroom_versions=1)
+    config = ReplicationConfig(
+        certifier_shards=shards, certifier_gc_headroom=1,
+        system=SystemKind.TASHKENT_MW if durable else SystemKind.TASHKENT_API_NO_CERT)
     reference = SequentialFlushService(
         config, log_devices=[CountingLogDevice() for _ in range(shards)])
     service = ShardedCertifierService(
@@ -151,6 +152,7 @@ def test_streaming_flush_matches_the_sequential_loop(shards, durable, stream):
             fingerprint(o) for o in new_outcomes]
         assert reference.core.durable_version == service.core.durable_version
         assert _delivered(ref_subs) == _delivered(new_subs)
+        assert reference.collect_garbage() == service.collect_garbage()
     reference.flush()
     service.flush()
     assert reference.core.durable_version == service.core.durable_version
@@ -171,7 +173,7 @@ def test_nothing_is_released_ahead_of_the_durable_frontier(shards, stream, data)
     still equal the blocking reference's, the frontier is exactly the
     longest prefix durable on every touched shard, and no replica ever sees
     a version above it."""
-    config = CertifierConfig(shards=shards, gc_interval_requests=0)
+    config = ReplicationConfig(certifier_shards=shards)
     reference = SequentialFlushService(
         config, log_devices=[CountingLogDevice() for _ in range(shards)])
     devices = [SplitPhaseDevice(manual=True) for _ in range(shards)]

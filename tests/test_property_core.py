@@ -6,7 +6,7 @@ from repro.core.artificial_conflicts import ArtificialConflictDetector
 from repro.core.certification import CertificationRequest, RemoteWriteSetInfo, Certifier
 from repro.core.group_commit import GroupCommitBatcher
 from repro.core.ordering import CommitSequencer
-from repro.core.writeset import WriteSet, make_writeset
+from repro.core.writeset import make_writeset
 
 # Small alphabets keep conflicts frequent enough to be interesting.
 keys = st.integers(min_value=0, max_value=6)

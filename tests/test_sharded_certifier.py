@@ -18,7 +18,7 @@ from repro.core.config import ReplicationConfig, SystemKind, WorkloadName
 from repro.core.writeset import make_writeset
 from repro.engine.log_device import CountingLogDevice, ship
 from repro.errors import ConfigurationError
-from repro.middleware.certifier import CertifierConfig, CertifierService
+from repro.middleware.certifier import GC_INTERVAL_REQUESTS, CertifierService
 from repro.middleware.sharded_certifier import (
     ShardedCertifierService,
     make_certifier_service,
@@ -48,19 +48,19 @@ def shard_key(partitioner, shard_id, table="t"):
 
 
 def test_make_certifier_service_picks_implementation():
-    assert isinstance(make_certifier_service(CertifierConfig()), CertifierService)
-    assert isinstance(make_certifier_service(CertifierConfig(shards=1)), CertifierService)
-    sharded = make_certifier_service(CertifierConfig(shards=3))
+    assert isinstance(make_certifier_service(ReplicationConfig()), CertifierService)
+    assert isinstance(make_certifier_service(ReplicationConfig(certifier_shards=1)), CertifierService)
+    sharded = make_certifier_service(ReplicationConfig(certifier_shards=3))
     assert isinstance(sharded, ShardedCertifierService)
     with pytest.raises(ConfigurationError):
-        CertifierService(CertifierConfig(shards=2))
+        CertifierService(ReplicationConfig(certifier_shards=2))
 
 
 # ---------------------------------------------------------------------------- functional service
 
 
 def test_single_shard_commit_costs_one_shard_fsync():
-    service = ShardedCertifierService(CertifierConfig(shards=4))
+    service = ShardedCertifierService(ReplicationConfig(certifier_shards=4))
     key = shard_key(service.core.partitioner, 2)
     result = service.certify(request(service, [("t", key)]))
     assert result.committed
@@ -69,7 +69,7 @@ def test_single_shard_commit_costs_one_shard_fsync():
 
 
 def test_cross_shard_commit_is_durable_on_every_touched_shard():
-    service = ShardedCertifierService(CertifierConfig(shards=2))
+    service = ShardedCertifierService(ReplicationConfig(certifier_shards=2))
     k0 = shard_key(service.core.partitioner, 0)
     k1 = shard_key(service.core.partitioner, 1)
     result = service.certify(request(service, [("t", k0), ("t", k1)]))
@@ -81,7 +81,7 @@ def test_cross_shard_commit_is_durable_on_every_touched_shard():
 
 
 def test_subscriber_sees_version_ordered_merged_stream():
-    service = ShardedCertifierService(CertifierConfig(shards=3))
+    service = ShardedCertifierService(ReplicationConfig(certifier_shards=3))
     subscription = service.subscribe_replica("replica-A", 0)
     for k in range(25):
         assert service.certify(request(service, [("t", k)])).committed
@@ -93,7 +93,7 @@ def test_subscriber_sees_version_ordered_merged_stream():
 
 
 def test_disconnect_closes_every_shard_subscription():
-    service = ShardedCertifierService(CertifierConfig(shards=3))
+    service = ShardedCertifierService(ReplicationConfig(certifier_shards=3))
     service.subscribe_replica("replica-A", 0)
     assert sum(len(list(s.subscriptions())) for s in service.streams) == 3
     service.disconnect_replica("replica-A")
@@ -102,10 +102,10 @@ def test_disconnect_closes_every_shard_subscription():
 
 
 def test_sharded_gc_runs_on_the_request_interval():
-    service = ShardedCertifierService(CertifierConfig(
-        shards=2, gc_interval_requests=8, gc_headroom_versions=2))
+    service = ShardedCertifierService(ReplicationConfig(
+        certifier_shards=2, certifier_gc_headroom=2))
     service.register_replica("r0", 0)
-    for k in range(32):
+    for k in range(GC_INTERVAL_REQUESTS):
         result = service.certify(request(service, [("t", k)]))
         assert result.committed
     assert service.core.pruned_version > 0
@@ -114,15 +114,15 @@ def test_sharded_gc_runs_on_the_request_interval():
 
 def test_stats_dict_matches_single_service_shape():
     single = CertifierService()
-    sharded = ShardedCertifierService(CertifierConfig(shards=2))
+    sharded = ShardedCertifierService(ReplicationConfig(certifier_shards=2))
     assert set(sharded.stats()) == set(single.stats())
     assert sharded.stats()["shards"] == 2.0
     assert single.stats()["shards"] == 1.0
 
 
 def test_non_durable_sharded_service_propagates_before_flush():
-    service = ShardedCertifierService(CertifierConfig(shards=2,
-                                                      durability_enabled=False))
+    service = ShardedCertifierService(ReplicationConfig(
+        certifier_shards=2, system=SystemKind.TASHKENT_API_NO_CERT))
     subscription = service.subscribe_replica("replica-A", 0)
     assert service.certify(request(service, [("t", 1)])).committed
     assert service.fsync_count == 0
@@ -134,7 +134,7 @@ def test_non_durable_sharded_service_propagates_before_flush():
 
 def test_cross_shard_flush_overlaps_the_shard_syncs():
     devices = [SplitPhaseDevice(0.05), SplitPhaseDevice(0.05)]
-    service = ShardedCertifierService(CertifierConfig(shards=2), log_devices=devices)
+    service = ShardedCertifierService(ReplicationConfig(certifier_shards=2), log_devices=devices)
     keys = [shard_key(service.core.partitioner, shard) for shard in (0, 1)]
     started = time.perf_counter()
     result = service.certify(request(service, [("t", keys[0]), ("t", keys[1])]))
@@ -149,7 +149,7 @@ def test_cross_shard_flush_overlaps_the_shard_syncs():
 
 def test_flush_never_syncs_an_untouched_shard():
     devices = [SplitPhaseDevice(0.0) for _ in range(3)]
-    service = ShardedCertifierService(CertifierConfig(shards=3), log_devices=devices)
+    service = ShardedCertifierService(ReplicationConfig(certifier_shards=3), log_devices=devices)
     keys = [shard_key(service.core.partitioner, shard) for shard in (0, 2)]
     outcomes = service.certify_batch([
         request(service, [("t", keys[0])]), request(service, [("t", keys[1])])])
@@ -175,7 +175,7 @@ def test_ship_syncs_a_plain_device_and_streams_to_a_shipping_one():
 
 def test_admit_never_waits_and_several_batches_ride_one_shard():
     device = SplitPhaseDevice(manual=True)
-    service = ShardedCertifierService(CertifierConfig(shards=1), log_devices=[device])
+    service = ShardedCertifierService(ReplicationConfig(certifier_shards=1), log_devices=[device])
     subscription = service.subscribe_replica("replica-A", 0)
     frontiers: list[int] = []
     service.on_frontier = frontiers.append
@@ -197,7 +197,7 @@ def test_frontier_waits_for_the_slower_shard_of_an_earlier_version():
     # released (v2's remote window can name v1) until B's write lands.
     devices = [SplitPhaseDevice(manual=True, name="A"),
                SplitPhaseDevice(manual=True, name="B")]
-    service = ShardedCertifierService(CertifierConfig(shards=2), log_devices=devices)
+    service = ShardedCertifierService(ReplicationConfig(certifier_shards=2), log_devices=devices)
     subscription = service.subscribe_replica("replica-A", 0)
     frontiers: list[int] = []
     service.on_frontier = frontiers.append
@@ -215,7 +215,7 @@ def test_frontier_waits_for_the_slower_shard_of_an_earlier_version():
 
 def test_failed_ship_leaves_the_round_taken_and_unreleased():
     devices = [SplitPhaseDevice(0.0), SplitPhaseDevice(0.0, error=RuntimeError("disk full"))]
-    service = ShardedCertifierService(CertifierConfig(shards=2), log_devices=devices)
+    service = ShardedCertifierService(ReplicationConfig(certifier_shards=2), log_devices=devices)
     subscription = service.subscribe_replica("replica-A", 0)
     keys = [shard_key(service.core.partitioner, shard) for shard in (0, 1)]
     with pytest.raises(RuntimeError):
@@ -332,8 +332,7 @@ def test_sim_sharded_node_merges_in_version_order():
     env = Environment()
     config = ReplicationConfig(system=SystemKind.TASHKENT_MW, num_replicas=1,
                                certifier_shards=3)
-    node = SimCertifierNode(env, config, RandomStreams(1),
-                            durability_enabled=True)
+    node = SimCertifierNode(env, config, RandomStreams(1))
     node.register_replica("replica-0")
     results = []
 
@@ -370,8 +369,7 @@ def test_sim_replica_registered_mid_flush_sees_nothing_above_the_frontier():
     env = Environment()
     config = ReplicationConfig(system=SystemKind.TASHKENT_MW, num_replicas=2,
                                certifier_shards=2)
-    node = SimCertifierNode(env, config, RandomStreams(1),
-                            durability_enabled=True)
+    node = SimCertifierNode(env, config, RandomStreams(1))
     request = CertificationRequest(
         tx_start_version=0, writeset=make_writeset([("t", 1)]),
         replica_version=0, origin_replica="replica-0")

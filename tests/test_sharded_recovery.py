@@ -19,10 +19,10 @@ from repro.consensus.sharded import (
     ShardPaxosGroups,
 )
 from repro.core.certification import CertificationRequest
+from repro.core.config import ReplicationConfig
 from repro.core.sharding import CertifierShard, ShardedCertifier
 from repro.core.writeset import make_writeset
 from repro.errors import RecoveryError
-from repro.middleware.certifier import CertifierConfig
 from repro.middleware.sharded_certifier import ShardedCertifierService
 from repro.recovery.sharded_recovery import recover_sharded_certifier
 
@@ -213,8 +213,7 @@ def test_chosen_entries_union_read_survives_leader_holes():
 # ----------------------------------------------------------------- middleware failover
 
 def test_service_failover_rebuilds_from_exported_rounds():
-    config = CertifierConfig(shards=2, durability_enabled=True,
-                             gc_interval_requests=0, gc_headroom_versions=0)
+    config = ReplicationConfig(certifier_shards=2, certifier_gc_headroom=0)
     primary = ShardedCertifierService(config)
     subscription = primary.subscribe_replica("replica-0", 0)
     state: dict = {}

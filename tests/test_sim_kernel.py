@@ -235,7 +235,6 @@ def test_metrics_collector_window_and_summary():
     assert metrics.abort_rate() == pytest.approx(1 / 3)
     assert metrics.mean_response_ms() == pytest.approx(75.0)
     assert metrics.mean_response_ms(readonly=True) == pytest.approx(100.0)
-    assert metrics.per_replica_throughput()["r0"] == pytest.approx(1.0)
     summary = metrics.summary()
     assert summary["completed"] == 3.0
     assert metrics.percentile_response_ms(95.0) >= metrics.percentile_response_ms(5.0)

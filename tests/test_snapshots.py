@@ -26,7 +26,7 @@ Coverage layers:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faults import COMPACT_CRASH_POINTS, GC_HEADROOM, run_crash_schedule
+from faults import COMPACT_CRASH_POINTS, run_crash_schedule
 from repro.consensus.log import ReplicatedLog, ReplicatedLogNode
 from repro.consensus.sharded import ReplicatedShardedCertifier
 from repro.core.certification import CertificationRequest
@@ -499,8 +499,7 @@ def test_sim_config_threads_gc_headroom_to_node():
     for shards, headroom in ((1, 9), (2, 7)):
         config = ReplicationConfig(certifier_shards=shards,
                                    certifier_gc_headroom=headroom)
-        node = SimCertifierNode(Environment(), config, RandomStreams(1),
-                                durability_enabled=True)
+        node = SimCertifierNode(Environment(), config, RandomStreams(1))
         assert node.gc_headroom_versions == headroom
     assert SimCertifierNode.gc_headroom_versions == 512  # class default intact
 
@@ -512,7 +511,7 @@ def test_calibrated_failover_window_tracks_retained_suffix():
     from repro.sim.rng import RandomStreams
 
     node = SimCertifierNode(Environment(), ReplicationConfig(
-        certifier_shards=2), RandomStreams(1), durability_enabled=True)
+        certifier_shards=2), RandomStreams(1))
     assert node.calibrated_failover_window_ms(0) == 0.0
     model = RecoveryTimingModel()
     shard = node.core.shards[0]
@@ -599,10 +598,10 @@ def test_property_bootstrap_equals_full_replay(count, low_water, headroom):
 # ------------------------------------------------- state-transfer package
 
 def test_state_transfer_package_round_trip():
-    from repro.middleware.certifier import CertifierConfig
+    from repro.core.config import ReplicationConfig
     from repro.middleware.sharded_certifier import ShardedCertifierService
 
-    service = ShardedCertifierService(CertifierConfig(shards=2))
+    service = ShardedCertifierService(ReplicationConfig(certifier_shards=2))
     service.register_replica("r1")
     for i in range(8):
         version = service.system_version

@@ -12,7 +12,7 @@ from repro.cluster.experiment import ExperimentConfig, build_model
 from repro.cluster.nodes import SimCertifierNode
 from repro.cluster.tashkent_mw import TashkentMWModel
 from repro.engine.database import Database
-from repro.middleware.certifier import CertifierConfig, CertifierService
+from repro.middleware.certifier import CertifierService
 from repro.middleware.replica import Replica
 from repro.middleware.sharded_certifier import ShardedCertifierService
 from repro.sim.kernel import Environment
@@ -101,7 +101,7 @@ def test_a_propagation_batch_is_one_fsync_group(front_end):
         assert fsyncs == 1
         assert polled == [[1, 2, 3, 4, 5]]
     elif front_end == "sharded":
-        service = ShardedCertifierService(CertifierConfig(shards=2))
+        service = ShardedCertifierService(ReplicationConfig(certifier_shards=2))
         fsyncs, polled = _functional_round(service)
         # One fsync per touched shard; the replica's merged view sees the
         # round as one batch.
@@ -263,7 +263,7 @@ def make_sim_certifier(num_replicas=2):
     env = Environment()
     config = ReplicationConfig(system=SystemKind.TASHKENT_MW,
                                num_replicas=num_replicas)
-    node = SimCertifierNode(env, config, RandomStreams(7), durability_enabled=True)
+    node = SimCertifierNode(env, config, RandomStreams(7))
     for i in range(num_replicas):
         node.register_replica(f"replica-{i}")
     return env, node
