@@ -3,16 +3,17 @@
 Two callers live here:
 
 :class:`LiveCertifierClient`
-    Runs *inside a replica node process*.  It quacks exactly like the
-    in-process :class:`~repro.middleware.certifier.CertifierService` surface
-    the :class:`~repro.middleware.proxy.TransparentProxy` consumes —
-    ``certify`` / ``subscribe_replica`` / ``register_replica`` /
-    ``extend_remote_horizons`` / ``replication_horizon`` — but every call
-    is a framed round trip to the scheduler process.  A commit's
-    certification carries the client-supplied transaction id
-    (``next_tx_id``), which the scheduler uses for its exactly-once table;
-    the call itself retries through scheduler outages, which is safe
-    precisely because of that table.
+    Runs *inside a replica node process*.  It serves the
+    :class:`~repro.middleware.certifier.CertifierService` surface the
+    :class:`~repro.middleware.proxy.TransparentProxy` calls on its own —
+    ``subscribe_replica`` / ``register_replica`` /
+    ``extend_remote_horizons`` / ``replication_horizon`` — over the wire to
+    the scheduler process, and certifies the commits the replica drives
+    through :meth:`~LiveCertifierClient.certify_async`.  A commit's
+    certification carries the client-supplied transaction id, which the
+    scheduler uses for its exactly-once table; the call itself retries
+    through scheduler outages, which is safe precisely because of that
+    table.
 
 :class:`LiveSession`
     Runs *in the driver process* (a test, a benchmark, the CLI) and mirrors
@@ -31,15 +32,18 @@ Two callers live here:
 
 from __future__ import annotations
 
-import threading
+import asyncio
+import functools
 import time
+from collections import deque
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.core.certification import CertificationRequest, CertificationResult, RemoteWriteSetInfo
 from repro.errors import ReproError, TransactionAborted
 from repro.live import codec
-from repro.live.wire import ConnectionLost, RemoteCallError, WireClient
+from repro.live.wire import (REFUSALS, ConnectionLost, RemoteCallError, WireClient, backoff_s,
+                             check_ok)
 from repro.middleware.proxy import CommitOutcome
 
 
@@ -62,62 +66,6 @@ class CommitInDoubt(ReproError):
 # ---------------------------------------------------------------------------
 
 
-class CommitGate:
-    """Orders concurrent commit finalizations by certification order.
-
-    When a replica runs commits concurrently, each commit's certification
-    request is a pipelined frame to the scheduler, and the scheduler admits
-    requests in frame-arrival order — so *send order is commit-version
-    order*.  But the responses come back whenever their round completes, and
-    the replica must apply the engine-side finalization (write the commit,
-    apply in-band remote writesets, advance the replica version) in version
-    order: a later commit's finalization sees the earlier commit's writeset
-    among its in-band remotes, and applying it first would priority-abort the
-    earlier commit's still-open engine transaction.
-
-    The gate hands out a **ticket at frame-send time** (inside the wire
-    client's send critical section, so ticket order provably equals send
-    order) and makes each certified commit wait until every earlier ticket
-    has finished finalizing before it re-enters the replica's state lock.
-    Tickets are tracked per-thread; every method is a no-op on threads that
-    never registered, so abort paths and read-only commits cost nothing.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._active: set[int] = set()
-        self._next_ticket = 1
-        self._local = threading.local()
-
-    def register(self) -> int:
-        """Take the next ticket (called from the wire send critical section)."""
-        with self._cond:
-            ticket = self._next_ticket
-            self._next_ticket += 1
-            self._active.add(ticket)
-            self._local.ticket = ticket
-            return ticket
-
-    def await_turn(self) -> None:
-        """Block until every earlier ticket has completed (no lock held)."""
-        ticket = getattr(self._local, "ticket", None)
-        if ticket is None:
-            return
-        with self._cond:
-            while any(t < ticket for t in self._active):
-                self._cond.wait()
-
-    def complete(self) -> None:
-        """Release this thread's ticket, waking later commits."""
-        ticket = getattr(self._local, "ticket", None)
-        if ticket is None:
-            return
-        self._local.ticket = None
-        with self._cond:
-            self._active.discard(ticket)
-            self._cond.notify_all()
-
-
 class LiveSubscription:
     """The proxy-facing view of a server-side writeset subscription.
 
@@ -127,10 +75,12 @@ class LiveSubscription:
     ``poll_flat`` so a refresh costs one round trip, not two.
     """
 
-    def __init__(self, client: WireClient, replica: str) -> None:
+    def __init__(self, client: WireClient, replica: str,
+                 certifier: "LiveCertifierClient") -> None:
         self._client = client
         self.replica = replica
         self._advance_to = 0
+        self._certifier = certifier  # takes the horizon each answer carries
 
     def advance_to(self, version: int) -> None:
         self._advance_to = max(self._advance_to, version)
@@ -153,82 +103,136 @@ class LiveSubscription:
                 "poll_writesets", replica=self.replica,
                 advance_to=self._advance_to,
             )
+        self._certifier.horizon = response["horizon"]
         return [codec.decode_remote_info(i) for i in response["writesets"]]
 
 
+class _Certification:
+    """One commit's ``certify`` call, from its first send to its finish."""
+
+    __slots__ = ("fields", "finish", "sent_at", "answered_at", "answer", "refused")
+
+    def __init__(self, fields: dict, finish: Callable[[object], None]) -> None:
+        self.fields = fields
+        self.finish = finish
+        self.sent_at = time.perf_counter()
+        self.answered_at = 0.0
+        #: The decoded result, or the error its answer raised.
+        self.answer: CertificationResult | Exception | None = None
+        self.refused = False  # answered with a refusal: waiting to be sent again
+
+
 class LiveCertifierClient:
-    """``CertifierService`` duck-type whose backend is the scheduler process."""
+    """The proxy's certifier in a replica process; its backend is the scheduler.
+
+    Two connections.  The control one is a plain blocking client for what
+    the proxy calls on its own — ``subscribe_replica`` at boot, and
+    ``register_replica`` / ``extend_remote_horizons`` / the subscription's
+    poll during a refresh — so those never wait for the event loop.  Commits
+    do not go through the proxy's ``certify`` at all: the replica drives
+    :meth:`~repro.middleware.proxy.TransparentProxy.commit_steps` itself and
+    hands each request to :meth:`certify_async`, a call posted on a
+    pipelined connection whose replies the replica's event loop reads
+    (:meth:`read_on`).  Send order is certification order — the scheduler
+    admits requests in arrival order — so the answers are finished in send
+    order whatever order they arrive in: a later commit's finalization sees
+    the earlier commit's writeset among its in-band remotes, and applying it
+    first would priority-abort the earlier commit's still-open engine
+    transaction.
+
+    The scheduler piggy-backs its replication horizon on every ``certify``
+    and ``poll_writesets`` answer; :meth:`replication_horizon` returns the
+    latest one, so the proxy's maintenance step makes no wire call.
+    """
 
     def __init__(self, host: str, port: int, *, replica_name: str,
-                 state_lock: threading.Lock, gate: CommitGate,
                  attempt_timeout_s: float = 10.0,
                  fallbacks: tuple[tuple[str, int], ...] = ()) -> None:
-        """``state_lock`` is the replica-wide lock the calling worker holds
-        around every op — :meth:`certify` releases it while waiting on the
-        wire; ``gate`` orders re-entry so finalizations happen in
-        certification order (see :class:`CommitGate`)."""
         self.replica_name = replica_name
         self._client = WireClient(host, port, timeout=attempt_timeout_s,
-                                  name=f"certifier-{replica_name}",
-                                  pipelined=True, fallbacks=fallbacks)
-        #: Set by the replica node around a client commit: the exactly-once
-        #: transaction id that rides down with the next ``certify``.
-        self.next_tx_id: str | None = None
-        self._state_lock = state_lock
-        self._gate = gate
+                                  name=f"certifier-{replica_name}", fallbacks=fallbacks)
+        self._certify = WireClient(host, port, timeout=attempt_timeout_s,
+                                   name=f"certify-{replica_name}",
+                                   pipelined=True, fallbacks=fallbacks)
+        self._loop: asyncio.AbstractEventLoop | None = None
+        #: Sent, unfinished certifications in send order.
+        self._in_flight: deque[_Certification] = deque()
+        self._retries = 0  # consecutive rounds of refusals: the backoff's attempt
+        self._retry_armed = False
+        #: The scheduler's replication horizon, as of its latest answer.
+        self.horizon = 0
         #: Cumulative seconds commits spent waiting on the certify wire
-        #: round trip / on the finalization-order gate.
+        #: round trip / for every earlier commit to finish.
         self.wire_wait_s = 0.0
         self.gate_wait_s = 0.0
 
-    def finish_commit_ticket(self) -> None:
-        """Release the calling thread's gate ticket (no-op without one)."""
-        self._gate.complete()
+    def read_on(self, loop: asyncio.AbstractEventLoop) -> None:
+        """``loop`` reads the certify answers and runs every ``finish``."""
+        self._loop = loop
+        self._certify.read_on(loop)
 
     def wire_stats(self) -> dict[str, int]:
-        return self._client.stats()
+        return self._certify.stats()
+
+    def certify_async(self, request: CertificationRequest, tx_id: str | None,
+                      finish: Callable[[object], None]) -> None:
+        """Send ``request`` and return; ``finish(answer)`` runs on the loop —
+        the :class:`CertificationResult`, or the exception the answer raised
+        (a :class:`RemoteCallError`) — once every earlier call has finished.
+
+        Refusals (``NotPromoted``, ``NotDurableYet``) are asked again after a
+        backoff, in send order; a lost connection is re-dialled (rotating to
+        a fallback address when refused) and every unanswered call resent.
+        Retrying is safe: with a ``tx_id`` the scheduler's exactly-once table
+        answers a duplicate from the record; without one the transaction
+        never left this process, so a resend is the first delivery.
+        """
+        fields: dict[str, object] = {"request": codec.encode_request(request)}
+        if tx_id is not None:
+            fields["tx_id"] = tx_id
+        call = _Certification(fields, finish)
+        self._in_flight.append(call)
+        self._send(call)
+
+    def _send(self, call: _Certification) -> None:
+        self._certify.post("certify", functools.partial(self._answered, call), **call.fields)
+
+    def _answered(self, call: _Certification, response: dict) -> None:
+        if response.get("error_type") in REFUSALS:
+            call.refused = True
+            if not self._retry_armed:
+                self._retry_armed = True
+                self._retries += 1
+                self._loop.call_later(backoff_s(self._retries), self._send_refused)
+            return
+        self._retries = 0
+        call.answered_at = time.perf_counter()
+        self.wire_wait_s += call.answered_at - call.sent_at
+        try:
+            call.answer = codec.decode_result(check_ok("certify", response)["result"])
+            self.horizon = response["horizon"]
+        except Exception as exc:  # noqa: BLE001 - the commit's to raise; the loop reads on
+            call.answer = exc
+        in_flight = self._in_flight
+        while in_flight and in_flight[0].answer is not None:
+            head = in_flight.popleft()
+            self.gate_wait_s += time.perf_counter() - head.answered_at
+            head.finish(head.answer)
+
+    def _send_refused(self) -> None:
+        """Ask every refused call again, in send order."""
+        self._retry_armed = False
+        for call in self._in_flight:
+            if call.refused:
+                call.refused = False
+                self._send(call)
 
     # -- CertifierService surface (what TransparentProxy + Replica call) ------
-
-    def certify(self, request: CertificationRequest) -> CertificationResult:
-        fields: dict[str, object] = {"request": codec.encode_request(request)}
-        if self.next_tx_id is not None:
-            fields["tx_id"] = self.next_tx_id
-        # Retrying is safe: with a tx_id the scheduler's exactly-once table
-        # answers duplicates from the record; without one the transaction
-        # never left this process, so a resend is the first delivery.
-        # The replica state lock is dropped for exactly the wire wait, so
-        # other workers run while this commit's certification round is in
-        # flight.  The gate ticket is taken inside the send
-        # critical section (ticket order == send order == admission order),
-        # and re-acquiring the state lock is deferred until every earlier
-        # ticket has finalized — commit finalization happens in version order.
-        gate = self._gate
-        registered = [False]
-
-        def on_send() -> None:
-            if not registered[0]:
-                registered[0] = True
-                gate.register()
-
-        self._state_lock.release()
-        try:
-            started = time.perf_counter()
-            response = self._client.call_retrying("certify", _on_send=on_send,
-                                                  **fields)
-            responded = time.perf_counter()
-            gate.await_turn()
-            done = time.perf_counter()
-            self.wire_wait_s += responded - started
-            self.gate_wait_s += done - responded
-        finally:
-            self._state_lock.acquire()
-        return codec.decode_result(response["result"])
 
     def subscribe_replica(self, replica: str, from_version: int = 0) -> LiveSubscription:
         self._client.call_retrying("hello_replica", replica=replica,
                                    from_version=from_version)
-        return LiveSubscription(self._client, replica)
+        return LiveSubscription(self._client, replica, self)
 
     def register_replica(self, replica: str, version: int = 0) -> None:
         self._client.call_retrying("register_replica", replica=replica, version=version)
@@ -242,10 +246,11 @@ class LiveCertifierClient:
         return [codec.decode_remote_info(i) for i in response["infos"]]
 
     def replication_horizon(self) -> int:
-        return self._client.call_retrying("replication_horizon")["horizon"]
+        return self.horizon
 
     def close(self) -> None:
         self._client.close()
+        self._certify.close()
 
 
 # ---------------------------------------------------------------------------

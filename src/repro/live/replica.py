@@ -4,12 +4,13 @@ An engine :class:`Database` (file-backed engine WAL) behind the *unmodified*
 :class:`TransparentProxy`, whose certifier is a
 :class:`~repro.live.client.LiveCertifierClient` speaking the wire protocol to
 the scheduler.  Serves client sessions plus the maintenance surface (refresh,
-dump_table) the cluster driver uses, under one replica-wide state lock, the
-blocking ops on a small thread pool; the lock is released only while a
-commit waits on its certification round trip, so commits overlap on the wire
-while all local work stays serialized.  A
-:class:`~repro.live.client.CommitGate` finalizes commits in certification
-(= send = global version) order.
+dump_table) the cluster driver uses, under one replica-wide state lock.
+Commits run on the event loop: a commit's local half runs inline up to its
+certification request, the request is posted to the scheduler, and the
+event loop — which reads the answers itself — finishes commits in
+certification (= send = global version) order, so commits overlap on the
+wire while all local work stays serialized and never changes threads.  Only
+``scan``, ``refresh`` and ``dump_table`` run on a small thread pool.
 
 Fault points: ``--wedge-before-commit-op`` / ``--wedge-after-commit-op`` freeze
 the node at its Nth commit — never certified, or (the ``post-flush`` point of
@@ -19,8 +20,10 @@ the node at its Nth commit — never certified, or (the ``post-flush`` point of
 from __future__ import annotations
 
 import argparse
+import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from functools import partial
 
 from repro.engine.database import Database
@@ -28,17 +31,27 @@ from repro.engine.locks import LockBlockedError
 from repro.engine.log_device import FileLogDevice
 from repro.errors import TransactionAborted
 from repro.live import codec
-from repro.live.client import CommitGate, LiveCertifierClient
-from repro.live.server import (BATCH, POOLED, WEDGE, Op, Role, error_envelope,
-                               load_spec, lookup, parse_addr)
+from repro.live.client import LiveCertifierClient
+from repro.live.server import (ASYNC, BATCH, POOLED, WEDGE, Op, Role, batch_placement,
+                               error_envelope, load_spec, lookup, parse_addr)
 from repro.live.wire import RemoteCallError
 from repro.middleware.client_api import ClientSession
+from repro.middleware.proxy import CommitOutcome, CommitSteps
 from repro.middleware.replica import Replica
 
-#: Worker threads per replica: how many client sessions one replica serves
-#: concurrently (commits overlap only during the certification round trip;
-#: local work is serialized under the state lock).
+#: Worker threads per replica, for the table-sized ops (``scan``,
+#: ``refresh``, ``dump_table``); everything else runs on the event loop.
 WORKERS = 8
+
+
+def _run_to_end(coroutine):
+    """The result of a coroutine that never suspends (every statement of the
+    batch is synchronous)."""
+    try:
+        coroutine.send(None)
+    except StopIteration as done:
+        return done.value
+    raise RuntimeError("a synchronous batch suspended")
 
 
 class ReplicaRole(Role):
@@ -66,12 +79,12 @@ class ReplicaRole(Role):
         fallbacks: tuple[tuple[str, int], ...] = ()
         if args.scheduler_standby:
             fallbacks = (parse_addr(args.scheduler_standby),)
-        #: Replica-wide state lock: every op holds it; a commit releases it
-        #: only while its certification round trip is in flight, so commits
-        #: overlap on the wire while all local state stays single-threaded.
+        #: Replica-wide state lock: every op holds it while it touches local
+        #: state — a commit twice, never across its certification round
+        #: trip — so all local state stays single-threaded.  Nothing holds it
+        #: while waiting for an answer only the event loop reads.
         self.lock = threading.Lock()
         self.cert_client = LiveCertifierClient(host, port, replica_name=self.name,
-                                               state_lock=self.lock, gate=CommitGate(),
                                                fallbacks=fallbacks)
         self.executor = ThreadPoolExecutor(max_workers=WORKERS,
                                            thread_name_prefix=f"{self.name}-worker")
@@ -101,6 +114,9 @@ class ReplicaRole(Role):
             # forever and pin vacuum at its snapshot.
             session.abort()
 
+    def start(self, loop: asyncio.AbstractEventLoop) -> None:
+        self.cert_client.read_on(loop)
+
     def session_batch(self, payload: dict):
         """Execute a fused list of session statements as one frame.
 
@@ -110,14 +126,31 @@ class ReplicaRole(Role):
         stops the batch and its error envelope is returned in place — the
         same outcome the client would have observed sending the statements
         as individual frames and halting at the error.
+
+        The server holds the state lock around a batch it places inline or
+        pooled.  A batch with an ASYNC statement (a commit) is placed async:
+        this then returns the coroutine the server awaits, which takes the
+        lock for each synchronous statement itself.
         """
-        results: list[dict] = []
+        statements = []
         for entry in payload["ops"]:
             sub = dict(entry)
-            sub_op = sub.pop("op")
+            statements.append((sub.pop("op"), sub))
             sub["session_id"] = payload["session_id"]
+        if batch_placement(self, payload) is ASYNC:
+            return self._run_statements(statements, self.lock)
+        return _run_to_end(self._run_statements(statements, nullcontext()))
+
+    async def _run_statements(self, statements: list[tuple[str, dict]], lock):
+        results: list[dict] = []
+        for op, sub in statements:
             try:
-                result = lookup(self, sub_op).handler(self, sub)
+                entry = lookup(self, op)
+                if entry.placement is ASYNC:
+                    result = await entry.handler(self, sub)
+                else:
+                    with lock:
+                        result = entry.handler(self, sub)
             except Exception as exc:  # noqa: BLE001 - per-statement boundary
                 results.append(error_envelope(exc))
                 break
@@ -152,8 +185,8 @@ class ReplicaRole(Role):
                                      **payload.get("values", {}))
         except LockBlockedError as exc:
             # No-wait write-write policy.  The functional/sim stacks park
-            # a blocked writer in the lock manager's wait queue, but a
-            # live worker thread cannot sit inside the replica state lock
+            # a blocked writer in the lock manager's wait queue, but the
+            # live replica's event loop cannot sit inside its state lock
             # waiting for the holder's commit — abort the requester
             # instead (first-updater wins; the loser retries with a fresh
             # transaction, which is how the driver counts it).
@@ -163,9 +196,12 @@ class ReplicaRole(Role):
     def abort(self, payload: dict):
         self._session(payload).abort()
 
-    def commit(self, payload: dict):
-        """The exactly-once tx id rides down to the scheduler with the
-        certification request this commit triggers."""
+    async def commit(self, payload: dict):
+        """Run the commit's local half up to its certification request, post
+        the request — the exactly-once tx id rides down with it — and wait
+        for :meth:`_finish_commit` to run the rest.  A commit whose request
+        was sent finishes even if this task is cancelled (its client hung
+        up): the answer, not the waiting client, drives it."""
         session = self._session(payload)
         self.commit_ops += 1
         if (self.wedge_before_commit_op
@@ -174,14 +210,20 @@ class ReplicaRole(Role):
             # status query finds nothing and re-executes — safely, exactly
             # once, because nothing was admitted.
             return WEDGE
-        self.cert_client.next_tx_id = payload.get("tx_id")
-        try:
-            outcome = session.commit()
-        finally:
-            self.cert_client.next_tx_id = None
-            # Release this commit's finalization-order ticket (no-op when the
-            # commit was read-only or never reached certification).
-            self.cert_client.finish_commit_ticket()
+        finished = None
+        with self.lock:
+            steps = session.commit_steps()
+            try:
+                request = next(steps)
+            except StopIteration as done:  # read-only, or aborted locally
+                outcome = done.value
+            else:
+                finished = asyncio.get_running_loop().create_future()
+                self.cert_client.certify_async(
+                    request, payload.get("tx_id"),
+                    partial(self._finish_commit, steps, finished))
+        if finished is not None:
+            outcome = await finished
         if (self.wedge_after_commit_op
                 and self.commit_ops == self.wedge_after_commit_op):
             # Killed here, the transaction IS committed (admitted, durable,
@@ -189,6 +231,29 @@ class ReplicaRole(Role):
             # query answers "committed" and the client must not re-execute.
             return WEDGE
         return {"outcome": codec.encode_outcome(outcome)}
+
+    def _finish_commit(self, steps: CommitSteps, finished: asyncio.Future,
+                       answer) -> None:
+        """On the loop, in certification order: resume ``steps`` with the
+        certifier's ``answer`` under the state lock."""
+        try:
+            with self.lock:
+                if isinstance(answer, Exception):
+                    steps.throw(answer)
+                else:
+                    steps.send(answer)
+        except StopIteration as done:
+            result: CommitOutcome | Exception = done.value
+        except Exception as exc:  # noqa: BLE001 - the commit's caller raises it
+            result = exc
+        else:
+            result = RuntimeError("commit steps yielded a second request")
+        if finished.done():  # its waiter is gone; the commit is finished all the same
+            return
+        if isinstance(result, Exception):
+            finished.set_exception(result)
+        else:
+            finished.set_result(result)
 
     def dump_table(self, payload: dict):
         database = self.replica.database
@@ -206,10 +271,11 @@ class ReplicaRole(Role):
                 "commit_gate_wait_s": self.cert_client.gate_wait_s,
                 "server": self.server_stats.as_dict()}
 
-    #: POOLED ops either block on another node (commit certifies over the
-    #: wire, refresh pulls writesets) or do heavy table-sized work.  Only
-    #: these go to the worker pool; everything else is local micro-work
-    #: that is cheaper to run inline than to pay two thread hand-offs for.
+    #: POOLED ops block on another node (refresh pulls writesets) or do
+    #: table-sized work; ``commit`` is ASYNC — its local halves run on the
+    #: loop, under the lock, around a certification the loop does not wait
+    #: for; everything else is local micro-work that is cheaper to run
+    #: inline than to pay two thread hand-offs for.
     ops = {
         "open_session": Op(open_session),
         "close_session": Op(close_session),
@@ -221,7 +287,7 @@ class ReplicaRole(Role):
         "update": Op(partial(write, method="update")),
         "delete": Op(partial(write, method="delete")),
         "abort": Op(abort),
-        "commit": Op(commit, POOLED),
+        "commit": Op(commit, ASYNC),
         "refresh": Op(lambda self, _: {"applied": self.replica.refresh()}, POOLED),
         "dump_table": Op(dump_table, POOLED),
         "replica_version": Op(lambda self, _: {"version": self.replica.replica_version}),

@@ -386,7 +386,8 @@ class SchedulerRole(Role):
                                   f"unknown replica {payload['replica']!r}")
         subscription.advance_to(int(payload.get("advance_to", 0)))
         return {"writesets": [codec.encode_remote_info(i)
-                              for i in subscription.poll_flat()]}
+                              for i in subscription.poll_flat()],
+                "horizon": self.service.replication_horizon()}
 
     def register_replica(self, payload: dict):
         self.service.register_replica(payload["replica"], int(payload.get("version", 0)))
@@ -455,7 +456,7 @@ class SchedulerRole(Role):
             lambda self, _: {"version": self.service.system_version}, POOLED),
         "stats": Op(stats, POOLED, standby=True),
         "ping": Op(lambda self, _: {"role": "scheduler", "version": self.service.system_version},
-                   POOLED, standby=True),
+                   standby=True),
     }
 
     def _record_tx(self, tx_id: str | None, result, decided_at: int) -> None:
@@ -473,7 +474,7 @@ class SchedulerRole(Role):
             "decided_at": decided_at,
         }
 
-    def _duplicate_response(self, payload: dict) -> dict:
+    def _duplicate_response(self, payload: dict, horizon: int) -> dict:
         # Already decided: answer from the record, never re-admit.  The
         # client protocol resolves committed retries via commit_status
         # before re-executing, so this branch is a safety net, not the
@@ -483,10 +484,10 @@ class SchedulerRole(Role):
         # Reproduce the ORIGINAL response's window: cap at the decision-time
         # system version and drop the transaction's own writeset.  An
         # uncapped fetch could carry a transaction admitted after this one —
-        # on the replica, the commit gate finalizes this (earlier-ticket)
-        # retry first, and priority-applying that later writeset would abort
-        # its still-open engine transaction: a client-visible abort for a
-        # commit the certifier admitted.
+        # on the replica, this (earlier-sent) retry is finished first, and
+        # priority-applying that later writeset would abort its still-open
+        # engine transaction: a client-visible abort for a commit the
+        # certifier admitted.
         # ... and at the release cursor: a later batchmate of the original
         # round may still be waiting for its log write.
         released = self.service.core.propagated_version
@@ -503,6 +504,7 @@ class SchedulerRole(Role):
                 "conflicting_version": recorded.get("conflicting_version"),
             },
             "duplicate": True,
+            "horizon": horizon,
         }
 
     def admit_round(self, payloads: list[dict], sinks: list) -> list[dict | None]:
@@ -564,12 +566,16 @@ class SchedulerRole(Role):
                 outcomes = self.service.admit_batch(requests)
             frontier = self.service.core.propagated_version
             decided_at = self.service.system_version
+            # Every answer carries the replication horizon, so a replica's
+            # maintenance step needs no call of its own.
+            horizon = self.service.replication_horizon()
             for (i, payload), outcome in zip(fresh, outcomes):
                 if isinstance(outcome, Exception):
                     responses[i] = error_envelope(outcome, unexpected_trace=False)
                     continue
                 tx_id = payload.get("tx_id")
-                response = {"result": codec.encode_result(outcome), "duplicate": False}
+                response = {"result": codec.encode_result(outcome), "duplicate": False,
+                            "horizon": horizon}
                 release_at = outcome.tx_commit_version or max(
                     (info.commit_version for info in outcome.remote_writesets), default=0)
                 if release_at > frontier:
@@ -585,7 +591,7 @@ class SchedulerRole(Role):
                 tx_id = payload["tx_id"]
                 if tx_id in self.tx_table:
                     self.duplicate_tx_hits += 1
-                    responses[i] = self._duplicate_response(payload)
+                    responses[i] = self._duplicate_response(payload, horizon)
                 elif tx_id in held_before or responses[first_index[tx_id]] is None:
                     # Its original is admitted, not yet durable: the sender asks
                     # again and is answered from the record the release writes.

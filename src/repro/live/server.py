@@ -11,9 +11,12 @@ Op(handler, placement, standby)``; where a frame's handler runs is decided here:
 ``POOLED``  on the role's executor under the role's lock — handlers that block
             on another node or do table-sized work;
 ``ASYNC``   awaited on the loop without the lock — handlers that park on a
-            future somebody else resolves (log writer, certification batcher);
-``BATCH``   a frame carrying a list of statements under ``ops``: pooled when
-            any statement's own entry is, inline otherwise.
+            future somebody else resolves (log writer, certification batcher,
+            a replica's certification answer), taking the lock themselves
+            for what they do to local state;
+``BATCH``   a frame carrying a list of statements under ``ops``: async when
+            any statement's own entry is, else pooled when any is, else
+            inline.
 
 Framing and ``rid`` multiplexing are :mod:`repro.live.wire`'s; the readiness
 handshake line on stdout is :mod:`repro.live.harness`'s.
@@ -143,13 +146,26 @@ def lookup(role: Role, op: str) -> Op:
     return entry
 
 
+def batch_placement(role: Role, payload: dict) -> str:
+    """Where a BATCH frame runs: async when any statement's entry is, else
+    pooled when any is, else inline."""
+    placement = INLINE
+    for statement in payload.get("ops", ()):
+        entry = role.ops.get(statement.get("op"))
+        if entry is None:
+            continue  # answered by the batch with the unknown-op error
+        if entry.placement is ASYNC:
+            return ASYNC
+        if entry.placement is POOLED:
+            placement = POOLED
+    return placement
+
+
 def _plan(role: Role, op: str, payload: dict) -> tuple[Callable, str]:
     """``(handler, placement)`` for one frame."""
     entry = lookup(role, op)
     if entry.placement is BATCH:
-        statements = (role.ops.get(s.get("op")) for s in payload.get("ops", ()))
-        pooled = any(s is not None and s.placement is POOLED for s in statements)
-        return entry.handler, POOLED if pooled else INLINE
+        return entry.handler, batch_placement(role, payload)
     return entry.handler, entry.placement
 
 

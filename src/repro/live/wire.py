@@ -15,8 +15,9 @@ Two consumers share the format:
 * the synchronous callers use :class:`WireClient`, a blocking socket with
   the same framing plus reconnect/retry helpers — one commit-path caller per
   calling convention: the driver's :class:`~repro.live.client.LiveSession`
-  (sequential ``call``), the replica's certifier client (pipelined ``call``)
-  and the scheduler's remote WAL device (``post`` + ``read_on``).
+  (sequential ``call``), and two posters whose event loop reads the replies
+  (``post`` + ``read_on``): the replica's certifier client and the
+  scheduler's remote WAL devices.
 
 Multiplexing: a request may carry a ``rid`` (request id, unique per
 connection); the response echoes it, which lets one connection carry many
@@ -25,8 +26,8 @@ in-flight calls and lets responses come back out of order.  Requests
 the server answers them in arrival order before reading the next frame, so
 a frame read after a write is always the answer to that write.  The
 :class:`WireClient` uses ``rid``s only in ``pipelined`` mode (a background
-reader thread demultiplexes responses to the waiting caller threads);
-plain clients never send one.
+reader thread, or the event loop given to ``read_on``, demultiplexes
+responses to their callers); plain clients never send one.
 """
 
 from __future__ import annotations
@@ -85,6 +86,19 @@ class FrameTooLarge(WireError):
     """A frame header announced more than :data:`MAX_FRAME_BYTES`."""
 
 
+#: Error types a peer answers without acting on the request — a standby not
+#: promoted yet, or a decision whose log write is still in flight: asking
+#: again later is safe, and is not a resend.
+REFUSALS = ("NotPromoted", "NotDurableYet")
+
+
+def backoff_s(attempt: int, interval_s: float = 0.2) -> float:
+    """Jittered wait before retry number ``attempt``: many clients losing the
+    same peer (a scheduler restart) must not re-dial in lockstep, or the
+    revived listener eats a synchronized thundering herd on every tick."""
+    return min(interval_s * min(attempt, 5), 1.0) * (0.5 + 0.5 * random.random())
+
+
 class RemoteCallError(WireError):
     """The peer processed the request and answered with an error."""
 
@@ -96,6 +110,18 @@ class RemoteCallError(WireError):
         self.error_type = error_type
         #: Abort reason carried by transaction-level failures.
         self.reason = reason
+
+
+def check_ok(op: str, response: dict) -> dict:
+    """``response`` itself when it says ``ok``; the error it carries otherwise."""
+    if not response.get("ok", False):
+        raise RemoteCallError(
+            op,
+            str(response.get("error", "unknown remote error")),
+            error_type=str(response.get("error_type", "error")),
+            reason=response.get("reason"),
+        )
+    return response
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +250,7 @@ class WireClient:
     first call's answer.  In pipelined mode ``timeout`` bounds the whole
     wait for the response (the peer batches requests, so per-socket-op
     timing is meaningless).  Send order on the wire equals the order
-    callers entered the send critical section — the optional ``_on_send``
-    hook of :meth:`call` runs inside that critical section so callers can
-    latch the order (the replica uses it to register commit-gate tickets).
+    callers entered the send critical section.
     """
 
     def __init__(self, host: str, port: int, *, timeout: float | None = 30.0,
@@ -440,7 +464,8 @@ class WireClient:
     def _redial(self) -> None:
         """Dial until the peer answers, then send everything still posted, in
         posting order — on the dying reader's thread, or on a helper's when
-        the first dial found nobody."""
+        the first dial found nobody.  A refused dial rotates to the next
+        address, as in :meth:`call_retrying`."""
         attempt = 0
         while True:
             with self._send_lock:
@@ -450,7 +475,7 @@ class WireClient:
                     if posted:
                         self._connect_locked()
                 except OSError:
-                    pass
+                    self._rotate_locked()
                 else:
                     if all(self._send_posted(self._sock, call) for call in posted):
                         self._redialing = False
@@ -461,25 +486,15 @@ class WireClient:
 
     # -- calls ----------------------------------------------------------------
 
-    def call(self, op: str, *,
-             _on_send: Callable[[], None] | None = None,
-             **fields: object) -> dict:
+    def call(self, op: str, **fields: object) -> dict:
         """One request/response round trip; raises on transport or remote error."""
         if self.pipelined:
-            return self._unwrap(op, self._call_pipelined(op, fields, on_send=_on_send))
-        self._send_sequential(op, fields, on_send=_on_send)
-        return self._unwrap(op, self._receive_sequential(op))
-
-    def _unwrap(self, op: str, response: dict) -> dict:
+            response = self._call_pipelined(op, fields)
+        else:
+            self._send_sequential(op, fields)
+            response = self._receive_sequential(op)
         self.calls += 1
-        if not response.get("ok", False):
-            raise RemoteCallError(
-                op,
-                str(response.get("error", "unknown remote error")),
-                error_type=str(response.get("error_type", "error")),
-                reason=response.get("reason"),
-            )
-        return response
+        return check_ok(op, response)
 
     def _dial(self, op: str, connect: Callable[[], None]) -> None:
         try:
@@ -490,8 +505,7 @@ class WireClient:
                 f"{op} to {self.host}:{self.port} failed: {exc}",
                 request_sent=False) from exc
 
-    def _send_sequential(self, op: str, fields: dict,
-                         on_send: Callable[[], None] | None = None) -> None:
+    def _send_sequential(self, op: str, fields: dict) -> None:
         self._dial(op, self.connect)
         try:
             frame = encode_frame({"op": op, **fields})
@@ -501,8 +515,6 @@ class WireClient:
             raise ConnectionLost(f"{op} to {self.host}:{self.port} failed: {exc}") from exc
         self.frames_sent += 1
         self.bytes_sent += len(frame)
-        if on_send is not None:
-            on_send()
 
     def _receive_sequential(self, op: str) -> dict:
         try:
@@ -514,8 +526,7 @@ class WireClient:
         self.bytes_received += size
         return response
 
-    def _call_pipelined(self, op: str, fields: dict,
-                        on_send: Callable[[], None] | None = None) -> dict:
+    def _call_pipelined(self, op: str, fields: dict) -> dict:
         pending = _PendingCall()
         with self._send_lock:
             self._dial(op, self._connect_locked)
@@ -538,8 +549,6 @@ class WireClient:
                     f"{op} to {self.host}:{self.port} failed: {exc}") from exc
             self.frames_sent += 1
             self.bytes_sent += len(frame)
-            if on_send is not None:
-                on_send()
         if not pending.event.wait(self.timeout):
             # Scoped blast radius: abandon only this call's rid (a late
             # response frame is dropped by the reader's unknown-rid handling)
@@ -557,7 +566,6 @@ class WireClient:
 
     def call_retrying(self, op: str, *, deadline_s: float | None = None,
                       retry_interval_s: float = 0.2,
-                      _on_send: Callable[[], None] | None = None,
                       **fields: object) -> dict:
         """Call, reconnecting and resending until it succeeds.
 
@@ -570,9 +578,9 @@ class WireClient:
         attempt = 0
         while True:
             try:
-                return self.call(op, _on_send=_on_send, **fields)
+                return self.call(op, **fields)
             except RemoteCallError as exc:
-                if exc.error_type not in ("NotPromoted", "NotDurableYet"):
+                if exc.error_type not in REFUSALS:
                     raise
                 # A standby answered but is not serving yet, or the answer
                 # is a decision whose log write is still in flight.  The
@@ -604,19 +612,18 @@ class WireClient:
                     self._rotate_address()
                 if deadline_s is not None and time.monotonic() - start > deadline_s:
                     raise
-            # Jittered backoff: many clients losing the same peer (a scheduler
-            # restart) must not re-dial in lockstep, or the revived listener
-            # eats a synchronized thundering herd on every retry tick.
             attempt += 1
-            delay = min(retry_interval_s * min(attempt, 5), 1.0)
-            time.sleep(delay * (0.5 + 0.5 * random.random()))
+            time.sleep(backoff_s(attempt, retry_interval_s))
 
     def _rotate_address(self) -> None:
         with self._send_lock:
-            if self._sock is not None:
-                return  # a concurrent caller already reconnected somewhere
-            self._address_index = (self._address_index + 1) % len(self._addresses)
-            self.host, self.port = self._addresses[self._address_index]
+            self._rotate_locked()
+
+    def _rotate_locked(self) -> None:
+        if self._sock is not None:
+            return  # a concurrent caller already reconnected somewhere
+        self._address_index = (self._address_index + 1) % len(self._addresses)
+        self.host, self.port = self._addresses[self._address_index]
 
     # -- observability --------------------------------------------------------
 

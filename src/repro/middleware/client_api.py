@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from typing import Iterator, Mapping
 
 from repro.errors import InvalidTransactionState, TransactionAborted
-from repro.middleware.proxy import CommitOutcome, ProxyTransaction, TransparentProxy
+from repro.middleware.proxy import CommitOutcome, CommitSteps, ProxyTransaction, TransparentProxy
 
 
 class ClientSession:
@@ -42,13 +42,30 @@ class ClientSession:
 
     def commit(self) -> CommitOutcome:
         """Commit the open transaction and return the outcome."""
-        txn = self._require_txn()
-        self._txn = None
+        txn = self._take_txn()
         try:
             outcome = self.proxy.commit(txn)
         except TransactionAborted as exc:
-            self.aborts += 1
-            return CommitOutcome(committed=False, abort_reason=exc.reason)
+            outcome = CommitOutcome(committed=False, abort_reason=exc.reason)
+        return self._counted(outcome)
+
+    def commit_steps(self) -> CommitSteps:
+        """:meth:`commit` split at its certification call, as
+        :meth:`TransparentProxy.commit_steps` is (:meth:`commit` itself calls
+        :meth:`TransparentProxy.commit`, which drives them)."""
+        txn = self._take_txn()
+        try:
+            outcome = yield from self.proxy.commit_steps(txn)
+        except TransactionAborted as exc:
+            outcome = CommitOutcome(committed=False, abort_reason=exc.reason)
+        return self._counted(outcome)
+
+    def _take_txn(self) -> ProxyTransaction:
+        txn = self._require_txn()
+        self._txn = None
+        return txn
+
+    def _counted(self, outcome: CommitOutcome) -> CommitOutcome:
         if outcome.committed:
             self.commits += 1
         else:

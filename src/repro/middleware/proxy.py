@@ -26,7 +26,7 @@ pseudo-code is executed:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable, Generator, Protocol
 
 from repro.core.artificial_conflicts import ArtificialConflictDetector, SubmissionPlan
 from repro.core.certification import CertificationRequest, CertificationResult, RemoteWriteSetInfo
@@ -117,6 +117,28 @@ class ProxyStats:
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)
+
+
+#: A commit split at its certification call (:meth:`TransparentProxy.commit_steps`).
+CommitSteps = Generator[CertificationRequest, CertificationResult, CommitOutcome]
+
+
+def drive_commit(steps: CommitSteps,
+                 certify: Callable[[CertificationRequest], CertificationResult]) -> CommitOutcome:
+    """Run commit ``steps`` to their outcome with a synchronous ``certify``.
+    An exception ``certify`` raises is thrown into the steps at their
+    certification call, as if that call had raised it."""
+    try:
+        request = next(steps)
+        while True:
+            try:
+                result = certify(request)
+            except Exception as exc:  # noqa: BLE001 - re-raised inside the steps
+                request = steps.throw(exc)
+            else:
+                request = steps.send(result)
+    except StopIteration as done:
+        return done.value
 
 
 class TransparentProxy:
@@ -224,6 +246,15 @@ class TransparentProxy:
 
     def commit(self, txn: ProxyTransaction) -> CommitOutcome:
         """Intercept COMMIT (steps [C1]-[C5] of the paper's pseudo-code)."""
+        return drive_commit(self.commit_steps(txn), self.certifier.certify)
+
+    def commit_steps(self, txn: ProxyTransaction) -> CommitSteps:
+        """:meth:`commit` split at its certification call: a generator that
+        yields the :class:`CertificationRequest` (none for a read-only or a
+        locally aborted transaction), is sent the :class:`CertificationResult`
+        and returns the :class:`CommitOutcome`.  :func:`drive_commit` runs it
+        against a synchronous certifier; the live replica sends the request
+        over the wire and resumes the generator when the answer arrives."""
         self._require_live(txn)
         fsyncs_before = self.database.fsync_count
 
@@ -254,7 +285,7 @@ class TransparentProxy:
                 self.replica_version.version if self.system.supports_ordered_commit else None
             ),
         )
-        result = self.certifier.certify(request)
+        result = yield request
 
         # [C3]/[C4]/[C5] apply remote writesets and finalise the commit.
         if self.system.supports_ordered_commit:

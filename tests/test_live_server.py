@@ -44,6 +44,7 @@ from repro.live.server import (
     POOLED,
     Op,
     Role,
+    batch_placement,
     call,
     dispatch,
     lookup,
@@ -76,7 +77,7 @@ GOLDEN = {
         "collect_garbage": (POOLED, False),
         "system_version": (POOLED, False),
         "stats": (POOLED, True),
-        "ping": (POOLED, True),
+        "ping": (INLINE, True),
     },
     "replica": {
         "open_session": (INLINE, False),
@@ -89,7 +90,7 @@ GOLDEN = {
         "update": (INLINE, False),
         "delete": (INLINE, False),
         "abort": (INLINE, False),
-        "commit": (POOLED, False),
+        "commit": (ASYNC, False),
         "refresh": (POOLED, False),
         "dump_table": (POOLED, False),
         "replica_version": (INLINE, False),
@@ -173,11 +174,17 @@ class Probe(Role):
     async def parked(self, payload: dict) -> dict:
         return {**self.where(payload), "awaited": True}
 
+    def batch(self, payload: dict):
+        """As a role's batch handler must: an awaitable when placed async."""
+        if batch_placement(self, payload) is ASYNC:
+            return self.parked(payload)
+        return self.where(payload)
+
     ops = {
         "inline": Op(where),
         "pooled": Op(where, POOLED),
         "parked": Op(parked, ASYNC),
-        "batch": Op(where, BATCH),
+        "batch": Op(batch, BATCH),
         "silent": Op(lambda self, payload: None),
     }
 
@@ -201,9 +208,12 @@ def test_pipelined_placements_run_where_the_table_says():
         ("batch", {"ops": [{"op": "inline"}, {"op": "inline"}]}),
         ("batch", {"ops": [{"op": "inline"}, {"op": "pooled"}]}),
         ("batch", {"ops": [{"op": "no-such-op"}]}),
+        ("batch", {"ops": [{"op": "inline"}, {"op": "parked"}]}),
+        ("batch", {"ops": [{"op": "pooled"}, {"op": "parked"}]}),
     ])
     unlocked = {"thread": loop_thread, "locked": False, "awaited": True}
-    assert answers == [on_loop, on_pool, unlocked, on_loop, on_pool, on_loop]
+    assert answers == [on_loop, on_pool, unlocked, on_loop, on_pool, on_loop,
+                       unlocked, unlocked]
 
 
 # -- the request boundary, over a socket ------------------------------------------

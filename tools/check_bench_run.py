@@ -9,7 +9,10 @@ otherwise surface only in the benchmark pipeline.  This runs the command
 false``, on a failed operation, or on a declared metric missing from the
 result (standard library only).  The runs also carry the shape guards
 (:data:`SHAPE_GUARDS`), which is why every invocation adds one untraced
-``tpcb_2shard_fsync8`` run and one traced ``func_allupdates`` run.
+``tpcb_2shard_fsync8`` run and one traced ``func_allupdates`` run.  It also
+adds one untraced ``tpcw_fsync8`` run, with no timing guard: the only
+workload where two sessions' commits and reads interleave on one replica's
+event loop, so the in-order finishing of commits gets a real-process run.
 
 Run as:  python tools/check_bench_run.py --workload allupdates_fsync8 --seed 7 --seconds 3
 """
@@ -78,7 +81,8 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     # In order, and once each when --workload is itself one of the added runs.
     runs = dict.fromkeys([(args.workload, 0), (args.workload, 1),
-                          ("tpcb_2shard_fsync8", 0), ("func_allupdates", 1)])
+                          ("tpcb_2shard_fsync8", 0), ("tpcw_fsync8", 0),
+                          ("func_allupdates", 1)])
     problems = [problem for workload, trace in runs
                 for problem in check(spec, workload, args.seed, args.seconds, trace)]
     for problem in problems:
