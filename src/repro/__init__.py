@@ -54,54 +54,21 @@ Start with the top-level ``README.md``; the layer map and subsystem guides
 live in ``docs/architecture.md`` and ``docs/benchmarks.md``.
 """
 
-from repro.core.config import (
-    DiskConfig,
-    NetworkConfig,
-    ReplicationConfig,
-    SystemKind,
-    WorkloadName,
-)
-from repro.core.writeset import WriteItem, WriteSet
-from repro.core.versions import VersionClock
-from repro.core.certification import CertificationDecision, Certifier
-from repro.engine.database import Database, IsolationError
-from repro.middleware.systems import (
-    ReplicatedSystem,
-    build_base_system,
-    build_tashkent_api_system,
-    build_tashkent_mw_system,
-)
-from repro.cluster.experiment import ExperimentConfig, ExperimentResult, run_experiment
-from repro.cluster.sweeps import ReplicaSweep, run_replica_sweep
-from repro.transport import WritesetStream
-from repro.workloads import allupdates, tpcb, tpcw
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CertificationDecision",
-    "Certifier",
-    "Database",
-    "DiskConfig",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "IsolationError",
-    "NetworkConfig",
-    "ReplicaSweep",
-    "ReplicatedSystem",
-    "ReplicationConfig",
-    "SystemKind",
-    "VersionClock",
-    "WorkloadName",
-    "WriteItem",
-    "WriteSet",
-    "WritesetStream",
-    "allupdates",
-    "build_base_system",
-    "build_tashkent_api_system",
-    "build_tashkent_mw_system",
-    "run_experiment",
-    "run_replica_sweep",
-    "tpcb",
-    "tpcw",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.core.config": ["DiskConfig", "NetworkConfig", "ReplicationConfig",
+                          "SystemKind", "WorkloadName"],
+    "repro.core.writeset": ["WriteItem", "WriteSet"],
+    "repro.core.versions": ["VersionClock"],
+    "repro.core.certification": ["CertificationDecision", "Certifier"],
+    "repro.engine.database": ["Database", "IsolationError"],
+    "repro.middleware.systems": ["ReplicatedSystem", "build_base_system",
+                                 "build_tashkent_api_system", "build_tashkent_mw_system"],
+    "repro.cluster.experiment": ["ExperimentConfig", "ExperimentResult", "run_experiment"],
+    "repro.cluster.sweeps": ["ReplicaSweep", "run_replica_sweep"],
+    "repro.transport.stream": ["WritesetStream"],
+    "repro.workloads": ["allupdates", "tpcb", "tpcw"],
+})
 
 __version__ = "1.0.0"

@@ -6,14 +6,9 @@ print the paper's tables and by ``BENCH_*.json`` emitters —
 ``docs/benchmarks.md`` explains how to read the outputs.
 """
 
-from repro.analysis.results import ResultTable, SpeedupSummary, summarize_sweep
-from repro.analysis.report import format_series, format_table, render_figure
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ResultTable",
-    "SpeedupSummary",
-    "format_series",
-    "format_table",
-    "render_figure",
-    "summarize_sweep",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.analysis.results": ["ResultTable", "SpeedupSummary", "summarize_sweep"],
+    "repro.analysis.report": ["format_series", "format_table", "render_figure"],
+})

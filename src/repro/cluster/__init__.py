@@ -31,17 +31,10 @@ replica as in the paper; what each figure sweep and micro-benchmark measures
 is described in ``docs/benchmarks.md``.
 """
 
-from repro.cluster.experiment import ExperimentConfig, ExperimentResult, run_experiment
-from repro.cluster.sweeps import ReplicaSweep, SweepPoint, run_replica_sweep
-from repro.cluster.nodes import SimCertifierNode, SimReplicaNode
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ReplicaSweep",
-    "SimCertifierNode",
-    "SimReplicaNode",
-    "SweepPoint",
-    "run_experiment",
-    "run_replica_sweep",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.cluster.experiment": ["ExperimentConfig", "ExperimentResult", "run_experiment"],
+    "repro.cluster.sweeps": ["ReplicaSweep", "SweepPoint", "run_replica_sweep"],
+    "repro.cluster.nodes": ["SimCertifierNode", "SimReplicaNode"],
+})

@@ -20,21 +20,11 @@ once a majority has acknowledged the write.  This package provides:
 A supporting package of the layer map in ``docs/architecture.md``.
 """
 
-from repro.consensus.paxos import Acceptor, PaxosInstance, Proposer
-from repro.consensus.log import ReplicatedLog, ReplicatedLogNode
-from repro.consensus.sharded import (
-    ReplicatedShardedCertifier,
-    ShardLogEntry,
-    ShardPaxosGroups,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Acceptor",
-    "PaxosInstance",
-    "Proposer",
-    "ReplicatedLog",
-    "ReplicatedLogNode",
-    "ReplicatedShardedCertifier",
-    "ShardLogEntry",
-    "ShardPaxosGroups",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.consensus.paxos": ["Acceptor", "PaxosInstance", "Proposer"],
+    "repro.consensus.log": ["ReplicatedLog", "ReplicatedLogNode"],
+    "repro.consensus.sharded": ["ReplicatedShardedCertifier", "ShardLogEntry",
+                                "ShardPaxosGroups"],
+})

@@ -11,46 +11,18 @@ statistics snapshots, commit ordering and artificial-conflict planning.
 See ``docs/architecture.md`` for where it sits in the layer map.
 """
 
-from repro.core.artificial_conflicts import ArtificialConflictDetector
-from repro.core.certification import CertificationDecision, CertificationResult, Certifier
-from repro.core.certifier_log import CertifierLog, LogRecord
-from repro.core.config import (
-    DiskConfig,
-    NetworkConfig,
-    ReplicationConfig,
-    SystemKind,
-    WorkloadName,
-)
-from repro.core.group_commit import GroupCommitBatcher, GroupCommitStats
-from repro.core.ordering import CommitSequencer
-from repro.core.sharding import HashPartitioner, Partitioner, ShardedCertifier
-from repro.core.stats import CertifierServiceStats, CertifierStats
-from repro.core.versions import Snapshot, VersionClock
-from repro.core.writeset import WriteItem, WriteOp, WriteSet
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArtificialConflictDetector",
-    "CertificationDecision",
-    "CertificationResult",
-    "Certifier",
-    "CertifierLog",
-    "CertifierServiceStats",
-    "CertifierStats",
-    "CommitSequencer",
-    "DiskConfig",
-    "GroupCommitBatcher",
-    "GroupCommitStats",
-    "HashPartitioner",
-    "LogRecord",
-    "NetworkConfig",
-    "Partitioner",
-    "ReplicationConfig",
-    "ShardedCertifier",
-    "Snapshot",
-    "SystemKind",
-    "VersionClock",
-    "WorkloadName",
-    "WriteItem",
-    "WriteOp",
-    "WriteSet",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.core.artificial_conflicts": ["ArtificialConflictDetector"],
+    "repro.core.certification": ["CertificationDecision", "CertificationResult", "Certifier"],
+    "repro.core.certifier_log": ["CertifierLog", "LogRecord"],
+    "repro.core.config": ["DiskConfig", "NetworkConfig", "ReplicationConfig",
+                          "SystemKind", "WorkloadName"],
+    "repro.core.group_commit": ["GroupCommitBatcher", "GroupCommitStats"],
+    "repro.core.ordering": ["CommitSequencer"],
+    "repro.core.sharding": ["HashPartitioner", "Partitioner", "ShardedCertifier"],
+    "repro.core.stats": ["CertifierServiceStats", "CertifierStats"],
+    "repro.core.versions": ["Snapshot", "VersionClock"],
+    "repro.core.writeset": ["WriteItem", "WriteOp", "WriteSet"],
+})

@@ -10,31 +10,15 @@ dumps and crash recovery.  See ``docs/architecture.md`` for the layer map
 and the group-apply batch path the transport layer drives.
 """
 
-from repro.engine.database import Database, IsolationError
-from repro.engine.locks import LockBlockedError, LockManager, LockStatus
-from repro.engine.log_device import CountingLogDevice, FileLogDevice, LogDevice
-from repro.engine.rows import RowVersion, VersionedRow
-from repro.engine.table import Table, TableSchema
-from repro.engine.transaction import EngineTransaction, TransactionStatus
-from repro.engine.wal import WalRecord, WriteAheadLog
-from repro.engine.checkpoint import Checkpoint
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Checkpoint",
-    "CountingLogDevice",
-    "Database",
-    "EngineTransaction",
-    "FileLogDevice",
-    "IsolationError",
-    "LockBlockedError",
-    "LockManager",
-    "LockStatus",
-    "LogDevice",
-    "RowVersion",
-    "Table",
-    "TableSchema",
-    "TransactionStatus",
-    "VersionedRow",
-    "WalRecord",
-    "WriteAheadLog",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.engine.database": ["Database", "IsolationError"],
+    "repro.engine.locks": ["LockBlockedError", "LockManager", "LockStatus"],
+    "repro.engine.log_device": ["CountingLogDevice", "FileLogDevice", "LogDevice"],
+    "repro.engine.rows": ["RowVersion", "VersionedRow"],
+    "repro.engine.table": ["Table", "TableSchema"],
+    "repro.engine.transaction": ["EngineTransaction", "TransactionStatus"],
+    "repro.engine.wal": ["WalRecord", "WriteAheadLog"],
+    "repro.engine.checkpoint": ["Checkpoint"],
+})

@@ -22,8 +22,10 @@ the unmodified workload definitions drive the cluster through
 :class:`~repro.live.client.LiveSession`.
 
 Boot order is shards → scheduler → replicas (each tier's addresses are
-discovered from the previous tier's stdout handshakes), teardown is the
-harness context manager (reap + orphan check), and the fault surface —
+discovered from the previous tier's stdout handshakes); the nodes of one
+tier boot together, so a cold start costs about one node boot per tier.
+Teardown is the harness context manager (reap + orphan check), and the
+fault surface —
 ``kill_replica`` / ``restart_replica`` / ``kill_shard`` / ``restart_shard``
 — is SIGKILL-based: no shutdown handler ever runs.
 """
@@ -84,10 +86,11 @@ class LiveCluster:
         write_spec(self.spec_path, self.config, self.schemas)
 
     def start(self) -> "LiveCluster":
+        """Boot in stages, each tier booting together: the scheduler needs
+        every shard's address and the replicas need the scheduler's."""
         if self._started:
             return self
         self._write_spec()
-        timeout = self._ready_timeout_s
         for shard_id in range(self.config.certifier_shards):
             name = f"shard-{shard_id}"
             self.shards.append(self.harness.spawn(
@@ -95,16 +98,15 @@ class LiveCluster:
                 ["--shard-id", str(shard_id), "--wal", f"{name}.wal",
                  "--fsync-floor-ms", str(self.config.live_wal_fsync_floor_ms),
                  *self._shard_args.get(shard_id, [])],
-                timeout_s=timeout,
-            ))
+                wait_ready=False))
+        self._ready(self.shards)
         shard_flags = [arg for shard in self.shards
                        for arg in ("--shard", f"127.0.0.1:{shard.port}")]
         self.scheduler = self.harness.spawn(
             "scheduler", "scheduler",
-            ["--spec", str(self.spec_path), *shard_flags,
-             *self._scheduler_args],
-            timeout_s=timeout,
-        )
+            ["--spec", str(self.spec_path), *shard_flags, *self._scheduler_args],
+            wait_ready=False)
+        self._ready([self.scheduler])
         self._active_scheduler = self.scheduler
         standby_flags: list[str] = []
         if self.config.live_scheduler_standby:
@@ -114,10 +116,9 @@ class LiveCluster:
             self.standby_scheduler = self.harness.spawn(
                 "scheduler", "scheduler-standby",
                 ["--spec", str(self.spec_path), "--standby",
-                 "--primary", f"127.0.0.1:{self.scheduler.port}",
-                 *shard_flags],
-                timeout_s=timeout,
-            )
+                 "--primary", f"127.0.0.1:{self.scheduler.port}", *shard_flags],
+                wait_ready=False)
+            self._ready([self.standby_scheduler])
             standby_flags = ["--scheduler-standby",
                              f"127.0.0.1:{self.standby_scheduler.port}"]
         for index in range(self.config.num_replicas):
@@ -126,12 +127,18 @@ class LiveCluster:
                 "replica", name,
                 ["--spec", str(self.spec_path),
                  "--scheduler", f"127.0.0.1:{self.scheduler.port}",
-                 *standby_flags,
-                 *self._replica_args.get(name, [])],
-                timeout_s=timeout,
-            )
+                 *standby_flags, *self._replica_args.get(name, [])],
+                wait_ready=False)
+        self._ready(self.replicas.values())
         self._started = True
         return self
+
+    def _ready(self, nodes: Iterable[NodeHandle]) -> None:
+        """Wait for every node of one boot stage to hand shake, under one
+        deadline for the stage."""
+        deadline = time.monotonic() + self._ready_timeout_s
+        for node in nodes:
+            node.wait_ready(timeout_s=deadline - time.monotonic())
 
     # -- client sessions ------------------------------------------------------
 

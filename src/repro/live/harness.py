@@ -84,7 +84,7 @@ class NodeHandle:
         counts handshakes and waits for the ``spawn_count``-th.
         """
         deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
+        while True:  # look at least once: a stage's later nodes may be ready already
             if self.process is not None and self.process.poll() is not None:
                 raise HarnessError(
                     f"node {self.name!r} exited with {self.process.returncode} "
@@ -96,6 +96,8 @@ class NodeHandle:
                 self.ready_info = info
                 self.port = int(info["port"])
                 return info
+            if time.monotonic() >= deadline:
+                break
             time.sleep(0.01)
         raise HarnessError(
             f"node {self.name!r} did not hand shake within {timeout_s}s; "

@@ -26,8 +26,8 @@ in-flight calls and lets responses come back out of order.  Requests
 the server answers them in arrival order before reading the next frame, so
 a frame read after a write is always the answer to that write.  The
 :class:`WireClient` uses ``rid``s only in ``pipelined`` mode (a background
-reader thread, or the event loop given to ``read_on``, demultiplexes
-responses to their callers); plain clients never send one.
+reader thread, or the event loop given to ``read_on``, hands responses to
+the posted calls' callbacks); plain clients never send one.
 """
 
 from __future__ import annotations
@@ -69,17 +69,6 @@ class ConnectionLost(WireError):
     def __init__(self, message: str, *, request_sent: bool = True) -> None:
         super().__init__(message)
         self.request_sent = request_sent
-
-
-class CallTimedOut(ConnectionLost):
-    """A pipelined call's response wait expired.
-
-    Scoped failure: only the timed-out call's ``rid`` slot is abandoned (a
-    late response frame is dropped by the reader's unknown-rid handling);
-    the connection and every other in-flight call stay untouched.  If the
-    connection is genuinely dead rather than slow, the retry's send fails
-    and takes the normal :class:`ConnectionLost` close/reconnect path.
-    """
 
 
 class FrameTooLarge(WireError):
@@ -199,17 +188,6 @@ def _recv_frame(sock: socket.socket) -> tuple[dict, int]:
     return decode_body(_recv_exactly(sock, length)), _LEN.size + length
 
 
-class _PendingCall:
-    """One in-flight pipelined request waiting for its response frame."""
-
-    __slots__ = ("event", "response", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.response: dict | None = None
-        self.error: Exception | None = None
-
-
 class _Posted:
     """One :meth:`WireClient.post` call that has not been answered yet."""
 
@@ -243,14 +221,12 @@ class WireClient:
     protocol makes the WAL append and certification ops idempotent via
     sequence numbers and transaction ids precisely so this is safe).
 
-    With ``pipelined=True`` the client tags every request with a per-
-    connection ``rid`` and many threads may call concurrently on the one
-    connection: a background reader thread demultiplexes response frames to
-    the waiting callers, so a second call does not have to wait for the
-    first call's answer.  In pipelined mode ``timeout`` bounds the whole
-    wait for the response (the peer batches requests, so per-socket-op
-    timing is meaningless).  Send order on the wire equals the order
-    callers entered the send critical section.
+    With ``pipelined=True`` the client posts its requests (:meth:`post`)
+    instead: it tags each with a per-connection ``rid`` and a reader — a
+    background thread, or the event loop given to :meth:`read_on` — hands
+    each response to its caller's callback, so a second request does not
+    wait for the first one's answer.  Send order on the wire equals posting
+    order.
     """
 
     def __init__(self, host: str, port: int, *, timeout: float | None = 30.0,
@@ -281,12 +257,11 @@ class WireClient:
         self.frames_received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        #: Highest number of simultaneously in-flight pipelined calls.
+        #: Highest number of simultaneously posted, unanswered calls.
         self.in_flight_high_water = 0
-        # Pipelined-mode state.  Lock order: _send_lock -> _pending_lock.
+        # Pipelined-mode state.  Lock order: _send_lock -> _posted_lock.
         self._send_lock = threading.Lock()
-        self._pending_lock = threading.Lock()
-        self._pending: dict[int, _PendingCall] = {}
+        self._posted_lock = threading.Lock()
         self._rids = itertools.count(1)
         self._reader: threading.Thread | None = None
         #: Unanswered :meth:`post` calls by rid, oldest first, and whether a
@@ -314,7 +289,7 @@ class WireClient:
         if not self.pipelined:
             return
         # Blocking socket: the reader owns recv (and the final close), senders
-        # own send; the overall response wait is bounded by event.wait(timeout).
+        # own send; a posted call waits for its answer as long as it takes.
         sock.settimeout(None)
         if self._loop is not None:
             self._loop.call_soon_threadsafe(
@@ -334,7 +309,7 @@ class WireClient:
     def close(self) -> None:
         """Drop the connection; whatever is still posted is abandoned."""
         with self._send_lock:
-            with self._pending_lock:
+            with self._posted_lock:
                 self._posted.clear()
             self._close_locked()
 
@@ -345,8 +320,7 @@ class WireClient:
         sender can grab a socket that is being closed under it (and a
         concurrent ``_connect_locked`` can install a fresh socket that this
         close then throws away).  Split from :meth:`close` because the
-        pipelined send path already holds the lock when it needs to drop a
-        poisoned connection.
+        re-dial already holds the lock when it drops a poisoned connection.
         """
         sock = self._sock
         self._sock = None
@@ -354,16 +328,6 @@ class WireClient:
             _hang_up(sock)  # a pipelined connection's reader wakes, and closes it
             if not self.pipelined:
                 sock.close()
-        self._fail_pending(ConnectionLost(
-            f"connection to {self.host}:{self.port} closed"))
-
-    def _fail_pending(self, error: Exception) -> None:
-        with self._pending_lock:
-            pending = list(self._pending.values())
-            self._pending.clear()
-        for call in pending:
-            call.error = error
-            call.event.set()
 
     # -- pipelined reader -----------------------------------------------------
 
@@ -387,18 +351,12 @@ class WireClient:
 
     def _read_one(self, sock: socket.socket) -> None:
         response, size = _recv_frame(sock)
-        with self._pending_lock:
+        with self._posted_lock:
             self.frames_received += 1
             self.bytes_received += size
-            rid = int(response.get("rid", -1))
-            call = self._pending.pop(rid, None) or self._posted.pop(rid, None)
-        if isinstance(call, _Posted):
+            call = self._posted.pop(int(response.get("rid", -1)), None)
+        if call is not None:  # else a call close() abandoned: the frame is dropped
             call.on_reply(response)
-        elif call is not None:
-            call.response = response
-            call.event.set()
-        # An unknown rid belongs to a caller that timed out and abandoned
-        # the slot; the frame is dropped.
 
     def _connection_lost(self, sock: socket.socket) -> bool:
         """This connection is dead (peer crash or local close()); every
@@ -414,8 +372,6 @@ class WireClient:
             redial = bool(self._posted) and not self._redialing
             self._redialing |= redial
         sock.close()
-        self._fail_pending(ConnectionLost(
-            f"connection to {self.host}:{self.port} lost"))
         self.reconnects += redial
         return redial
 
@@ -436,10 +392,9 @@ class WireClient:
         with self._send_lock:
             rid = next(self._rids)
             call = _Posted(encode_frame({"op": op, "rid": rid, **fields}), on_reply)
-            with self._pending_lock:
+            with self._posted_lock:
                 self._posted[rid] = call
-                self.in_flight_high_water = max(self.in_flight_high_water,
-                                                len(self._posted) + len(self._pending))
+                self.in_flight_high_water = max(self.in_flight_high_water, len(self._posted))
             if self._sock is not None:
                 self._send_posted(self._sock, call)
             elif not self._redialing:  # first call, or the peer is not there yet
@@ -469,7 +424,7 @@ class WireClient:
         attempt = 0
         while True:
             with self._send_lock:
-                with self._pending_lock:
+                with self._posted_lock:
                     posted = list(self._posted.values())
                 try:
                     if posted:
@@ -488,25 +443,20 @@ class WireClient:
 
     def call(self, op: str, **fields: object) -> dict:
         """One request/response round trip; raises on transport or remote error."""
-        if self.pipelined:
-            response = self._call_pipelined(op, fields)
-        else:
-            self._send_sequential(op, fields)
-            response = self._receive_sequential(op)
+        assert not self.pipelined, "a pipelined client posts its requests"
+        self._send_sequential(op, fields)
+        response = self._receive_sequential(op)
         self.calls += 1
         return check_ok(op, response)
 
-    def _dial(self, op: str, connect: Callable[[], None]) -> None:
+    def _send_sequential(self, op: str, fields: dict) -> None:
         try:
-            connect()
+            self.connect()
         except OSError as exc:
             # Dial refused: nothing was sent, so a retry is not a resend.
             raise ConnectionLost(
                 f"{op} to {self.host}:{self.port} failed: {exc}",
                 request_sent=False) from exc
-
-    def _send_sequential(self, op: str, fields: dict) -> None:
-        self._dial(op, self.connect)
         try:
             frame = encode_frame({"op": op, **fields})
             self._sock.sendall(frame)
@@ -525,44 +475,6 @@ class WireClient:
         self.frames_received += 1
         self.bytes_received += size
         return response
-
-    def _call_pipelined(self, op: str, fields: dict) -> dict:
-        pending = _PendingCall()
-        with self._send_lock:
-            self._dial(op, self._connect_locked)
-            sock = self._sock
-            assert sock is not None
-            rid = next(self._rids)
-            frame = encode_frame({"op": op, "rid": rid, **fields})
-            with self._pending_lock:
-                self._pending[rid] = pending
-                in_flight = len(self._pending)
-                if in_flight > self.in_flight_high_water:
-                    self.in_flight_high_water = in_flight
-            try:
-                sock.sendall(frame)
-            except OSError as exc:
-                with self._pending_lock:
-                    self._pending.pop(rid, None)
-                self._close_locked()
-                raise ConnectionLost(
-                    f"{op} to {self.host}:{self.port} failed: {exc}") from exc
-            self.frames_sent += 1
-            self.bytes_sent += len(frame)
-        if not pending.event.wait(self.timeout):
-            # Scoped blast radius: abandon only this call's rid (a late
-            # response frame is dropped by the reader's unknown-rid handling)
-            # and leave the connection — and every other in-flight call on
-            # it — alone.  A dead-vs-slow peer sorts itself out on retry:
-            # the resend's sendall fails and closes the connection for real.
-            with self._pending_lock:
-                self._pending.pop(rid, None)
-            raise CallTimedOut(
-                f"{op} to {self.host}:{self.port} timed out after {self.timeout}s")
-        if pending.error is not None:
-            raise pending.error
-        assert pending.response is not None
-        return pending.response
 
     def call_retrying(self, op: str, *, deadline_s: float | None = None,
                       retry_interval_s: float = 0.2,
@@ -591,13 +503,10 @@ class WireClient:
                         f"{op} to {self.host}:{self.port}: still "
                         f"{exc.error_type} after {deadline_s}s") from exc
             except ConnectionLost as exc:
-                if not isinstance(exc, CallTimedOut):
-                    # The next call() re-dials from scratch.  A timed-out
-                    # pipelined call skips this: its connection is still
-                    # carrying other in-flight calls (see CallTimedOut).
-                    with self._send_lock:
-                        self._close_locked()
-                    self.reconnects += 1
+                # The next call() re-dials from scratch.
+                with self._send_lock:
+                    self._close_locked()
+                self.reconnects += 1
                 if exc.request_sent:
                     # The request may already have reached the peer before
                     # the connection died, so the retry is a *resend*.  Dial

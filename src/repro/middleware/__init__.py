@@ -14,34 +14,16 @@ single :class:`CertifierService` or, with ``certifier_shards > 1``, the
 in ``docs/architecture.md``.
 """
 
-from repro.middleware.certifier import CertifierService
-from repro.middleware.sharded_certifier import (
-    ShardedCertifierService,
-    make_certifier_service,
-)
-from repro.middleware.proxy import CommitOutcome, ProxyTransaction, TransparentProxy
-from repro.middleware.replica import Replica
-from repro.middleware.client_api import ClientSession
-from repro.middleware.systems import (
-    ReplicatedSystem,
-    build_base_system,
-    build_replicated_system,
-    build_tashkent_api_system,
-    build_tashkent_mw_system,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CertifierService",
-    "ClientSession",
-    "CommitOutcome",
-    "ProxyTransaction",
-    "Replica",
-    "ReplicatedSystem",
-    "ShardedCertifierService",
-    "TransparentProxy",
-    "build_base_system",
-    "make_certifier_service",
-    "build_replicated_system",
-    "build_tashkent_api_system",
-    "build_tashkent_mw_system",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.middleware.certifier": ["CertifierService"],
+    "repro.middleware.sharded_certifier": ["ShardedCertifierService",
+                                           "make_certifier_service"],
+    "repro.middleware.proxy": ["CommitOutcome", "ProxyTransaction", "TransparentProxy"],
+    "repro.middleware.replica": ["Replica"],
+    "repro.middleware.client_api": ["ClientSession"],
+    "repro.middleware.systems": ["ReplicatedSystem", "build_base_system",
+                                 "build_replicated_system", "build_tashkent_api_system",
+                                 "build_tashkent_mw_system"],
+})

@@ -24,45 +24,17 @@
 ``docs/benchmarks.md``); the layer map is in ``docs/architecture.md``.
 """
 
-from repro.recovery.replica_recovery import (
-    RecoveryReport,
-    recover_base_replica,
-    recover_tashkent_mw_replica,
-    replay_writesets_from_certifier,
-)
-from repro.recovery.sharded_recovery import (
-    ShardedCertifierRecoveryReport,
-    recover_sharded_certifier,
-)
-from repro.recovery.snapshots import (
-    BootstrapPlan,
-    BootstrapReport,
-    CompactionReport,
-    ShardSnapshot,
-    StateTransferPackage,
-    bootstrap_group_node,
-    capture_shard_snapshot,
-    compact_certifier,
-    plan_node_bootstrap,
-)
-from repro.recovery.timings import RecoveryTimingModel, RecoveryTimings
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BootstrapPlan",
-    "BootstrapReport",
-    "CompactionReport",
-    "RecoveryReport",
-    "RecoveryTimingModel",
-    "RecoveryTimings",
-    "ShardSnapshot",
-    "ShardedCertifierRecoveryReport",
-    "StateTransferPackage",
-    "bootstrap_group_node",
-    "capture_shard_snapshot",
-    "compact_certifier",
-    "plan_node_bootstrap",
-    "recover_base_replica",
-    "recover_sharded_certifier",
-    "recover_tashkent_mw_replica",
-    "replay_writesets_from_certifier",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.recovery.replica_recovery": ["RecoveryReport", "recover_base_replica",
+                                        "recover_tashkent_mw_replica",
+                                        "replay_writesets_from_certifier"],
+    "repro.recovery.sharded_recovery": ["ShardedCertifierRecoveryReport",
+                                        "recover_sharded_certifier"],
+    "repro.recovery.snapshots": ["BootstrapPlan", "BootstrapReport", "CompactionReport",
+                                 "ShardSnapshot", "StateTransferPackage",
+                                 "bootstrap_group_node", "capture_shard_snapshot",
+                                 "compact_certifier", "plan_node_bootstrap"],
+    "repro.recovery.timings": ["RecoveryTimingModel", "RecoveryTimings"],
+})

@@ -14,25 +14,12 @@ Everything is deterministic given the experiment's RNG seed.  See
 ``docs/architecture.md`` for how the simulated stack sits on this kernel.
 """
 
-from repro.sim.kernel import AllOf, Environment, Event, Process, Timeout
-from repro.sim.resources import Resource, Store
-from repro.sim.devices import CpuServer, DiskChannel, NetworkLink
-from repro.sim.metrics import MetricsCollector, TransactionRecord, UtilizationTracker
-from repro.sim.rng import RandomStreams
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "CpuServer",
-    "DiskChannel",
-    "Environment",
-    "Event",
-    "MetricsCollector",
-    "NetworkLink",
-    "Process",
-    "RandomStreams",
-    "Resource",
-    "Store",
-    "Timeout",
-    "TransactionRecord",
-    "UtilizationTracker",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.sim.kernel": ["AllOf", "Environment", "Event", "Process", "Timeout"],
+    "repro.sim.resources": ["Resource", "Store"],
+    "repro.sim.devices": ["CpuServer", "DiskChannel", "NetworkLink"],
+    "repro.sim.metrics": ["MetricsCollector", "TransactionRecord", "UtilizationTracker"],
+    "repro.sim.rng": ["RandomStreams"],
+})

@@ -21,17 +21,9 @@ batch is one fsync group.
 See ``docs/architecture.md`` for the layer diagram.
 """
 
-from repro.transport.merged import (
-    MergedSubscription,
-    publish_frontier,
-    subscribe_merged,
-)
-from repro.transport.stream import WritesetStream, WritesetSubscription
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MergedSubscription",
-    "WritesetStream",
-    "WritesetSubscription",
-    "publish_frontier",
-    "subscribe_merged",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.transport.merged": ["MergedSubscription", "publish_frontier", "subscribe_merged"],
+    "repro.transport.stream": ["WritesetStream", "WritesetSubscription"],
+})

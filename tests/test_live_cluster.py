@@ -19,6 +19,7 @@ import pytest
 from repro.core.config import ReplicationConfig, SystemKind
 from repro.errors import ConfigurationError
 from repro.live.cluster import LiveCluster
+from repro.live.harness import HarnessError
 from repro.live.node import build_parser
 from repro.live.server import load_spec
 from repro.live.wire import ConnectionLost
@@ -277,6 +278,36 @@ def test_run_workload_raises_when_a_client_cannot_open_its_session(tmp_path):
         (error,) = raised
         assert isinstance(error, ConnectionLost) and "open_session" in str(error)
         assert set(threading.enumerate()) == threads_before  # no client left behind
+
+
+#: An unparsable fault flag: the node's argparse exits before its handshake.
+DIES_ON_BOOT = ["--wedge-before-sync", "not-a-number"]
+
+
+@pytest.mark.parametrize("failing", ["shard-1", "replica-1"])
+def test_a_node_that_dies_on_boot_fails_its_stage_and_its_siblings_are_reaped(
+        tmp_path, failing):
+    """The nodes of one boot stage start together; one that exits before its
+    handshake fails ``__enter__`` by name, the next stage never starts, and
+    every node already running is reaped."""
+    config = ReplicationConfig(system=SystemKind.TASHKENT_MW, num_replicas=2,
+                               certifier_shards=2, rng_seed=SEED)
+    cluster = LiveCluster(
+        config, run_dir=tmp_path, keep_dir=True,
+        shard_args={1: DIES_ON_BOOT} if failing == "shard-1" else None,
+        replica_args={"replica-1": DIES_ON_BOOT} if failing == "replica-1" else None)
+    with pytest.raises(HarnessError, match=f"node '{failing}' exited"):
+        with cluster:
+            pytest.fail(f"the cluster booted without {failing}")
+    nodes = cluster.harness.nodes
+    booted = {"shard-0", "shard-1"}
+    if failing == "replica-1":
+        booted |= {"scheduler", "replica-0", "replica-1"}
+    assert set(nodes) == booted
+    for name, node in nodes.items():
+        assert not node.alive
+        assert (node.ready_info is None) == (name == failing)
+    cluster.harness.assert_no_orphans()
 
 
 def test_cli_run_summary_round_trips_typed(tmp_path, capsys, monkeypatch):

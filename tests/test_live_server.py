@@ -16,7 +16,8 @@ spoken to over a localhost socket.
 * the request boundary: an unknown op and a frame whose ``rid`` is not an
   integer are answered with an error envelope on the still-open connection;
 * ``close_session`` aborts a transaction its session left open;
-* the entry point imports no role module until ``--role`` names one.
+* the entry point imports no role module until ``--role`` names one, and
+  each role imports only the packages it runs.
 """
 
 from __future__ import annotations
@@ -277,17 +278,45 @@ def test_a_handler_with_nothing_to_say_answers_bare_ok():
         role.executor.shutdown()
 
 
-def test_the_entry_point_imports_no_role_until_one_is_chosen():
-    """A shard that also imported the scheduler and the replica would pay
-    consensus/, recovery/ and the session stack at every boot: ~25 ms a
-    process, +5 % on the benchmark's ``setup_s``."""
-    listing = subprocess.run(
-        [sys.executable, "-c", "import sys, repro.live.node; print(sorted(sys.modules))"],
+#: Packages no node process runs: the simulator, its cluster models, the
+#: workload generators and the report formatting.
+NOT_ON_ANY_NODE = ("repro.cluster", "repro.sim", "repro.workloads", "repro.analysis")
+#: What else each role's process must not import.
+NOT_IN_ROLE = {
+    "certifier-shard": ("repro.middleware", "repro.consensus", "repro.recovery",
+                        "repro.transport"),
+    "scheduler": (),
+    "replica": ("repro.consensus", "repro.recovery"),
+}
+
+
+def _imported_by(code: str) -> list[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    return subprocess.run(
+        [sys.executable, "-c", f"{code}; import sys; print(*sys.modules, sep='\\n')"],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        capture_output=True, text=True, check=True).stdout
+        capture_output=True, text=True, check=True).stdout.splitlines()
+
+
+def test_the_entry_point_imports_no_role_until_one_is_chosen():
+    """A node process imports what its role runs and nothing else.  Before
+    the package namespaces loaded their names on access, every node loaded
+    the whole library: 62 ``repro`` modules for a shard, which runs 16, and
+    ~45 ms more import time (130 → 85 ms; docs/benchmarks.md, "PR 34: cold
+    start")."""
+    modules = _imported_by("import repro.live.node")
     for module in ROLES.values():
-        assert f"'{module.partition(':')[0]}'" not in listing
-    assert "'repro.live.server'" in listing
+        assert module.partition(":")[0] not in modules
+    assert "repro.live.server" in modules
+    for role, target in ROLES.items():
+        modules = _imported_by(
+            f"import pkgutil; pkgutil.resolve_name({target!r}); "
+            "from repro.core.config import ReplicationConfig; ReplicationConfig()")
+        assert target.partition(":")[0] in modules
+        loaded = sorted(module for module in modules
+                        for package in NOT_ON_ANY_NODE + NOT_IN_ROLE[role]
+                        if module == package or module.startswith(package + "."))
+        assert not loaded, f"{role} imports {loaded}"
 
 
 # -- close_session (real processes: a replica needs its scheduler) ----------------

@@ -7,10 +7,8 @@ down the exact accounting and scoping rules the live crash tests build on:
   peer — a dial refusal (connect raised before any bytes went out) must
   not inflate the maybe-duplicate counter `RemoteWalDevice.resent_batches`
   derives from it;
-* a pipelined call timeout is scoped to its own `rid` — the connection and
-  every other in-flight call survive;
 * socket swap-out (close / reader-loop death) is `_send_lock`-protected,
-  so concurrent senders and closers never race a half-closed socket;
+  so concurrent posters and closers never race a half-closed socket;
 * the streaming `RemoteWalDevice` keeps several shipped batches in flight,
   counts fsync groups (not batches), and after a lost connection resends
   everything unacknowledged, in order, releasing each batch exactly once.
@@ -27,7 +25,7 @@ import time
 import pytest
 
 from repro.live.wal import RemoteWalDevice
-from repro.live.wire import CallTimedOut, ConnectionLost, WireClient
+from repro.live.wire import ConnectionLost, WireClient
 
 _LEN = struct.Struct(">I")
 
@@ -153,94 +151,37 @@ def test_kill_then_retry_while_down_splits_resends_from_reconnects():
     assert client.reconnects > 1
 
 
-def test_dial_refusal_mirrors_sequential_and_pipelined():
-    port = _free_port()
-    for pipelined in (False, True):
-        client = WireClient("127.0.0.1", port, timeout=0.2, pipelined=pipelined)
-        with pytest.raises(ConnectionLost) as excinfo:
-            client.call("ping")
-        assert excinfo.value.request_sent is False, f"pipelined={pipelined}"
-
-
-# -- pipelined timeout: scoped blast radius ----------------------------------
-
-
-def test_pipelined_timeout_spares_other_in_flight_calls():
-    release = threading.Event()
-
-    def handler(request):
-        if request["op"] == "slow":
-            release.wait(5.0)
-        return {"ok": True, "op": request["op"]}
-
-    server = _MiniServer(handler)
-    try:
-        client = WireClient("127.0.0.1", server.port, timeout=0.3, pipelined=True)
-        results = {}
-
-        def call_fast():
-            time.sleep(0.05)  # enqueue after "slow" is on the wire
-            results["fast"] = client.call("fast")
-
-        fast_thread = threading.Thread(target=call_fast)
-        fast_thread.start()
-        with pytest.raises(CallTimedOut) as excinfo:
-            client.call("slow")
-        assert excinfo.value.request_sent is True
-        release.set()
-        fast_thread.join(timeout=2.0)
-        # The timeout did not tear down the shared connection: the
-        # concurrent call completed and the next call reuses the socket.
-        assert results["fast"]["ok"]
-        assert client.connected
-        reconnects_before = client.reconnects
-        assert client.call("fast2")["op"] == "fast2"
-        assert client.reconnects == reconnects_before
-    finally:
-        server.stop()
-
-
-def test_pipelined_timeout_late_response_is_dropped():
-    def handler(request):
-        if request["op"] == "never":
-            return None  # wedged for this op
-        return {"ok": True, "op": request["op"]}
-
-    server = _MiniServer(handler)
-    try:
-        client = WireClient("127.0.0.1", server.port, timeout=0.2, pipelined=True)
-        with pytest.raises(CallTimedOut):
-            client.call("never")
-        # The abandoned rid's slot is gone; a normal call on the same
-        # connection still routes to the right waiter.
-        assert client.call("ok-op")["op"] == "ok-op"
-    finally:
-        server.stop()
+def test_dial_refusal_raises_before_anything_is_sent():
+    client = WireClient("127.0.0.1", _free_port(), timeout=0.2)
+    with pytest.raises(ConnectionLost) as excinfo:
+        client.call("ping")
+    assert excinfo.value.request_sent is False
 
 
 # -- lock-protected socket swap-out ------------------------------------------
 
 
-def test_concurrent_close_and_calls_do_not_race(tmp_path):
+def test_concurrent_close_and_calls_do_not_race():
     server = _MiniServer(lambda request: {"ok": True})
     try:
         client = WireClient("127.0.0.1", server.port, timeout=1.0, pipelined=True)
         stop = threading.Event()
         errors = []
 
-        def caller():
+        def poster():
             while not stop.is_set():
                 try:
-                    client.call_retrying("ping", deadline_s=2.0,
-                                         retry_interval_s=0.01)
-                except ConnectionLost as exc:
+                    client.post("ping", lambda response: None)
+                except Exception as exc:  # noqa: BLE001 - the race under test
                     errors.append(exc)
+                time.sleep(0.001)
 
-        threads = [threading.Thread(target=caller) for _ in range(4)]
+        threads = [threading.Thread(target=poster) for _ in range(4)]
         for thread in threads:
             thread.start()
-        # Hammer close() against live senders; the lock-protected swap must
-        # keep this free of crashes, deadlocks and AttributeErrors.
+        # Hammer close() against live posters and the re-dials they start;
+        # the lock-protected swap must keep this free of crashes, deadlocks
+        # and AttributeErrors.
         deadline = time.monotonic() + 1.0
         while time.monotonic() < deadline:
             client.close()
@@ -248,8 +189,13 @@ def test_concurrent_close_and_calls_do_not_race(tmp_path):
         stop.set()
         for thread in threads:
             thread.join(timeout=5.0)
-            assert not thread.is_alive(), "caller thread deadlocked"
+            assert not thread.is_alive(), "poster thread deadlocked"
         assert not errors
+        # The client is still usable: a fresh post is answered.
+        answered = threading.Event()
+        client.post("ping", lambda response: answered.set())
+        assert answered.wait(5.0)
+        client.close()
     finally:
         server.stop()
 
