@@ -15,6 +15,7 @@ from repro.core.certification import CertificationRequest, RemoteWriteSetInfo
 from repro.core.config import ReplicationConfig
 from repro.core.group_commit import GroupCommitStats
 from repro.core.sharding import ShardedCertifier
+from repro.errors import ReproError
 from repro.sim.devices import CpuServer, DiskChannel, NetworkLink
 from repro.sim.kernel import Environment, Event
 from repro.sim.resources import Resource, Store
@@ -165,24 +166,24 @@ class SimCertifierNode:
         the merge cost the benchmark quantifies.
         """
         yield self.network.transfer(request.request_size_bytes())
-        fragments = self.core.partitioner.split(request.writeset)
-        if not fragments:
+        touched = sorted(self.core.partitioner.split(request.writeset))
+        if not touched:
             yield from self.cpu.execute(self.certify_cpu_ms)
         else:
             # A crashed shard leader processes nothing until its group has
             # failed over (the paper's availability window): every fragment
             # aimed at a down shard parks on that shard's recovery event.
             # One count per request, however many down shards it touches.
-            if any(self._shard_down[shard_id] for shard_id in fragments):
+            if any(self._shard_down[shard_id] for shard_id in touched):
                 self.stalled_requests += 1
-            for shard_id in sorted(fragments):
+            for shard_id in touched:
                 while self._shard_down[shard_id]:
                     yield self._shard_up_events[shard_id]
-            for shard_id in sorted(fragments):
+            for shard_id in touched:
                 yield from self.shard_cpus[shard_id].execute(self.certify_cpu_ms)
-        # The split above is handed through so the hot path hashes each
-        # item exactly once.
-        result = self.core.certify(request, fragments=fragments)
+        result = self.core.certify_batch([request])[0]
+        if isinstance(result, ReproError):
+            raise result
         if result.committed and result.tx_commit_version is not None:
             version = result.tx_commit_version
             record = self.core.record_at(version)

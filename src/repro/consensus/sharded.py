@@ -26,6 +26,10 @@ State model
 Commit protocol (one certification request)
 ===========================================
 
+Steps 1 and 2 are the core's round of one
+(:meth:`~repro.core.sharding.ShardedCertifier.certify_batch`, crash hook as
+its ``phase_hook``):
+
 1. **probe** — every touched shard conflict-checks its fragment (pure,
    volatile; a crash here loses nothing);
 2. **admit** — all fragments clean ⇒ the sequencer allocates the global
@@ -65,9 +69,9 @@ from repro.core.certification import (
     CertificationRequest,
     CertificationResult,
 )
-from repro.core.sharding import Partitioner, ShardedCertifier
+from repro.core.sharding import HashPartitioner, ShardedCertifier
 from repro.core.writeset import WriteSet
-from repro.errors import ConfigurationError, QuorumUnavailableError, RecoveryError
+from repro.errors import ConfigurationError, QuorumUnavailableError, RecoveryError, ReproError
 
 #: Entry kinds carried by the per-shard replicated logs.
 ENTRY_COMMIT = "commit"
@@ -81,9 +85,10 @@ class ShardLogEntry:
     A ``commit`` entry describes one certification round from the point of
     view of *any* of its touched shards: it carries the full writeset (not
     just this shard's fragment) and the touched-shard set, so a single
-    surviving copy is enough to finish an interrupted round — the stable
-    partitioner re-derives every fragment.  A ``gc`` entry records a decided
-    garbage-collection horizon (``global_version`` is the prune target).
+    surviving copy is enough to finish an interrupted round — the shard map,
+    fixed by the shard count, re-derives every fragment.  A ``gc`` entry
+    records a decided garbage-collection horizon (``global_version`` is the
+    prune target).
     """
 
     kind: str
@@ -318,7 +323,6 @@ class ReplicatedShardedCertifier:
         num_shards: int = 2,
         *,
         nodes_per_shard: int = 3,
-        partitioner: Partitioner | None = None,
         forced_abort_rate: float = 0.0,
         abort_chooser: Callable[[], float] | None = None,
         crash_hook: Callable[[str], None] | None = None,
@@ -338,12 +342,8 @@ class ReplicatedShardedCertifier:
         self._forced_abort_rate = forced_abort_rate
         self._abort_chooser = abort_chooser
         self.core: ShardedCertifier | None = ShardedCertifier(
-            num_shards,
-            partitioner=partitioner,
-            forced_abort_rate=forced_abort_rate,
-            abort_chooser=abort_chooser,
-        )
-        self._partitioner: Partitioner = self.core.partitioner
+            num_shards, forced_abort_rate=forced_abort_rate, abort_chooser=abort_chooser)
+        self._partitioner = HashPartitioner(num_shards)
         #: Exactly-once commit acknowledgements: tx_id → global commit
         #: version, rebuilt from the replicated entries on recovery.
         self._committed_tx: dict[object, int] = {}
@@ -357,7 +357,8 @@ class ReplicatedShardedCertifier:
         return self.core is None
 
     @property
-    def partitioner(self) -> Partitioner:
+    def partitioner(self) -> HashPartitioner:
+        """The shard map, fixed by the shard count (survives a crash)."""
         return self._partitioner
 
     def _hook(self, point: str) -> None:
@@ -390,27 +391,28 @@ class ReplicatedShardedCertifier:
         if tx_id is not None and tx_id in self._committed_tx:
             commit_version = self._committed_tx[tx_id]
             self.stats.replayed_acks += 1
-            remote = [
-                info for info in core.fetch_remote_writesets(
-                    request.replica_version,
-                    replica=request.origin_replica or None)
-                if info.commit_version != commit_version
-            ]
+            # The original response's window: nothing committed after the
+            # recorded decision rides along, or a serial applier would
+            # install it before this (earlier) commit.
+            remote = core.fetch_remote_writesets(
+                request.replica_version,
+                replica=request.origin_replica or None,
+                up_to=commit_version - 1)
             return CertificationResult(
                 decision=CertificationDecision.COMMIT,
                 tx_commit_version=commit_version,
                 remote_writesets=remote,
             )
-        fragments = core.partitioner.split(request.writeset)
-        if fragments:
-            touched = sorted(fragments)
-            if not self.groups.all_have_quorum(touched):
-                degraded = [s for s in touched if not self.groups.has_quorum(s)]
-                raise QuorumUnavailableError(
-                    f"no majority in certification shard group(s) {degraded}; "
-                    f"update transactions cannot be processed"
-                )
-        result = core.certify(request, fragments=fragments, phase_hook=self._hook)
+        touched = sorted(self._partitioner.split(request.writeset))
+        if not self.groups.all_have_quorum(touched):
+            degraded = [s for s in touched if not self.groups.has_quorum(s)]
+            raise QuorumUnavailableError(
+                f"no majority in certification shard group(s) {degraded}; "
+                f"update transactions cannot be processed"
+            )
+        result = core.certify_batch([request], phase_hook=self._hook)[0]
+        if isinstance(result, ReproError):
+            raise result
         if result.committed and result.tx_commit_version is not None:
             record = core.record_at(result.tx_commit_version)
             self._hook("pre-flush")
@@ -507,7 +509,6 @@ class ReplicatedShardedCertifier:
                 f"the groups cover {self.num_shards}"
             )
         self.core = core
-        self._partitioner = core.partitioner
         self._committed_tx = dict(committed_tx)
         self.stats.recoveries += 1
 
@@ -516,7 +517,6 @@ class ReplicatedShardedCertifier:
         return {
             "forced_abort_rate": self._forced_abort_rate,
             "abort_chooser": self._abort_chooser,
-            "partitioner": self._partitioner,
         }
 
     # -- convenience passthroughs (volatile reads) ---------------------------

@@ -21,7 +21,7 @@ __all__, __getattr__ = lazy_exports(__name__, {
                           "SystemKind", "WorkloadName"],
     "repro.core.group_commit": ["GroupCommitBatcher", "GroupCommitStats"],
     "repro.core.ordering": ["CommitSequencer"],
-    "repro.core.sharding": ["HashPartitioner", "Partitioner", "ShardedCertifier"],
+    "repro.core.sharding": ["HashPartitioner", "ShardedCertifier"],
     "repro.core.stats": ["CertifierServiceStats", "CertifierStats"],
     "repro.core.versions": ["Snapshot", "VersionClock"],
     "repro.core.writeset": ["WriteItem", "WriteOp", "WriteSet"],

@@ -8,8 +8,8 @@ through that one pipeline.  This module splits it.
 Design
 ======
 
-* A pluggable :class:`Partitioner` (default :class:`HashPartitioner`, a
-  stable CRC-32 hash) assigns every item identity ``(table, key)`` to one of
+* The shard map is fixed by the shard count: :class:`HashPartitioner`, a
+  stable CRC-32 hash, assigns every item identity ``(table, key)`` to one of
   N **certification shards**.
 * Each :class:`CertifierShard` owns a full :class:`~repro.core.certification.
   Certifier` over its own :class:`~repro.core.certifier_log.CertifierLog`.
@@ -23,7 +23,8 @@ Design
   the global version space stays dense over commits — the property the
   deterministic cross-shard merge and the replica apply path rely on.
 
-Certification of one request:
+Certification of one request (:meth:`ShardedCertifier.certify_batch`
+certifies a round of them; a lone request is a round of one):
 
 1. split the writeset into per-shard fragments;
 2. **probe phase** — every touched shard conflict-checks its fragment
@@ -50,9 +51,10 @@ contiguous global frontier in whose order full writesets are handed to the
 per-shard streams (see :class:`repro.transport.MergedSubscription` for the
 replica-side merge).
 
-With ``num_shards=1`` every mapping is the identity and the behaviour is
-equivalent to the seed certifier decision for decision, version for version
-— the property test in ``tests/test_property_certifier_index.py`` pins this.
+With ``num_shards=1`` every mapping is the identity, and at any shard count
+the decisions and versions equal the seed certifier's — pinned by
+``tests/test_property_certifier_index.py`` (services, 1..4 shards) and
+``tests/test_property_certify_batch.py`` (this core, 1..3 shards).
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable
 
 from repro.core.certification import (
     CertificationDecision,
@@ -79,15 +81,6 @@ from repro.errors import (
     RecoveryError,
     ReproError,
 )
-
-
-class Partitioner(Protocol):
-    """Maps item identities to certification shards (stable across restarts)."""
-
-    num_shards: int
-
-    def shard_of(self, item_id: tuple[str, object]) -> int:
-        """Shard owning ``item_id``; must be deterministic and stable."""
 
 
 class HashPartitioner:
@@ -292,29 +285,25 @@ class GlobalRecord:
 class ShardedCertifier:
     """Certification and global ordering across N shards (pure logic, no IO).
 
-    Mirrors the :class:`~repro.core.certification.Certifier` API surface —
-    ``certify`` / ``fetch_remote_writesets`` / ``extend_remote_horizons`` /
-    the log-GC low-water-mark protocol / ``stats`` — so the middleware
-    service and the simulated node wrap it exactly as they wrap the single
-    certifier.  See the module docstring for the protocol.
+    One entry point, :meth:`certify_batch`: every shell — the functional
+    service, the live scheduler, the Paxos-replicated certifier and the
+    simulated node — certifies rounds through it, a lone request being a
+    round of one.  Around it: ``fetch_remote_writesets`` /
+    ``extend_remote_horizons`` / the log-GC low-water-mark protocol /
+    ``stats``, as on the single
+    :class:`~repro.core.certification.Certifier`.  See the module docstring
+    for the protocol.
     """
 
     def __init__(
         self,
         num_shards: int = 1,
         *,
-        partitioner: Partitioner | None = None,
         forced_abort_rate: float = 0.0,
         abort_chooser: Callable[[], float] | None = None,
     ) -> None:
-        self.partitioner: Partitioner = (
-            partitioner if partitioner is not None else HashPartitioner(num_shards)
-        )
-        if self.partitioner.num_shards != num_shards:
-            raise ConfigurationError(
-                f"partitioner covers {self.partitioner.num_shards} shards, "
-                f"certifier was asked for {num_shards}"
-            )
+        #: The shard map, fixed by the shard count.
+        self.partitioner = HashPartitioner(num_shards)
         self.shards = [CertifierShard(i, log=CertifierLog()) for i in range(num_shards)]
         #: The lightweight global sequencer: allocates commit versions (only
         #: on commit, so the global version space is dense over commits).
@@ -386,121 +375,22 @@ class ShardedCertifier:
             raise LogPrunedError(after_version, self._base_version)
         return self._records[after_version - self._base_version:]
 
-    # -- main entry point ----------------------------------------------------
-
-    def certify(self, request: CertificationRequest,
-                fragments: dict[int, WriteSet] | None = None,
-                *, phase_hook: Callable[[str], None] | None = None) -> CertificationResult:
-        """Process one certification request (the seed pseudo-code, sharded).
-
-        ``fragments`` may carry a precomputed ``partitioner.split(request.
-        writeset)`` when the caller already split the writeset (the
-        simulated node does, to charge each touched shard's CPU lane) —
-        the hot path then hashes every item exactly once.
-
-        ``phase_hook`` is the fault-injection seam used by the crash-schedule
-        harness: it is invoked with the phase name at the boundaries of the
-        commit path — ``post-probe`` (all fragments checked clean),
-        ``pre-admit`` (global version allocated, nothing installed),
-        ``mid-admit`` (first touched shard installed) and ``post-admit``
-        (directory record appended).  A hook that raises models a coordinator
-        crash at exactly that point; the volatile state it leaves behind is
-        what recovery must resolve.
-        """
-        result = self._certify(request, fragments, phase_hook)
-        # As in the single certifier: enroll the replica's watermark only
-        # after the request was accepted (a refused below-horizon requester
-        # must not pin GC forever).
-        self.note_replica_version(request.origin_replica, request.replica_version)
-        return result
-
-    def _certify(self, request: CertificationRequest,
-                 fragments: dict[int, WriteSet] | None = None,
-                 phase_hook: Callable[[str], None] | None = None) -> CertificationResult:
-        self._check_remote_window(request)
-        self.certification_requests += 1
-        writeset = request.writeset
-
-        if writeset.is_empty():
-            self.readonly_requests += 1
-            return CertificationResult(
-                decision=CertificationDecision.COMMIT,
-                tx_commit_version=None,
-                remote_writesets=self._remote_writesets_for(request),
-            )
-
-        if fragments is None:
-            fragments = self.partitioner.split(writeset)
-        touched = sorted(fragments)
-        conflict = self._find_conflict(fragments, touched, request.tx_start_version)
-        if conflict is not None:
-            self.aborts += 1
-            if request.tx_start_version < self._base_version:
-                self.snapshot_too_old_aborts += 1
-            return CertificationResult(
-                decision=CertificationDecision.ABORT,
-                tx_commit_version=None,
-                remote_writesets=self._remote_writesets_for(request),
-                conflicting_version=conflict,
-            )
-
-        if self._should_force_abort():
-            self.aborts += 1
-            self.forced_aborts += 1
-            return CertificationResult(
-                decision=CertificationDecision.ABORT,
-                tx_commit_version=None,
-                remote_writesets=self._remote_writesets_for(request),
-                forced_abort=True,
-            )
-
-        if phase_hook is not None:
-            phase_hook("post-probe")
-        # All touched shards certified their fragment clean: allocate the
-        # global commit version and install every fragment.  Nothing below
-        # can fail, so cross-shard atomicity holds by construction.
-        commit_version = self.system_version.increment()
-        if phase_hook is not None:
-            phase_hook("pre-admit")
-        origin = request.origin_replica or "unknown"
-        shard_locals: list[tuple[int, int]] = []
-        for position, shard_id in enumerate(touched):
-            shard_locals.append((shard_id, self.shards[shard_id].admit(
-                fragments[shard_id], request.tx_start_version, commit_version, origin)))
-            if position == 0 and phase_hook is not None:
-                phase_hook("mid-admit")
-        self._records.append(
-            GlobalRecord(
-                commit_version=commit_version,
-                writeset=writeset,
-                origin_replica=origin,
-                shard_locals=tuple(shard_locals),
-            )
-        )
-        self.commits += 1
-        if phase_hook is not None:
-            phase_hook("post-admit")
-        remote = self._remote_writesets_for(request, exclude_version=commit_version)
-        return CertificationResult(
-            decision=CertificationDecision.COMMIT,
-            tx_commit_version=commit_version,
-            remote_writesets=remote,
-        )
-
     # -- group certification (one round, many requests) ----------------------
 
     def certify_batch(
         self, requests: list[CertificationRequest],
+        *, phase_hook: Callable[[str], None] | None = None,
     ) -> list[CertificationResult | ReproError]:
         """Certify a batch of requests as one round, sequentially-equivalent.
 
         Produces exactly the decisions, commit versions, counters and remote
-        writeset windows a ``for request: certify(request)`` loop would — the
-        point of batching is that the *caller* can then install every
-        admitted fragment with one log flush per touched shard instead of
-        one per transaction.  Per-request failures (e.g. a pruned remote
-        window) are returned in place as the exception instance, so one bad
-        request cannot poison its batchmates.
+        writeset windows that certifying the requests one at a time, each as
+        a round of one, would — the point of batching is that the *caller*
+        can then install every admitted fragment with one log flush per
+        touched shard instead of one per transaction.  Per-request failures
+        (e.g. a pruned remote window) are returned in place as the exception
+        instance, so one bad request cannot poison its batchmates; a caller
+        certifying a lone request re-raises it.
 
         Three phases, all in batch order:
 
@@ -517,6 +407,17 @@ class ShardedCertifier:
            window capped at the versions that preceded it (``up_to``), so
            request *i* sees its earlier batchmates' commits but not later
            ones — byte-identical to the sequential interleaving.
+
+        ``phase_hook`` is the fault-injection seam used by the crash-schedule
+        harness.  It is called with a phase name at the boundaries of each
+        *committing* request's path (an aborting or read-only request fires
+        none): ``post-probe`` (its fragments checked clean, its global
+        version not yet allocated — in the decide phase), then in the admit
+        phase ``pre-admit`` (nothing of it installed), ``mid-admit`` (its
+        first touched shard installed) and ``post-admit`` (its directory
+        record appended).  A hook that raises models a coordinator crash at
+        exactly that point; the volatile state it leaves behind is what
+        recovery must resolve.
         """
         outcomes: list[CertificationResult | ReproError | None] = [None] * len(requests)
         plans: list[tuple | None] = [None] * len(requests)
@@ -529,14 +430,15 @@ class ShardedCertifier:
             except LogPrunedError as exc:
                 outcomes[i] = exc
                 continue
+            # Accepted: enroll the replica's watermark (a refused
+            # below-horizon requester must not pin GC forever).
+            self.note_replica_version(request.origin_replica, request.replica_version)
             self.certification_requests += 1
             writeset = request.writeset
 
             if writeset.is_empty():
                 self.readonly_requests += 1
                 plans[i] = ("readonly", self.system_version.version)
-                self.note_replica_version(request.origin_replica,
-                                          request.replica_version)
                 continue
 
             fragments = self.partitioner.split(writeset)
@@ -556,47 +458,48 @@ class ShardedCertifier:
                 if request.tx_start_version < self._base_version:
                     self.snapshot_too_old_aborts += 1
                 plans[i] = ("abort", self.system_version.version, conflict, False)
-                self.note_replica_version(request.origin_replica,
-                                          request.replica_version)
                 continue
 
             if self._should_force_abort():
                 self.aborts += 1
                 self.forced_aborts += 1
                 plans[i] = ("abort", self.system_version.version, None, True)
-                self.note_replica_version(request.origin_replica,
-                                          request.replica_version)
                 continue
 
+            if phase_hook is not None:
+                phase_hook("post-probe")
             commit_version = self.system_version.increment()
             for item_id in writeset.iter_item_ids():
                 overlay.setdefault(item_id, commit_version)
             plans[i] = ("commit", commit_version - 1, commit_version,
                         fragments, touched)
-            self.note_replica_version(request.origin_replica,
-                                      request.replica_version)
 
         for i, request in enumerate(requests):
             plan = plans[i]
             if plan is None or plan[0] != "commit":
                 continue
             _, _, commit_version, fragments, touched = plan
+            if phase_hook is not None:
+                phase_hook("pre-admit")
             origin = request.origin_replica or "unknown"
-            shard_locals = tuple(
-                (shard_id, self.shards[shard_id].admit(
+            shard_locals: list[tuple[int, int]] = []
+            for shard_id in touched:
+                shard_locals.append((shard_id, self.shards[shard_id].admit(
                     fragments[shard_id], request.tx_start_version,
-                    commit_version, origin))
-                for shard_id in touched
-            )
+                    commit_version, origin)))
+                if len(shard_locals) == 1 and phase_hook is not None:
+                    phase_hook("mid-admit")
             self._records.append(
                 GlobalRecord(
                     commit_version=commit_version,
                     writeset=request.writeset,
                     origin_replica=origin,
-                    shard_locals=shard_locals,
+                    shard_locals=tuple(shard_locals),
                 )
             )
             self.commits += 1
+            if phase_hook is not None:
+                phase_hook("post-admit")
 
         for i, request in enumerate(requests):
             plan = plans[i]
@@ -898,7 +801,6 @@ class ShardedCertifier:
         *,
         pruned_to: int = 0,
         base_version: int = 0,
-        partitioner: Partitioner | None = None,
         forced_abort_rate: float = 0.0,
         abort_chooser: Callable[[], float] | None = None,
         record_hook: Callable[[int], None] | None = None,
@@ -910,10 +812,11 @@ class ShardedCertifier:
         view of the per-shard replicated logs' chosen prefixes.  The global
         sequencer, the version-ordered directory and every shard's
         local↔global maps are rebuilt by replaying each round through the
-        idempotent admit path: the partitioner is stable, so every fragment
-        lands on the shard that held it before the crash.  Commit versions
-        are allocated only on commit, so the recovered sequence must be dense
-        from ``base_version + 1`` — a gap means a lost round and raises
+        idempotent admit path: the shard map is fixed by ``num_shards``, so
+        every fragment lands on the shard that held it before the crash.
+        Commit versions are allocated only on commit, so the recovered
+        sequence must be dense from ``base_version + 1`` — a gap means a
+        lost round and raises
         :class:`~repro.errors.RecoveryError` rather than silently renumbering
         history.  ``base_version`` supports rebuilding from a *pruned*
         source (a live service's retained directory, see
@@ -930,12 +833,8 @@ class ShardedCertifier:
         extensions performed after replication are conservative performance
         hints and are simply re-earned after recovery.
         """
-        certifier = cls(
-            num_shards,
-            partitioner=partitioner,
-            forced_abort_rate=forced_abort_rate,
-            abort_chooser=abort_chooser,
-        )
+        certifier = cls(num_shards, forced_abort_rate=forced_abort_rate,
+                        abort_chooser=abort_chooser)
         if base_version:
             certifier.system_version = VersionClock(base_version)
             certifier._base_version = base_version

@@ -48,7 +48,6 @@ from repro.consensus.sharded import (
 )
 from repro.core.certification import CertificationRequest, CertificationResult
 from repro.core.config import ReplicationConfig
-from repro.core.sharding import Partitioner
 from repro.engine.log_device import ship
 from repro.errors import ReproError
 from repro.live.codec import decode_shard_log_entry, encode_shard_log_entry
@@ -77,7 +76,7 @@ class LiveReplicatedCertifierService(ShardedCertifierService):
     *any* shard count, including one: the seed
     :class:`~repro.middleware.certifier.CertifierService` has no failover
     hooks, and the single-shard sharded service is decision-equivalent to
-    it (``tests/test_property_certify_batch.py`` pins that).
+    it (``tests/test_property_certifier_index.py`` pins that).
     """
 
     def __init__(
@@ -85,9 +84,8 @@ class LiveReplicatedCertifierService(ShardedCertifierService):
         config: ReplicationConfig | None = None,
         *,
         log_devices=None,
-        partitioner: Partitioner | None = None,
     ) -> None:
-        super().__init__(config, log_devices=log_devices, partitioner=partitioner)
+        super().__init__(config, log_devices=log_devices)
         #: Global commit version → client tx_id, for rounds whose entries
         #: have not been flushed yet (pruned with the GC horizon).  The
         #: entry must carry the tx_id so a promoted standby can answer the
@@ -164,7 +162,6 @@ def rebuild_from_shard_wals(
     per_shard_entries: list[list[ShardLogEntry]],
     *,
     config: ReplicationConfig | None = None,
-    partitioner: Partitioner | None = None,
 ) -> tuple[ReplicatedShardedCertifier, ShardedCertifierRecoveryReport,
            list[tuple[int, ShardLogEntry]]]:
     """Rebuild a certifier coordinator from the shard WALs' entries.
@@ -185,7 +182,6 @@ def rebuild_from_shard_wals(
     certifier = ReplicatedShardedCertifier(
         max(1, len(per_shard_entries)),
         nodes_per_shard=1,
-        partitioner=partitioner,
         forced_abort_rate=config.forced_abort_rate,
         abort_chooser=random.Random(config.rng_seed).random,
         gc_headroom=gc_headroom(config),

@@ -13,8 +13,8 @@ duties of a certifier deployment, one pipeline *per shard*:
   global durable frontier covers its commit version — its fragments durable
   on **every** touched shard, and so is everything ordered before it (the
   all-shards-commit half of the merge; the any-shard-aborts half never
-  reaches IO — see :meth:`ShardedCertifier.certify
-  <repro.core.sharding.ShardedCertifier.certify>`);
+  reaches IO — see :meth:`ShardedCertifier.certify_batch
+  <repro.core.sharding.ShardedCertifier.certify_batch>`);
 * propagation is driven by the global durability frontier: full writesets
   are offered to their *home shard*'s stream in strict global version
   order, and every replica consumes the per-shard streams through one
@@ -43,7 +43,7 @@ from repro.core.certification import (
 )
 from repro.core.config import ReplicationConfig
 from repro.core.group_commit import GroupCommitStats
-from repro.core.sharding import Partitioner, ShardedCertifier
+from repro.core.sharding import ShardedCertifier
 from repro.core.stats import (
     CertifierServiceStats,
     merged_group_commit_stats,
@@ -71,7 +71,6 @@ class ShardedCertifierService:
         config: ReplicationConfig | None = None,
         *,
         log_devices: list[LogDevice] | None = None,
-        partitioner: Partitioner | None = None,
     ) -> None:
         self.config = config if config is not None else ReplicationConfig()
         shards = self.config.certifier_shards
@@ -85,11 +84,8 @@ class ShardedCertifierService:
         self.gc_headroom_versions = gc_headroom(self.config)
         self._rng = random.Random(self.config.rng_seed)
         self.core = ShardedCertifier(
-            shards,
-            partitioner=partitioner,
-            forced_abort_rate=self.config.forced_abort_rate,
-            abort_chooser=self._rng.random,
-        )
+            shards, forced_abort_rate=self.config.forced_abort_rate,
+            abort_chooser=self._rng.random)
         self.devices: list[LogDevice] = (
             list(log_devices) if log_devices is not None
             else [CountingLogDevice() for _ in range(shards)]
@@ -307,7 +303,6 @@ class ShardedCertifierService:
         *,
         config: ReplicationConfig | None = None,
         log_devices: list[LogDevice] | None = None,
-        partitioner: Partitioner | None = None,
     ) -> "ShardedCertifierService":
         """Bootstrap a standby service from a validated transfer package."""
         package.validate()
@@ -316,7 +311,6 @@ class ShardedCertifierService:
             list(package.rounds),
             pruned_to=package.horizon,
             base_version=package.horizon,
-            partitioner=partitioner,
         )
         for replica, version in package.replica_versions:
             core.note_replica_version(replica, version)
@@ -341,11 +335,8 @@ class ShardedCertifierService:
         post-failover commits.
         """
         base = config if config is not None else ReplicationConfig()
-        service = cls(
-            dataclasses.replace(base, certifier_shards=core.num_shards),
-            log_devices=log_devices,
-            partitioner=core.partitioner,
-        )
+        service = cls(dataclasses.replace(base, certifier_shards=core.num_shards),
+                      log_devices=log_devices)
         service.core = core
         return service
 

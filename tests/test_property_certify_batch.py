@@ -2,12 +2,17 @@
 
 The live scheduler's group-certification round promises that batching
 coalesces only the *IO* — decisions, commit versions, abort causes and
-remote writeset windows must be exactly what a ``for request: certify(...)``
-loop would produce (``docs`` of :meth:`ShardedCertifier.certify_batch`).
+remote writeset windows must be exactly what certifying one request at a
+time would produce (``docs`` of :meth:`ShardedCertifier.certify_batch`).
 This property drives the same randomly generated request stream through two
-identically configured sharded certifiers — one certifying strictly one at
-a time, one in randomly sized rounds — and asserts every outcome is
-bit-equivalent, across shard counts 1..3.
+identically configured sharded certifiers — one certifying strictly rounds
+of one, one in randomly sized rounds — and asserts every outcome is
+bit-equivalent, across shard counts 1..3.  A lone request is a round of one
+(the sharded core has no other entry point), so the same stream also runs
+through the seed :class:`~repro.core.certification.Certifier`, one
+``certify`` at a time: the independent sequential reference both arms must
+match in decision, commit version, conflicting version, forced abort and
+remote-window versions.
 
 A second property pins the service layer's streaming durability (ship every
 touched shard's batch, release at the durable frontier) to the blocking
@@ -28,7 +33,7 @@ from __future__ import annotations
 from faults import SplitPhaseDevice
 from hypothesis import given, settings, strategies as st
 
-from repro.core.certification import CertificationRequest, CertificationResult
+from repro.core.certification import CertificationRequest, CertificationResult, Certifier
 from repro.core.config import ReplicationConfig, SystemKind
 from repro.core.sharding import ShardedCertifier
 from repro.core.writeset import make_writeset
@@ -45,7 +50,8 @@ request_specs = st.tuples(key_lists, st.integers(min_value=0, max_value=3))
 rounds = st.lists(request_specs, min_size=1, max_size=5)
 
 
-def build_round(certifier: ShardedCertifier, specs) -> list[CertificationRequest]:
+def build_round(certifier: ShardedCertifier | Certifier,
+                specs) -> list[CertificationRequest]:
     """Construct one round's requests against the pre-round state."""
     current = certifier.system_version.version
     return [
@@ -78,28 +84,38 @@ def fingerprint(outcome: CertificationResult | ReproError) -> tuple:
     )
 
 
+def decision(outcome: CertificationResult) -> tuple:
+    """What the seed certifier is compared on (its horizons differ)."""
+    return (
+        outcome.decision.name,
+        outcome.tx_commit_version,
+        outcome.conflicting_version,
+        outcome.forced_abort,
+        tuple(info.commit_version for info in outcome.remote_writesets),
+    )
+
+
 @given(shards=st.sampled_from([1, 2, 3]),
        stream=st.lists(rounds, min_size=0, max_size=8))
 @settings(max_examples=80, deadline=None)
 def test_certify_batch_is_sequentially_equivalent(shards, stream):
+    seed = Certifier()
     sequential = ShardedCertifier(shards)
     batched = ShardedCertifier(shards)
     for specs in stream:
-        seq_requests = build_round(sequential, specs)
-        bat_requests = build_round(batched, specs)
-
-        seq_outcomes: list[CertificationResult | ReproError] = []
-        for request in seq_requests:
-            try:
-                seq_outcomes.append(sequential.certify(request))
-            except ReproError as exc:
-                seq_outcomes.append(exc)
-        bat_outcomes = batched.certify_batch(bat_requests)
+        seed_outcomes = [seed.certify(request)
+                         for request in build_round(seed, specs)]
+        seq_outcomes = [sequential.certify_batch([request])[0]
+                        for request in build_round(sequential, specs)]
+        bat_outcomes = batched.certify_batch(build_round(batched, specs))
 
         assert [fingerprint(o) for o in seq_outcomes] == [
             fingerprint(o) for o in bat_outcomes]
+        assert [decision(o) for o in seed_outcomes] == [
+            decision(o) for o in bat_outcomes]
         # The logs stay in lockstep too — next rounds diverge otherwise.
-        assert (sequential.system_version.version
+        assert (seed.system_version.version
+                == sequential.system_version.version
                 == batched.system_version.version)
 
 

@@ -140,6 +140,24 @@ def test_interrupted_cross_shard_round_is_completed_from_surviving_fragment():
     assert certifier.stats.replayed_acks == 1
 
 
+def test_exactly_once_retry_carries_only_the_original_window():
+    certifier = ReplicatedShardedCertifier(2, nodes_per_shard=3)
+    assert certifier.certify(_request([("t0", 1)], 0)).tx_commit_version == 1
+    original = certifier.certify(_request([("t0", 2)], 0), tx_id="A")
+    assert original.tx_commit_version == 2
+    assert [i.commit_version for i in original.remote_writesets] == [1]
+    # A disjoint transaction commits after A's decision...
+    later = certifier.certify(_request([("t1", 3)], 2, origin="replica-1"))
+    assert later.tx_commit_version == 3
+    # ... so the retry of A must not carry it: a serial applier would
+    # install version 3 before A's own version 2.
+    retry = certifier.certify(_request([("t0", 2)], 0), tx_id="A")
+    assert retry.tx_commit_version == 2
+    assert certifier.stats.replayed_acks == 1
+    assert ([i.commit_version for i in retry.remote_writesets]
+            == [i.commit_version for i in original.remote_writesets] == [1])
+
+
 def test_repeated_recovery_is_idempotent():
     certifier = ReplicatedShardedCertifier(2, nodes_per_shard=3)
     _run_history(certifier, 6)

@@ -612,8 +612,7 @@ def test_state_transfer_package_round_trip():
     package.validate()
     assert package.horizon == service.core.pruned_version
     assert package.size_bytes() > 0
-    standby = ShardedCertifierService.from_state_transfer(
-        package, partitioner=service.core.partitioner)
+    standby = ShardedCertifierService.from_state_transfer(package)
     assert standby.system_version == service.system_version
     assert standby.core.pruned_version == service.core.pruned_version
     assert standby.core.low_water_mark() == service.core.low_water_mark()

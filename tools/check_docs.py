@@ -19,6 +19,11 @@ the CI docs job needs no installs):
    trailing call) must resolve: the longest importable module prefix is
    imported and the rest is looked up with ``getattr``.  Naming a class by
    its dotted path is what makes a doc fail when that class is deleted.
+   The same holds in the code: every reST role in ``src/**/*.py``
+   (``:class:``, ``:meth:``, ``:func:``, ``:attr:``, ...) whose target is
+   a fully qualified ``repro.`` path — ``~repro.x.Y``, or the explicit
+   target of ``Title <repro.x.Y.z>``, possibly wrapped across lines — must
+   resolve the same way.
 4. **Protocol-table check** — ``docs/deployment.md`` carries one protocol
    table per live node role (a markdown table whose first header cell is
    ``op``, under a heading that names the role in backticks).  Its op column
@@ -55,6 +60,10 @@ EXTERNAL_SCHEMES = ("http://", "https://", "mailto:")
 PROTOCOL_DOC = REPO_ROOT / "docs" / "deployment.md"
 #: A backticked ``repro.<dotted.path>``, optionally written as a call.
 DOTTED_NAME_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
+#: A Python-domain reST cross-reference, ``:role:`body``` (body may wrap).
+ROLE_RE = re.compile(r":(?:py:)?(?:attr|class|const|data|exc|func|meth|mod|obj):`([^`]+)`")
+#: A title form's explicit target: ``Title <target>``.
+ROLE_TARGET_RE = re.compile(r"<([^<>]+)>\s*$")
 
 
 def doc_files() -> list[Path]:
@@ -162,7 +171,7 @@ def resolves(dotted: str) -> bool:
     """Import the longest module prefix of ``dotted``, ``getattr`` the rest."""
     try:
         pkgutil.resolve_name(dotted)
-    except (ImportError, AttributeError):
+    except (ImportError, AttributeError, ValueError):
         return False
     return True
 
@@ -176,6 +185,32 @@ def check_names(files: list[Path]) -> tuple[list[str], int]:
             names.add(dotted)
             if not resolves(dotted):
                 errors.append(f"{rel}: `{dotted}` does not resolve")
+    return errors, len(names)
+
+
+def role_targets(source: str) -> list[str]:
+    """The ``repro.`` targets of the reST roles in ``source``: the explicit
+    ``<target>`` of a title form, else the body; ``~``/``!`` prefixes and
+    line wraps (whitespace, ``#:`` comment continuations) dropped."""
+    targets = []
+    for body in ROLE_RE.findall(source):
+        explicit = ROLE_TARGET_RE.search(body)
+        target = explicit.group(1) if explicit else body
+        target = re.sub(r"\s+(?:#:?\s*)?", "", target).lstrip("~!")
+        if target.startswith("repro."):
+            targets.append(target)
+    return targets
+
+
+def check_code_names(files: list[Path]) -> tuple[list[str], int]:
+    """Resolve every fully qualified role target in the given sources."""
+    errors, names = [], set()
+    for py_file in files:
+        rel = py_file.relative_to(REPO_ROOT) if py_file.is_relative_to(REPO_ROOT) else py_file
+        for target in sorted(set(role_targets(py_file.read_text()))):
+            names.add(target)
+            if not resolves(target):
+                errors.append(f"{rel}: role target `{target}` does not resolve")
     return errors, len(names)
 
 
@@ -234,6 +269,8 @@ def main() -> int:
     link_errors = check_links(files)
     doctest_errors, doctests_run = check_doctests(files)
     name_errors, names_checked = check_names(files)
+    code_errors, code_names_checked = check_code_names(sorted(SRC.rglob("*.py")))
+    name_errors += code_errors
     table_errors, tables_checked = check_protocol_tables()
     for error in link_errors + doctest_errors + name_errors + table_errors:
         print(f"FAIL {error}")
@@ -244,7 +281,8 @@ def main() -> int:
         return 1
     print(f"check_docs: OK — {len(files)} file(s), links resolve, "
           f"{doctests_run} runnable block(s) passed, "
-          f"{names_checked} repro.* name(s) resolve, "
+          f"{names_checked} repro.* name(s) and {code_names_checked} "
+          f"docstring role target(s) resolve, "
           f"{tables_checked} protocol table(s) match the code")
     return 0
 
