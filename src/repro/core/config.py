@@ -199,10 +199,9 @@ class ReplicationConfig:
     live_pipeline: bool = True
     #: How long the live scheduler's certify batcher waits for more
     #: concurrent requests before cutting a round (milliseconds).  0 (the
-    #: default) is *natural* group commit: a round is cut from whatever is
-    #: pending the moment the service thread frees up, so requests
-    #: accumulate exactly while the previous round's WAL append + fsync is
-    #: in flight — batching without added latency.
+    #: default) is *natural* group commit: a round is cut from whatever the
+    #: scheduler's loop has read since the previous one — batching without
+    #: added latency.
     live_certify_batch_window_ms: float = 0.0
     #: Upper bound on one live certification round (and thus on the records
     #: sharing one WAL fsync).

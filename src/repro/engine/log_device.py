@@ -43,10 +43,11 @@ def ship(device: LogDevice, on_durable: Callable[[], None]) -> None:
     ``on_durable()`` runs once that write is durable.  A *streaming* device
     (one with its own ``ship(on_durable)`` — the write is a round trip to
     somebody else's disk) returns at once, keeps any number of shipped
-    batches in flight and calls back, in shipping order, from whichever
-    thread learns of the acknowledgement; its ``sync()`` is ship + wait for
-    everything shipped.  Any other device syncs right here, so the callback
-    has run by the time this returns.
+    batches in flight and calls back, in shipping order, from whoever reads
+    the acknowledgement (the live one: its owner's event loop, which is why
+    it has no blocking ``sync()``; an in-process one may offer ``sync()`` as
+    ship + wait for everything shipped).  Any other device syncs right here,
+    so the callback has run by the time this returns.
     """
     if hasattr(device, "ship"):
         device.ship(on_durable)

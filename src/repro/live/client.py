@@ -132,7 +132,7 @@ class LiveCertifierClient:
     do not go through the proxy's ``certify`` at all: the replica drives
     :meth:`~repro.middleware.proxy.TransparentProxy.commit_steps` itself and
     hands each request to :meth:`certify_async`, a call posted on a
-    pipelined connection whose replies the replica's event loop reads
+    second connection whose replies the replica's event loop reads
     (:meth:`read_on`).  Send order is certification order — the scheduler
     admits requests in arrival order — so the answers are finished in send
     order whatever order they arrive in: a later commit's finalization sees
@@ -152,8 +152,7 @@ class LiveCertifierClient:
         self._client = WireClient(host, port, timeout=attempt_timeout_s,
                                   name=f"certifier-{replica_name}", fallbacks=fallbacks)
         self._certify = WireClient(host, port, timeout=attempt_timeout_s,
-                                   name=f"certify-{replica_name}",
-                                   pipelined=True, fallbacks=fallbacks)
+                                   name=f"certify-{replica_name}", fallbacks=fallbacks)
         self._loop: asyncio.AbstractEventLoop | None = None
         #: Sent, unfinished certifications in send order.
         self._in_flight: deque[_Certification] = deque()

@@ -9,10 +9,12 @@ carries a ``tx_id``; the admit outcome is recorded under it, a duplicate
 ``commit_status`` lets a client that lost its replica mid-commit resolve the
 fate of its transaction without re-executing it.
 
-Concurrent ``certify`` requests are **admitted** in rounds on the event loop
-(:class:`_CertifyBatcher`) and each decision is **released** when the global
-durable frontier reaches its version; all other ops run on one service
-thread, and one service lock serialises the two.
+One event loop orders every change to the role's state: it **admits**
+``certify`` requests in rounds (:class:`_CertifyBatcher`), reads the shards'
+acknowledgements and **releases** each decision when the global durable
+frontier reaches its version, and runs every other op inline (``promote``
+awaits its shard reads there).  Only a standby's seed, before the loop
+exists, blocks on another node.
 
 Fault points: ``--wedge-before-certify-round`` / ``--wedge-after-certify-round``
 freeze the node before the Nth round is admitted (nothing durable) or when
@@ -26,20 +28,17 @@ import asyncio
 import binascii
 import functools
 import sys
-import threading
 import time
 from collections import deque, namedtuple
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.group_commit import GroupCommitStats
 from repro.errors import RecoveryError, ReproError
 from repro.live import codec
 from repro.live.replicated import (LiveReplicatedCertifierService, decode_entry_payload,
                                    encode_entry_payload, rebuild_from_shard_wals)
-from repro.live.server import (ASYNC, POOLED, WEDGE, Op, Role, error_envelope,
-                               load_spec, parse_addr)
+from repro.live.server import ASYNC, WEDGE, Op, Role, error_envelope, load_spec, parse_addr
 from repro.live.wal import RemoteWalDevice
-from repro.live.wire import ConnectionLost, RemoteCallError, WireClient
+from repro.live.wire import ConnectionLost, RemoteCallError, WireClient, check_ok
 from repro.middleware.sharded_certifier import ShardedCertifierService
 
 
@@ -148,11 +147,6 @@ class SchedulerRole(Role):
                 f"scheduler needs one --shard address per certifier shard "
                 f"({config.certifier_shards}), got {len(shards)}"
             )
-        #: Serialises the (not thread-safe) service between the event loop,
-        #: which admits rounds and — reading the shards' acknowledgements —
-        #: advances the durable frontier and releases decisions, and the
-        #: service thread (every other op).
-        self.lock = self.service_lock = threading.RLock()
         self.shard_addrs = shards
         self._loop: asyncio.AbstractEventLoop | None = None
         self.devices = [self._wal_device(i) for i in range(len(shards))]
@@ -167,6 +161,10 @@ class SchedulerRole(Role):
         self.promoted = not self.standby
         self.promotions = 0
         self.last_promotion: dict | None = None
+        #: The promotion in progress (a second ``promote`` awaits it), and
+        #: the acknowledgements of its completion appends.
+        self._promotion: asyncio.Task | None = None
+        self._completions_acked: list[asyncio.Future] = []
         self.seed_package = None
         if self.standby and not self.replicated:
             raise SystemExit("--standby requires live_scheduler_standby in the spec")
@@ -191,10 +189,6 @@ class SchedulerRole(Role):
         #: Seconds spent admitting rounds (decode, certify, encode, ship —
         #: never the disk).
         self.certify_exec_s = 0.0
-        #: Every op but ``certify`` runs on this one thread (some block:
-        #: promotion, a standby seed), under the service lock.
-        self.executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="scheduler-service")
         #: Decisions waiting for the durable frontier, in admission (= release)
         #: order.
         self._held: deque[_Held] = deque()
@@ -238,15 +232,15 @@ class SchedulerRole(Role):
     def _wal_device(self, shard_id: int, start_seq: int = 0):
         host, port = self.shard_addrs[shard_id]
         device = RemoteWalDevice(host, port, shard_id=shard_id, start_seq=start_seq,
-                                 lock=self.service_lock, on_failure=self._stream_failed)
+                                 on_failure=self._stream_failed)
         if self._loop is not None:
             # The event loop reads the acknowledgements itself, so admit →
             # ack → release → response never leaves its thread.
             device.read_on(self._loop)
         return device
 
-    def _promote(self) -> dict:
-        """Take over as the certification coordinator (on the service thread).
+    async def _promote(self) -> None:
+        """Take over as the certification coordinator (on the loop).
 
         Reads every shard's WAL back over the wire, rebuilds the certifier
         through the functional recovery orchestration (completing rounds
@@ -258,13 +252,16 @@ class SchedulerRole(Role):
         swallow them.
         """
         started = time.perf_counter()
+        loop = asyncio.get_running_loop()
         readers = [WireClient(host, port, timeout=5.0, name=f"promote-{shard_id}")
                    for shard_id, (host, port) in enumerate(self.shard_addrs)]
+        answers = [loop.create_future() for _ in readers]
+        for reader, answer in zip(readers, answers):  # all shards at once
+            reader.read_on(loop)  # a shard not up yet is re-dialled
+            reader.post("wal_read", functools.partial(_resolve, answer))
         try:
-            with ThreadPoolExecutor(len(readers)) as pool:  # all shards at once
-                responses = list(pool.map(
-                    lambda reader: reader.call_retrying("wal_read", deadline_s=30.0),
-                    readers))
+            responses = [check_ok("wal_read", response) for response in
+                         await asyncio.wait_for(asyncio.gather(*answers), 30.0)]
         finally:
             for reader in readers:
                 reader.close()
@@ -297,10 +294,14 @@ class SchedulerRole(Role):
             # the completion durable on the shards that missed it before
             # acknowledging any new work.
             self.devices[shard_id].append(encode_entry_payload(entry))
-        for device in self.devices:  # every shard writes at once ...
-            device.ship()
-        for device in self.devices:  # ... and all of them are waited for
-            device.sync()
+        written = sorted({shard_id for shard_id, _ in completions})
+        self._completions_acked = [loop.create_future() for _ in written]
+        for shard_id, acked in zip(written, self._completions_acked):
+            self.devices[shard_id].ship(functools.partial(_resolve, acked, None))
+        try:  # every shard writes at once, and all of them are waited for
+            await asyncio.gather(*self._completions_acked)
+        finally:
+            self._completions_acked = []
         self.service = LiveReplicatedCertifierService.from_recovered_core(
             certifier.core, config=self.config,
             log_devices=list(self.devices))
@@ -332,7 +333,6 @@ class SchedulerRole(Role):
             "seeded": package is not None,
             "promotion_ms": round((time.perf_counter() - started) * 1000.0, 3),
         }
-        return self.last_promotion
 
     def start(self, loop: asyncio.AbstractEventLoop) -> None:
         self._batcher = _CertifyBatcher(self, loop)
@@ -352,11 +352,16 @@ class SchedulerRole(Role):
                 "seeded": self.seed_package is not None,
                 "last_promotion": self.last_promotion}
 
-    def promote(self, payload: dict):
-        if self.promoted:
-            return {"promoted": True, "already": True,
-                    **(self.last_promotion or {})}
-        return {"promoted": True, "already": False, **self._promote()}
+    async def promote(self, payload: dict):
+        """Idempotent: a call that arrives while a promotion runs awaits it
+        (and answers ``already``) instead of promoting again."""
+        first = not self.promoted and self._promotion is None
+        if first:  # once it settles, a failed one may be asked for again
+            self._promotion = asyncio.ensure_future(self._promote())
+            self._promotion.add_done_callback(lambda _: setattr(self, "_promotion", None))
+        if self._promotion is not None:
+            await asyncio.shield(self._promotion)  # its error, if it fails
+        return {"promoted": True, "already": not first, **(self.last_promotion or {})}
 
     def commit_status(self, payload: dict):
         self.status_queries += 1
@@ -440,21 +445,21 @@ class SchedulerRole(Role):
 
     ops = {
         "certify": Op(lambda self, payload: self._batcher.submit(payload), ASYNC),
-        "state_transfer": Op(state_transfer, POOLED),
-        "standby_status": Op(standby_status, POOLED, standby=True),
-        "promote": Op(promote, POOLED, standby=True),
-        "commit_status": Op(commit_status, POOLED),
-        "hello_replica": Op(hello_replica, POOLED),
-        "poll_writesets": Op(poll_writesets, POOLED),
-        "register_replica": Op(register_replica, POOLED),
-        "extend_remote_horizons": Op(extend_remote_horizons, POOLED),
+        "state_transfer": Op(state_transfer),
+        "standby_status": Op(standby_status, standby=True),
+        "promote": Op(promote, ASYNC, standby=True),
+        "commit_status": Op(commit_status),
+        "hello_replica": Op(hello_replica),
+        "poll_writesets": Op(poll_writesets),
+        "register_replica": Op(register_replica),
+        "extend_remote_horizons": Op(extend_remote_horizons),
         "replication_horizon": Op(
-            lambda self, _: {"horizon": self.service.replication_horizon()}, POOLED),
+            lambda self, _: {"horizon": self.service.replication_horizon()}),
         "collect_garbage": Op(
-            lambda self, _: {"pruned": self.service.collect_garbage()}, POOLED),
+            lambda self, _: {"pruned": self.service.collect_garbage()}),
         "system_version": Op(
-            lambda self, _: {"version": self.service.system_version}, POOLED),
-        "stats": Op(stats, POOLED, standby=True),
+            lambda self, _: {"version": self.service.system_version}),
+        "stats": Op(stats, standby=True),
         "ping": Op(lambda self, _: {"role": "scheduler", "version": self.service.system_version},
                    standby=True),
     }
@@ -521,94 +526,93 @@ class SchedulerRole(Role):
         — no response, no exactly-once record — until :meth:`_release` hands
         its response to ``sinks[i]``; all else is answered at once.
         """
-        with self.service_lock:
-            exec_started = time.perf_counter()
-            self.certify_rounds += 1
-            if self.certify_rounds == self.wedge_before_certify_round:
-                # Killed here, the round was never admitted: nothing durable,
-                # nothing recorded — clients re-execute safely after failover.
-                return [WEDGE] * len(payloads)
-            if self.certify_rounds == self.wedge_after_certify_round:
-                # Killed there, the round is fully durable on the shard WALs and
-                # recorded in this (dying) process's memory, but no client ever
-                # sees the ack: the promoted standby must answer the retries
-                # from its WAL-rebuilt exactly-once table.
-                sinks = [lambda _response, sink=sink: sink(WEDGE) for sink in sinks]
-            self.batch_stats.record_flush(len(payloads))
-            responses: list[dict | None] = [None] * len(payloads)
-            fresh: list[tuple[int, dict]] = []
-            first_index: dict[str, int] = {}
-            held_before = {held.tx_id for held in self._held}
-            for i, payload in enumerate(payloads):
-                tx_id = payload.get("tx_id")
-                if tx_id is not None and (tx_id in self.tx_table or tx_id in first_index
-                                          or tx_id in held_before):
-                    continue  # answered from the record after the fresh pass
-                if tx_id is not None:
-                    first_index[tx_id] = i
-                fresh.append((i, payload))
-            duplicates = set(range(len(payloads))) - {i for i, _ in fresh}
-            requests = []
-            tx_ids = []
-            for i, payload in list(fresh):
-                try:
-                    requests.append(codec.decode_request(payload["request"]))
-                except Exception as exc:  # noqa: BLE001 - malformed request
-                    responses[i] = error_envelope(exc)
-                    fresh.remove((i, payload))
-                    continue
-                tx_ids.append(payload.get("tx_id"))
-            if not requests:
-                outcomes = []
-            elif self.replicated:
-                outcomes = self.service.admit_batch_tx(requests, tx_ids)
+        exec_started = time.perf_counter()
+        self.certify_rounds += 1
+        if self.certify_rounds == self.wedge_before_certify_round:
+            # Killed here, the round was never admitted: nothing durable,
+            # nothing recorded — clients re-execute safely after failover.
+            return [WEDGE] * len(payloads)
+        if self.certify_rounds == self.wedge_after_certify_round:
+            # Killed there, the round is fully durable on the shard WALs and
+            # recorded in this (dying) process's memory, but no client ever
+            # sees the ack: the promoted standby must answer the retries
+            # from its WAL-rebuilt exactly-once table.
+            sinks = [lambda _response, sink=sink: sink(WEDGE) for sink in sinks]
+        self.batch_stats.record_flush(len(payloads))
+        responses: list[dict | None] = [None] * len(payloads)
+        fresh: list[tuple[int, dict]] = []
+        first_index: dict[str, int] = {}
+        held_before = {held.tx_id for held in self._held}
+        for i, payload in enumerate(payloads):
+            tx_id = payload.get("tx_id")
+            if tx_id is not None and (tx_id in self.tx_table or tx_id in first_index
+                                      or tx_id in held_before):
+                continue  # answered from the record after the fresh pass
+            if tx_id is not None:
+                first_index[tx_id] = i
+            fresh.append((i, payload))
+        duplicates = set(range(len(payloads))) - {i for i, _ in fresh}
+        requests = []
+        tx_ids = []
+        for i, payload in list(fresh):
+            try:
+                requests.append(codec.decode_request(payload["request"]))
+            except Exception as exc:  # noqa: BLE001 - malformed request
+                responses[i] = error_envelope(exc)
+                fresh.remove((i, payload))
+                continue
+            tx_ids.append(payload.get("tx_id"))
+        if not requests:
+            outcomes = []
+        elif self.replicated:
+            outcomes = self.service.admit_batch_tx(requests, tx_ids)
+        else:
+            outcomes = self.service.admit_batch(requests)
+        frontier = self.service.core.propagated_version
+        decided_at = self.service.system_version
+        # Every answer carries the replication horizon, so a replica's
+        # maintenance step needs no call of its own.
+        horizon = self.service.replication_horizon()
+        for (i, payload), outcome in zip(fresh, outcomes):
+            if isinstance(outcome, Exception):
+                responses[i] = error_envelope(outcome, unexpected_trace=False)
+                continue
+            tx_id = payload.get("tx_id")
+            response = {"result": codec.encode_result(outcome), "duplicate": False,
+                        "horizon": horizon}
+            release_at = outcome.tx_commit_version or max(
+                (info.commit_version for info in outcome.remote_writesets), default=0)
+            if release_at > frontier:
+                self._held.append(_Held(release_at, tx_id, outcome, decided_at,
+                                        response, sinks[i]))
+                continue
+            self._record_tx(tx_id, outcome, decided_at)
+            responses[i] = response
+        self.held_decisions_high_water = max(self.held_decisions_high_water,
+                                             len(self._held))
+        for i in sorted(duplicates):
+            payload = payloads[i]
+            tx_id = payload["tx_id"]
+            if tx_id in self.tx_table:
+                self.duplicate_tx_hits += 1
+                responses[i] = self._duplicate_response(payload, horizon)
+            elif tx_id in held_before or responses[first_index[tx_id]] is None:
+                # Its original is admitted, not yet durable: the sender asks
+                # again and is answered from the record the release writes.
+                responses[i] = error_envelope(_not_durable_yet("certify"))
             else:
-                outcomes = self.service.admit_batch(requests)
-            frontier = self.service.core.propagated_version
-            decided_at = self.service.system_version
-            # Every answer carries the replication horizon, so a replica's
-            # maintenance step needs no call of its own.
-            horizon = self.service.replication_horizon()
-            for (i, payload), outcome in zip(fresh, outcomes):
-                if isinstance(outcome, Exception):
-                    responses[i] = error_envelope(outcome, unexpected_trace=False)
-                    continue
-                tx_id = payload.get("tx_id")
-                response = {"result": codec.encode_result(outcome), "duplicate": False,
-                            "horizon": horizon}
-                release_at = outcome.tx_commit_version or max(
-                    (info.commit_version for info in outcome.remote_writesets), default=0)
-                if release_at > frontier:
-                    self._held.append(_Held(release_at, tx_id, outcome, decided_at,
-                                            response, sinks[i]))
-                    continue
-                self._record_tx(tx_id, outcome, decided_at)
-                responses[i] = response
-            self.held_decisions_high_water = max(self.held_decisions_high_water,
-                                                 len(self._held))
-            for i in sorted(duplicates):
-                payload = payloads[i]
-                tx_id = payload["tx_id"]
-                if tx_id in self.tx_table:
-                    self.duplicate_tx_hits += 1
-                    responses[i] = self._duplicate_response(payload, horizon)
-                elif tx_id in held_before or responses[first_index[tx_id]] is None:
-                    # Its original is admitted, not yet durable: the sender asks
-                    # again and is answered from the record the release writes.
-                    responses[i] = error_envelope(_not_durable_yet("certify"))
-                else:
-                    # The original in this very round failed before recording an
-                    # outcome; answer the duplicate identically.
-                    responses[i] = dict(responses[first_index[tx_id]])
-            self.certify_exec_s += time.perf_counter() - exec_started
-            if self.certify_rounds == self.wedge_after_certify_round:
-                responses = [None if r is None else WEDGE for r in responses]
-            return responses
+                # The original in this very round failed before recording an
+                # outcome; answer the duplicate identically.
+                responses[i] = dict(responses[first_index[tx_id]])
+        self.certify_exec_s += time.perf_counter() - exec_started
+        if self.certify_rounds == self.wedge_after_certify_round:
+            responses = [None if r is None else WEDGE for r in responses]
+        return responses
 
     def _release(self, frontier: int) -> None:
-        """The durable frontier moved (service lock held, on whichever thread
-        learnt of the write): every held decision it now covers is recorded
-        in the exactly-once table and handed to its sink, in admission order.
+        """The durable frontier moved (on the loop, which read the write's
+        acknowledgement): every held decision it now covers is recorded in
+        the exactly-once table and handed to its sink, in admission order.
         Its own fragments being durable is not enough — its remote window
         may name any earlier version on any shard."""
         while self._held and self._held[0].release_at <= frontier:
@@ -617,11 +621,14 @@ class SchedulerRole(Role):
             held.sink(held.response)
 
     def _stream_failed(self, error: ReproError) -> None:
-        """A shard refused a batch (service lock held): its WAL stream is
-        dead, the frontier will never move again — fail every held decision
-        now instead of leaving its client waiting; ``ship`` fails every
-        later round."""
+        """A shard refused a batch: its WAL stream is dead, the frontier will
+        never move again — fail every held decision (and a promotion's
+        completion appends) now instead of leaving its client waiting;
+        ``ship`` fails every later round."""
         print(f"scheduler: {error}", file=sys.stderr, flush=True)
+        for acked in self._completions_acked:
+            if not acked.done():
+                acked.set_exception(error)
         while self._held:
             self._held.popleft().sink(error_envelope(error))
 

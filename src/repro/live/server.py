@@ -5,15 +5,15 @@ the frame loop, the wire counters, the ``ok`` / ``rid`` / error envelope, the
 wedge freeze and the **only** dispatcher.  A role declares one table ``op ->
 Op(handler, placement, standby)``; where a frame's handler runs is decided here:
 
-``INLINE``  on the event loop under the role's lock — micro-work cheaper to run
-            in place than to pay two thread hand-offs for (safe on the loop: no
-            role holds its lock across a wait on another node);
+``INLINE``  on the event loop under the role's lock — work that never waits on
+            another node (safe on the loop: no role holds its lock across
+            such a wait);
 ``POOLED``  on the role's executor under the role's lock — handlers that block
-            on another node or do table-sized work;
+            on another node or do table-sized work (only the replica has any);
 ``ASYNC``   awaited on the loop without the lock — handlers that park on a
             future somebody else resolves (log writer, certification batcher,
-            a replica's certification answer), taking the lock themselves
-            for what they do to local state;
+            a promotion's shard reads, a replica's certification answer),
+            taking the lock themselves for what they do to local state;
 ``BATCH``   a frame carrying a list of statements under ``ops``: async when
             any statement's own entry is, else pooled when any is, else
             inline.
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
 import os
 import sys
@@ -75,11 +76,15 @@ class ServerStats:
 
 class Role:
     """What the server needs of a node role.  A subclass sets ``role_name``
-    (as the unknown-op error prints it), the ``ops`` table, the ``lock`` held
-    around every INLINE and POOLED handler, the ``executor`` POOLED handlers
-    run on, and ``describe()`` — its fields of the readiness handshake."""
+    (as the unknown-op error prints it), the ``ops`` table and
+    ``describe()`` — its fields of the readiness handshake; a role whose
+    state other threads touch too sets the ``lock`` held around every
+    INLINE and POOLED handler, and one with POOLED ops the ``executor`` they
+    run on."""
 
     promoted = True  # only a standby scheduler is ever not
+    #: No lock by default: the loop is the only thread in the role's state.
+    lock = contextlib.nullcontext()
 
     def __init__(self) -> None:
         self.server_stats = ServerStats()

@@ -29,10 +29,11 @@ one group may hold several shipped batches).  A torn final line (kill
 mid-write, before the fsync covering it) is discarded on replay *and
 truncated away* before the file is reopened for append; none of its batches
 was acknowledged, so the scheduler still holds them and will resend.  The
-truncation matters: appending after a stale torn line would leave garbage
-mid-file that a *second* crash's replay stops at, silently dropping every
-later group and resetting the record count so resent duplicates are
-re-accepted.
+truncation matters: appending after a stale torn line would bury it
+mid-file.  Only a final line without its newline is torn: any other line
+that is not a batch was fsynced and acknowledged, so replay raises
+:class:`~repro.errors.RecoveryError` naming the file and byte offset and
+truncates nothing, instead of cutting every acknowledged group after it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import functools
 import json
 import os
 import sys
-import threading
 import time
 import traceback
 from collections import deque
@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from repro.core.group_commit import GroupCommitStats
-from repro.errors import ReproError
+from repro.errors import RecoveryError, ReproError
 from repro.live.wire import WireClient
 
 
@@ -86,14 +86,13 @@ class BatchWalFile:
         good_end = 0
         for entry, length in _intact_batches(self.path):
             good_end += length
-            self.last_seq = max(self.last_seq, int(entry["seq"]))
+            self.last_seq = max(self.last_seq, entry["seq"])
             self.batches += 1
             self.records += len(entry["payloads"])
         torn = self.path.stat().st_size - good_end
         if torn > 0:
             # Reopening in append mode without this would bury the torn line
-            # mid-file; a second crash's replay would stop there and silently
-            # drop every group appended after it.
+            # mid-file, where the next replay refuses it as corruption.
             with open(self.path, "rb+") as handle:
                 handle.truncate(good_end)
                 handle.flush()
@@ -169,26 +168,31 @@ class BatchWalFile:
 
 
 def _intact_batches(path: Path) -> Iterator[tuple[dict, int]]:
-    """A WAL file's batch lines with their on-disk length, up to the first
-    torn or unparsable one (never acknowledged, so it will be resent)."""
+    """A WAL file's decoded batches — ``{"seq", "payloads"}`` — with their
+    on-disk length, up to a torn final line (one without its newline: never
+    acknowledged, so it will be resent).  Any other line that is not a
+    batch, hex payloads included, raises ``RecoveryError``."""
+    offset = 0
     with open(path, "rb") as handle:
         for raw in handle:
             if not raw.endswith(b"\n"):
                 return
             try:
-                yield json.loads(raw), len(raw)
-            except ValueError:
-                return
+                entry = json.loads(raw)
+                entry = {"seq": int(entry["seq"]),
+                         "payloads": [binascii.unhexlify(p) for p in entry["payloads"]]}
+            except (ValueError, TypeError, KeyError) as exc:
+                raise RecoveryError(
+                    f"{path}: corrupt WAL line at byte offset {offset}; "
+                    f"nothing truncated") from exc
+            yield entry, len(raw)
+            offset += len(raw)
 
 
 def read_wal_batches(path: str | Path) -> list[dict]:
     """Parse a shard WAL file into its applied batches (crash-test oracle)."""
     path = Path(path)
-    if not path.exists():
-        return []
-    return [{"seq": int(entry["seq"]),
-             "payloads": [binascii.unhexlify(p) for p in entry["payloads"]]}
-            for entry, _ in _intact_batches(path)]
+    return [entry for entry, _ in _intact_batches(path)] if path.exists() else []
 
 
 @dataclass(slots=True)
@@ -206,40 +210,33 @@ class RemoteWalDevice:
     process.
 
     ``append`` buffers payloads; ``ship`` posts them as one ``wal_append`` —
-    numbered by the record offset it ends at — on a pipelined
+    numbered by the record offset it ends at — on a posting
     :class:`~repro.live.wire.WireClient` and returns, so any number of
-    batches can be on their way; ``sync`` is ship + wait for all of them.
-    The client's reader (a thread, or the owner's event loop after
-    :meth:`read_on`) delivers the acknowledgements; after a lost connection
-    the client re-dials and resends every unacknowledged batch in order.  A
-    dead shard stalls the stream in that loop rather than failing it: the
-    certifier has already admitted the transactions it carries.  The harness
-    restarts killed nodes on their original port; the shard drops resends by
-    offset.  A batch the shard *refuses* (it would leave a hole in
-    the log) is different: no resend can heal that, so the device is
-    ``failed`` from then on — ``ship`` and ``sync`` raise, waiters wake, and
-    ``on_failure(error)`` tells the owner.
-
-    All state is guarded by ``lock`` — the owner's (reentrant) service lock
-    when given: ``ship``/``sync`` run under it, the reader takes it to run
-    the ``on_durable`` callbacks, and ``sync`` waits on it (so never call
-    ``sync`` on the thread that reads the acknowledgements).
+    batches can be on their way.  The owner's event loop (given to
+    :meth:`read_on` before the first ``ship``) reads the acknowledgements
+    and runs the ``on_durable`` callbacks, so the device has one thread and
+    no lock, and there is no blocking wait: what waits for a batch is its
+    callback.  After a lost connection the client re-dials and resends every
+    unacknowledged batch in order.  A dead shard stalls the stream in that
+    loop rather than failing it: the certifier has already admitted the
+    transactions it carries.  The harness restarts killed nodes on their
+    original port; the shard drops resends by offset.  A batch the shard
+    *refuses* (it would leave a hole in the log) is different: no resend can
+    heal that, so the device is ``failed`` from then on — ``ship`` raises,
+    and ``on_failure(error)`` tells the owner.
     """
 
     def __init__(self, host: str, port: int, *, shard_id: int = 0,
                  attempt_timeout_s: float = 2.0, start_seq: int = 0,
-                 lock: "threading.RLock | None" = None,
                  on_failure: Callable[[ReproError], None] | None = None) -> None:
         self.shard_id = shard_id
         self._client = WireClient(host, port, timeout=attempt_timeout_s,
-                                  name=f"wal-{shard_id}", pipelined=True)
-        self._cond = threading.Condition(lock if lock is not None else threading.RLock())
+                                  name=f"wal-{shard_id}")
         self._pending: list[bytes] = []
-        #: Records shipped so far, and how many of them are acknowledged.  A
-        #: promoted standby starts at the shard's record count, so its
-        #: batches continue the log instead of being swallowed as the dead
-        #: primary's resends.
-        self._offset = self._durable_offset = start_seq
+        #: Records shipped so far.  A promoted standby starts at the shard's
+        #: record count, so its batches continue the log instead of being
+        #: swallowed as the dead primary's resends.
+        self._offset = start_seq
         #: Shipped, unacknowledged batches, oldest first.
         self._unacked: deque[_Shipped] = deque()
         self.failed: ReproError | None = None
@@ -261,61 +258,47 @@ class RemoteWalDevice:
 
     def ship(self, on_durable: Callable[[], None] | None = None) -> None:
         """Put the pending payloads on the wire as one batch; ``on_durable``
-        runs (under the lock, on the reader's thread) once the shard has
-        acknowledged the fsync covering it.  Nothing pending: nothing sent."""
-        with self._cond:
-            if self.failed is not None:
-                raise self.failed
-            if not self._pending:
-                return
-            self._offset += len(self._pending)
-            batch = _Shipped(self._offset, on_durable, time.perf_counter())
-            self._unacked.append(batch)
-            payloads = [binascii.hexlify(p).decode() for p in self._pending]
-            self._pending = []
-            self._client.post("wal_append", functools.partial(self._acknowledged, batch),
-                              seq=batch.offset, payloads=payloads)
-
-    def sync(self) -> None:
-        with self._cond:
-            self.ship()
-            shipped = self._offset  # the owner may keep shipping meanwhile
-            self._cond.wait_for(lambda: self._durable_offset >= shipped
-                                or self.failed is not None)
-            if self.failed is not None:
-                raise self.failed
+        runs on the loop once the shard has acknowledged the fsync covering
+        it, after every earlier batch's.  Nothing pending: nothing sent."""
+        if self.failed is not None:
+            raise self.failed
+        if not self._pending:
+            return
+        self._offset += len(self._pending)
+        batch = _Shipped(self._offset, on_durable, time.perf_counter())
+        self._unacked.append(batch)
+        payloads = [binascii.hexlify(p).decode() for p in self._pending]
+        self._pending = []
+        self._client.post("wal_append", functools.partial(self._acknowledged, batch),
+                          seq=batch.offset, payloads=payloads)
 
     def _acknowledged(self, batch: _Shipped, ack: dict) -> None:
-        with self._cond:
-            try:
-                if not ack.get("ok", False):
-                    self.failed = ReproError(
-                        f"certifier shard {self.shard_id} refused the WAL batch "
-                        f"ending at record {batch.offset}: {ack.get('error')}")
-                    if self.on_failure is not None:
-                        self.on_failure(self.failed)
-                    return
-                if ack.get("group", 0) > self._last_group:
-                    # One shard fsync may cover several shipped batches; the
-                    # ack names the group it wrote: each fsync counts once.
-                    self._last_group = ack["group"]
-                    self._sync_count += 1
-                batch.durable = True
-                self.calls += 1
-                self.sync_wait_s += time.perf_counter() - batch.shipped_at
-                while self._unacked and self._unacked[0].durable:  # in shipping order
-                    batch = self._unacked.popleft()
-                    self._durable_offset = batch.offset
-                    if batch.on_durable is not None:
-                        batch.on_durable()
-            except Exception:  # noqa: BLE001 - the reader must keep reading acks
-                traceback.print_exc(file=sys.stderr)
-            finally:
-                self._cond.notify_all()
+        try:
+            if not ack.get("ok", False):
+                self.failed = ReproError(
+                    f"certifier shard {self.shard_id} refused the WAL batch "
+                    f"ending at record {batch.offset}: {ack.get('error')}")
+                if self.on_failure is not None:
+                    self.on_failure(self.failed)
+                return
+            if ack.get("group", 0) > self._last_group:
+                # One shard fsync may cover several shipped batches; the
+                # ack names the group it wrote: each fsync counts once.
+                self._last_group = ack["group"]
+                self._sync_count += 1
+            batch.durable = True
+            self.calls += 1
+            self.sync_wait_s += time.perf_counter() - batch.shipped_at
+            while self._unacked and self._unacked[0].durable:  # in shipping order
+                batch = self._unacked.popleft()
+                if batch.on_durable is not None:
+                    batch.on_durable()
+        except Exception:  # noqa: BLE001 - the loop must keep reading acks
+            traceback.print_exc(file=sys.stderr)
 
     def read_on(self, loop) -> None:
-        """Have ``loop`` read the acknowledgements (no reader thread): the
-        ``on_durable`` callbacks then run on the loop's thread."""
+        """``loop`` reads the acknowledgements and runs the ``on_durable``
+        callbacks; call before the first :meth:`ship`."""
         self._client.read_on(loop)
 
     @property

@@ -12,12 +12,12 @@ Two consumers share the format:
 
 * the asyncio node server (:mod:`repro.live.server`, one per node whatever
   its role) uses :func:`read_frame` / :func:`encode_frame` on its streams;
-* the synchronous callers use :class:`WireClient`, a blocking socket with
-  the same framing plus reconnect/retry helpers — one commit-path caller per
-  calling convention: the driver's :class:`~repro.live.client.LiveSession`
-  (sequential ``call``), and two posters whose event loop reads the replies
-  (``post`` + ``read_on``): the replica's certifier client and the
-  scheduler's remote WAL devices.
+* the callers use :class:`WireClient`, a socket with the same framing plus
+  reconnect/retry helpers, in one of two modes: sequential blocking ``call``
+  (the driver's :class:`~repro.live.client.LiveSession`, control-plane
+  calls), or ``post`` on a client whose replies an event loop reads
+  (``read_on``) — the replica's certifier client and the scheduler's remote
+  WAL devices.
 
 Multiplexing: a request may carry a ``rid`` (request id, unique per
 connection); the response echoes it, which lets one connection carry many
@@ -25,9 +25,9 @@ in-flight calls and lets responses come back out of order.  Requests
 *without* a ``rid`` keep the original strict request/response discipline:
 the server answers them in arrival order before reading the next frame, so
 a frame read after a write is always the answer to that write.  The
-:class:`WireClient` uses ``rid``s only in ``pipelined`` mode (a background
-reader thread, or the event loop given to ``read_on``, hands responses to
-the posted calls' callbacks); plain clients never send one.
+:class:`WireClient` tags each posted call with a ``rid`` (the event loop
+given to ``read_on`` hands each response to its call's callback); its
+sequential calls never send one.
 """
 
 from __future__ import annotations
@@ -200,8 +200,8 @@ class _Posted:
 
 
 def _hang_up(sock: socket.socket) -> None:
-    """Shut ``sock`` down so its reader (blocked in ``recv``, or waiting for
-    it to turn readable) wakes."""
+    """Shut ``sock`` down so whoever reads it (a blocked ``recv``, or the
+    loop waiting for it to turn readable) wakes."""
     try:
         sock.shutdown(socket.SHUT_RDWR)
     except OSError:
@@ -221,22 +221,20 @@ class WireClient:
     protocol makes the WAL append and certification ops idempotent via
     sequence numbers and transaction ids precisely so this is safe).
 
-    With ``pipelined=True`` the client posts its requests (:meth:`post`)
-    instead: it tags each with a per-connection ``rid`` and a reader — a
-    background thread, or the event loop given to :meth:`read_on` — hands
-    each response to its caller's callback, so a second request does not
-    wait for the first one's answer.  Send order on the wire equals posting
-    order.
+    After :meth:`read_on` the client posts its requests (:meth:`post`)
+    instead: it tags each with a per-connection ``rid`` and the event loop
+    given to ``read_on`` reads the responses and hands each to its caller's
+    callback, so a second request does not wait for the first one's answer.
+    Send order on the wire equals posting order.
     """
 
     def __init__(self, host: str, port: int, *, timeout: float | None = 30.0,
-                 name: str = "client", pipelined: bool = False,
+                 name: str = "client",
                  fallbacks: tuple[tuple[str, int], ...] = ()) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
         self.name = name
-        self.pipelined = pipelined
         #: Alternate peer addresses (a promoted standby).  ``call_retrying``
         #: rotates to the next address when a dial is refused — the current
         #: peer is gone, not merely slow — so a client survives its peer
@@ -259,16 +257,17 @@ class WireClient:
         self.bytes_received = 0
         #: Highest number of simultaneously posted, unanswered calls.
         self.in_flight_high_water = 0
-        # Pipelined-mode state.  Lock order: _send_lock -> _posted_lock.
+        # Posting-mode state, shared by the loop and the re-dial helper.
+        # Lock order: _send_lock -> _posted_lock.
         self._send_lock = threading.Lock()
         self._posted_lock = threading.Lock()
         self._rids = itertools.count(1)
-        self._reader: threading.Thread | None = None
         #: Unanswered :meth:`post` calls by rid, oldest first, and whether a
         #: thread is busy re-dialling on their behalf.
         self._posted: dict[int, _Posted] = {}
         self._redialing = False
-        self._loop: asyncio.AbstractEventLoop | None = None  # see read_on
+        #: The loop that reads the replies to posted calls (see read_on).
+        self._loop: asyncio.AbstractEventLoop | None = None
 
     # -- connection management ------------------------------------------------
 
@@ -286,24 +285,19 @@ class WireClient:
         sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
-        if not self.pipelined:
+        if self._loop is None:
             return
-        # Blocking socket: the reader owns recv (and the final close), senders
+        # Blocking socket: the loop owns recv (and the final close), senders
         # own send; a posted call waits for its answer as long as it takes.
         sock.settimeout(None)
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(
-                self._loop.add_reader, sock.fileno(), self._read_ready, sock)
-        else:
-            self._reader = threading.Thread(target=self._reader_loop, args=(sock,),
-                                            name=f"wire-reader-{self.name}", daemon=True)
-            self._reader.start()
+        self._loop.call_soon_threadsafe(
+            self._loop.add_reader, sock.fileno(), self._read_ready, sock)
 
     def read_on(self, loop: asyncio.AbstractEventLoop) -> None:
-        """From the next connection on, ``loop`` reads the responses (when
-        the socket turns readable) instead of a reader thread: replies to
-        posted calls are delivered on the loop's own thread, with no thread
-        hand-off in between.  Call before the first request."""
+        """Make this a posting client whose replies ``loop`` reads: when the
+        socket turns readable it reads the response and runs its call's
+        callback in place, on the loop's own thread.  Call before the first
+        request."""
         self._loop = loop
 
     def close(self) -> None:
@@ -325,32 +319,22 @@ class WireClient:
         sock = self._sock
         self._sock = None
         if sock is not None:
-            _hang_up(sock)  # a pipelined connection's reader wakes, and closes it
-            if not self.pipelined:
+            _hang_up(sock)  # a posting client's loop wakes, and closes it
+            if self._loop is None:
                 sock.close()
 
-    # -- pipelined reader -----------------------------------------------------
-
-    def _reader_loop(self, sock: socket.socket) -> None:
-        try:
-            while True:
-                self._read_one(sock)
-        except (OSError, WireError, ValueError):
-            if self._connection_lost(sock):
-                self._redial()  # nobody is blocked on a posted call: this thread re-dials
+    # -- replies, read on the loop ---------------------------------------------
 
     def _read_ready(self, sock: socket.socket) -> None:
-        """``read_on`` mode, on the loop: a response (or EOF) is there."""
+        """On the loop: a response (or EOF) is there."""
         try:
-            self._read_one(sock)
+            response, size = _recv_frame(sock)
         except (OSError, WireError, ValueError):
             self._loop.remove_reader(sock.fileno())
             if self._connection_lost(sock):
                 threading.Thread(target=self._redial, daemon=True,
                                  name=f"wire-redial-{self.name}").start()
-
-    def _read_one(self, sock: socket.socket) -> None:
-        response, size = _recv_frame(sock)
+            return
         with self._posted_lock:
             self.frames_received += 1
             self.bytes_received += size
@@ -362,10 +346,10 @@ class WireClient:
         """This connection is dead (peer crash or local close()); every
         caller still waiting on it must re-dial and resend.  The swap
         happens under the send lock so an in-progress sender never has the
-        socket yanked out from under its feet; only this reader's own socket
-        is cleared (a reconnect may already have installed a fresh one, with
-        a newer reader).  True: calls are still posted and nobody is
-        re-dialling for them yet — the caller must."""
+        socket yanked out from under its feet; only this dead socket is
+        cleared (a re-dial may already have installed a fresh one).  True:
+        calls are still posted and nobody is re-dialling for them yet — the
+        caller must."""
         with self._send_lock:
             if self._sock is sock:
                 self._sock = None
@@ -378,9 +362,9 @@ class WireClient:
     # -- posted calls -----------------------------------------------------------
 
     def post(self, op: str, on_reply: Callable[[dict], None], **fields: object) -> None:
-        """Send a pipelined request and return; ``on_reply(response)`` — the
-        raw envelope, ``ok`` unchecked — runs on the reader (its thread, or
-        the loop given to :meth:`read_on`).
+        """Send a request and return; ``on_reply(response)`` — the raw
+        envelope, ``ok`` unchecked — runs on the loop given to
+        :meth:`read_on`, which must have been called.
 
         The call stays *posted* until it is answered: when the connection
         dies, or the peer is not up yet, a background re-dial sends every
@@ -388,7 +372,7 @@ class WireClient:
         idempotent ops may be posted, and ``on_reply`` must not raise.
         Nothing here waits for the peer; :meth:`close` abandons the rest.
         """
-        assert self.pipelined
+        assert self._loop is not None, "read_on(loop) first: the loop reads the replies"
         with self._send_lock:
             rid = next(self._rids)
             call = _Posted(encode_frame({"op": op, "rid": rid, **fields}), on_reply)
@@ -404,7 +388,7 @@ class WireClient:
 
     def _send_posted(self, sock: socket.socket, call: _Posted) -> bool:
         """Caller holds ``_send_lock``.  A failed send hangs the connection
-        up: its reader notices and owns the re-dial."""
+        up: the loop notices and owns the re-dial."""
         self.resends += call.sent
         call.sent = True  # even a failed send may have reached the peer
         try:
@@ -418,9 +402,9 @@ class WireClient:
 
     def _redial(self) -> None:
         """Dial until the peer answers, then send everything still posted, in
-        posting order — on the dying reader's thread, or on a helper's when
-        the first dial found nobody.  A refused dial rotates to the next
-        address, as in :meth:`call_retrying`."""
+        posting order — on a helper thread, so the loop never waits for a
+        dial.  A refused dial rotates to the next address, as in
+        :meth:`call_retrying`."""
         attempt = 0
         while True:
             with self._send_lock:
@@ -443,7 +427,7 @@ class WireClient:
 
     def call(self, op: str, **fields: object) -> dict:
         """One request/response round trip; raises on transport or remote error."""
-        assert not self.pipelined, "a pipelined client posts its requests"
+        assert self._loop is None, "a posting client posts its requests"
         self._send_sequential(op, fields)
         response = self._receive_sequential(op)
         self.calls += 1

@@ -114,8 +114,9 @@ class ShardedCertifierService:
     def certify_batch(
         self, requests: list[CertificationRequest],
     ) -> list[CertificationResult | ReproError]:
-        """:meth:`admit_batch`, then wait until the round is durable — the
-        synchronous contract: a returned commit is on every shard it touched."""
+        """:meth:`admit_batch`, then :meth:`flush` — the synchronous contract
+        on devices that can wait: a returned commit is on every shard it
+        touched."""
         outcomes = self.admit_batch(requests)
         if self._durable:
             self.flush()
@@ -162,6 +163,8 @@ class ShardedCertifierService:
         if (before // GC_INTERVAL_REQUESTS
                 != self.core.certification_requests // GC_INTERVAL_REQUESTS):
             if not self._durable:
+                # The ablation ships its records only here; GC prunes what is
+                # durable so far (on a live device: the rest next interval).
                 self.flush()
             self.collect_garbage()
         return outcomes
@@ -209,13 +212,15 @@ class ShardedCertifierService:
     # -- durability ---------------------------------------------------------------
 
     def flush(self) -> int:
-        """Ship every unshipped record and wait until everything shipped so
-        far is durable.  Returns the number of log records that became
-        durable meanwhile."""
+        """Ship every unshipped record; returns how many log records became
+        durable meanwhile.  Waits only on a streaming device that can block
+        (``sync``): the live :class:`~repro.live.wal.RemoteWalDevice` cannot —
+        the loop running this call reads its acknowledgements — so its
+        records become durable, and the frontier moves, when they arrive."""
         before = sum(stats.records_flushed for stats in self._flush_stats)
         self._ship(range(self.config.certifier_shards))
         for device in self.devices:
-            if hasattr(device, "ship"):
+            if hasattr(device, "ship") and hasattr(device, "sync"):
                 device.sync()
         return sum(stats.records_flushed for stats in self._flush_stats) - before
 

@@ -23,6 +23,7 @@ from repro.live.harness import HarnessError
 from repro.live.node import build_parser
 from repro.live.server import load_spec
 from repro.live.wire import ConnectionLost
+from repro.middleware.certifier import GC_INTERVAL_REQUESTS
 from repro.middleware.systems import build_replicated_system
 from repro.sim.rng import RandomStreams
 from repro.workloads import workload_by_name
@@ -153,6 +154,28 @@ def test_exactly_once_table_counts_every_commit_once(tmp_path):
         assert stats["tx_table_size"] == 11
         assert stats["duplicate_tx_hits"] == 0
         assert stats["wal_resent_batches"] == 0
+
+
+def test_nocert_keeps_acknowledging_past_the_gc_interval(tmp_path):
+    """Tashkent-API without certifier durability ships its log only at the GC
+    interval.  That ship runs on the scheduler's loop, which also reads the
+    shards' acknowledgements: it must not wait for them there, or every
+    later commit hangs in doubt."""
+    config = ReplicationConfig(system=SystemKind.TASHKENT_API_NO_CERT, num_replicas=1,
+                               rng_seed=SEED)
+    workload = workload_by_name("allupdates", num_replicas=1)
+    commits = GC_INTERVAL_REQUESTS + 44
+    with LiveCluster(config, workload.schemas(), run_dir=tmp_path,
+                     keep_dir=True) as cluster:
+        cluster.load_initial_data(workload)
+        session = cluster.session("replica-0", attempt_timeout_s=2.0)
+        rng = RandomStreams(SEED)
+        decisions = [workload.run_transaction(session, rng, client_index=0,
+                                              sequence=sequence)
+                     for sequence in range(commits)]
+        assert len(decisions) == commits and all(decisions)
+        assert cluster.collect_garbage() >= 0  # the loop still answers
+        assert cluster.shard_wal_stats(0)["records"] > 0  # the log went out
 
 
 @pytest.mark.parametrize("shards", [1, 2])

@@ -177,37 +177,42 @@ def test_duplicate_of_a_held_transaction_is_told_to_ask_again(tmp_path):
 
 def test_a_refused_batch_fails_held_decisions_and_later_rounds_loudly(tmp_path):
     """The real device against a shard that refuses the second batch (as the
-    hole check would): nothing hangs — the held decision is failed, ``sync``
-    raises, and the next round's admission raises."""
+    hole check would), its acknowledgements read on the role's loop: nothing
+    hangs — ``flush`` ships and returns, the held decision is failed when
+    the refusal is read, and the next round's admission raises."""
     from repro.errors import ReproError
     from repro.live.wal import RemoteWalDevice
-    from test_live_wire import _MiniServer
+    from test_live_wire import _MiniServer, _until
 
     server = _MiniServer(lambda request: (
         {"ok": True, "applied": True, "group": 1} if request["seq"] == 1 else
         {"ok": False, "error": "does not continue the log", "error_type": "ReproError"}))
     role, _ = make_role(tmp_path, shards=1)
-    device = RemoteWalDevice("127.0.0.1", server.port, lock=role.service_lock,
-                             on_failure=role._stream_failed)
-    role.devices = role.service.devices = [device]
+
+    async def scenario():
+        device = RemoteWalDevice("127.0.0.1", server.port, on_failure=role._stream_failed)
+        device.read_on(asyncio.get_running_loop())
+        role.devices = role.service.devices = [device]
+        try:
+            (response,), first = admit(role, [certify_payload(role, "tx-1", [1])])
+            assert response is None
+            await _until(lambda: first.released)
+            assert [index for index, _ in first.released] == [0]
+            (response,), second = admit(role, [certify_payload(role, "tx-2", [2])])
+            assert response is None
+            assert role.service.flush() == 0  # nothing unshipped; no wait on this loop
+            await _until(lambda: second.released)
+            ((_, failed),) = second.released
+            assert not failed["ok"] and "refused the WAL batch" in failed["error"]
+            assert not role._held and status(role, "tx-2") == {"known": False}
+            with pytest.raises(ReproError, match="refused the WAL batch"):
+                admit(role, [certify_payload(role, "tx-3", [3])])
+        finally:
+            device.close()
+
     try:
-        (response,), first = admit(role, [certify_payload(role, "tx-1", [1])])
-        assert response is None
-        with role.service_lock:
-            role.service.flush()
-        assert [index for index, _ in first.released] == [0]
-        (response,), second = admit(role, [certify_payload(role, "tx-2", [2])])
-        assert response is None
-        with pytest.raises(ReproError, match="refused the WAL batch"):
-            with role.service_lock:
-                role.service.flush()  # returns — with the refusal — not hangs
-        ((_, failed),) = second.released
-        assert not failed["ok"] and "refused the WAL batch" in failed["error"]
-        assert not role._held and status(role, "tx-2") == {"known": False}
-        with pytest.raises(ReproError, match="refused the WAL batch"):
-            admit(role, [certify_payload(role, "tx-3", [3])])
+        asyncio.run(asyncio.wait_for(scenario(), 10.0))
     finally:
-        device.close()
         server.stop()
 
 

@@ -66,18 +66,18 @@ GOLDEN = {
     },
     "scheduler": {
         "certify": (ASYNC, False),
-        "state_transfer": (POOLED, False),
-        "standby_status": (POOLED, True),
-        "promote": (POOLED, True),
-        "commit_status": (POOLED, False),
-        "hello_replica": (POOLED, False),
-        "poll_writesets": (POOLED, False),
-        "register_replica": (POOLED, False),
-        "extend_remote_horizons": (POOLED, False),
-        "replication_horizon": (POOLED, False),
-        "collect_garbage": (POOLED, False),
-        "system_version": (POOLED, False),
-        "stats": (POOLED, True),
+        "state_transfer": (INLINE, False),
+        "standby_status": (INLINE, True),
+        "promote": (ASYNC, True),
+        "commit_status": (INLINE, False),
+        "hello_replica": (INLINE, False),
+        "poll_writesets": (INLINE, False),
+        "register_replica": (INLINE, False),
+        "extend_remote_horizons": (INLINE, False),
+        "replication_horizon": (INLINE, False),
+        "collect_garbage": (INLINE, False),
+        "system_version": (INLINE, False),
+        "stats": (INLINE, True),
         "ping": (INLINE, True),
     },
     "replica": {

@@ -109,7 +109,6 @@ def test_roles_built_from_the_spec_agree_with_build_replicated_system(tmp_path, 
         loop.call_soon_threadsafe(loop.stop)
         runner.join(timeout=5.0)
         loop.close()
-        scheduler.executor.shutdown()
     functional = build_replicated_system(config)
     live_service, service = scheduler.service, functional.certifier
     assert live_service._durable is service._durable is False

@@ -2,9 +2,10 @@
 
 Pure file-level tests: no sockets, no subprocesses.  The interesting
 surface is crash replay — a torn final line (kill mid-write) must be
-discarded *and truncated away*, the record-offset dedupe must survive
-restarts, and the test oracle `read_wal_batches` must agree with the node's
-own `BatchWalFile._replay` on every possible torn prefix.  A batch's ``seq``
+discarded *and truncated away*, any other unparsable line refused without
+truncating anything, the record-offset dedupe must survive restarts, and the
+test oracle `read_wal_batches` must agree with the node's own
+`BatchWalFile._replay` on every possible torn prefix.  A batch's ``seq``
 is the record offset it ends at; the file's lines (one per fsync group) are
 numbered by the file itself.
 """
@@ -13,6 +14,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.errors import RecoveryError
 from repro.live.wal import BatchWalFile, read_wal_batches
 
 
@@ -108,21 +112,44 @@ def test_torn_tail_mid_file_double_crash_regression(tmp_path):
 
 
 def test_replay_agrees_with_read_wal_batches_on_corrupt_json_line(tmp_path):
-    # A non-torn but unparsable line (bit rot) stops both readers at the
-    # same boundary.
+    # A non-torn but unparsable line (bit rot) is corruption, not a crash:
+    # both readers refuse the file at that line, and nothing is truncated —
+    # the group after it was fsynced and acknowledged.
     path = tmp_path / "shard.wal"
     _write_batches(path, [(1, [b"a"])])
+    offset = path.stat().st_size
     with open(path, "ab") as handle:
         handle.write(b"this is not json\n")
         handle.write(
             json.dumps({"seq": 2, "payloads": [b"b".hex()]},
                        separators=(",", ":")).encode() + b"\n")
-    oracle = read_wal_batches(path)
-    wal = BatchWalFile(path)
-    assert [b["seq"] for b in oracle] == [1]
-    assert wal.last_seq == 1
-    assert wal.batches == 1
+    before = path.read_bytes()
+    for reader in (read_wal_batches, BatchWalFile):
+        with pytest.raises(RecoveryError, match=f"shard.wal: corrupt WAL line at byte offset {offset}"):
+            reader(path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("where, byte", [("brace", b"#"), ("payload", b"g")])
+def test_one_bad_byte_mid_file_refuses_and_keeps_the_later_groups(tmp_path, where, byte):
+    # Three fsynced one-record groups, one byte of the middle line made
+    # unparsable (its opening brace, or a payload digit turned non-hex):
+    # taking it for a torn tail would cut both later groups, acknowledged
+    # long ago, from disk.
+    wal = BatchWalFile(tmp_path / "shard.wal")
+    for seq, payload in ((1, b"first"), (2, b"second"), (3, b"third")):
+        assert wal.append_batch(seq, [payload])
     wal.close()
+    lines = wal.path.read_bytes().splitlines(keepends=True)
+    middle = len(lines[0])
+    at = middle if where == "brace" else middle + lines[1].index(b'["') + 2
+    corrupted = bytearray(wal.path.read_bytes())
+    corrupted[at:at + 1] = byte
+    wal.path.write_bytes(bytes(corrupted))
+    for reader in (read_wal_batches, BatchWalFile):
+        with pytest.raises(RecoveryError, match=f"byte offset {middle};"):
+            reader(wal.path)
+    assert wal.path.read_bytes() == bytes(corrupted)
 
 
 def test_append_after_truncation_round_trips_payloads(tmp_path):
@@ -160,8 +187,6 @@ def test_group_is_one_line_one_fsync_and_dedupes_by_record_offset(tmp_path):
 
 
 def test_group_that_would_leave_a_hole_is_refused_whole(tmp_path):
-    import pytest
-
     from repro.errors import ReproError
 
     wal = BatchWalFile(tmp_path / "shard.wal")

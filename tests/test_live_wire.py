@@ -7,15 +7,18 @@ down the exact accounting and scoping rules the live crash tests build on:
   peer — a dial refusal (connect raised before any bytes went out) must
   not inflate the maybe-duplicate counter `RemoteWalDevice.resent_batches`
   derives from it;
-* socket swap-out (close / reader-loop death) is `_send_lock`-protected,
-  so concurrent posters and closers never race a half-closed socket;
-* the streaming `RemoteWalDevice` keeps several shipped batches in flight,
-  counts fsync groups (not batches), and after a lost connection resends
-  everything unacknowledged, in order, releasing each batch exactly once.
+* socket swap-out (close / connection death) is `_send_lock`-protected,
+  so a closer on the loop never races the re-dial helper's sends;
+* posted calls are read by the event loop given to `read_on` — the loop
+  that posts them — and the streaming `RemoteWalDevice` on that loop keeps
+  several shipped batches in flight, counts fsync groups (not batches), and
+  after a lost connection resends everything unacknowledged, in order,
+  releasing each batch exactly once.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import struct
@@ -119,6 +122,20 @@ def _free_port():
         return probe.getsockname()[1]
 
 
+def _on_a_loop(scenario, timeout_s=10.0):
+    """Run ``scenario()`` on a fresh event loop: the loop that posts is the
+    loop that reads the replies, as in a node."""
+    return asyncio.run(asyncio.wait_for(scenario(), timeout_s))
+
+
+async def _until(predicate, timeout_s=5.0):
+    """Yield to the loop (which reads the replies) until ``predicate()``."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        await asyncio.sleep(0.001)
+
+
 # -- resend accounting: dial refusal vs interrupted exchange -----------------
 
 
@@ -163,39 +180,41 @@ def test_dial_refusal_raises_before_anything_is_sent():
 
 def test_concurrent_close_and_calls_do_not_race():
     server = _MiniServer(lambda request: {"ok": True})
-    try:
-        client = WireClient("127.0.0.1", server.port, timeout=1.0, pipelined=True)
-        stop = threading.Event()
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        client = WireClient("127.0.0.1", server.port, timeout=1.0)
+        client.read_on(loop)
+        stop = False
         errors = []
 
-        def poster():
-            while not stop.is_set():
+        async def poster():
+            while not stop:
                 try:
                     client.post("ping", lambda response: None)
                 except Exception as exc:  # noqa: BLE001 - the race under test
                     errors.append(exc)
-                time.sleep(0.001)
+                await asyncio.sleep(0.001)
 
-        threads = [threading.Thread(target=poster) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        # Hammer close() against live posters and the re-dials they start;
-        # the lock-protected swap must keep this free of crashes, deadlocks
-        # and AttributeErrors.
-        deadline = time.monotonic() + 1.0
-        while time.monotonic() < deadline:
+        posters = [asyncio.ensure_future(poster()) for _ in range(4)]
+        # Hammer close() against live posts and the re-dial helpers they
+        # start; the lock-protected swap must keep this free of crashes,
+        # deadlocks and AttributeErrors.
+        deadline = loop.time() + 1.0
+        while loop.time() < deadline:
             client.close()
-            time.sleep(0.01)
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=5.0)
-            assert not thread.is_alive(), "poster thread deadlocked"
+            await asyncio.sleep(0.01)
+        stop = True
+        await asyncio.gather(*posters)
         assert not errors
         # The client is still usable: a fresh post is answered.
-        answered = threading.Event()
-        client.post("ping", lambda response: answered.set())
-        assert answered.wait(5.0)
+        answered = loop.create_future()
+        client.post("ping", lambda response: answered.set_result(True))
+        assert await asyncio.wait_for(answered, 5.0)
         client.close()
+
+    try:
+        _on_a_loop(scenario)
     finally:
         server.stop()
 
@@ -255,21 +274,25 @@ def test_posted_calls_are_resent_in_order_until_answered_or_abandoned():
         return None if request["op"] == "b" else {"ok": True}  # b: never answered
 
     server = _MiniServer(handler)
-    try:
-        client = WireClient("127.0.0.1", server.port, timeout=1.0, pipelined=True)
+
+    async def scenario():
+        client = WireClient("127.0.0.1", server.port, timeout=1.0)
+        client.read_on(asyncio.get_running_loop())
         answered: list = []
-        got_c = threading.Event()
         client.post("a", lambda response: answered.append("a"))
         client.post("b", lambda response: answered.append("b"))
-        client.post("c", lambda response: (answered.append("c"), got_c.set()))
-        assert got_c.wait(5.0)
+        client.post("c", lambda response: answered.append("c"))
+        await _until(lambda: "c" in answered)
         # a was answered before the hang-up and is not sent again; b and c
         # are, in posting order, on the new connection.
         assert seen == ["a", "b", "c", "b", "c"] and answered == ["a", "c"]
         assert client.resends == 2 and client.reconnects == 1
         client.close()  # abandons b: nothing re-dials on its behalf any more
-        time.sleep(0.2)
+        await asyncio.sleep(0.2)
         assert seen == ["a", "b", "c", "b", "c"] and not client.connected
+
+    try:
+        _on_a_loop(scenario)
     finally:
         server.stop()
 
@@ -278,8 +301,6 @@ def test_posted_replies_can_be_read_by_an_event_loop_instead_of_a_thread():
     """``read_on(loop)``: the replies are delivered on the loop's own thread
     (no reader thread, no hand-off), and a lost connection is still re-dialled
     and resent on."""
-    import asyncio
-
     seen: list = []
     hung_up = threading.Event()
 
@@ -295,8 +316,7 @@ def test_posted_replies_can_be_read_by_an_event_loop_instead_of_a_thread():
     runner = threading.Thread(target=loop.run_forever, daemon=True)
     runner.start()
     try:
-        client = WireClient("127.0.0.1", server.port, timeout=1.0, pipelined=True,
-                            name="looped")
+        client = WireClient("127.0.0.1", server.port, timeout=1.0, name="looped")
         client.read_on(loop)
         delivered_on: list = []
         done = threading.Event()
@@ -314,7 +334,8 @@ def test_posted_replies_can_be_read_by_an_event_loop_instead_of_a_thread():
         assert seen == ["a", "b", "b"]
         assert delivered_on == [("a", runner), ("b", runner)]
         assert client.resends == 1 and client.reconnects == 1
-        assert "wire-reader-looped" not in {t.name for t in threading.enumerate()}
+        assert not [t.name for t in threading.enumerate()
+                    if t.name.startswith("wire-reader")]
         client.close()
     finally:
         loop.call_soon_threadsafe(loop.stop)
@@ -345,14 +366,17 @@ def test_wal_device_streams_batches_and_counts_fsync_groups():
     appends: list = []
     # Records 1-3 (two batches) share fsync group 1; records 4-5 are group 2.
     server = _MiniServer(_fake_shard(appends, group_of=lambda seq: 1 if seq <= 3 else 2))
-    try:
+
+    async def scenario():
         device = RemoteWalDevice("127.0.0.1", server.port, shard_id=0)
+        device.read_on(asyncio.get_running_loop())
         durable: list[str] = []
         for name, payloads in (("a", [b"1"]), ("b", [b"2", b"3"]), ("c", [b"4", b"5"])):
             for payload in payloads:
                 device.append(payload)
             device.ship(lambda name=name: durable.append(name))  # returns at once
-        device.sync()  # ship (nothing pending) + wait for everything in flight
+        assert durable == []
+        await _until(lambda: len(durable) == 3)
         # seq = the record offset each batch ends at; one ack per batch, in order.
         assert appends == [(1, 1), (3, 2), (5, 2)]
         assert durable == ["a", "b", "c"]
@@ -361,6 +385,9 @@ def test_wal_device_streams_batches_and_counts_fsync_groups():
         assert stats["calls"] == 3 and stats["resends"] == 0
         assert device.bytes_written == 5
         device.close()
+
+    try:
+        _on_a_loop(scenario)
     finally:
         server.stop()
 
@@ -371,16 +398,16 @@ def test_wal_device_resends_everything_unacknowledged_in_order():
     batch's callback runs exactly once."""
     appends: list = []
     server = _MiniServer(_fake_shard(appends, hang_up_on={2}))
-    try:
-        lock = threading.RLock()
-        device = RemoteWalDevice("127.0.0.1", server.port, shard_id=1, lock=lock)
+
+    async def scenario():
+        device = RemoteWalDevice("127.0.0.1", server.port, shard_id=1)
+        device.read_on(asyncio.get_running_loop())
         durable: list[int] = []
-        with lock:  # the owner ships under its own lock; acks wait for it
-            for seq in (1, 2, 3):
-                device.append(b"x")
-                device.ship(lambda seq=seq: durable.append(seq))
-            assert durable == []
-            device.sync()  # waiting releases the lock to the reader thread
+        for seq in (1, 2, 3):
+            device.append(b"x")
+            device.ship(lambda seq=seq: durable.append(seq))
+        assert durable == []  # the acks are read by this loop, once it yields
+        await _until(lambda: len(durable) == 3)
         assert durable == [1, 2, 3]
         seqs = [seq for seq, _ in appends]
         assert seqs[:2] == [1, 2] and seqs[-2:] == [2, 3], seqs
@@ -388,68 +415,81 @@ def test_wal_device_resends_everything_unacknowledged_in_order():
         assert device.wire_stats()["calls"] == 3
         assert device.wire_stats()["reconnects"] == 1
         device.close()
+
+    try:
+        _on_a_loop(scenario)
     finally:
         server.stop()
 
 
 def test_wal_device_waits_out_a_shard_that_is_not_there_yet():
     port = _free_port()
-    device = RemoteWalDevice("127.0.0.1", port, attempt_timeout_s=0.2)
-    device.append(b"x")
-    device.ship()
     appends: list = []
-    time.sleep(0.1)  # refused dials: nothing was sent, nothing to resend
-    server = _MiniServer(_fake_shard(appends), port=port)
-    try:
-        device.sync()
+    servers = []
+
+    async def scenario():
+        device = RemoteWalDevice("127.0.0.1", port, attempt_timeout_s=0.2)
+        device.read_on(asyncio.get_running_loop())
+        durable: list[bool] = []
+        device.append(b"x")
+        device.ship(lambda: durable.append(True))
+        await asyncio.sleep(0.1)  # refused dials: nothing was sent, nothing to resend
+        servers.append(_MiniServer(_fake_shard(appends), port=port))
+        await _until(lambda: durable)
         assert appends == [(1, 1)] and device.resent_batches == 0
         device.close()
+
+    try:
+        _on_a_loop(scenario)
     finally:
-        server.stop()
+        for server in servers:
+            server.stop()
 
 
-def test_wal_device_stress_many_shippers_one_reader():
-    """More shipping threads than cores share one device (and its lock) with
-    its reader thread, under a shortened GIL switch interval: every batch is
-    acknowledged exactly once, in shipping order, and the shard sees the
-    record offsets gapless — a lost update on the offset, the in-flight
-    queue or the counters would break one of these."""
+def test_wal_device_stress_one_loop_ships_while_it_reads_acks():
+    """Many shipping tasks share one device on the loop that reads its
+    acknowledgements, while the shard drops the connection once mid-stream
+    and the re-dial helper resends under a shortened GIL switch interval:
+    every batch is acknowledged exactly once, in shipping order, and the
+    shard sees every record offset, first arrivals in order — a lost update
+    on the offset, the in-flight queue or the counters would break one of
+    these."""
     import sys
 
+    tasks, per_task = 8, 150
+    total = tasks * per_task
     appends: list = []
-    server = _MiniServer(_fake_shard(appends))
+    server = _MiniServer(_fake_shard(appends, hang_up_on={total // 2}))
+
+    async def scenario():
+        device = RemoteWalDevice("127.0.0.1", server.port)
+        device.read_on(asyncio.get_running_loop())
+        shipped: list[int] = []
+        durable: list[int] = []
+
+        async def shipper(index: int) -> None:
+            for n in range(per_task):
+                device.append(b"x" * (1 + n % 3))
+                ticket = len(shipped)
+                shipped.append(ticket)
+                device.ship(lambda ticket=ticket: durable.append(ticket))
+                await asyncio.sleep(0)  # let the loop read acks in between
+
+        await asyncio.gather(*(shipper(i) for i in range(tasks)))
+        await _until(lambda: len(durable) == total, timeout_s=30.0)
+        assert durable == list(range(total))
+        seqs = [seq for seq, _ in appends]
+        assert sorted(set(seqs)) == list(range(1, total + 1))
+        assert list(dict.fromkeys(seqs)) == list(range(1, total + 1))
+        stats = device.wire_stats()
+        assert stats["calls"] == total and device.sync_count == total
+        assert stats["reconnects"] == 1
+        device.close()
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        lock = threading.RLock()
-        device = RemoteWalDevice("127.0.0.1", server.port, lock=lock)
-        shipped: list[int] = []
-        durable: list[int] = []
-        threads, per_thread = 8, 150
-
-        def shipper(index: int) -> None:
-            for n in range(per_thread):
-                with lock:  # append + ship are one step for the owner
-                    device.append(b"x" * (1 + n % 3))
-                    ticket = len(shipped)
-                    shipped.append(ticket)
-                    device.ship(lambda ticket=ticket: durable.append(ticket))
-
-        workers = [threading.Thread(target=shipper, args=(i,)) for i in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=30.0)
-        assert not any(worker.is_alive() for worker in workers)
-        waiter = threading.Thread(target=device.sync)
-        waiter.start()
-        waiter.join(timeout=30.0)
-        assert not waiter.is_alive(), "sync() never saw the stream drain"
-        total = threads * per_thread
-        assert durable == list(range(total))
-        assert [seq for seq, _ in appends] == list(range(1, total + 1))
-        assert device.wire_stats()["calls"] == total and device.sync_count == total
-        device.close()
+        _on_a_loop(scenario, timeout_s=60.0)
     finally:
         sys.setswitchinterval(interval)
         server.stop()
