@@ -3,17 +3,15 @@
 Two callers live here:
 
 :class:`LiveCertifierClient`
-    Runs *inside a replica node process*.  It serves the
-    :class:`~repro.middleware.certifier.CertifierService` surface the
-    :class:`~repro.middleware.proxy.TransparentProxy` calls on its own —
-    ``subscribe_replica`` / ``register_replica`` /
-    ``extend_remote_horizons`` / ``replication_horizon`` — over the wire to
-    the scheduler process, and certifies the commits the replica drives
-    through :meth:`~LiveCertifierClient.certify_async`.  A commit's
-    certification carries the client-supplied transaction id, which the
-    scheduler uses for its exactly-once table; the call itself retries
-    through scheduler outages, which is safe precisely because of that
-    table.
+    Runs *inside a replica node process*, over one connection to the
+    scheduler.  It serves the two calls the
+    :class:`~repro.middleware.proxy.TransparentProxy` makes on its own —
+    ``subscribe_replica`` at boot and ``replication_horizon`` — and sends,
+    in order, what the commits and refreshes the replica drives yield
+    (:meth:`~LiveCertifierClient.send`).  A commit's certification carries
+    the client-supplied transaction id, which the scheduler uses for its
+    exactly-once table; every call retries through scheduler outages, which
+    is safe precisely because of that table.
 
 :class:`LiveSession`
     Runs *in the driver process* (a test, a benchmark, the CLI) and mirrors
@@ -44,7 +42,7 @@ from repro.errors import ReproError, TransactionAborted
 from repro.live import codec
 from repro.live.wire import (REFUSALS, ConnectionLost, RemoteCallError, WireClient, backoff_s,
                              check_ok)
-from repro.middleware.proxy import CommitOutcome
+from repro.middleware.proxy import CommitOutcome, RefreshPoll
 
 
 class CommitInDoubt(ReproError):
@@ -66,83 +64,50 @@ class CommitInDoubt(ReproError):
 # ---------------------------------------------------------------------------
 
 
-class LiveSubscription:
-    """The proxy-facing view of a server-side writeset subscription.
-
-    The real :class:`WritesetSubscription` lives in the scheduler process
-    (created by ``hello_replica``); this object just carries the cursor ops
-    the proxy performs — ``advance_to`` is buffered and shipped with the next
-    ``poll_flat`` so a refresh costs one round trip, not two.
-    """
-
-    def __init__(self, client: WireClient, replica: str,
-                 certifier: "LiveCertifierClient") -> None:
-        self._client = client
-        self.replica = replica
-        self._advance_to = 0
-        self._certifier = certifier  # takes the horizon each answer carries
-
-    def advance_to(self, version: int) -> None:
-        self._advance_to = max(self._advance_to, version)
-
-    def poll_flat(self) -> list[RemoteWriteSetInfo]:
-        try:
-            response = self._client.call_retrying(
-                "poll_writesets", replica=self.replica,
-                advance_to=self._advance_to,
-            )
-        except RemoteCallError as exc:
-            if not exc.error.startswith("unknown replica"):
-                raise
-            # A promoted standby (or restarted scheduler) has no server-side
-            # subscription for us; re-subscribe from the applied cursor and
-            # retry — the directory backfills anything committed since.
-            self._client.call_retrying("hello_replica", replica=self.replica,
-                                       from_version=self._advance_to)
-            response = self._client.call_retrying(
-                "poll_writesets", replica=self.replica,
-                advance_to=self._advance_to,
-            )
-        self._certifier.horizon = response["horizon"]
-        return [codec.decode_remote_info(i) for i in response["writesets"]]
+#: What a call's answer is before it arrives (a register's answer is ``None``).
+_UNANSWERED = object()
 
 
-class _Certification:
-    """One commit's ``certify`` call, from its first send to its finish."""
+class _Call:
+    """One call on the in-order connection, from its first send to its finish."""
 
-    __slots__ = ("fields", "finish", "sent_at", "answered_at", "answer", "refused")
+    __slots__ = ("op", "fields", "decode", "finish", "sent_at", "answered_at", "answer",
+                 "refused")
 
-    def __init__(self, fields: dict, finish: Callable[[object], None]) -> None:
+    def __init__(self, op: str, fields: dict, decode: Callable[[dict], object],
+                 finish: Callable[[object], None]) -> None:
+        self.op = op
         self.fields = fields
+        self.decode = decode
         self.finish = finish
         self.sent_at = time.perf_counter()
         self.answered_at = 0.0
-        #: The decoded result, or the error its answer raised.
-        self.answer: CertificationResult | Exception | None = None
+        #: The decoded answer, or the error it raised.
+        self.answer: object = _UNANSWERED
         self.refused = False  # answered with a refusal: waiting to be sent again
 
 
 class LiveCertifierClient:
     """The proxy's certifier in a replica process; its backend is the scheduler.
 
-    Two connections.  The control one is a plain blocking client for what
-    the proxy calls on its own — ``subscribe_replica`` at boot, and
-    ``register_replica`` / ``extend_remote_horizons`` / the subscription's
-    poll during a refresh — so those never wait for the event loop.  Commits
-    do not go through the proxy's ``certify`` at all: the replica drives
-    :meth:`~repro.middleware.proxy.TransparentProxy.commit_steps` itself and
-    hands each request to :meth:`certify_async`, a call posted on a
-    second connection whose replies the replica's event loop reads
-    (:meth:`read_on`).  Send order is certification order — the scheduler
-    admits requests in arrival order — so the answers are finished in send
-    order whatever order they arrive in: a later commit's finalization sees
-    the earlier commit's writeset among its in-band remotes, and applying it
-    first would priority-abort the earlier commit's still-open engine
-    transaction.
+    One connection.  At boot, before any event loop runs, the proxy's
+    ``subscribe_replica`` is a blocking ``hello_replica``.  From then on the
+    replica's event loop reads the answers (:meth:`read_on`) and every call
+    is posted through :meth:`send`: the requests a proxy's
+    :meth:`~repro.middleware.proxy.TransparentProxy.commit_steps` and
+    :meth:`~repro.middleware.proxy.TransparentProxy.refresh_steps` yield —
+    a certification, a refresh's poll, its watermark report.  Send order is
+    certification order — the scheduler admits requests in arrival order —
+    so the answers are finished in send order whatever order they arrive
+    in: a later commit's finalization sees the earlier commit's writeset
+    among its in-band remotes, and applying it first would priority-abort
+    the earlier commit's still-open engine transaction; a poll served after
+    an earlier commit became durable carries that commit's own writeset,
+    which the commit must install first.
 
-    The scheduler piggy-backs its replication horizon on every ``certify``
-    and ``poll_writesets`` answer; :meth:`replication_horizon` returns the
-    latest one, so the proxy's maintenance step makes no wire call.
+    The scheduler piggy-backs its replication horizon on every answer;
+    :meth:`replication_horizon` returns the latest one, so the proxy's
+    maintenance step makes no wire call.
     """
 
     def __init__(self, host: str, port: int, *, replica_name: str,
@@ -150,53 +115,80 @@ class LiveCertifierClient:
                  fallbacks: tuple[tuple[str, int], ...] = ()) -> None:
         self.replica_name = replica_name
         self._client = WireClient(host, port, timeout=attempt_timeout_s,
-                                  name=f"certifier-{replica_name}", fallbacks=fallbacks)
-        self._certify = WireClient(host, port, timeout=attempt_timeout_s,
-                                   name=f"certify-{replica_name}", fallbacks=fallbacks)
+                                  name=f"certify-{replica_name}", fallbacks=fallbacks)
         self._loop: asyncio.AbstractEventLoop | None = None
-        #: Sent, unfinished certifications in send order.
-        self._in_flight: deque[_Certification] = deque()
+        #: Sent, unfinished calls in send order.
+        self._in_flight: deque[_Call] = deque()
         self._retries = 0  # consecutive rounds of refusals: the backoff's attempt
         self._retry_armed = False
         #: The scheduler's replication horizon, as of its latest answer.
         self.horizon = 0
-        #: Cumulative seconds commits spent waiting on the certify wire
-        #: round trip / for every earlier commit to finish.
+        #: Cumulative seconds calls spent waiting on the wire round trip /
+        #: for every earlier call to finish.
         self.wire_wait_s = 0.0
         self.gate_wait_s = 0.0
+        #: Remote writesets decoded from certify and poll answers (how many
+        #: times the scheduler sent one, against how many the proxy applied).
+        self.remote_writesets_received = 0
 
     def read_on(self, loop: asyncio.AbstractEventLoop) -> None:
-        """``loop`` reads the certify answers and runs every ``finish``."""
+        """``loop`` reads the answers and runs every ``finish``."""
         self._loop = loop
-        self._certify.read_on(loop)
+        self._client.read_on(loop)
 
     def wire_stats(self) -> dict[str, int]:
-        return self._certify.stats()
+        return self._client.stats()
 
-    def certify_async(self, request: CertificationRequest, tx_id: str | None,
-                      finish: Callable[[object], None]) -> None:
-        """Send ``request`` and return; ``finish(answer)`` runs on the loop —
-        the :class:`CertificationResult`, or the exception the answer raised
-        (a :class:`RemoteCallError`) — once every earlier call has finished.
+    def send(self, request: CertificationRequest | RefreshPoll | int,
+             finish: Callable[[object], None], tx_id: str | None = None) -> None:
+        """Post ``request`` and return; ``finish(answer)`` runs on the loop
+        once every earlier call has finished.  ``request`` is what a proxy's
+        steps yield: a :class:`CertificationRequest` (answered with its
+        :class:`CertificationResult`; ``tx_id`` rides with it), a
+        :class:`RefreshPoll` (answered with the writesets) or the applied
+        version to register (answered with ``None``).  An answer that is an
+        error is handed over as the exception it raises (a
+        :class:`RemoteCallError`).
 
         Refusals (``NotPromoted``, ``NotDurableYet``) are asked again after a
         backoff, in send order; a lost connection is re-dialled (rotating to
         a fallback address when refused) and every unanswered call resent.
         Retrying is safe: with a ``tx_id`` the scheduler's exactly-once table
-        answers a duplicate from the record; without one the transaction
-        never left this process, so a resend is the first delivery.
+        answers a duplicate certification from the record; without one the
+        transaction never left this process, so a resend is the first
+        delivery; a poll and a watermark report change nothing twice.
         """
-        fields: dict[str, object] = {"request": codec.encode_request(request)}
-        if tx_id is not None:
-            fields["tx_id"] = tx_id
-        call = _Certification(fields, finish)
+        if isinstance(request, CertificationRequest):
+            fields: dict[str, object] = {"request": codec.encode_request(request)}
+            if tx_id is not None:
+                fields["tx_id"] = tx_id
+            call = _Call("certify", fields, self._decode_certify, finish)
+        elif isinstance(request, RefreshPoll):
+            fields = {"advance_to": request.advance_to}
+            if request.back_to is not None:
+                fields["back_to"] = request.back_to
+            call = _Call("poll_writesets", fields, self._decode_poll, finish)
+        else:
+            call = _Call("register_replica",
+                         {"replica": self.replica_name, "version": request},
+                         lambda _response: None, finish)
         self._in_flight.append(call)
-        self._send(call)
+        self._post(call)
 
-    def _send(self, call: _Certification) -> None:
-        self._certify.post("certify", functools.partial(self._answered, call), **call.fields)
+    def _decode_certify(self, response: dict) -> CertificationResult:
+        result = codec.decode_result(response["result"])
+        self.remote_writesets_received += len(result.remote_writesets)
+        return result
 
-    def _answered(self, call: _Certification, response: dict) -> None:
+    def _decode_poll(self, response: dict) -> list[RemoteWriteSetInfo]:
+        remote = [codec.decode_remote_info(i) for i in response["writesets"]]
+        self.remote_writesets_received += len(remote)
+        return remote
+
+    def _post(self, call: _Call) -> None:
+        self._client.post(call.op, functools.partial(self._answered, call), **call.fields)
+
+    def _answered(self, call: _Call, response: dict) -> None:
         if response.get("error_type") in REFUSALS:
             call.refused = True
             if not self._retry_armed:
@@ -208,12 +200,12 @@ class LiveCertifierClient:
         call.answered_at = time.perf_counter()
         self.wire_wait_s += call.answered_at - call.sent_at
         try:
-            call.answer = codec.decode_result(check_ok("certify", response)["result"])
+            call.answer = call.decode(check_ok(call.op, response))
             self.horizon = response["horizon"]
-        except Exception as exc:  # noqa: BLE001 - the commit's to raise; the loop reads on
+        except Exception as exc:  # noqa: BLE001 - the caller's to raise; the loop reads on
             call.answer = exc
         in_flight = self._in_flight
-        while in_flight and in_flight[0].answer is not None:
+        while in_flight and in_flight[0].answer is not _UNANSWERED:
             head = in_flight.popleft()
             self.gate_wait_s += time.perf_counter() - head.answered_at
             head.finish(head.answer)
@@ -224,32 +216,23 @@ class LiveCertifierClient:
         for call in self._in_flight:
             if call.refused:
                 call.refused = False
-                self._send(call)
+                self._post(call)
 
-    # -- CertifierService surface (what TransparentProxy + Replica call) ------
+    # -- CertifierService surface (what TransparentProxy calls on its own) ----
 
-    def subscribe_replica(self, replica: str, from_version: int = 0) -> LiveSubscription:
+    def subscribe_replica(self, replica: str, from_version: int = 0) -> None:
+        """Join the scheduler's log-GC protocol, blocking: the proxy calls
+        this while it is built, before the loop exists.  The scheduler keeps
+        no writeset queue per replica — a refresh polls its directory — so
+        there is no subscription to hand back."""
         self._client.call_retrying("hello_replica", replica=replica,
                                    from_version=from_version)
-        return LiveSubscription(self._client, replica, self)
-
-    def register_replica(self, replica: str, version: int = 0) -> None:
-        self._client.call_retrying("register_replica", replica=replica, version=version)
-
-    def extend_remote_horizons(self, infos: list[RemoteWriteSetInfo],
-                               back_to: int) -> list[RemoteWriteSetInfo]:
-        response = self._client.call_retrying(
-            "extend_remote_horizons",
-            infos=[codec.encode_remote_info(i) for i in infos], back_to=back_to,
-        )
-        return [codec.decode_remote_info(i) for i in response["infos"]]
 
     def replication_horizon(self) -> int:
         return self.horizon
 
     def close(self) -> None:
         self._client.close()
-        self._certify.close()
 
 
 # ---------------------------------------------------------------------------

@@ -71,11 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> None:
-    # Node processes mix an asyncio event loop with service/worker threads;
-    # the default 5 ms GIL switch interval lets the loop thread starve a
-    # worker that just finished blocking IO (observed: a 0.25 ms WAL round
-    # trip ballooning to ~4 ms under load).  1 ms of scheduling granularity
-    # keeps cross-thread hand-offs prompt at negligible switching cost.
+    # A certifier shard mixes its event loop with a log-writer thread (and
+    # a wire client may re-dial on a helper thread); the default 5 ms GIL
+    # switch interval lets the loop thread starve a thread that just
+    # finished blocking IO (observed: a 0.25 ms WAL round trip ballooning
+    # to ~4 ms under load).  1 ms of scheduling granularity keeps
+    # cross-thread hand-offs prompt at negligible switching cost.
     sys.setswitchinterval(0.001)
     args = build_parser().parse_args(argv)
     role = pkgutil.resolve_name(ROLES[args.role])(args)

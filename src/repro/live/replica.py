@@ -4,13 +4,13 @@ An engine :class:`Database` (file-backed engine WAL) behind the *unmodified*
 :class:`TransparentProxy`, whose certifier is a
 :class:`~repro.live.client.LiveCertifierClient` speaking the wire protocol to
 the scheduler.  Serves client sessions plus the maintenance surface (refresh,
-dump_table) the cluster driver uses, under one replica-wide state lock.
-Commits run on the event loop: a commit's local half runs inline up to its
-certification request, the request is posted to the scheduler, and the
-event loop — which reads the answers itself — finishes commits in
-certification (= send = global version) order, so commits overlap on the
-wire while all local work stays serialized and never changes threads.  Only
-``scan``, ``refresh`` and ``dump_table`` run on a small thread pool.
+dump_table) the cluster driver uses.  Every op runs on the event loop and
+nothing else touches the replica's state, so it needs no lock.  A commit's
+local half runs inline up to its certification request, and a refresh's up to
+its poll; the request is posted to the scheduler on one connection, and the
+event loop — which reads the answers itself — finishes them in send order,
+which for commits is certification (= global version) order.  Commits and
+refreshes overlap on the wire; neither can overtake the other.
 
 Fault points: ``--wedge-before-commit-op`` / ``--wedge-after-commit-op`` freeze
 the node at its Nth commit — never certified, or (the ``post-flush`` point of
@@ -21,9 +21,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from functools import partial
 
 from repro.engine.database import Database
@@ -32,26 +29,11 @@ from repro.engine.log_device import FileLogDevice
 from repro.errors import TransactionAborted
 from repro.live import codec
 from repro.live.client import LiveCertifierClient
-from repro.live.server import (ASYNC, BATCH, POOLED, WEDGE, Op, Role, batch_placement,
-                               error_envelope, load_spec, lookup, parse_addr)
+from repro.live.server import (ASYNC, WEDGE, Op, Role, error_envelope, load_spec, lookup,
+                               parse_addr)
 from repro.live.wire import RemoteCallError
 from repro.middleware.client_api import ClientSession
-from repro.middleware.proxy import CommitOutcome, CommitSteps
 from repro.middleware.replica import Replica
-
-#: Worker threads per replica, for the table-sized ops (``scan``,
-#: ``refresh``, ``dump_table``); everything else runs on the event loop.
-WORKERS = 8
-
-
-def _run_to_end(coroutine):
-    """The result of a coroutine that never suspends (every statement of the
-    batch is synchronous)."""
-    try:
-        coroutine.send(None)
-    except StopIteration as done:
-        return done.value
-    raise RuntimeError("a synchronous batch suspended")
 
 
 class ReplicaRole(Role):
@@ -79,15 +61,9 @@ class ReplicaRole(Role):
         fallbacks: tuple[tuple[str, int], ...] = ()
         if args.scheduler_standby:
             fallbacks = (parse_addr(args.scheduler_standby),)
-        #: Replica-wide state lock: every op holds it while it touches local
-        #: state — a commit twice, never across its certification round
-        #: trip — so all local state stays single-threaded.  Nothing holds it
-        #: while waiting for an answer only the event loop reads.
-        self.lock = threading.Lock()
         self.cert_client = LiveCertifierClient(host, port, replica_name=self.name,
                                                fallbacks=fallbacks)
-        self.executor = ThreadPoolExecutor(max_workers=WORKERS,
-                                           thread_name_prefix=f"{self.name}-worker")
+        # The proxy says hello to the scheduler here, blocking: no loop yet.
         self.replica = Replica(
             self.name,
             database,
@@ -117,40 +93,27 @@ class ReplicaRole(Role):
     def start(self, loop: asyncio.AbstractEventLoop) -> None:
         self.cert_client.read_on(loop)
 
-    def session_batch(self, payload: dict):
+    async def session_batch(self, payload: dict):
         """Execute a fused list of session statements as one frame.
 
         The driver's :class:`LiveSession` defers resultless statements and
         ships them ahead of the next synchronous one, cutting the per-
-        transaction frame count.  Statements run in order; the first failure
-        stops the batch and its error envelope is returned in place — the
-        same outcome the client would have observed sending the statements
-        as individual frames and halting at the error.
-
-        The server holds the state lock around a batch it places inline or
-        pooled.  A batch with an ASYNC statement (a commit) is placed async:
-        this then returns the coroutine the server awaits, which takes the
-        lock for each synchronous statement itself.
+        transaction frame count.  Statements run in order, an ASYNC one (a
+        commit) awaited; the first failure stops the batch and its error
+        envelope is returned in place — the same outcome the client would
+        have observed sending the statements as individual frames and
+        halting at the error.
         """
-        statements = []
-        for entry in payload["ops"]:
-            sub = dict(entry)
-            statements.append((sub.pop("op"), sub))
-            sub["session_id"] = payload["session_id"]
-        if batch_placement(self, payload) is ASYNC:
-            return self._run_statements(statements, self.lock)
-        return _run_to_end(self._run_statements(statements, nullcontext()))
-
-    async def _run_statements(self, statements: list[tuple[str, dict]], lock):
         results: list[dict] = []
-        for op, sub in statements:
+        for statement in payload["ops"]:
+            sub = dict(statement)
+            op = sub.pop("op")
+            sub["session_id"] = payload["session_id"]
             try:
                 entry = lookup(self, op)
+                result = entry.handler(self, sub)
                 if entry.placement is ASYNC:
-                    result = await entry.handler(self, sub)
-                else:
-                    with lock:
-                        result = entry.handler(self, sub)
+                    result = await result
             except Exception as exc:  # noqa: BLE001 - per-statement boundary
                 results.append(error_envelope(exc))
                 break
@@ -186,10 +149,10 @@ class ReplicaRole(Role):
         except LockBlockedError as exc:
             # No-wait write-write policy.  The functional/sim stacks park
             # a blocked writer in the lock manager's wait queue, but the
-            # live replica's event loop cannot sit inside its state lock
-            # waiting for the holder's commit — abort the requester
-            # instead (first-updater wins; the loser retries with a fresh
-            # transaction, which is how the driver counts it).
+            # live replica's event loop cannot wait for the holder's
+            # commit — abort the requester instead (first-updater wins; the
+            # loser retries with a fresh transaction, which is how the
+            # driver counts it).
             session.abort()
             raise TransactionAborted(str(exc), reason="ww-block") from exc
 
@@ -199,9 +162,9 @@ class ReplicaRole(Role):
     async def commit(self, payload: dict):
         """Run the commit's local half up to its certification request, post
         the request — the exactly-once tx id rides down with it — and wait
-        for :meth:`_finish_commit` to run the rest.  A commit whose request
-        was sent finishes even if this task is cancelled (its client hung
-        up): the answer, not the waiting client, drives it."""
+        for the answer to finish it.  A commit whose request was sent
+        finishes even if this task is cancelled (its client hung up): the
+        answer, not the waiting client, drives it."""
         session = self._session(payload)
         self.commit_ops += 1
         if (self.wedge_before_commit_op
@@ -210,20 +173,7 @@ class ReplicaRole(Role):
             # status query finds nothing and re-executes — safely, exactly
             # once, because nothing was admitted.
             return WEDGE
-        finished = None
-        with self.lock:
-            steps = session.commit_steps()
-            try:
-                request = next(steps)
-            except StopIteration as done:  # read-only, or aborted locally
-                outcome = done.value
-            else:
-                finished = asyncio.get_running_loop().create_future()
-                self.cert_client.certify_async(
-                    request, payload.get("tx_id"),
-                    partial(self._finish_commit, steps, finished))
-        if finished is not None:
-            outcome = await finished
+        outcome = await self._drive(session.commit_steps(), payload.get("tx_id"))
         if (self.wedge_after_commit_op
                 and self.commit_ops == self.wedge_after_commit_op):
             # Killed here, the transaction IS committed (admitted, durable,
@@ -232,28 +182,42 @@ class ReplicaRole(Role):
             return WEDGE
         return {"outcome": codec.encode_outcome(outcome)}
 
-    def _finish_commit(self, steps: CommitSteps, finished: asyncio.Future,
-                       answer) -> None:
-        """On the loop, in certification order: resume ``steps`` with the
-        certifier's ``answer`` under the state lock."""
+    async def refresh(self, payload: dict):
+        """Poll the scheduler, apply what is new and report the watermark —
+        each call in send order behind the commits already sent."""
+        applied = await self._drive(self.replica.proxy.refresh_steps())
+        return {"applied": self.replica.count_refresh(applied)}
+
+    def _drive(self, steps, tx_id: str | None = None) -> asyncio.Future:
+        """Run a proxy's commit or refresh ``steps`` to their outcome: the
+        future this returns."""
+        settled = asyncio.get_running_loop().create_future()
+        self._resume(steps, tx_id, settled, None)
+        return settled
+
+    def _resume(self, steps, tx_id: str | None, settled: asyncio.Future, answer) -> None:
+        """Resume ``steps`` with ``answer`` — at first ``None``, then on the
+        loop in send order — and post the next request they yield, or settle
+        their outcome (if its waiter is still there)."""
         try:
-            with self.lock:
-                if isinstance(answer, Exception):
-                    steps.throw(answer)
-                else:
-                    steps.send(answer)
+            if isinstance(answer, Exception):
+                request = steps.throw(answer)
+            else:
+                request = steps.send(answer)
         except StopIteration as done:
-            result: CommitOutcome | Exception = done.value
-        except Exception as exc:  # noqa: BLE001 - the commit's caller raises it
+            result = done.value
+        except Exception as exc:  # noqa: BLE001 - the waiter raises it
             result = exc
         else:
-            result = RuntimeError("commit steps yielded a second request")
-        if finished.done():  # its waiter is gone; the commit is finished all the same
+            self.cert_client.send(request, partial(self._resume, steps, tx_id, settled),
+                                  tx_id)
+            return
+        if settled.done():  # its waiter is gone; the steps finished all the same
             return
         if isinstance(result, Exception):
-            finished.set_exception(result)
+            settled.set_exception(result)
         else:
-            finished.set_result(result)
+            settled.set_result(result)
 
     def dump_table(self, payload: dict):
         database = self.replica.database
@@ -265,31 +229,30 @@ class ReplicaRole(Role):
     def stats(self, payload: dict):
         return {"stats": self.replica.stats_snapshot(),
                 "commit_ops": self.commit_ops,
-                "workers": WORKERS,
                 "certifier_wire": self.cert_client.wire_stats(),
+                "remote_writesets_received": self.cert_client.remote_writesets_received,
                 "commit_wire_wait_s": self.cert_client.wire_wait_s,
                 "commit_gate_wait_s": self.cert_client.gate_wait_s,
                 "server": self.server_stats.as_dict()}
 
-    #: POOLED ops block on another node (refresh pulls writesets) or do
-    #: table-sized work; ``commit`` is ASYNC — its local halves run on the
-    #: loop, under the lock, around a certification the loop does not wait
-    #: for; everything else is local micro-work that is cheaper to run
-    #: inline than to pay two thread hand-offs for.
+    #: ``commit`` and ``refresh`` are ASYNC — their local halves run on the
+    #: loop around a scheduler call the loop does not wait for — and so is a
+    #: ``session_batch``, which may end in a commit; everything else is
+    #: local work, run inline.
     ops = {
         "open_session": Op(open_session),
         "close_session": Op(close_session),
-        "session_batch": Op(session_batch, BATCH),
+        "session_batch": Op(session_batch, ASYNC),
         "begin": Op(begin),
         "read": Op(read),
-        "scan": Op(scan, POOLED),
+        "scan": Op(scan),
         "insert": Op(partial(write, method="insert")),
         "update": Op(partial(write, method="update")),
         "delete": Op(partial(write, method="delete")),
         "abort": Op(abort),
         "commit": Op(commit, ASYNC),
-        "refresh": Op(lambda self, _: {"applied": self.replica.refresh()}, POOLED),
-        "dump_table": Op(dump_table, POOLED),
+        "refresh": Op(refresh, ASYNC),
+        "dump_table": Op(dump_table),
         "replica_version": Op(lambda self, _: {"version": self.replica.replica_version}),
         "stats": Op(stats),
         "ping": Op(lambda self, _: {"role": "replica", "name": self.name,

@@ -14,7 +14,8 @@ One event loop orders every change to the role's state: it **admits**
 acknowledgements and **releases** each decision when the global durable
 frontier reaches its version, and runs every other op inline (``promote``
 awaits its shard reads there).  Only a standby's seed, before the loop
-exists, blocks on another node.
+exists, blocks on another node.  It keeps no writeset queue per replica: a
+replica's refresh polls the certifier directory (``poll_writesets``).
 
 Fault points: ``--wedge-before-certify-round`` / ``--wedge-after-certify-round``
 freeze the node before the Nth round is admitted (nothing durable) or when
@@ -194,13 +195,16 @@ class SchedulerRole(Role):
         self._held: deque[_Held] = deque()
         self.held_decisions_high_water = 0
         self._batcher: _CertifyBatcher | None = None
-        #: replica name -> server-side writeset subscription.
-        self.subscriptions: dict[str, object] = {}
         #: Exactly-once transaction table: tx_id -> recorded certify outcome.
         self.tx_table: dict[str, dict] = {}
         self.tx_admits = 0
         self.duplicate_tx_hits = 0
         self.status_queries = 0
+        #: Decisions answered to ``certify`` (fresh or from the record), and
+        #: the remote writesets they carried: per commit, how many times a
+        #: writeset is sent.
+        self.certify_answers_sent = 0
+        self.remote_writesets_sent = 0
 
     # -- standby seeding and promotion ----------------------------------------
 
@@ -373,34 +377,31 @@ class SchedulerRole(Role):
         return {"known": True, **recorded}
 
     def hello_replica(self, payload: dict):
+        """A replica joins the log-GC protocol at ``from_version``.  A restarted
+        replica says hello under its old name: its dead incarnation's
+        watermark is forgotten first, so the new one may start below it."""
         name = payload["replica"]
         from_version = int(payload.get("from_version", 0))
-        previous = self.subscriptions.pop(name, None)
-        if previous is not None:
-            # A restarted replica re-subscribes under its old name; the
-            # dead incarnation's subscription must not pin GC or queue
-            # batches nobody will drain.
-            self.service.disconnect_replica(name)
-        self.subscriptions[name] = self.service.subscribe_replica(name, from_version)
+        self.service.disconnect_replica(name)
+        self.service.register_replica(name, from_version)
         return {"subscribed_from": from_version}
 
     def poll_writesets(self, payload: dict):
-        subscription = self.subscriptions.get(payload["replica"])
-        if subscription is None:
-            raise RemoteCallError("poll_writesets",
-                                  f"unknown replica {payload['replica']!r}")
-        subscription.advance_to(int(payload.get("advance_to", 0)))
-        return {"writesets": [codec.encode_remote_info(i)
-                              for i in subscription.poll_flat()],
+        """A replica's refresh, answered from the directory: every released
+        writeset after ``advance_to``, horizons extended back to ``back_to``
+        when it is given.  The scheduler keeps no queue per replica, and the
+        poll changes no GC input: the refresh reports its watermark after it
+        has applied the answer."""
+        back_to = payload.get("back_to")
+        remote = self.service.fetch_remote_writesets(
+            int(payload.get("advance_to", 0)), None if back_to is None else int(back_to),
+            up_to=self.service.core.propagated_version)
+        return {"writesets": [codec.encode_remote_info(i) for i in remote],
                 "horizon": self.service.replication_horizon()}
 
     def register_replica(self, payload: dict):
         self.service.register_replica(payload["replica"], int(payload.get("version", 0)))
-
-    def extend_remote_horizons(self, payload: dict):
-        infos = [codec.decode_remote_info(i) for i in payload["infos"]]
-        extended = self.service.extend_remote_horizons(infos, int(payload["back_to"]))
-        return {"infos": [codec.encode_remote_info(i) for i in extended]}
+        return {"horizon": self.service.replication_horizon()}
 
     def stats(self, payload: dict):
         service = self.service
@@ -410,6 +411,8 @@ class SchedulerRole(Role):
             "tx_table_size": len(self.tx_table),
             "duplicate_tx_hits": self.duplicate_tx_hits,
             "status_queries": self.status_queries,
+            "certify_answers_sent": self.certify_answers_sent,
+            "remote_writesets_sent": self.remote_writesets_sent,
             "wal_resent_batches": sum(d.resent_batches for d in self.devices),
             "replicated": self.replicated,
             "standby": self.standby,
@@ -452,7 +455,6 @@ class SchedulerRole(Role):
         "hello_replica": Op(hello_replica),
         "poll_writesets": Op(poll_writesets),
         "register_replica": Op(register_replica),
-        "extend_remote_horizons": Op(extend_remote_horizons),
         "replication_horizon": Op(
             lambda self, _: {"horizon": self.service.replication_horizon()}),
         "collect_garbage": Op(
@@ -500,6 +502,8 @@ class SchedulerRole(Role):
             request.replica_version, replica=request.origin_replica or None,
             up_to=min(recorded.get("decided_at") or released, released),
             exclude_version=recorded["commit_version"])
+        self.certify_answers_sent += 1
+        self.remote_writesets_sent += len(remote)
         return {
             "result": {
                 "decision": "commit" if recorded["committed"] else "abort",
@@ -580,6 +584,8 @@ class SchedulerRole(Role):
             tx_id = payload.get("tx_id")
             response = {"result": codec.encode_result(outcome), "duplicate": False,
                         "horizon": horizon}
+            self.certify_answers_sent += 1
+            self.remote_writesets_sent += len(outcome.remote_writesets)
             release_at = outcome.tx_commit_version or max(
                 (info.commit_version for info in outcome.remote_writesets), default=0)
             if release_at > frontier:

@@ -3,20 +3,16 @@
 Everything that is the same for a certifier shard, a scheduler and a replica:
 the frame loop, the wire counters, the ``ok`` / ``rid`` / error envelope, the
 wedge freeze and the **only** dispatcher.  A role declares one table ``op ->
-Op(handler, placement, standby)``; where a frame's handler runs is decided here:
+Op(handler, placement, standby)``; how a frame's handler runs is decided here.
+It always runs on the event loop, and no lock is held around it: the loop is
+the only thread in a role's state (a certifier shard's log writer shares only
+the shard's queue, behind the shard's own lock).
 
-``INLINE``  on the event loop under the role's lock — work that never waits on
-            another node (safe on the loop: no role holds its lock across
-            such a wait);
-``POOLED``  on the role's executor under the role's lock — handlers that block
-            on another node or do table-sized work (only the replica has any);
-``ASYNC``   awaited on the loop without the lock — handlers that park on a
-            future somebody else resolves (log writer, certification batcher,
-            a promotion's shard reads, a replica's certification answer),
-            taking the lock themselves for what they do to local state;
-``BATCH``   a frame carrying a list of statements under ``ops``: async when
-            any statement's own entry is, else pooled when any is, else
-            inline.
+``INLINE``  called in place — work that never waits on another node;
+``ASYNC``   awaited — handlers that park on a future somebody else resolves
+            (log writer, certification batcher, a promotion's shard reads,
+            a replica's certification or refresh answer, a statement batch
+            that ends in a commit).
 
 Framing and ``rid`` multiplexing are :mod:`repro.live.wire`'s; the readiness
 handshake line on stdout is :mod:`repro.live.harness`'s.
@@ -26,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import contextlib
 import json
 import os
 import sys
@@ -45,7 +40,7 @@ from repro.live.wire import RemoteCallError, WireError, encode_frame, read_frame
 #: deterministic "wedge" the crash tests SIGKILL through).
 WEDGE = object()
 
-INLINE, POOLED, ASYNC, BATCH = "inline", "pooled", "async", "batch"
+INLINE, ASYNC = "inline", "async"
 
 
 class Op(NamedTuple):
@@ -77,14 +72,9 @@ class ServerStats:
 class Role:
     """What the server needs of a node role.  A subclass sets ``role_name``
     (as the unknown-op error prints it), the ``ops`` table and
-    ``describe()`` — its fields of the readiness handshake; a role whose
-    state other threads touch too sets the ``lock`` held around every
-    INLINE and POOLED handler, and one with POOLED ops the ``executor`` they
-    run on."""
+    ``describe()`` — its fields of the readiness handshake."""
 
     promoted = True  # only a standby scheduler is ever not
-    #: No lock by default: the loop is the only thread in the role's state.
-    lock = contextlib.nullcontext()
 
     def __init__(self) -> None:
         self.server_stats = ServerStats()
@@ -151,48 +141,17 @@ def lookup(role: Role, op: str) -> Op:
     return entry
 
 
-def batch_placement(role: Role, payload: dict) -> str:
-    """Where a BATCH frame runs: async when any statement's entry is, else
-    pooled when any is, else inline."""
-    placement = INLINE
-    for statement in payload.get("ops", ()):
-        entry = role.ops.get(statement.get("op"))
-        if entry is None:
-            continue  # answered by the batch with the unknown-op error
-        if entry.placement is ASYNC:
-            return ASYNC
-        if entry.placement is POOLED:
-            placement = POOLED
-    return placement
-
-
-def _plan(role: Role, op: str, payload: dict) -> tuple[Callable, str]:
-    """``(handler, placement)`` for one frame."""
-    entry = lookup(role, op)
-    if entry.placement is BATCH:
-        return entry.handler, batch_placement(role, payload)
-    return entry.handler, entry.placement
-
-
-def _locked(role: Role, handler: Callable, payload: dict):
-    with role.lock:
-        return handler(role, payload)
-
-
 def call(role: Role, op: str, payload: dict):
-    """Answer one non-ASYNC op on the calling thread, as the loop does an
-    INLINE frame: how in-process tests drive a role with no sockets."""
-    return _locked(role, _plan(role, op, payload)[0], payload)
+    """Answer one INLINE op on the calling thread, as the loop does: how
+    in-process tests drive a role with no sockets."""
+    return lookup(role, op).handler(role, payload)
 
 
 async def dispatch(role: Role, op: str, payload: dict):
-    handler, placement = _plan(role, op, payload)
-    if placement is ASYNC:
-        return await handler(role, payload)
-    if placement is POOLED:
-        return await asyncio.get_running_loop().run_in_executor(
-            role.executor, _locked, role, handler, payload)
-    return _locked(role, handler, payload)
+    entry = lookup(role, op)
+    if entry.placement is ASYNC:
+        return await entry.handler(role, payload)
+    return entry.handler(role, payload)
 
 
 async def start_server(role: Role, host: str, port: int) -> asyncio.Server:

@@ -65,10 +65,10 @@ class CertifierShardRole(Role):
         self.append_groups = 0
         #: Batches waiting for the disk — ``(seq, payloads, reply future)`` —
         #: and whether somebody (loop or writer thread) is committed to
-        #: writing them; both under ``lock``.
+        #: writing them; both under ``_lock``.
         self._queue: list = []
         self._writing = False
-        self.lock = threading.Lock()
+        self._lock = threading.Lock()
         self._slow_disk = False
         self._writer = ThreadPoolExecutor(max_workers=1,
                                           thread_name_prefix="log-writer")
@@ -79,7 +79,7 @@ class CertifierShardRole(Role):
 
     def _append(self, seq: int, payloads: list[bytes]) -> asyncio.Future:
         reply = self._loop.create_future()
-        with self.lock:
+        with self._lock:
             self._queue.append((seq, payloads, reply))
             self.queued_high_water = max(self.queued_high_water, len(self._queue))
             idle, self._writing = not self._writing, True
@@ -93,7 +93,7 @@ class CertifierShardRole(Role):
         """Write groups until nothing is queued (loop or writer thread);
         ``deliver(callback, *args)`` runs a callback on the loop."""
         while True:
-            with self.lock:
+            with self._lock:
                 group, self._queue = self._queue, []
                 self._writing = bool(group)
             if not group:

@@ -285,10 +285,13 @@ class WireClient:
         sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
-        if self._loop is None:
-            return
-        # Blocking socket: the loop owns recv (and the final close), senders
-        # own send; a posted call waits for its answer as long as it takes.
+        if self._loop is not None:
+            self._watch(sock)
+
+    def _watch(self, sock: socket.socket) -> None:
+        """The loop reads ``sock`` from now on.  Blocking socket: the loop
+        owns recv (and the final close), senders own send; a posted call
+        waits for its answer as long as it takes."""
         sock.settimeout(None)
         self._loop.call_soon_threadsafe(
             self._loop.add_reader, sock.fileno(), self._read_ready, sock)
@@ -297,8 +300,11 @@ class WireClient:
         """Make this a posting client whose replies ``loop`` reads: when the
         socket turns readable it reads the response and runs its call's
         callback in place, on the loop's own thread.  Call before the first
-        request."""
-        self._loop = loop
+        post; a connection earlier blocking calls opened is kept."""
+        with self._send_lock:
+            self._loop = loop
+            if self._sock is not None:
+                self._watch(self._sock)
 
     def close(self) -> None:
         """Drop the connection; whatever is still posted is abandoned."""

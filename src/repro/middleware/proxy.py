@@ -26,7 +26,7 @@ pseudo-code is executed:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Protocol
+from typing import Callable, Generator, NamedTuple, Protocol
 
 from repro.core.artificial_conflicts import ArtificialConflictDetector, SubmissionPlan
 from repro.core.certification import CertificationRequest, CertificationResult, RemoteWriteSetInfo
@@ -53,8 +53,12 @@ class CertifierFrontEnd(Protocol):
     """The certifier surface a proxy calls.
 
     Served in-process by :class:`~repro.middleware.certifier.CertifierService`
-    and :class:`~repro.middleware.sharded_certifier.ShardedCertifierService`,
-    and over the wire by :class:`~repro.live.client.LiveCertifierClient`.
+    and :class:`~repro.middleware.sharded_certifier.ShardedCertifierService`.
+    Over the wire, :class:`~repro.live.client.LiveCertifierClient` serves only
+    ``subscribe_replica`` (returning no subscription) and
+    ``replication_horizon``: the live replica sends what
+    :meth:`TransparentProxy.commit_steps` and
+    :meth:`TransparentProxy.refresh_steps` yield itself.
     """
 
     def certify(self, request: CertificationRequest) -> CertificationResult: ...
@@ -123,16 +127,30 @@ class ProxyStats:
 CommitSteps = Generator[CertificationRequest, CertificationResult, CommitOutcome]
 
 
-def drive_commit(steps: CommitSteps,
-                 certify: Callable[[CertificationRequest], CertificationResult]) -> CommitOutcome:
-    """Run commit ``steps`` to their outcome with a synchronous ``certify``.
-    An exception ``certify`` raises is thrown into the steps at their
-    certification call, as if that call had raised it."""
+class RefreshPoll(NamedTuple):
+    """What a refresh asks the certifier for: every released writeset after
+    ``advance_to``, for an ordered system with its conflict-free horizon
+    extended back to ``back_to`` (Section 5.2.1)."""
+
+    advance_to: int
+    back_to: int | None
+
+
+#: A refresh split at its two certifier calls
+#: (:meth:`TransparentProxy.refresh_steps`): the poll, then the watermark.
+RefreshSteps = Generator["RefreshPoll | int", "list[RemoteWriteSetInfo] | None", int]
+
+
+def drive_steps(steps: Generator, answer: Callable) -> object:
+    """Run commit or refresh ``steps`` to their outcome, each request they
+    yield answered by a synchronous ``answer``.  An exception ``answer``
+    raises is thrown into the steps at that request, as if it had raised
+    there."""
     try:
         request = next(steps)
         while True:
             try:
-                result = certify(request)
+                result = answer(request)
             except Exception as exc:  # noqa: BLE001 - re-raised inside the steps
                 request = steps.throw(exc)
             else:
@@ -178,8 +196,9 @@ class TransparentProxy:
         self.stats = ProxyStats()
         # Subscribe to the certifier's writeset stream (which also joins the
         # log-GC low-water-mark protocol, so an idle replica is never pruned
-        # past before its first commit).  All remote writesets now arrive as
-        # pushed batches on this subscription; there is no pull protocol.
+        # past before its first commit).  A certifier that keeps no queue per
+        # replica (the live scheduler: a refresh polls its directory) joins
+        # the protocol and hands back no subscription.
         self.subscription = self.certifier.subscribe_replica(
             replica_name, database.current_version
         )
@@ -246,13 +265,13 @@ class TransparentProxy:
 
     def commit(self, txn: ProxyTransaction) -> CommitOutcome:
         """Intercept COMMIT (steps [C1]-[C5] of the paper's pseudo-code)."""
-        return drive_commit(self.commit_steps(txn), self.certifier.certify)
+        return drive_steps(self.commit_steps(txn), self.certifier.certify)
 
     def commit_steps(self, txn: ProxyTransaction) -> CommitSteps:
         """:meth:`commit` split at its certification call: a generator that
         yields the :class:`CertificationRequest` (none for a read-only or a
         locally aborted transaction), is sent the :class:`CertificationResult`
-        and returns the :class:`CommitOutcome`.  :func:`drive_commit` runs it
+        and returns the :class:`CommitOutcome`.  :func:`drive_steps` runs it
         against a synchronous certifier; the live replica sends the request
         over the wire and resumes the generator when the answer arrives."""
         self._require_live(txn)
@@ -296,7 +315,8 @@ class TransparentProxy:
         # Everything up to replica_version arrived in-band with this commit;
         # trimming the subscription keeps a busy replica's queue bounded even
         # if it never becomes idle enough to refresh.
-        self.subscription.advance_to(self.replica_version.version)
+        if self.subscription is not None:
+            self.subscription.advance_to(self.replica_version.version)
         self._maintain_if_due()
         return outcome
 
@@ -491,37 +511,59 @@ class TransparentProxy:
         batches pending on the subscription are coalesced and applied as one
         group — the paper's grouped remote transaction (T1_2_3) — so a
         refresh costs at most one synchronous write on the serial path.
+        :meth:`refresh_steps` does the work; :meth:`_answer_refresh` answers
+        its two calls.
         """
+        return drive_steps(self.refresh_steps(), self._answer_refresh)
+
+    def _answer_refresh(self, request: RefreshPoll | int):
+        if not isinstance(request, RefreshPoll):  # the applied watermark
+            return self.certifier.register_replica(self.replica_name, request)
         # The subscription cursor can trail ``replica_version`` when writesets
         # arrived in-band with a certification response; advancing it first
-        # drops those from the poll, so the ordered path never re-applies a
-        # version it already holds.
-        self.subscription.advance_to(self.replica_version.version)
+        # drops those from the poll.
+        self.subscription.advance_to(request.advance_to)
         remote = self.subscription.poll_flat()
+        if remote and request.back_to is not None:
+            # The pull protocol's check_back_to: conflict-free writesets can
+            # share one submission group instead of serializing on their
+            # propagation-time horizons.
+            remote = self.certifier.extend_remote_horizons(remote, request.back_to)
+        return remote
+
+    def refresh_steps(self) -> RefreshSteps:
+        """:meth:`refresh` split at its certifier calls, as :meth:`commit_steps`
+        is at its one: a generator that yields the :class:`RefreshPoll`, is
+        sent the writesets it answers (in version order), applies the ones
+        above ``replica_version``, yields the applied version for the caller
+        to register with the certifier (sent ``None`` once it is) and
+        returns the number applied.
+
+        Writesets at or below ``replica_version`` are dropped on both paths:
+        the live replica finishes a poll after every commit sent before it,
+        and such a commit's own writeset may ride in the poll's answer.
+        """
+        version = self.replica_version.version
+        remote = yield RefreshPoll(
+            version, version if self.system.supports_ordered_commit else None)
         self.stats.staleness_refreshes += 1
-        if not remote:
-            # Report the applied watermark even when nothing new arrived, so a
-            # read-mostly replica keeps feeding the certifier's log-GC protocol.
-            self.certifier.register_replica(self.replica_name, self.replica_version.version)
-            return 0
-        if self.system.supports_ordered_commit:
-            # Ask the certifier to extend the intersection tests back to this
-            # replica's version (the pull protocol's check_back_to), so
-            # conflict-free writesets can share one submission group instead
-            # of serializing on their propagation-time horizons.
-            remote = self.certifier.extend_remote_horizons(
-                remote, self.replica_version.version
-            )
-            plan = self.conflict_detector.plan(remote, self.replica_version.version)
+        pending = [info for info in remote
+                   if info.commit_version > self.replica_version.version]
+        if not pending:
+            applied = 0
+        elif self.system.supports_ordered_commit:
+            plan = self.conflict_detector.plan(pending, self.replica_version.version)
             applied = self._apply_plan(plan, local_txn=None, local_version=None)
         else:
-            applied = self._apply_remote_serial(remote)
+            applied = self._apply_remote_serial(pending)
         # The watermark report happens *after* the batch is applied — a
         # refresh-only replica must feed its post-apply version to the
         # certifier's low-water protocol, or it pins GC (and the vacuum
-        # replication horizon) at its pre-refresh version forever.
-        self.certifier.register_replica(self.replica_name, self.replica_version.version)
-        self._maintain_if_due()
+        # replication horizon) at its pre-refresh version forever.  An empty
+        # refresh reports too, so a read-mostly replica keeps feeding it.
+        yield self.replica_version.version
+        if applied:
+            self._maintain_if_due()
         return applied
 
     # ------------------------------------------------------------------ bounded state

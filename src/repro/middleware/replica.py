@@ -87,7 +87,11 @@ class Replica:
 
     def refresh(self) -> int:
         """Drain and apply any remote writesets the replica has missed."""
-        applied = self.proxy.refresh()
+        return self.count_refresh(self.proxy.refresh())
+
+    def count_refresh(self, applied: int) -> int:
+        """Count one refresh that applied ``applied`` writesets (the live
+        replica drives its proxy's refresh steps itself) and return it."""
         if applied:
             self.stats.refreshes += 1
         else:

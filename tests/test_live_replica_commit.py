@@ -1,25 +1,30 @@
-"""The replica's commit on its event loop.
+"""The replica's commits and refreshes on its event loop.
 
 A :class:`~repro.live.replica.ReplicaRole` is built as the node process builds
 it and driven through :func:`repro.live.server.dispatch` on the test's own
 event loop; its scheduler is :class:`ScriptedScheduler`, a frame server on a
-thread of its own that answers the control ops at once and each ``certify``
-as the test scripts it — commit, refuse, hold for the test to answer, or hang
-up.  What is pinned:
+thread of its own that answers the control ops at once (a poll with the
+writesets the test put there) and each ``certify`` as the test scripts it —
+commit, refuse, hold for the test to answer, or hang up.  What is pinned:
 
 * answers that arrive in reverse order are finished in send order, on the
-  loop, never on the pool or a reader thread;
+  loop, never on a pool or a reader thread;
 * the certify keeps ``call_retrying``'s behaviour without blocking the loop:
   refusals are asked again after a backoff, a refused dial rotates to the
   fallback address, a lost connection resends (and counts it);
 * a commit whose certify was sent finishes though the task awaiting it is
   cancelled, and the next commit is not blocked behind it;
-* nothing waits for the loop under the state lock: the proxy subscribes
-  before any loop runs, and a refresh returns while a commit is in flight.
+* a refresh rides the same connection in send order: it finishes after the
+  commit sent before it, so a poll that carries that commit's own writeset
+  installs nothing twice and aborts nothing — under Tashkent-MW and, with
+  overlapping windows and ``back_to`` on the poll, under Tashkent-API.
 
-The last two tests run real processes: a client that hangs up mid-commit
-loses nothing and blocks nothing, and the replication horizon rides on the
-certify answers (one scheduler frame per commit).
+The scheduler's side of a poll is pinned without sockets: its horizons are
+the functional stack's, and a scheduler that is never polled keeps no queue.
+The last tests run real processes: a client that hangs up mid-commit loses
+nothing and blocks nothing, the replication horizon rides on the certify
+answers (one scheduler frame per commit), and the replica's process runs one
+thread.
 """
 
 from __future__ import annotations
@@ -30,21 +35,26 @@ import queue
 import socket
 import threading
 import time
-from typing import Callable
+from pathlib import Path
 
 import pytest
 
-from repro.core.certification import CertificationDecision, CertificationResult
+from repro.core.certification import (CertificationDecision, CertificationResult,
+                                      RemoteWriteSetInfo)
 from repro.core.config import ReplicationConfig, SystemKind
+from repro.core.writeset import WriteSet
 from repro.engine.table import TableSchema
 from repro.live import codec
 from repro.live.cluster import LiveCluster
 from repro.live.node import build_parser
 from repro.live.replica import ReplicaRole
-from repro.live.server import dispatch, write_spec
+from repro.live.server import call, dispatch, write_spec
 from repro.live.wire import encode_frame, read_frame
+from repro.middleware.certifier import GC_INTERVAL_REQUESTS
 from repro.middleware.proxy import MAINTENANCE_INTERVAL_VERSIONS
+from repro.middleware.sharded_certifier import ShardedCertifierService
 from repro.middleware.systems import build_replicated_system
+from test_live_release import certify_payload, make_role
 
 pytestmark = pytest.mark.live  # localhost sockets, under the live watchdog
 
@@ -68,16 +78,19 @@ class ScriptedScheduler:
     ``script`` holds one action per ``certify`` frame, in arrival order: a
     response, ``HOLD`` (queued on :attr:`held` for the test to answer) or
     ``HANG_UP`` (the connection is closed unanswered); once it runs out,
-    every certify commits at the next version.  Control ops (subscribe,
-    poll, register) are answered at once.
+    every certify commits at the next version.  Control ops (hello, poll,
+    register) are answered at once; a poll with :attr:`poll_writesets`.
     """
 
     def __init__(self, script: list | None = None) -> None:
         self.script = list(script or [])
         self.certifies: list[dict] = []
+        #: Every frame's op, in arrival order, and the poll frames.
+        self.ops: list[str] = []
+        self.polls: list[dict] = []
+        #: Encoded writesets every poll is answered with.
+        self.poll_writesets: list[dict] = []
         self.held: queue.Queue = queue.Queue()
-        #: Run once, when the next control op arrives, before its answer.
-        self.before_control: Callable[[], None] | None = None
         self.version = 0
         self.loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self.loop.run_forever, daemon=True)
@@ -92,12 +105,13 @@ class ScriptedScheduler:
 
         while (message := await read_frame(reader)) is not None:
             op, rid = message.pop("op"), message.pop("rid", None)
+            self.ops.append(op)
             if op != "certify":
-                if self.before_control is not None:
-                    hook, self.before_control = self.before_control, None
-                    hook()
-                    await asyncio.sleep(0.05)  # whatever the hook sent goes first
-                reply({"ok": True, "writesets": [], "horizon": 0}, rid)
+                writesets = []
+                if op == "poll_writesets":
+                    self.polls.append(message)
+                    writesets = self.poll_writesets
+                reply({"ok": True, "writesets": writesets, "horizon": 0}, rid)
                 continue
             self.certifies.append(message)
             action = self.script.pop(0) if self.script else self.commit_next()
@@ -131,14 +145,15 @@ def free_port() -> int:
 
 @pytest.fixture
 def scripted(tmp_path, monkeypatch):
-    """``boot(script, dead_primary=False) -> (role, scheduler)``; the replica's
-    engine WAL lands in ``tmp_path``."""
+    """``boot(script, dead_primary=False, system=MW) -> (role, scheduler)``; the
+    replica's engine WAL lands in ``tmp_path``."""
     monkeypatch.chdir(tmp_path)
-    spec = tmp_path / "spec.json"
-    write_spec(spec, ReplicationConfig(num_replicas=1), SCHEMAS)
     built: list[tuple[ReplicaRole, ScriptedScheduler]] = []
 
-    def boot(script=None, *, dead_primary: bool = False):
+    def boot(script=None, *, dead_primary: bool = False,
+             system: SystemKind = SystemKind.TASHKENT_MW):
+        spec = tmp_path / "spec.json"
+        write_spec(spec, ReplicationConfig(system=system, num_replicas=1), SCHEMAS)
         scheduler = ScriptedScheduler(script)
         address = f"127.0.0.1:{scheduler.port}"
         argv = ["--role", "replica", "--name", "r0", "--spec", str(spec)]
@@ -155,7 +170,6 @@ def scripted(tmp_path, monkeypatch):
     yield boot
     for role, scheduler in built:
         role.cert_client.close()
-        role.executor.shutdown(wait=False)  # a hung refresh must not hang teardown
         scheduler.stop()
 
 
@@ -298,22 +312,138 @@ def test_a_sent_commit_finishes_when_its_waiter_is_cancelled(scripted):
         == {"a", "b"}
 
 
-def test_a_refresh_returns_while_a_commit_is_in_flight(scripted):
-    """The refresh holds the state lock while it polls the scheduler, and the
-    commit's answer — sent first — waits on the loop for that lock.  Were the
-    poll's reply read by the loop too, neither would ever finish."""
-    role, scheduler = scripted([HOLD])
-
+def commit_beside_a_refresh(role: ReplicaRole, scheduler: ScriptedScheduler,
+                            answer: dict) -> tuple[dict, dict]:
+    """Commit row ``a`` with its certify held and refresh meanwhile; once the
+    poll's answer is in, answer the certify with ``answer``.  Returns the
+    commit's outcome and the refresh's answer; the refresh may not finish
+    first."""
     async def scenario():
         commit = asyncio.create_task(
             commit_insert(role, await open_session(role), "a", "t:1"))
-        answer = await scheduler.next_held()
-        scheduler.before_control = lambda: answer(committed(1))
-        refreshed = await asyncio.wait_for(dispatch(role, "refresh", {}), 5.0)
-        return refreshed, await asyncio.wait_for(commit, 5.0)
+        answer_certify = await scheduler.next_held()
+        refresh = asyncio.create_task(dispatch(role, "refresh", {}))
+        await wait_for(lambda: scheduler.polls)
+        await asyncio.sleep(0.1)  # the poll's answer is in
+        assert not refresh.done()
+        answer_certify(answer)
+        return await asyncio.wait_for(asyncio.gather(commit, refresh), 5.0)
 
-    refreshed, outcome = serve(role, scenario)
-    assert refreshed == {"applied": 0} and outcome["committed"]
+    return serve(role, scenario)
+
+
+def insert_of(key: str, version: int, origin: str = "r1") -> dict:
+    """The encoded remote writeset that inserts row ``key`` at ``version``."""
+    writeset = WriteSet()
+    writeset.add_insert("counters", key, id=key, value=1)
+    return codec.encode_remote_info(RemoteWriteSetInfo(
+        commit_version=version, writeset=writeset, origin_replica=origin,
+        conflict_free_back_to=0))
+
+
+def test_a_refresh_finishes_after_the_commit_sent_before_it(scripted):
+    """The poll is answered at once, and its answer waits on the loop until
+    the commit sent before it has finished: a refresh overtakes no commit."""
+    role, scheduler = scripted([HOLD])
+    outcome, refreshed = commit_beside_a_refresh(role, scheduler, committed(1))
+    assert outcome["committed"] and refreshed == {"applied": 0}
+    # One connection, in send order: the boot hello, then the three calls.
+    assert scheduler.ops == ["hello_replica", "certify", "poll_writesets",
+                             "register_replica"]
+    assert scheduler.polls == [{"advance_to": 0}]  # Tashkent-MW: no back_to
+
+
+def test_a_poll_carrying_an_in_flight_commits_own_writeset_installs_it_once(scripted):
+    """The poll is served after the commit is durable, so its answer carries
+    the commit's own writeset.  Applied before the commit finished, it would
+    priority-abort the commit's engine transaction: the client would be told
+    ``soft-recovery`` for a commit the scheduler admitted, and a retry would
+    apply the transaction twice."""
+    role, scheduler = scripted([HOLD])
+    scheduler.poll_writesets = [insert_of("a", 1, origin="r0")]
+    outcome, refreshed = commit_beside_a_refresh(role, scheduler, committed(1))
+    assert (outcome["committed"], outcome["commit_version"]) == (True, 1)
+    assert refreshed == {"applied": 0}
+    assert role.replica.database.table("counters").versions_installed == 1
+    assert role.replica.proxy.stats.remote_writesets_applied == 0
+
+
+def test_tashkent_api_overlapping_windows_apply_each_writeset_once(scripted):
+    """An ordered replica: the commit's answer carries v1 and commits at v2;
+    the poll, answered while the commit is in flight, carries v1, v2 and v3.
+    The poll asks for horizons back to the replica's version, and v1 and v3
+    are installed once each."""
+    remote_v1 = insert_of("x", 1)
+    result = CertificationResult(CertificationDecision.COMMIT, 2,
+                                 remote_writesets=[codec.decode_remote_info(remote_v1)])
+    role, scheduler = scripted([HOLD], system=SystemKind.TASHKENT_API)
+    scheduler.poll_writesets = [remote_v1, insert_of("a", 2, origin="r0"), insert_of("y", 3)]
+    outcome, refreshed = commit_beside_a_refresh(role, scheduler, {
+        "ok": True, "result": codec.encode_result(result), "duplicate": False, "horizon": 0})
+    assert (outcome["committed"], outcome["commit_version"]) == (True, 2)
+    assert refreshed == {"applied": 1}
+    assert scheduler.polls == [{"advance_to": 0, "back_to": 0}]
+    proxy = role.replica.proxy
+    assert proxy.stats.remote_writesets_applied == 2
+    assert proxy.replica_version.version == 3
+    table = role.replica.database.table("counters")
+    assert table.versions_installed == 3
+    assert set(table.snapshot_state(3)) == {"a", "x", "y"}
+    assert role.stats({})["remote_writesets_received"] == 4
+
+
+# -- the scheduler's side of a poll, without sockets --------------------------------
+
+
+def test_a_poll_is_answered_with_the_functional_stacks_horizons(tmp_path):
+    """``poll_writesets`` with ``back_to`` reads the directory; the horizons
+    it answers are what a functional subscription's ``poll_flat`` plus
+    ``extend_remote_horizons`` give for the same history — extended where
+    no later write intervenes, kept where one does."""
+    role, devices = make_role(tmp_path, shards=2)
+    functional = ShardedCertifierService(ReplicationConfig(certifier_shards=2))
+    subscriptions = {back_to: functional.subscribe_replica(f"r{back_to}", 0)
+                     for back_to in (1, 0)}
+    partitioner = role.service.core.partitioner
+    a0, a1, a2, b0, b1 = [*[k for k in range(100) if partitioner.shard_of(("t", k)) == 0][:3],
+                          *[k for k in range(100) if partitioner.shard_of(("t", k)) == 1][:2]]
+    history = [([a0], 0), ([a1, b0], 0), ([b1], 1), ([a0], 1), ([a2, b0], 2)]
+    for index, (keys, start) in enumerate(history):
+        payload = certify_payload(role, f"tx-{index}", keys, start=start,
+                                  replica_version=start)
+        role.admit_round([payload], [lambda _response: None])
+        for device in devices:
+            device.ack(len(device.in_flight))
+        assert functional.certify(codec.decode_request(payload["request"])).committed
+    seen = set()
+    for back_to, subscription in subscriptions.items():
+        answered = call(role, "poll_writesets", {"advance_to": back_to, "back_to": back_to})
+        subscription.advance_to(back_to)
+        expected = functional.extend_remote_horizons(subscription.poll_flat(), back_to)
+        shape = [(i.commit_version, i.conflict_free_back_to) for i in expected]
+        assert [(i["commit_version"], i["conflict_free_back_to"])
+                for i in answered["writesets"]] == shape
+        assert [version for version, _ in shape] == list(range(back_to + 1, 6))
+        seen |= {horizon for _, horizon in shape}
+    assert len(seen) > 1  # some extended, some held by a later write
+
+
+def test_a_scheduler_that_is_never_polled_keeps_no_queue(tmp_path):
+    """Two GC intervals of commits from one replica that never refreshes:
+    no stream has a subscriber, and the directory is the only place a
+    writeset is retained."""
+    role, (device,) = make_role(tmp_path, shards=1, certifier_gc_headroom=0)
+    call(role, "hello_replica", {"replica": "r0", "from_version": 0})
+    for index in range(2 * GC_INTERVAL_REQUESTS + 1):
+        role.admit_round([certify_payload(role, f"tx-{index}", [index])],
+                         [lambda _response: None])
+        device.ack(len(device.in_flight))
+    service = role.service
+    assert service.system_version == 2 * GC_INTERVAL_REQUESTS + 1
+    assert all(not list(stream.subscriptions()) for stream in service.streams)
+    assert service.core.retained_count <= GC_INTERVAL_REQUESTS
+    assert role.certify_answers_sent == 2 * GC_INTERVAL_REQUESTS + 1
+    assert role.remote_writesets_sent == 0  # each request was up to date
 
 
 # -- real processes -----------------------------------------------------------------
@@ -378,7 +508,8 @@ def test_a_client_that_hangs_up_mid_commit_loses_nothing_and_blocks_nothing(tmp_
 def test_the_horizon_rides_on_the_certify_answers(tmp_path):
     """Two maintenance intervals of commits through one replica: one
     scheduler frame per commit, and maintenance still vacuums at the
-    scheduler's horizon."""
+    scheduler's horizon.  After a refresh too, the replica's process has
+    one thread."""
     config = ReplicationConfig(system=SystemKind.TASHKENT_MW, num_replicas=1,
                                certifier_shards=1, rng_seed=1)
     commits = 2 * MAINTENANCE_INTERVAL_VERSIONS
@@ -394,6 +525,10 @@ def test_the_horizon_rides_on_the_certify_answers(tmp_path):
                 assert session.commit().committed
             after = cluster.scheduler_stats()["server"]["frames_in"]
         assert after - before == commits + 1  # + the second stats call itself
+        assert cluster.refresh_all() == {"replica-0": 0}
+        tasks = Path(f"/proc/{cluster.replicas['replica-0'].pid}/task")
+        if tasks.is_dir():  # Linux: the replica's process runs one thread
+            assert len(list(tasks.iterdir())) == 1
         stats = cluster.replica_stats("replica-0")["stats"]
         assert stats["proxy"]["maintenance_runs"] >= 2
         assert stats["proxy"]["proxy_log_retained"] <= MAINTENANCE_INTERVAL_VERSIONS + 2

@@ -11,8 +11,8 @@ spoken to over a localhost socket.
   ``tools/check_docs.py`` holds to the same tables);
 * for **every** scheduler op: an unpromoted standby answers it iff its table
   entry says so, and otherwise refuses with the retryable ``NotPromoted``;
-* the placements run a handler where the table says, with or without the
-  role's lock;
+* the placements run every handler on the loop, awaited where the table
+  says; the replica, scheduler and server modules start no thread;
 * the request boundary: an unknown op and a frame whose ``rid`` is not an
   integer are answered with an error envelope on the still-open connection;
 * ``close_session`` aborts a transaction its session left open;
@@ -22,13 +22,14 @@ spoken to over a localhost socket.
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import os
 import pkgutil
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -40,12 +41,9 @@ from repro.live.node import ROLES, build_parser
 from repro.live.scheduler import SchedulerRole
 from repro.live.server import (
     ASYNC,
-    BATCH,
     INLINE,
-    POOLED,
     Op,
     Role,
-    batch_placement,
     call,
     dispatch,
     lookup,
@@ -73,7 +71,6 @@ GOLDEN = {
         "hello_replica": (INLINE, False),
         "poll_writesets": (INLINE, False),
         "register_replica": (INLINE, False),
-        "extend_remote_horizons": (INLINE, False),
         "replication_horizon": (INLINE, False),
         "collect_garbage": (INLINE, False),
         "system_version": (INLINE, False),
@@ -83,17 +80,17 @@ GOLDEN = {
     "replica": {
         "open_session": (INLINE, False),
         "close_session": (INLINE, False),
-        "session_batch": (BATCH, False),
+        "session_batch": (ASYNC, False),
         "begin": (INLINE, False),
         "read": (INLINE, False),
-        "scan": (POOLED, False),
+        "scan": (INLINE, False),
         "insert": (INLINE, False),
         "update": (INLINE, False),
         "delete": (INLINE, False),
         "abort": (INLINE, False),
         "commit": (ASYNC, False),
-        "refresh": (POOLED, False),
-        "dump_table": (POOLED, False),
+        "refresh": (ASYNC, False),
+        "dump_table": (INLINE, False),
         "replica_version": (INLINE, False),
         "stats": (INLINE, False),
         "ping": (INLINE, False),
@@ -163,58 +160,39 @@ class Probe(Role):
 
     role_name = "probe"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.lock = threading.Lock()
-        self.executor = ThreadPoolExecutor(1, thread_name_prefix="probe-pool")
-
     def where(self, payload: dict) -> dict:
-        return {"thread": threading.current_thread().name.split("_")[0],
-                "locked": self.lock.locked()}
+        return {"thread": threading.current_thread().name}
 
     async def parked(self, payload: dict) -> dict:
         return {**self.where(payload), "awaited": True}
 
-    def batch(self, payload: dict):
-        """As a role's batch handler must: an awaitable when placed async."""
-        if batch_placement(self, payload) is ASYNC:
-            return self.parked(payload)
-        return self.where(payload)
-
     ops = {
         "inline": Op(where),
-        "pooled": Op(where, POOLED),
         "parked": Op(parked, ASYNC),
-        "batch": Op(batch, BATCH),
         "silent": Op(lambda self, payload: None),
     }
 
 
-def run_on_loop(role: Role, frames: list[tuple[str, dict]]) -> list:
-    async def scenario():
-        return [await dispatch(role, op, payload) for op, payload in frames]
-
-    try:
-        return asyncio.run(scenario())
-    finally:
-        role.executor.shutdown()
-
-
 def test_pipelined_placements_run_where_the_table_says():
-    loop_thread = threading.current_thread().name
-    on_loop = {"thread": loop_thread, "locked": True}
-    on_pool = {"thread": "probe-pool", "locked": True}
-    answers = run_on_loop(Probe(), [
-        ("inline", {}), ("pooled", {}), ("parked", {}),
-        ("batch", {"ops": [{"op": "inline"}, {"op": "inline"}]}),
-        ("batch", {"ops": [{"op": "inline"}, {"op": "pooled"}]}),
-        ("batch", {"ops": [{"op": "no-such-op"}]}),
-        ("batch", {"ops": [{"op": "inline"}, {"op": "parked"}]}),
-        ("batch", {"ops": [{"op": "pooled"}, {"op": "parked"}]}),
-    ])
-    unlocked = {"thread": loop_thread, "locked": False, "awaited": True}
-    assert answers == [on_loop, on_pool, unlocked, on_loop, on_pool, on_loop,
-                       unlocked, unlocked]
+    """On the loop, the ASYNC one awaited."""
+    async def scenario():
+        return [await dispatch(Probe(), op, {}) for op in ("inline", "parked")]
+
+    on_loop = {"thread": threading.current_thread().name}
+    assert asyncio.run(scenario()) == [on_loop, {**on_loop, "awaited": True}]
+
+
+@pytest.mark.parametrize("module", ["replica", "scheduler", "server"])
+def test_the_replica_scheduler_and_server_start_no_thread(module):
+    """Their state is the loop's alone: no thread pool, no lock."""
+    path = Path(__file__).parents[1] / "src" / "repro" / "live" / f"{module}.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert not imported & {"threading", "concurrent", "concurrent.futures"}
 
 
 # -- the request boundary, over a socket ------------------------------------------
@@ -270,12 +248,8 @@ def test_bad_requests_are_answered_on_the_still_open_connection(shard):
 
 
 def test_a_handler_with_nothing_to_say_answers_bare_ok():
-    role = Probe()
-    try:
-        assert converse(role, [{"op": "silent"}, {"op": "silent", "rid": 1}]) \
-            == [{"ok": True}, {"ok": True, "rid": 1}]
-    finally:
-        role.executor.shutdown()
+    assert converse(Probe(), [{"op": "silent"}, {"op": "silent", "rid": 1}]) \
+        == [{"ok": True}, {"ok": True, "rid": 1}]
 
 
 #: Packages no node process runs: the simulator, its cluster models, the
