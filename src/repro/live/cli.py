@@ -13,16 +13,26 @@ versions, WAL stats).  Everything is reaped on exit — including on ^C.
 
 ``spawn`` boots a cluster and holds it for interactive poking (``nc`` or a
 :class:`~repro.live.wire.WireClient`) until interrupted.
+
+``decode <file.wal>`` prints a certifier shard's WAL file one group per
+line — ``seq``, byte offset, record count, payload sizes — with every full
+``ShardLogEntry`` payload decoded on an indented line beneath it, and a
+torn tail (what the shard truncates on its next start) last.  A corrupt
+record ends the dump with exit status 1 and its byte offset on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
+from pathlib import Path
 
 from repro.core.config import ReplicationConfig, SystemKind
+from repro.errors import RecoveryError
 from repro.live.cluster import LiveCluster
+from repro.live.wal import _intact_batches
 from repro.sim.rng import RandomStreams
 from repro.workloads import workload_by_name
 
@@ -139,6 +149,37 @@ def cmd_spawn(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_decode(args: argparse.Namespace) -> int:
+    from repro.live.replicated import decode_entry_payload
+
+    path = Path(args.wal)
+    offset = 0
+    try:
+        for entry, length in _intact_batches(path):
+            payloads = entry["payloads"]
+            print(f"seq={entry['seq']} offset={offset} records={len(payloads)} "
+                  f"sizes={','.join(str(len(p)) for p in payloads)}")
+            for payload in payloads:
+                if payload[:1] == b"{":  # a full entry; else a size marker
+                    print("  " + _describe_entry(decode_entry_payload(payload)))
+            offset += length
+    except RecoveryError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    torn = path.stat().st_size - offset
+    if torn:
+        print(f"torn tail: {torn} bytes at offset {offset}")
+    return 0
+
+
+def _describe_entry(entry) -> str:
+    rows = "-" if entry.writeset is None else len(entry.writeset)
+    return (f"{entry.kind} v={entry.global_version} "
+            f"touched={','.join(map(str, entry.touched))} "
+            f"origin={entry.origin_replica} back_to={entry.certified_back_to} "
+            f"rows={rows} tx_id={entry.tx_id}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-cluster",
@@ -167,6 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "via the standby's 'promote' op)")
         cmd.add_argument("--run-dir", default=None,
                          help="keep node logs/WALs here instead of a temp dir")
+    decode = sub.add_parser("decode", help="print a certifier shard's WAL file")
+    decode.set_defaults(handler=cmd_decode)
+    decode.add_argument("wal", help="the shard WAL file")
     return parser
 
 

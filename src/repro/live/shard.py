@@ -40,7 +40,7 @@ class CertifierShardRole(Role):
 
     The event loop reads and decodes ``wal_append`` frames and queues their
     batches; whenever the disk is free *everything queued* is written as one
-    WAL line with one fsync and the covered batches are acknowledged — under
+    WAL record with one fsync and the covered batches are acknowledged — under
     load the disk never idles and group size = arrivals per fsync (the
     paper's single log writer).  Where the write runs follows the disk as
     observed: while the previous write took under :data:`_HANDOFF_WORTH_S`
@@ -117,7 +117,7 @@ class CertifierShardRole(Role):
                 return self._loop.call_soon_threadsafe(freeze, "wal_append")
             deliver(self._acknowledge, group, result, self.wal.last_seq)
 
-    def _acknowledge(self, group, result, line_seq: int) -> None:
+    def _acknowledge(self, group, result, group_seq: int) -> None:
         for index, (_, _, reply) in enumerate(group):
             if reply.done():
                 continue  # its connection went away; the resend asks again
@@ -127,7 +127,7 @@ class CertifierShardRole(Role):
                 # ``group`` names the fsync that covered this batch (0: none
                 # was needed), so the sender can count fsyncs, not batches.
                 reply.set_result({"applied": result[index],
-                                  "group": line_seq if any(result) else 0})
+                                  "group": group_seq if any(result) else 0})
 
     async def wal_append(self, payload: dict):
         self.append_ops += 1

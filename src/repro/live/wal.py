@@ -23,28 +23,47 @@ acknowledged without being written again.  The file ends up with each record
 exactly once no matter where the kill landed — the invariant the crash tests
 assert.
 
-File format: one JSON line per fsync group — ``{"seq": n, "payloads":
-[hex...]}``, ``n`` counting the file's lines from 1 (the shard numbers them;
-one group may hold several shipped batches).  A torn final line (kill
-mid-write, before the fsync covering it) is discarded on replay *and
-truncated away* before the file is reopened for append; none of its batches
-was acknowledged, so the scheduler still holds them and will resend.  The
-truncation matters: appending after a stale torn line would bury it
-mid-file.  Only a final line without its newline is torn: any other line
-that is not a batch was fsynced and acknowledged, so replay raises
+File format: one binary record per fsync group, written with one
+``write``, one ``flush`` and one ``os.fsync``; every integer is big-endian::
+
+    record = length:u32 | check:u16 | crc:u32 | body      (10-byte header)
+    body   = seq:u32 | (size:u32 | payload)*
+
+``length`` is the body's size; ``check`` is the CRC-16 (``binascii.crc_hqx``)
+of the four length bytes, so a reader can trust the length before the body
+is there; ``crc`` is the CRC-32 of the length bytes and the body.  ``seq``
+counts the file's groups from 1 (the shard numbers them; one group may hold
+several shipped batches); the payloads follow, raw, each behind its size.
+So a file holds at most 2**32 - 1 groups: ``encode_record`` raises
+``struct.error`` beyond that, and the device fails loudly instead of
+wrapping the count.
+
+Torn versus corrupt.  A kill mid-write (before the fsync covering it) can
+leave only a *short* final record: a partial header, or a header whose
+check holds and whose body is short.  That record was never acknowledged,
+so the scheduler still holds its batches and will resend; replay discards
+it *and truncates it away* before the file is reopened for append
+(appending after it would bury it mid-file).  Anything else that does not
+decode was fsynced and acknowledged: a length whose check fails (even one
+pointing past the end of the file), a full-length record whose CRC fails,
+or a body whose sizes do not add up.  Replay then raises
 :class:`~repro.errors.RecoveryError` naming the file and byte offset and
 truncates nothing, instead of cutting every acknowledged group after it.
+One reader, :func:`_intact_batches`, serves the shard's replay, its
+``wal_read``, promotion and :func:`read_wal_batches`; ``repro-cluster
+decode <file.wal>`` prints what it reads.
 """
 
 from __future__ import annotations
 
 import binascii
 import functools
-import json
 import os
+import struct
 import sys
 import time
 import traceback
+import zlib
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,8 +74,28 @@ from repro.errors import RecoveryError, ReproError
 from repro.live.wire import WireClient
 
 
+_U32 = struct.Struct(">I")
+#: A record's header: body length, the length's CRC-16, the record's CRC-32.
+_HEADER = struct.Struct(">IHI")
+
+
+def _length_check(length: bytes) -> int:
+    return binascii.crc_hqx(length, 0xFFFF)
+
+
+def encode_record(seq: int, payloads: list[bytes]) -> bytes:
+    """One fsync group's record, as the module docstring lays it out."""
+    parts = [_U32.pack(seq)]
+    for payload in payloads:
+        parts += (_U32.pack(len(payload)), payload)
+    body = b"".join(parts)
+    length = _U32.pack(len(body))
+    return _HEADER.pack(len(body), _length_check(length),
+                        zlib.crc32(body, zlib.crc32(length))) + body
+
+
 class BatchWalFile:
-    """The shard process's append-only WAL file, one line per fsync group."""
+    """The shard process's append-only WAL file, one record per fsync group."""
 
     def __init__(self, path: str | Path, *, fsync_floor_ms: float = 0.0) -> None:
         self.path = Path(path)
@@ -79,7 +118,7 @@ class BatchWalFile:
 
     def _replay(self) -> None:
         """Count the existing file's groups and records, and truncate any
-        torn tail so new appends start at a clean line boundary.
+        torn tail so new appends start at a record boundary.
         """
         if not self.path.exists():
             return
@@ -91,7 +130,7 @@ class BatchWalFile:
             self.records += len(entry["payloads"])
         torn = self.path.stat().st_size - good_end
         if torn > 0:
-            # Reopening in append mode without this would bury the torn line
+            # Reopening in append mode without this would bury the torn record
             # mid-file, where the next replay refuses it as corruption.
             with open(self.path, "rb+") as handle:
                 handle.truncate(good_end)
@@ -113,7 +152,7 @@ class BatchWalFile:
         return self.append_group([(seq, payloads)])[0]
 
     def append_group(self, batches: list[tuple[int, list[bytes]]]) -> list[bool]:
-        """Durably append shipped batches as ONE line with ONE fsync.
+        """Durably append shipped batches as ONE record with ONE fsync.
 
         Each batch is ``(seq, payloads)``, ``seq`` the record offset its last
         payload lands on.  Taken in order: a batch the file already covers
@@ -137,9 +176,7 @@ class BatchWalFile:
                 self.duplicate_batches_skipped += 1
         if not fresh:
             return applied  # no write happens, so no floor applies either
-        entry = {"seq": self.last_seq + 1,
-                 "payloads": [binascii.hexlify(p).decode() for p in fresh]}
-        self._file.write(json.dumps(entry, separators=(",", ":")).encode() + b"\n")
+        self._file.write(encode_record(self.last_seq + 1, fresh))
         self._file.flush()
         os.fsync(self._file.fileno())
         if self.fsync_floor_ms > 0:
@@ -168,25 +205,48 @@ class BatchWalFile:
 
 
 def _intact_batches(path: Path) -> Iterator[tuple[dict, int]]:
-    """A WAL file's decoded batches — ``{"seq", "payloads"}`` — with their
-    on-disk length, up to a torn final line (one without its newline: never
-    acknowledged, so it will be resent).  Any other line that is not a
-    batch, hex payloads included, raises ``RecoveryError``."""
+    """A WAL file's decoded groups — ``{"seq", "payloads"}`` — with their
+    on-disk length, up to a torn final record (a partial header, or a
+    checked header whose body is short: never acknowledged, so it will be
+    resent).  Any other record that does not decode raises
+    ``RecoveryError`` naming the file and the record's byte offset."""
     offset = 0
     with open(path, "rb") as handle:
-        for raw in handle:
-            if not raw.endswith(b"\n"):
+        while header := handle.read(_HEADER.size):
+            if len(header) < _HEADER.size:
                 return
+            length, check, crc = _HEADER.unpack(header)
+            if check != _length_check(header[:4]):
+                raise _corrupt(path, offset, "its length fails its check")
+            body = handle.read(length)
+            if len(body) < length:
+                return
+            if zlib.crc32(body, zlib.crc32(header[:4])) != crc:
+                raise _corrupt(path, offset, "its CRC-32 does not match")
             try:
-                entry = json.loads(raw)
-                entry = {"seq": int(entry["seq"]),
-                         "payloads": [binascii.unhexlify(p) for p in entry["payloads"]]}
-            except (ValueError, TypeError, KeyError) as exc:
-                raise RecoveryError(
-                    f"{path}: corrupt WAL line at byte offset {offset}; "
-                    f"nothing truncated") from exc
-            yield entry, len(raw)
-            offset += len(raw)
+                entry = _decode_body(body)
+            except (struct.error, ValueError) as exc:
+                raise _corrupt(path, offset, "its payload sizes do not add up") from exc
+            yield entry, _HEADER.size + length
+            offset += _HEADER.size + length
+
+
+def _decode_body(body: bytes) -> dict:
+    (seq,) = _U32.unpack_from(body)
+    payloads = []
+    at = _U32.size
+    while at < len(body):
+        (size,) = _U32.unpack_from(body, at)
+        at += _U32.size + size
+        if at > len(body):
+            raise ValueError("payload runs past the record")
+        payloads.append(body[at - size:at])
+    return {"seq": seq, "payloads": payloads}
+
+
+def _corrupt(path: Path, offset: int, why: str) -> RecoveryError:
+    return RecoveryError(f"{path}: corrupt WAL record at byte offset {offset} "
+                         f"({why}); nothing truncated")
 
 
 def read_wal_batches(path: str | Path) -> list[dict]:

@@ -260,8 +260,17 @@ class ShardedCertifierService:
 
     def _propagate_up_to(self, version: int | None = None) -> None:
         """Offer committed records up to ``version`` to their home streams
-        (:func:`repro.transport.publish_frontier`, shared with the sim node)."""
-        publish_frontier(self.core, self.streams, up_to=version)
+        (:func:`repro.transport.publish_frontier`, shared with the sim node).
+
+        With no subscriber anywhere (the live scheduler: its replicas poll
+        the directory) nothing is built or offered; only the release cursor
+        moves.  A replica subscribes to every stream at once and is
+        backfilled from the directory up to that cursor
+        (:func:`repro.transport.subscribe_merged`), so it misses nothing."""
+        if any(stream.has_subscribers for stream in self.streams):
+            publish_frontier(self.core, self.streams, up_to=version)
+        else:
+            self.core.take_propagatable(version)
 
     def subscribe_replica(self, replica: str, from_version: int = 0) -> MergedSubscription:
         """Attach a replica to every shard stream behind one merged view

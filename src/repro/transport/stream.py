@@ -238,6 +238,10 @@ class WritesetStream:
     def subscriptions(self) -> Iterator[WritesetSubscription]:
         return iter(self._subscriptions)
 
+    @property
+    def has_subscribers(self) -> bool:
+        return bool(self._subscriptions)
+
     # -- statistics ----------------------------------------------------------
 
     @property

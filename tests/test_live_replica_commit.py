@@ -430,8 +430,8 @@ def test_a_poll_is_answered_with_the_functional_stacks_horizons(tmp_path):
 
 def test_a_scheduler_that_is_never_polled_keeps_no_queue(tmp_path):
     """Two GC intervals of commits from one replica that never refreshes:
-    no stream has a subscriber, and the directory is the only place a
-    writeset is retained."""
+    no stream has a subscriber, nothing is offered to one, and the directory
+    is the only place a writeset is retained."""
     role, (device,) = make_role(tmp_path, shards=1, certifier_gc_headroom=0)
     call(role, "hello_replica", {"replica": "r0", "from_version": 0})
     for index in range(2 * GC_INTERVAL_REQUESTS + 1):
@@ -441,6 +441,9 @@ def test_a_scheduler_that_is_never_polled_keeps_no_queue(tmp_path):
     service = role.service
     assert service.system_version == 2 * GC_INTERVAL_REQUESTS + 1
     assert all(not list(stream.subscriptions()) for stream in service.streams)
+    assert [(stream.offered_version, stream.stats.flushes)
+            for stream in service.streams] == [(0, 0)]
+    assert service.core.propagated_version == service.system_version
     assert service.core.retained_count <= GC_INTERVAL_REQUESTS
     assert role.certify_answers_sent == 2 * GC_INTERVAL_REQUESTS + 1
     assert role.remote_writesets_sent == 0  # each request was up to date

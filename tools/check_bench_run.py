@@ -3,7 +3,7 @@
 
 ``bench/`` reads the nodes' ``stats`` keys, the shard WAL files and a few
 ``repro.live`` entry points directly, and no PR may edit it alongside a
-performance claim — so a renamed stats key or a changed WAL line would
+performance claim — so a renamed stats key or a changed WAL record would
 otherwise surface only in the benchmark pipeline.  This runs the command
 ``BENCHMARK.json`` declares, untraced and traced, and fails on ``correct:
 false``, on a failed operation, or on a declared metric missing from the
