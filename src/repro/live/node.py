@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import pkgutil
-import sys
 
 from repro.live.server import serve
 
@@ -71,13 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> None:
-    # A certifier shard mixes its event loop with a log-writer thread (and
-    # a wire client may re-dial on a helper thread); the default 5 ms GIL
-    # switch interval lets the loop thread starve a thread that just
-    # finished blocking IO (observed: a 0.25 ms WAL round trip ballooning
-    # to ~4 ms under load).  1 ms of scheduling granularity keeps
-    # cross-thread hand-offs prompt at negligible switching cost.
-    sys.setswitchinterval(0.001)
     args = build_parser().parse_args(argv)
     role = pkgutil.resolve_name(ROLES[args.role])(args)
     try:

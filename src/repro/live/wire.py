@@ -12,12 +12,14 @@ Two consumers share the format:
 
 * the asyncio node server (:mod:`repro.live.server`, one per node whatever
   its role) uses :func:`read_frame` / :func:`encode_frame` on its streams;
-* the callers use :class:`WireClient`, a socket with the same framing plus
+* the callers use :class:`WireClient`, with the same framing plus
   reconnect/retry helpers, in one of two modes: sequential blocking ``call``
-  (the driver's :class:`~repro.live.client.LiveSession`, control-plane
-  calls), or ``post`` on a client whose replies an event loop reads
-  (``read_on``) — the replica's certifier client and the scheduler's remote
-  WAL devices.
+  on a socket (the driver's :class:`~repro.live.client.LiveSession`,
+  control-plane calls, and the two calls a node makes before its loop
+  runs), or ``post`` on an asyncio stream an event loop owns (``read_on``)
+  — the replica's certifier client and the scheduler's remote WAL devices.
+  The posting mode reads with :func:`read_frame`, as the servers do, and
+  re-dials on the loop: it starts no thread and takes no lock.
 
 Multiplexing: a request may carry a ``rid`` (request id, unique per
 connection); the response echoes it, which lets one connection carry many
@@ -25,9 +27,8 @@ in-flight calls and lets responses come back out of order.  Requests
 *without* a ``rid`` keep the original strict request/response discipline:
 the server answers them in arrival order before reading the next frame, so
 a frame read after a write is always the answer to that write.  The
-:class:`WireClient` tags each posted call with a ``rid`` (the event loop
-given to ``read_on`` hands each response to its call's callback); its
-sequential calls never send one.
+:class:`WireClient` tags each posted call with a ``rid`` (its loop hands
+each response to its call's callback); its sequential calls never send one.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import json
 import random
 import socket
 import struct
-import threading
 import time
 from typing import Callable
 
@@ -199,33 +199,27 @@ class _Posted:
         self.sent = False  # it may have reached the peer: sending again is a resend
 
 
-def _hang_up(sock: socket.socket) -> None:
-    """Shut ``sock`` down so whoever reads it (a blocked ``recv``, or the
-    loop waiting for it to turn readable) wakes."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass  # already dead
-
-
 class WireClient:
-    """A blocking request/response client over one framed TCP connection.
+    """A request/response client over one framed TCP connection.
 
-    ``timeout`` bounds each socket operation (connect/send/recv), not a whole
-    call — a slow but live peer keeps resetting the clock.  ``None`` means
-    block forever (used by the test driver under the suite watchdog).
+    ``timeout`` bounds each dial and, for blocking calls, each socket
+    operation (connect/send/recv), not a whole call — a slow but live peer
+    keeps resetting the clock.  ``None`` means block forever (used by the
+    test driver under the suite watchdog).
 
-    :meth:`call` performs one round trip and unwraps the response envelope;
-    :meth:`call_retrying` additionally survives peer restarts by reconnecting
-    and resending — callers must only use it for idempotent ops (the live
-    protocol makes the WAL append and certification ops idempotent via
-    sequence numbers and transaction ids precisely so this is safe).
+    :meth:`call` performs one blocking round trip and unwraps the response
+    envelope; :meth:`call_retrying` additionally survives peer restarts by
+    reconnecting and resending — callers must only use it for idempotent ops
+    (the live protocol makes the WAL append and certification ops idempotent
+    via sequence numbers and transaction ids precisely so this is safe).
 
     After :meth:`read_on` the client posts its requests (:meth:`post`)
-    instead: it tags each with a per-connection ``rid`` and the event loop
-    given to ``read_on`` reads the responses and hands each to its caller's
-    callback, so a second request does not wait for the first one's answer.
-    Send order on the wire equals posting order.
+    instead, over an asyncio stream the given event loop owns: it tags each
+    request with a per-connection ``rid``, a task on that loop dials, sends
+    and reads the responses with :func:`read_frame`, and hands each to its
+    caller's callback — so a second request does not wait for the first
+    one's answer, and a peer that stops mid-frame stalls only this
+    connection, never the loop.  Send order on the wire equals posting order.
     """
 
     def __init__(self, host: str, port: int, *, timeout: float | None = 30.0,
@@ -235,12 +229,13 @@ class WireClient:
         self.port = port
         self.timeout = timeout
         self.name = name
-        #: Alternate peer addresses (a promoted standby).  ``call_retrying``
-        #: rotates to the next address when a dial is refused — the current
-        #: peer is gone, not merely slow — so a client survives its peer
-        #: being replaced by a different process on a different port.
+        #: Alternate peer addresses (a promoted standby).  A refused dial
+        #: rotates to the next address — the current peer is gone, not
+        #: merely slow — so a client survives its peer being replaced by a
+        #: different process on a different port.
         self._addresses: list[tuple[str, int]] = [(host, port), *fallbacks]
         self._address_index = 0
+        #: The blocking connection (sequential calls).
         self._sock: socket.socket | None = None
         self.calls = 0
         #: Reconnects for any reason (including clean re-dials after an idle
@@ -257,179 +252,124 @@ class WireClient:
         self.bytes_received = 0
         #: Highest number of simultaneously posted, unanswered calls.
         self.in_flight_high_water = 0
-        # Posting-mode state, shared by the loop and the re-dial helper.
-        # Lock order: _send_lock -> _posted_lock.
-        self._send_lock = threading.Lock()
-        self._posted_lock = threading.Lock()
+        # Posting mode: all of it is touched on the loop given to read_on only.
         self._rids = itertools.count(1)
-        #: Unanswered :meth:`post` calls by rid, oldest first, and whether a
-        #: thread is busy re-dialling on their behalf.
+        #: Unanswered :meth:`post` calls by rid, oldest first.
         self._posted: dict[int, _Posted] = {}
-        self._redialing = False
-        #: The loop that reads the replies to posted calls (see read_on).
         self._loop: asyncio.AbstractEventLoop | None = None
+        #: The posting connection's writer while it is up, and the task that
+        #: dials it, sends on it and reads it (see _converse).
+        self._writer: asyncio.StreamWriter | None = None
+        self._conversation: asyncio.Task | None = None
 
     # -- connection management ------------------------------------------------
 
     @property
     def connected(self) -> bool:
-        return self._sock is not None
+        return self._sock is not None or self._writer is not None
 
     def connect(self) -> None:
-        with self._send_lock:
-            self._connect_locked()
-
-    def _connect_locked(self) -> None:
         if self._sock is not None:
             return
         sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
-        if self._loop is not None:
-            self._watch(sock)
-
-    def _watch(self, sock: socket.socket) -> None:
-        """The loop reads ``sock`` from now on.  Blocking socket: the loop
-        owns recv (and the final close), senders own send; a posted call
-        waits for its answer as long as it takes."""
-        sock.settimeout(None)
-        self._loop.call_soon_threadsafe(
-            self._loop.add_reader, sock.fileno(), self._read_ready, sock)
 
     def read_on(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Make this a posting client whose replies ``loop`` reads: when the
-        socket turns readable it reads the response and runs its call's
-        callback in place, on the loop's own thread.  Call before the first
-        post; a connection earlier blocking calls opened is kept."""
-        with self._send_lock:
-            self._loop = loop
-            if self._sock is not None:
-                self._watch(self._sock)
+        """Make this a posting client whose connection ``loop`` owns: it
+        dials on the first post and runs each reply's callback on its own
+        thread.  Call before the first post; a connection earlier blocking
+        calls opened is closed, and the loop dials afresh."""
+        self._loop = loop
+        self.close()
 
     def close(self) -> None:
         """Drop the connection; whatever is still posted is abandoned."""
-        with self._send_lock:
-            with self._posted_lock:
-                self._posted.clear()
-            self._close_locked()
+        self._posted.clear()
+        if self._conversation is not None:
+            self._conversation.cancel()
+            self._conversation = None
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
-    def _close_locked(self) -> None:
-        """Swap out and close the socket; caller holds ``_send_lock``.
-
-        The socket swap must happen under the send lock or a concurrent
-        sender can grab a socket that is being closed under it (and a
-        concurrent ``_connect_locked`` can install a fresh socket that this
-        close then throws away).  Split from :meth:`close` because the
-        re-dial already holds the lock when it drops a poisoned connection.
-        """
-        sock = self._sock
-        self._sock = None
-        if sock is not None:
-            _hang_up(sock)  # a posting client's loop wakes, and closes it
-            if self._loop is None:
-                sock.close()
-
-    # -- replies, read on the loop ---------------------------------------------
-
-    def _read_ready(self, sock: socket.socket) -> None:
-        """On the loop: a response (or EOF) is there."""
-        try:
-            response, size = _recv_frame(sock)
-        except (OSError, WireError, ValueError):
-            self._loop.remove_reader(sock.fileno())
-            if self._connection_lost(sock):
-                threading.Thread(target=self._redial, daemon=True,
-                                 name=f"wire-redial-{self.name}").start()
-            return
-        with self._posted_lock:
-            self.frames_received += 1
-            self.bytes_received += size
-            call = self._posted.pop(int(response.get("rid", -1)), None)
-        if call is not None:  # else a call close() abandoned: the frame is dropped
-            call.on_reply(response)
-
-    def _connection_lost(self, sock: socket.socket) -> bool:
-        """This connection is dead (peer crash or local close()); every
-        caller still waiting on it must re-dial and resend.  The swap
-        happens under the send lock so an in-progress sender never has the
-        socket yanked out from under its feet; only this dead socket is
-        cleared (a re-dial may already have installed a fresh one).  True:
-        calls are still posted and nobody is re-dialling for them yet — the
-        caller must."""
-        with self._send_lock:
-            if self._sock is sock:
-                self._sock = None
-            redial = bool(self._posted) and not self._redialing
-            self._redialing |= redial
-        sock.close()
-        self.reconnects += redial
-        return redial
+    def _rotate_address(self) -> None:
+        self._address_index = (self._address_index + 1) % len(self._addresses)
+        self.host, self.port = self._addresses[self._address_index]
 
     # -- posted calls -----------------------------------------------------------
 
     def post(self, op: str, on_reply: Callable[[dict], None], **fields: object) -> None:
         """Send a request and return; ``on_reply(response)`` — the raw
         envelope, ``ok`` unchecked — runs on the loop given to
-        :meth:`read_on`, which must have been called.
+        :meth:`read_on`, which must have been called.  Call on that loop.
 
         The call stays *posted* until it is answered: when the connection
-        dies, or the peer is not up yet, a background re-dial sends every
+        dies, or the peer is not up yet, the loop re-dials and sends every
         posted call again, in posting order, on the new connection — so only
         idempotent ops may be posted, and ``on_reply`` must not raise.
         Nothing here waits for the peer; :meth:`close` abandons the rest.
         """
         assert self._loop is not None, "read_on(loop) first: the loop reads the replies"
-        with self._send_lock:
-            rid = next(self._rids)
-            call = _Posted(encode_frame({"op": op, "rid": rid, **fields}), on_reply)
-            with self._posted_lock:
-                self._posted[rid] = call
-                self.in_flight_high_water = max(self.in_flight_high_water, len(self._posted))
-            if self._sock is not None:
-                self._send_posted(self._sock, call)
-            elif not self._redialing:  # first call, or the peer is not there yet
-                self._redialing = True
-                threading.Thread(target=self._redial, daemon=True,
-                                 name=f"wire-redial-{self.name}").start()
+        rid = next(self._rids)
+        call = _Posted(encode_frame({"op": op, "rid": rid, **fields}), on_reply)
+        self._posted[rid] = call
+        self.in_flight_high_water = max(self.in_flight_high_water, len(self._posted))
+        if self._writer is not None:
+            self._send_posted(self._writer, call)
+        elif self._conversation is None:  # first call, or lost while idle
+            self._conversation = self._loop.create_task(self._converse())
 
-    def _send_posted(self, sock: socket.socket, call: _Posted) -> bool:
-        """Caller holds ``_send_lock``.  A failed send hangs the connection
-        up: the loop notices and owns the re-dial."""
+    def _send_posted(self, writer: asyncio.StreamWriter, call: _Posted) -> None:
+        """Buffered, never blocks; a connection that fails under it is
+        noticed by its reader, which re-dials."""
         self.resends += call.sent
         call.sent = True  # even a failed send may have reached the peer
-        try:
-            sock.sendall(call.frame)
-        except OSError:
-            _hang_up(sock)
-            return False
+        writer.write(call.frame)
         self.frames_sent += 1
         self.bytes_sent += len(call.frame)
-        return True
 
-    def _redial(self) -> None:
-        """Dial until the peer answers, then send everything still posted, in
-        posting order — on a helper thread, so the loop never waits for a
-        dial.  A refused dial rotates to the next address, as in
-        :meth:`call_retrying`."""
+    def _received(self, size: int) -> None:
+        self.frames_received += 1
+        self.bytes_received += size
+
+    async def _converse(self) -> None:
+        """Dial until the peer answers, send everything posted in posting
+        order, and hand each reply to its call; after a lost connection do it
+        again while any call is still posted.  A dial that fails or times out
+        rotates to the next address, as in :meth:`call_retrying`."""
         attempt = 0
-        while True:
-            with self._send_lock:
-                with self._posted_lock:
-                    posted = list(self._posted.values())
-                try:
-                    if posted:
-                        self._connect_locked()
-                except OSError:
-                    self._rotate_locked()
-                else:
-                    if all(self._send_posted(self._sock, call) for call in posted):
-                        self._redialing = False
-                        return
-                    self._close_locked()
-            attempt += 1
-            time.sleep(min(0.02 * attempt, 0.2))
+        while self._posted:
+            try:
+                reader, writer = await asyncio.wait_for(
+                    asyncio.open_connection(self.host, self.port), self.timeout)
+            except OSError:  # refused, unreachable or timed out
+                self._rotate_address()
+                attempt += 1
+                await asyncio.sleep(min(0.02 * attempt, 0.2))
+                continue
+            attempt = 0
+            self._writer = writer
+            for call in list(self._posted.values()):
+                self._send_posted(writer, call)
+            try:
+                while (response := await read_frame(reader, self._received)) is not None:
+                    call = self._posted.pop(int(response.get("rid", -1)), None)
+                    if call is not None:  # else a call close() abandoned
+                        call.on_reply(response)
+            except (OSError, WireError, ValueError):
+                pass  # the connection is lost
+            finally:
+                if self._writer is writer:
+                    self._writer = None
+                writer.close()
+            self.reconnects += bool(self._posted)
+        self._conversation = None
 
-    # -- calls ----------------------------------------------------------------
+    # -- blocking calls ---------------------------------------------------------
 
     def call(self, op: str, **fields: object) -> dict:
         """One request/response round trip; raises on transport or remote error."""
@@ -459,7 +399,7 @@ class WireClient:
     def _receive_sequential(self, op: str) -> dict:
         try:
             response, size = _recv_frame(self._sock)
-        except (OSError, EOFError) as exc:
+        except (OSError, ConnectionLost) as exc:
             self.close()  # poisoned mid-exchange; the next call starts clean
             raise ConnectionLost(f"{op} to {self.host}:{self.port} failed: {exc}") from exc
         self.frames_received += 1
@@ -493,9 +433,8 @@ class WireClient:
                         f"{op} to {self.host}:{self.port}: still "
                         f"{exc.error_type} after {deadline_s}s") from exc
             except ConnectionLost as exc:
-                # The next call() re-dials from scratch.
-                with self._send_lock:
-                    self._close_locked()
+                # The failed call() closed the connection; the next one
+                # re-dials from scratch.
                 self.reconnects += 1
                 if exc.request_sent:
                     # The request may already have reached the peer before
@@ -504,7 +443,7 @@ class WireClient:
                     # inflate the maybe-duplicate accounting consumers like
                     # the remote WAL device build on.
                     self.resends += 1
-                elif len(self._addresses) > 1:
+                else:
                     # Dial refused: this peer is gone, not slow.  Rotate to
                     # the next known address (a standby scheduler) so the
                     # retry dials whoever is supposed to take over.
@@ -513,16 +452,6 @@ class WireClient:
                     raise
             attempt += 1
             time.sleep(backoff_s(attempt, retry_interval_s))
-
-    def _rotate_address(self) -> None:
-        with self._send_lock:
-            self._rotate_locked()
-
-    def _rotate_locked(self) -> None:
-        if self._sock is not None:
-            return  # a concurrent caller already reconnected somewhere
-        self._address_index = (self._address_index + 1) % len(self._addresses)
-        self.host, self.port = self._addresses[self._address_index]
 
     # -- observability --------------------------------------------------------
 
@@ -549,4 +478,4 @@ class WireClient:
 
     def __repr__(self) -> str:
         state = "connected" if self.connected else "disconnected"
-        return f"WireClient({self.host}:{self.port}, {state}, calls={self.calls})"
+        return f"WireClient({self.name}, {self.host}:{self.port}, {state}, calls={self.calls})"

@@ -182,9 +182,10 @@ def test_pipelined_placements_run_where_the_table_says():
     assert asyncio.run(scenario()) == [on_loop, {**on_loop, "awaited": True}]
 
 
-@pytest.mark.parametrize("module", ["replica", "scheduler", "server"])
+@pytest.mark.parametrize("module", ["replica", "scheduler", "server", "wire", "wal", "client"])
 def test_the_replica_scheduler_and_server_start_no_thread(module):
-    """Their state is the loop's alone: no thread pool, no lock."""
+    """Their state is the loop's alone: no thread pool, no lock — also in the
+    wire client, the WAL device and the certifier client they post through."""
     path = Path(__file__).parents[1] / "src" / "repro" / "live" / f"{module}.py"
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

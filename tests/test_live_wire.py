@@ -7,13 +7,14 @@ down the exact accounting and scoping rules the live crash tests build on:
   peer — a dial refusal (connect raised before any bytes went out) must
   not inflate the maybe-duplicate counter `RemoteWalDevice.resent_batches`
   derives from it;
-* socket swap-out (close / connection death) is `_send_lock`-protected,
-  so a closer on the loop never races the re-dial helper's sends;
-* posted calls are read by the event loop given to `read_on` — the loop
-  that posts them — and the streaming `RemoteWalDevice` on that loop keeps
-  several shipped batches in flight, counts fsync groups (not batches), and
-  after a lost connection resends everything unacknowledged, in order,
-  releasing each batch exactly once.
+* posted calls live on the event loop given to `read_on` — the loop that
+  posts them dials, re-dials and reads their replies, with no thread — so
+  closing the client between posts never races a send, and a peer that
+  stops mid-frame stalls only its connection, never the loop;
+* the streaming `RemoteWalDevice` on that loop keeps several shipped
+  batches in flight, counts fsync groups (not batches), and after a lost
+  connection resends everything unacknowledged, in order, releasing each
+  batch exactly once.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import pytest
 
 from repro.live.wal import RemoteWalDevice
 from repro.live.wire import ConnectionLost, WireClient
+
+pytestmark = pytest.mark.live  # localhost sockets, under the live watchdog
 
 _LEN = struct.Struct(">I")
 
@@ -68,7 +71,8 @@ class _MiniServer:
         self._listener.listen(8)
         self.port = self._listener.getsockname()[1]
         self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread = threading.Thread(target=self._serve, daemon=True,
+                                        name="mini-server")
         self._thread.start()
 
     def _serve(self):
@@ -81,8 +85,8 @@ class _MiniServer:
                 except socket.timeout:
                     continue
                 conns.append(conn)
-                worker = threading.Thread(
-                    target=self._serve_conn, args=(conn,), daemon=True)
+                worker = threading.Thread(target=self._serve_conn, args=(conn,),
+                                          daemon=True, name="mini-server-conn")
                 worker.start()
         finally:
             for conn in conns:
@@ -126,6 +130,14 @@ def _on_a_loop(scenario, timeout_s=10.0):
     """Run ``scenario()`` on a fresh event loop: the loop that posts is the
     loop that reads the replies, as in a node."""
     return asyncio.run(asyncio.wait_for(scenario(), timeout_s))
+
+
+def _threads():
+    """The live threads other than the scripted peers' own: compared before
+    and after a re-dial, it shows that the client started none (a set, not a
+    count, so a thread an earlier test left ending cannot hide one)."""
+    return {thread for thread in threading.enumerate()
+            if not thread.name.startswith("mini-server")}
 
 
 async def _until(predicate, timeout_s=5.0):
@@ -175,7 +187,7 @@ def test_dial_refusal_raises_before_anything_is_sent():
     assert excinfo.value.request_sent is False
 
 
-# -- lock-protected socket swap-out ------------------------------------------
+# -- closing between posts --------------------------------------------------
 
 
 def test_concurrent_close_and_calls_do_not_race():
@@ -276,17 +288,20 @@ def test_posted_calls_are_resent_in_order_until_answered_or_abandoned():
     server = _MiniServer(handler)
 
     async def scenario():
+        threads = _threads()
         client = WireClient("127.0.0.1", server.port, timeout=1.0)
         client.read_on(asyncio.get_running_loop())
         answered: list = []
         client.post("a", lambda response: answered.append("a"))
         client.post("b", lambda response: answered.append("b"))
-        client.post("c", lambda response: answered.append("c"))
-        await _until(lambda: "c" in answered)
+        client.post("c", lambda response: answered.append(("c", _threads() <= threads)))
+        await _until(lambda: len(answered) == 2)
         # a was answered before the hang-up and is not sent again; b and c
-        # are, in posting order, on the new connection.
-        assert seen == ["a", "b", "c", "b", "c"] and answered == ["a", "c"]
+        # are, in posting order, on the new connection — re-dialled on the
+        # loop, with no thread started for it.
+        assert seen == ["a", "b", "c", "b", "c"] and answered == ["a", ("c", True)]
         assert client.resends == 2 and client.reconnects == 1
+        assert _threads() <= threads
         client.close()  # abandons b: nothing re-dials on its behalf any more
         await asyncio.sleep(0.2)
         assert seen == ["a", "b", "c", "b", "c"] and not client.connected
@@ -300,7 +315,7 @@ def test_posted_calls_are_resent_in_order_until_answered_or_abandoned():
 def test_posted_replies_can_be_read_by_an_event_loop_instead_of_a_thread():
     """``read_on(loop)``: the replies are delivered on the loop's own thread
     (no reader thread, no hand-off), and a lost connection is still re-dialled
-    and resent on."""
+    and resent on.  Posting and closing happen on that loop too."""
     seen: list = []
     hung_up = threading.Event()
 
@@ -316,6 +331,7 @@ def test_posted_replies_can_be_read_by_an_event_loop_instead_of_a_thread():
     runner = threading.Thread(target=loop.run_forever, daemon=True)
     runner.start()
     try:
+        threads = _threads()
         client = WireClient("127.0.0.1", server.port, timeout=1.0, name="looped")
         client.read_on(loop)
         delivered_on: list = []
@@ -328,19 +344,74 @@ def test_posted_replies_can_be_read_by_an_event_loop_instead_of_a_thread():
                     done.set()
             return deliver
 
-        client.post("a", on_reply("a"))
-        client.post("b", on_reply("b"))
+        loop.call_soon_threadsafe(client.post, "a", on_reply("a"))
+        loop.call_soon_threadsafe(client.post, "b", on_reply("b"))
         assert done.wait(5.0)
         assert seen == ["a", "b", "b"]
         assert delivered_on == [("a", runner), ("b", runner)]
         assert client.resends == 1 and client.reconnects == 1
         assert not [t.name for t in threading.enumerate()
                     if t.name.startswith("wire-reader")]
-        client.close()
+        assert _threads() <= threads
+        loop.call_soon_threadsafe(client.close)
     finally:
         loop.call_soon_threadsafe(loop.stop)
         runner.join(timeout=2.0)
         server.stop()
+
+
+def test_a_peer_that_stops_mid_frame_stalls_its_connection_not_the_loop():
+    """The peer sends a reply's header and a few body bytes, then pauses for
+    a second (a SIGSTOP'd or wedged node looks the same): the posting loop
+    keeps running — a timer armed before the bytes arrive fires on time —
+    and the reply is delivered whole once the rest of it comes."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    asked, go, done = threading.Event(), threading.Event(), threading.Event()
+
+    def peer():
+        conn, _ = listener.accept()
+        with conn:
+            request = _read_request(conn)
+            body = json.dumps({"ok": True, "rid": request["rid"],
+                               "pad": "x" * 64}).encode()
+            frame = _LEN.pack(len(body)) + body
+            asked.set()
+            go.wait(5.0)
+            conn.sendall(frame[:_LEN.size + 6])
+            time.sleep(1.0)
+            conn.sendall(frame[_LEN.size + 6:])
+            done.wait(5.0)
+
+    serving = threading.Thread(target=peer, daemon=True, name="mini-server-stall")
+    serving.start()
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        client = WireClient("127.0.0.1", listener.getsockname()[1], timeout=1.0)
+        client.read_on(loop)
+        replies: list = []
+        client.post("ping", replies.append)
+        await _until(asked.is_set)
+        fired = loop.create_future()
+        deadline = loop.time() + 0.2
+        loop.call_at(deadline, lambda: fired.set_result(loop.time()))
+        go.set()  # the partial frame arrives while the timer is pending
+        late_s = await fired - deadline
+        assert late_s < 0.1, f"the loop stalled: its timer fired {late_s * 1000:.0f} ms late"
+        assert replies == []
+        await _until(lambda: replies)
+        assert replies == [{"ok": True, "rid": 1, "pad": "x" * 64}]
+        assert client.frames_received == 1 and client.reconnects == 0
+        client.close()
+
+    try:
+        _on_a_loop(scenario)
+    finally:
+        done.set()
+        serving.join(timeout=5.0)
+        listener.close()
 
 
 # -- the streaming WAL device ---------------------------------------------------
@@ -400,6 +471,7 @@ def test_wal_device_resends_everything_unacknowledged_in_order():
     server = _MiniServer(_fake_shard(appends, hang_up_on={2}))
 
     async def scenario():
+        threads = _threads()
         device = RemoteWalDevice("127.0.0.1", server.port, shard_id=1)
         device.read_on(asyncio.get_running_loop())
         durable: list[int] = []
@@ -409,6 +481,7 @@ def test_wal_device_resends_everything_unacknowledged_in_order():
         assert durable == []  # the acks are read by this loop, once it yields
         await _until(lambda: len(durable) == 3)
         assert durable == [1, 2, 3]
+        assert _threads() <= threads  # the re-dial started none
         seqs = [seq for seq, _ in appends]
         assert seqs[:2] == [1, 2] and seqs[-2:] == [2, 3], seqs
         assert 1 <= device.resent_batches <= 2  # batch 3 may not have left yet
@@ -449,7 +522,7 @@ def test_wal_device_waits_out_a_shard_that_is_not_there_yet():
 def test_wal_device_stress_one_loop_ships_while_it_reads_acks():
     """Many shipping tasks share one device on the loop that reads its
     acknowledgements, while the shard drops the connection once mid-stream
-    and the re-dial helper resends under a shortened GIL switch interval:
+    and the loop re-dials and resends under a shortened GIL switch interval:
     every batch is acknowledged exactly once, in shipping order, and the
     shard sees every record offset, first arrivals in order — a lost update
     on the offset, the in-flight queue or the counters would break one of
@@ -462,6 +535,7 @@ def test_wal_device_stress_one_loop_ships_while_it_reads_acks():
     server = _MiniServer(_fake_shard(appends, hang_up_on={total // 2}))
 
     async def scenario():
+        threads = _threads()
         device = RemoteWalDevice("127.0.0.1", server.port)
         device.read_on(asyncio.get_running_loop())
         shipped: list[int] = []
@@ -484,6 +558,7 @@ def test_wal_device_stress_one_loop_ships_while_it_reads_acks():
         stats = device.wire_stats()
         assert stats["calls"] == total and device.sync_count == total
         assert stats["reconnects"] == 1
+        assert _threads() <= threads
         device.close()
 
     interval = sys.getswitchinterval()
