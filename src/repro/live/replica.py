@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 from functools import partial
+from typing import Callable
 
 from repro.engine.database import Database
 from repro.engine.locks import LockBlockedError
@@ -29,11 +30,15 @@ from repro.engine.log_device import FileLogDevice
 from repro.errors import TransactionAborted
 from repro.live import codec
 from repro.live.client import LiveCertifierClient
-from repro.live.server import (ASYNC, WEDGE, Op, Role, error_envelope, load_spec, lookup,
+from repro.live.server import (ASYNC, WEDGE, Op, Reply, Role, envelope, load_spec, lookup,
                                parse_addr)
 from repro.live.wire import RemoteCallError
 from repro.middleware.client_api import ClientSession
 from repro.middleware.replica import Replica
+
+
+#: What a statement batch's runner is first called with: no statement ran yet.
+_NOTHING = object()
 
 
 class ReplicaRole(Role):
@@ -93,34 +98,42 @@ class ReplicaRole(Role):
     def start(self, loop: asyncio.AbstractEventLoop) -> None:
         self.cert_client.read_on(loop)
 
-    async def session_batch(self, payload: dict):
+    def session_batch(self, payload: dict, reply: Reply) -> None:
         """Execute a fused list of session statements as one frame.
 
         The driver's :class:`LiveSession` defers resultless statements and
         ships them ahead of the next synchronous one, cutting the per-
-        transaction frame count.  Statements run in order, an ASYNC one (a
-        commit) awaited; the first failure stops the batch and its error
-        envelope is returned in place — the same outcome the client would
-        have observed sending the statements as individual frames and
-        halting at the error.
+        transaction frame count.  Statements run in order, the rest resumed
+        once an ASYNC one (a commit) is answered; the first failure stops the
+        batch and its error envelope is answered in place — the same outcome
+        the client would have observed sending the statements as individual
+        frames and halting at the error.
         """
-        results: list[dict] = []
-        for statement in payload["ops"]:
-            sub = dict(statement)
-            op = sub.pop("op")
-            sub["session_id"] = payload["session_id"]
-            try:
-                entry = lookup(self, op)
-                result = entry.handler(self, sub)
-                if entry.placement is ASYNC:
-                    result = await result
-            except Exception as exc:  # noqa: BLE001 - per-statement boundary
-                results.append(error_envelope(exc))
-                break
-            if result is WEDGE:
-                return WEDGE
-            results.append({"ok": True, **(result or {})})
-        return {"results": results}
+        statements, results = iter(payload["ops"]), []
+
+        def run_on(answer=_NOTHING) -> None:
+            """Record the answer of the statement that ran, run the next ones."""
+            while True:
+                if answer is WEDGE:
+                    return reply(WEDGE)
+                if answer is not _NOTHING:
+                    results.append(envelope(answer))
+                    if not results[-1]["ok"]:
+                        break
+                statement = next(statements, None)
+                if statement is None:
+                    break
+                sub = {**statement, "session_id": payload["session_id"]}
+                try:
+                    entry = lookup(self, sub.pop("op"))
+                    if entry.placement is ASYNC:
+                        return entry.handler(self, sub, run_on)
+                    answer = entry.handler(self, sub)
+                except Exception as exc:  # noqa: BLE001 - per-statement boundary
+                    answer = exc
+            reply({"results": results})
+
+        run_on()
 
     def _session(self, payload: dict) -> ClientSession:
         session = self.sessions.get(payload["session_id"])
@@ -159,65 +172,58 @@ class ReplicaRole(Role):
     def abort(self, payload: dict):
         self._session(payload).abort()
 
-    async def commit(self, payload: dict):
+    def commit(self, payload: dict, reply: Reply) -> None:
         """Run the commit's local half up to its certification request, post
-        the request — the exactly-once tx id rides down with it — and wait
-        for the answer to finish it.  A commit whose request was sent
-        finishes even if this task is cancelled (its client hung up): the
-        answer, not the waiting client, drives it."""
+        the request — the exactly-once tx id rides down with it — and finish
+        it when the answer arrives.  A commit whose request was sent
+        finishes even if its client hung up: the answer, not the waiting
+        client, drives it."""
         session = self._session(payload)
         self.commit_ops += 1
-        if (self.wedge_before_commit_op
-                and self.commit_ops == self.wedge_before_commit_op):
+        if self.commit_ops == self.wedge_before_commit_op:
             # Killed here, the transaction was never certified: the client's
             # status query finds nothing and re-executes — safely, exactly
             # once, because nothing was admitted.
-            return WEDGE
-        outcome = await self._drive(session.commit_steps(), payload.get("tx_id"))
-        if (self.wedge_after_commit_op
-                and self.commit_ops == self.wedge_after_commit_op):
+            return reply(WEDGE)
+        self._resume(session.commit_steps(), payload.get("tx_id"),
+                     partial(self._committed, self.commit_ops, reply), None)
+
+    def _committed(self, commit_op: int, reply: Reply, outcome) -> None:
+        if isinstance(outcome, Exception):
+            reply(outcome)
+        elif commit_op == self.wedge_after_commit_op:
             # Killed here, the transaction IS committed (admitted, durable,
             # propagated) but the ack never reaches the client: the status
             # query answers "committed" and the client must not re-execute.
-            return WEDGE
-        return {"outcome": codec.encode_outcome(outcome)}
+            reply(WEDGE)
+        else:
+            reply({"outcome": codec.encode_outcome(outcome)})
 
-    async def refresh(self, payload: dict):
+    def refresh(self, payload: dict, reply: Reply) -> None:
         """Poll the scheduler, apply what is new and report the watermark —
         each call in send order behind the commits already sent."""
-        applied = await self._drive(self.replica.proxy.refresh_steps())
-        return {"applied": self.replica.count_refresh(applied)}
+        self._resume(self.replica.proxy.refresh_steps(), None, lambda applied: reply(
+            applied if isinstance(applied, Exception)
+            else {"applied": self.replica.count_refresh(applied)}), None)
 
-    def _drive(self, steps, tx_id: str | None = None) -> asyncio.Future:
-        """Run a proxy's commit or refresh ``steps`` to their outcome: the
-        future this returns."""
-        settled = asyncio.get_running_loop().create_future()
-        self._resume(steps, tx_id, settled, None)
-        return settled
-
-    def _resume(self, steps, tx_id: str | None, settled: asyncio.Future, answer) -> None:
-        """Resume ``steps`` with ``answer`` — at first ``None``, then on the
-        loop in send order — and post the next request they yield, or settle
-        their outcome (if its waiter is still there)."""
+    def _resume(self, steps, tx_id: str | None, done: Callable[[object], None],
+                answer) -> None:
+        """Resume a proxy's commit or refresh ``steps`` with ``answer`` — at
+        first ``None``, then on the loop in send order — and post the next
+        request they yield, or hand their outcome (or error) to ``done``."""
         try:
             if isinstance(answer, Exception):
                 request = steps.throw(answer)
             else:
                 request = steps.send(answer)
-        except StopIteration as done:
-            result = done.value
-        except Exception as exc:  # noqa: BLE001 - the waiter raises it
+        except StopIteration as finished:
+            result = finished.value
+        except Exception as exc:  # noqa: BLE001 - the request's to answer
             result = exc
         else:
-            self.cert_client.send(request, partial(self._resume, steps, tx_id, settled),
-                                  tx_id)
+            self.cert_client.send(request, partial(self._resume, steps, tx_id, done), tx_id)
             return
-        if settled.done():  # its waiter is gone; the steps finished all the same
-            return
-        if isinstance(result, Exception):
-            settled.set_exception(result)
-        else:
-            settled.set_result(result)
+        done(result)
 
     def dump_table(self, payload: dict):
         database = self.replica.database

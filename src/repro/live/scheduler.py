@@ -37,7 +37,8 @@ from repro.errors import RecoveryError, ReproError
 from repro.live import codec
 from repro.live.replicated import (LiveReplicatedCertifierService, decode_entry_payload,
                                    encode_entry_payload, rebuild_from_shard_wals)
-from repro.live.server import ASYNC, WEDGE, Op, Role, error_envelope, load_spec, parse_addr
+from repro.live.server import (ASYNC, WEDGE, Op, Reply, Role, error_envelope, load_spec,
+                               parse_addr)
 from repro.live.wal import RemoteWalDevice
 from repro.live.wire import ConnectionLost, RemoteCallError, WireClient, check_ok
 from repro.middleware.sharded_certifier import ShardedCertifierService
@@ -46,76 +47,76 @@ from repro.middleware.sharded_certifier import ShardedCertifierService
 class _CertifyBatcher:
     """Collects concurrent ``certify`` requests into certification rounds.
 
-    Lives on the event loop; submission parks an ``asyncio`` future, the
-    flusher loop cuts a round at ``live_certify_batch_max`` requests or once
-    ``live_certify_batch_window_ms`` has elapsed, and *admits* each round right here.
-    Admission never waits for the disk: with a zero window a round is
-    whatever the loop has read since the previous one, and the grouping into
-    fsyncs happens at the shards.  A future resolves at once or when the
-    durable frontier releases its decision (:meth:`SchedulerRole._release`).
+    Lives on the event loop with no task of its own: the first request after
+    a cut schedules the next one, which takes up to ``live_certify_batch_max``
+    requests and *admits* them right here.  With a zero
+    ``live_certify_batch_window_ms`` a round is whatever the loop has read in
+    that pass; a window holds it open (see :meth:`_poll`).  Admission never
+    waits for the disk: the grouping into fsyncs happens at the shards.  A
+    request's ``reply`` is called at once or when the durable frontier
+    releases its decision (:meth:`SchedulerRole._release`).
     """
 
     def __init__(self, role: "SchedulerRole", loop: asyncio.AbstractEventLoop) -> None:
         self._role = role
         self._loop = loop
-        self._pending: list[tuple[dict, asyncio.Future]] = []
-        self._wake = asyncio.Event()
+        self._pending: list[tuple[dict, Reply]] = []
+        self._cut_due = False
         self._window_ms = role.config.live_certify_batch_window_ms
         self._batch_max = role.config.live_certify_batch_max
+        self._step_s = max(self._window_ms / 8000.0, 0.00025)
         #: Seconds spent admitting rounds (the rest of wall time the batcher
         #: was waiting for requests to arrive).
         self.busy_s = 0.0
-        self._task = loop.create_task(self._run())
 
-    async def submit(self, payload: dict) -> dict:
-        future: asyncio.Future = self._loop.create_future()
-        self._pending.append((payload, future))
-        self._wake.set()
-        return await future
+    def submit(self, payload: dict, reply: Reply) -> None:
+        self._pending.append((payload, reply))
+        if not self._cut_due:
+            self._cut_due = True
+            self._schedule()
 
-    async def _run(self) -> None:
-        while True:
-            if not self._pending:
-                self._wake.clear()
-                await self._wake.wait()
-            if self._window_ms > 0:
-                # Accumulate until the window elapses or the batch cap is
-                # reached — or until arrivals go quiescent: when every
-                # certify the scheduler has read is already in ``pending``
-                # and nothing new landed across two polls, waiting out the
-                # rest of the window only adds latency, so cut early.
-                started = self._loop.time()
-                step = max(self._window_ms / 8000.0, 0.00025)
-                stable_polls = 0
-                last_seen = len(self._pending)
-                while (len(self._pending) < self._batch_max
-                       and (self._loop.time() - started) * 1000.0 < self._window_ms):
-                    await asyncio.sleep(step)
-                    pending = len(self._pending)
-                    in_flight = (self._role.server_stats.in_flight
-                                 - len(self._role._held))  # those are not coming
-                    if pending == last_seen and pending >= in_flight:
-                        stable_polls += 1
-                        if stable_polls >= 2:
-                            break
-                    else:
-                        stable_polls = 0
-                    last_seen = pending
-            batch = self._pending[:self._batch_max]
-            del self._pending[:len(batch)]
-            payloads = [payload for payload, _ in batch]
-            # Held decisions are released on this loop too: it reads the acks.
-            sinks = [functools.partial(_resolve, future) for _, future in batch]
-            round_started = self._loop.time()
-            try:
-                responses = self._role.admit_round(payloads, sinks)
-            except Exception as exc:  # noqa: BLE001 - per-round boundary
-                responses = [error_envelope(exc)] * len(batch)
-            finally:
-                self.busy_s += self._loop.time() - round_started
-            for sink, response in zip(sinks, responses):
-                if response is not None:  # None: held for the durable frontier
-                    sink(response)
+    def _schedule(self) -> None:
+        if self._window_ms > 0 and len(self._pending) < self._batch_max:
+            self._loop.call_later(self._step_s, self._poll, self._loop.time(), 0,
+                                  len(self._pending))
+        else:
+            self._loop.call_soon(self._cut)
+
+    def _poll(self, started: float, stable_polls: int, last_seen: int) -> None:
+        """Accumulate until the window elapses or the batch cap is reached —
+        or until arrivals go quiescent: when every certify the scheduler has
+        read is already pending and nothing new landed across two polls,
+        waiting out the rest of the window only adds latency, so cut early."""
+        pending = len(self._pending)
+        in_flight = (self._role.server_stats.in_flight
+                     - len(self._role._held))  # those are not coming
+        stable = pending == last_seen and pending >= in_flight
+        stable_polls = stable_polls + 1 if stable else 0
+        if (stable_polls < 2 and pending < self._batch_max
+                and (self._loop.time() - started) * 1000.0 < self._window_ms):
+            self._loop.call_later(self._step_s, self._poll, started, stable_polls, pending)
+        else:
+            self._cut()
+
+    def _cut(self) -> None:
+        batch = self._pending[:self._batch_max]
+        del self._pending[:len(batch)]
+        payloads = [payload for payload, _ in batch]
+        # Held decisions are released on this loop too: it reads the acks.
+        sinks = [reply for _, reply in batch]
+        round_started = self._loop.time()
+        try:
+            responses = self._role.admit_round(payloads, sinks)
+        except Exception as exc:  # noqa: BLE001 - per-round boundary
+            responses = [error_envelope(exc)] * len(batch)
+        finally:
+            self.busy_s += self._loop.time() - round_started
+        for sink, response in zip(sinks, responses):
+            if response is not None:  # None: held for the durable frontier
+                sink(response)
+        self._cut_due = bool(self._pending)
+        if self._cut_due:
+            self._schedule()
 
 
 #: A decision waiting for the durable frontier (see ``SchedulerRole._held``).
@@ -356,16 +357,20 @@ class SchedulerRole(Role):
                 "seeded": self.seed_package is not None,
                 "last_promotion": self.last_promotion}
 
-    async def promote(self, payload: dict):
-        """Idempotent: a call that arrives while a promotion runs awaits it
-        (and answers ``already``) instead of promoting again."""
+    def promote(self, payload: dict, reply: Reply) -> None:
+        """Idempotent: a call that arrives while a promotion runs is answered
+        when it ends (``already``, or its error) instead of promoting again."""
         first = not self.promoted and self._promotion is None
         if first:  # once it settles, a failed one may be asked for again
             self._promotion = asyncio.ensure_future(self._promote())
             self._promotion.add_done_callback(lambda _: setattr(self, "_promotion", None))
-        if self._promotion is not None:
-            await asyncio.shield(self._promotion)  # its error, if it fails
-        return {"promoted": True, "already": not first, **(self.last_promotion or {})}
+
+        def answer() -> dict:
+            return {"promoted": True, "already": not first, **(self.last_promotion or {})}
+
+        if self._promotion is None:
+            return reply(answer())
+        self._promotion.add_done_callback(lambda done: reply(done.exception() or answer()))
 
     def commit_status(self, payload: dict):
         self.status_queries += 1
@@ -447,7 +452,7 @@ class SchedulerRole(Role):
         }
 
     ops = {
-        "certify": Op(lambda self, payload: self._batcher.submit(payload), ASYNC),
+        "certify": Op(lambda self, payload, reply: self._batcher.submit(payload, reply), ASYNC),
         "state_transfer": Op(state_transfer),
         "standby_status": Op(standby_status, standby=True),
         "promote": Op(promote, ASYNC, standby=True),

@@ -1,27 +1,33 @@
 """The one asyncio server every live node runs.
 
 Everything that is the same for a certifier shard, a scheduler and a replica:
-the frame loop, the wire counters, the ``ok`` / ``rid`` / error envelope, the
+the connection, the wire counters, the ``ok`` / ``rid`` / error envelope, the
 wedge freeze and the **only** dispatcher.  A role declares one table ``op ->
 Op(handler, placement, standby)``; how a frame's handler runs is decided here.
 It always runs on the event loop, and no lock is held around it: the loop is
 the only thread in a role's state (a certifier shard's log writer shares only
 the shard's queue, behind the shard's own lock).
 
-``INLINE``  called in place — work that never waits on another node;
-``ASYNC``   awaited — handlers that park on a future somebody else resolves
-            (log writer, certification batcher, a promotion's shard reads,
-            a replica's certification or refresh answer, a statement batch
-            that ends in a commit).
+``INLINE``  ``handler(role, payload)`` returns the answer — work that never
+            waits on another node;
+``ASYNC``   ``handler(role, payload, reply)`` returns at once, and whatever
+            settles the request (a certify round or release, the shard's log
+            writer, a replica's certify answer) calls ``reply(answer)`` once.
 
-Framing and ``rid`` multiplexing are :mod:`repro.live.wire`'s; the readiness
-handshake line on stdout is :mod:`repro.live.harness`'s.
+A connection is one ``asyncio.Protocol`` over a
+:class:`~repro.live.wire.FrameDecoder`.  The frames a read delivers are
+dispatched in arrival order and their replies leave in one write; a later
+reply is written when it is produced, or dropped if its client is gone.  A
+rid-less frame is answered before anything after it is dispatched.  While
+the peer does not read (``pause_writing``), the connection dispatches and
+reads nothing, so a slow reader holds back its writer.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import json
 import os
 import sys
@@ -34,7 +40,7 @@ from repro.core.config import ReplicationConfig, config_from_json, config_to_jso
 from repro.engine.table import TableSchema
 from repro.errors import ReproError, TransactionAborted
 from repro.live.harness import READY_PREFIX
-from repro.live.wire import RemoteCallError, WireError, encode_frame, read_frame
+from repro.live.wire import FrameDecoder, RemoteCallError, WireError, encode_frame
 
 #: Returned by a role handler to make the whole process hang forever (the
 #: deterministic "wedge" the crash tests SIGKILL through).
@@ -43,10 +49,16 @@ WEDGE = object()
 INLINE, ASYNC = "inline", "async"
 
 
-class Op(NamedTuple):
-    """One row of a role's op table; ``handler(role, payload)`` answers it."""
+#: How an ASYNC handler answers: ``reply(answer)``, once — a dict, ``None``
+#: (nothing to say), :data:`WEDGE`, or the exception the request failed with.
+Reply = Callable[[Any], None]
 
-    handler: Callable[[Any, dict], Any]
+
+class Op(NamedTuple):
+    """One row of a role's op table: ``handler(role, payload)`` returns an
+    INLINE op's answer; ``handler(role, payload, reply)`` starts an ASYNC one."""
+
+    handler: Callable[..., Any]
     placement: str = INLINE
     #: Answered by a standby scheduler before its promotion (control plane).
     standby: bool = False
@@ -127,8 +139,18 @@ def error_envelope(exc: Exception, *, unexpected_trace: bool = True) -> dict:
         return {"ok": False, "error": str(exc),
                 "error_type": "TransactionAborted", "reason": exc.reason}
     if unexpected_trace and not isinstance(exc, ReproError):
-        traceback.print_exc(file=sys.stderr)
+        traceback.print_exception(type(exc), exc, exc.__traceback__, file=sys.stderr)
     return {"ok": False, "error": str(exc), "error_type": type(exc).__name__}
+
+
+def envelope(answer) -> dict:
+    """The response envelope of a handler's answer: the error's for an
+    exception, else ``ok`` with the answer's fields (``None``: nothing to say)."""
+    if isinstance(answer, Exception):
+        return error_envelope(answer)
+    if answer is None:
+        return {"ok": True}
+    return answer if "ok" in answer else {"ok": True, **answer}
 
 
 def lookup(role: Role, op: str) -> Op:
@@ -147,91 +169,141 @@ def call(role: Role, op: str, payload: dict):
     return lookup(role, op).handler(role, payload)
 
 
-async def dispatch(role: Role, op: str, payload: dict):
-    entry = lookup(role, op)
-    if entry.placement is ASYNC:
-        return await entry.handler(role, payload)
-    return entry.handler(role, payload)
+def dispatch(role: Role, op: str, payload: dict, reply: Reply) -> None:
+    """Answer one request: ``reply`` gets an INLINE handler's answer (or the
+    error it raised) in place; an ASYNC handler is handed ``reply`` and calls
+    it once, from whatever settles the request."""
+    try:
+        entry = lookup(role, op)
+        if entry.placement is ASYNC:
+            return entry.handler(role, payload, reply)
+        answer = entry.handler(role, payload)
+    except Exception as exc:  # noqa: BLE001 - boundary: report, don't die
+        answer = exc
+    reply(answer)
+
+
+def _tagged(response: dict, rid: int | None) -> dict:
+    return response if rid is None else {**response, "rid": rid}
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection (see the module docstring)."""
+
+    def __init__(self, role: Role) -> None:
+        self._role = role
+        self._stats = role.server_stats
+        self._decoder = FrameDecoder()
+        self._transport: asyncio.Transport | None = None
+        #: Replies of the read being handled, not written yet (else ``None``);
+        #: past the transport's high-water mark they are written early.
+        self._batch: list[bytes] | None = None
+        self._batched = 0
+        self._flush_at = 0
+        self._untagged = False  # a rid-less request is unanswered
+        self._paused = False  # the peer is not reading: answer nothing more
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        self._flush_at = transport.get_write_buffer_limits()[1]
+        self._stats.connections += 1
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._transport = None  # what is still outstanding is answered to nobody
+
+    def data_received(self, data: bytes) -> None:
+        self._decoder.feed(data)
+        self._handle()
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._handle()
+
+    def _handle(self) -> None:
+        """Dispatch the frames read so far until one must be waited for."""
+        self._batch = batch = []
+        try:
+            while not (self._untagged or self._paused) \
+                    and (frame := self._decoder.next_frame()) is not None:
+                self._request(*frame)
+        except (WireError, ValueError):  # a frame that does not decode
+            self._flush(batch)
+            self._transport.close()
+            return
+        finally:
+            self._batch = None
+        self._flush(batch)
+        if self._transport is not None:
+            if self._untagged or self._paused:
+                self._transport.pause_reading()
+            else:
+                self._transport.resume_reading()
+
+    def _request(self, message: dict, size: int) -> None:
+        stats = self._stats
+        stats.frames_in += 1
+        stats.bytes_in += size
+        op = str(message.pop("op", ""))
+        rid = message.pop("rid", None)
+        if rid is None:
+            # rid-less frames keep the strict one-in-flight discipline:
+            # nothing after one is dispatched until it is answered.
+            self._untagged = True
+        else:
+            try:
+                rid = int(rid)
+            except (TypeError, ValueError):
+                # Nothing valid to echo: answered untagged, in order.
+                return self._send(encode_frame(error_envelope(RemoteCallError(
+                    op, f"rid must be an integer, got {rid!r}", error_type="BadRequest"))))
+        stats.in_flight += 1
+        stats.in_flight_high_water = max(stats.in_flight_high_water, stats.in_flight)
+        dispatch(self._role, op, message, functools.partial(self._reply, op, rid))
+
+    def _reply(self, op: str, rid: int | None, answer) -> None:
+        self._stats.in_flight -= 1
+        if answer is WEDGE:
+            freeze(op)
+        try:
+            frame = encode_frame(_tagged(envelope(answer), rid))
+        except (TypeError, ValueError, WireError) as exc:  # an answer that does not encode
+            frame = encode_frame(_tagged(error_envelope(exc), rid))
+        self._send(frame)
+        if rid is None:
+            self._untagged = False
+            if self._batch is None and self._transport is not None:
+                self._handle()  # answered after its read: read on
+
+    def _send(self, frame: bytes) -> None:
+        transport = self._transport
+        if transport is None or transport.is_closing():
+            return  # the client went away; its retry path owns recovery
+        self._stats.frames_out += 1
+        self._stats.bytes_out += len(frame)
+        if self._batch is None:
+            transport.write(frame)
+            return
+        self._batch.append(frame)
+        self._batched += len(frame)
+        if self._batched >= self._flush_at:  # may pause writing: see _handle
+            self._flush(self._batch)
+
+    def _flush(self, batch: list[bytes]) -> None:
+        if batch and self._transport is not None and not self._transport.is_closing():
+            self._transport.write(b"".join(batch))
+        batch.clear()
+        self._batched = 0
 
 
 async def start_server(role: Role, host: str, port: int) -> asyncio.Server:
     """Bind and start serving ``role`` on the running loop."""
     loop = asyncio.get_running_loop()
-    stats = role.server_stats
     role.start(loop)
-
-    async def handle_connection(reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        stats.connections += 1
-        tasks: set[asyncio.Task] = set()
-
-        def account_in(nbytes: int) -> None:
-            stats.frames_in += 1
-            stats.bytes_in += nbytes
-
-        write_lock = asyncio.Lock()
-
-        async def send(response: dict) -> None:
-            data = encode_frame(response)
-            async with write_lock:
-                writer.write(data)
-                await writer.drain()
-            stats.frames_out += 1
-            stats.bytes_out += len(data)
-
-        async def process(op: str, payload: dict, rid: int | None) -> None:
-            stats.in_flight += 1
-            stats.in_flight_high_water = max(stats.in_flight_high_water, stats.in_flight)
-            try:
-                response = await dispatch(role, op, payload)
-            except Exception as exc:  # noqa: BLE001 - boundary: report, don't die
-                response = error_envelope(exc)
-            finally:
-                stats.in_flight -= 1
-            if response is WEDGE:
-                freeze(op)
-            if response is None or "ok" not in response:  # None: nothing to say
-                response = {"ok": True, **(response or {})}
-            if rid is not None:
-                response = {**response, "rid": rid}
-            try:
-                await send(response)
-            except (ConnectionError, OSError):
-                pass  # client went away; its retry path owns recovery
-
-        try:
-            while True:
-                message = await read_frame(reader, on_bytes=account_in)
-                if message is None:
-                    break
-                op = str(message.pop("op", ""))
-                rid = message.pop("rid", None)
-                if rid is None:
-                    # rid-less frames keep the strict one-in-flight
-                    # discipline: answered before the next frame is read.
-                    await process(op, message, None)
-                    continue
-                try:
-                    rid = int(rid)
-                except (TypeError, ValueError):
-                    # Nothing valid to echo: answered untagged, in order.
-                    await send(error_envelope(RemoteCallError(
-                        op, f"rid must be an integer, got {rid!r}",
-                        error_type="BadRequest")))
-                    continue
-                # Multiplexed: each tagged request is its own task; the
-                # response carries the rid and may overtake others.
-                task = loop.create_task(process(op, message, rid))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except (ConnectionError, asyncio.IncompleteReadError, WireError):
-            pass
-        finally:
-            for task in list(tasks):
-                task.cancel()
-            writer.close()
-
-    return await asyncio.start_server(handle_connection, host, port)
+    return await loop.create_server(functools.partial(_Connection, role), host, port)
 
 
 async def serve(role: Role, args: argparse.Namespace) -> None:

@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import asyncio
 import binascii
+import functools
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.live.server import ASYNC, Op, Role, freeze
+from repro.live.server import ASYNC, Op, Reply, Role, freeze
 from repro.live.wal import BatchWalFile, read_wal_batches
 
 
@@ -64,7 +65,7 @@ class CertifierShardRole(Role):
         self.wedge_after_sync = args.wedge_after_sync
         self.append_ops = 0
         self.append_groups = 0
-        #: Batches waiting for the disk — ``(seq, payloads, reply future)`` —
+        #: Batches waiting for the disk — ``(seq, payloads, reply)`` —
         #: and whether somebody (loop or writer thread) is committed to
         #: writing them; both under ``_lock``.
         self._queue: list = []
@@ -85,8 +86,7 @@ class CertifierShardRole(Role):
     def start(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
 
-    def _append(self, seq: int, payloads: list[bytes]) -> asyncio.Future:
-        reply = self._loop.create_future()
+    def _append(self, seq: int, payloads: list[bytes], reply: Reply) -> None:
         with self._lock:
             self._queue.append((seq, payloads, reply))
             self.queued_high_water = max(self.queued_high_water, len(self._queue))
@@ -95,7 +95,6 @@ class CertifierShardRole(Role):
             self._writer.submit(self._write_queued, self._loop.call_soon_threadsafe)
         elif idle:  # once the frames this loop pass has read are all queued
             self._loop.call_soon(self._write_queued, _call)
-        return reply
 
     def _write_queued(self, deliver) -> None:
         """Write groups until nothing is queued (loop or writer thread);
@@ -126,30 +125,37 @@ class CertifierShardRole(Role):
             deliver(self._acknowledge, group, result, self.wal.last_seq)
 
     def _acknowledge(self, group, result, group_seq: int) -> None:
+        """Answer every batch of a written group (a reply whose connection
+        went away is dropped; its resend asks again)."""
         for index, (_, _, reply) in enumerate(group):
-            if reply.done():
-                continue  # its connection went away; the resend asks again
             if isinstance(result, Exception):
-                reply.set_exception(result)
+                reply(result)
             else:
                 # ``group`` names the fsync that covered this batch (0: none
                 # was needed), so the sender can count fsyncs, not batches.
-                reply.set_result({"applied": result[index],
-                                  "group": group_seq if any(result) else 0})
+                reply({"applied": result[index], "group": group_seq if any(result) else 0})
 
-    async def wal_append(self, payload: dict):
+    def wal_append(self, payload: dict, reply: Reply) -> None:
         self.append_ops += 1
-        return await self._append(
-            int(payload["seq"]),
-            [binascii.unhexlify(p) for p in payload["payloads"]])
+        self._append(int(payload["seq"]),
+                     [binascii.unhexlify(p) for p in payload["payloads"]], reply)
 
-    async def wal_read(self, payload: dict):
+    def wal_read(self, payload: dict, reply: Reply) -> None:
         """Promotion path: a standby scheduler reads back the applied groups
         to rebuild the certifier; its own batches continue the log at
-        ``records``."""
-        # An empty batch is acknowledged once everything queued ahead of
-        # it is on disk: no group is half-written when the file is read.
-        await self._append(0, [])
+        ``records``.  An empty batch is acknowledged once everything queued
+        ahead of it is on disk, so no group is half-written when the file is
+        read."""
+        self._append(0, [], functools.partial(self._read_back, reply))
+
+    def _read_back(self, reply: Reply, ack) -> None:
+        try:
+            answer = ack if isinstance(ack, Exception) else self._wal_contents()
+        except Exception as exc:  # noqa: BLE001 - answered; the group's other acks go on
+            answer = exc
+        reply(answer)
+
+    def _wal_contents(self) -> dict:
         return {
             "last_seq": self.wal.last_seq,
             "records": self.wal.records,

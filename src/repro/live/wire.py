@@ -8,32 +8,28 @@ is deliberately boring — the interesting property is that both sides can
 always find the next message boundary, so a reader never has to guess where
 a JSON document ends on a stream.
 
-Two consumers share the format:
-
-* the asyncio node server (:mod:`repro.live.server`, one per node whatever
-  its role) uses :func:`read_frame` / :func:`encode_frame` on its streams;
-* the callers use :class:`WireClient`, with the same framing plus
-  reconnect/retry helpers, in one of two modes: sequential blocking ``call``
-  on a socket (the driver's :class:`~repro.live.client.LiveSession`,
-  control-plane calls, and the two calls a node makes before its loop
-  runs), or ``post`` on an asyncio stream an event loop owns (``read_on``)
-  — the replica's certifier client and the scheduler's remote WAL devices.
-  The posting mode reads with :func:`read_frame`, as the servers do, and
-  re-dials on the loop: it starts no thread and takes no lock.
+On an event loop the format is read by one framer, :class:`FrameDecoder`
+(sans-IO: bytes in, whole frames out), under one ``asyncio.Protocol`` per
+connection — in the node server (:mod:`repro.live.server`), and in a posting
+:class:`WireClient` (``read_on``: the replica's certifier client and the
+scheduler's remote WAL devices), whose loop re-dials with no thread and no
+lock.  The blocking side is :class:`WireClient`'s sequential ``call`` (the
+driver's :class:`~repro.live.client.LiveSession`, control-plane calls, and
+the two calls a node makes before its loop runs).
 
 Multiplexing: a request may carry a ``rid`` (request id, unique per
 connection); the response echoes it, which lets one connection carry many
 in-flight calls and lets responses come back out of order.  Requests
 *without* a ``rid`` keep the original strict request/response discipline:
-the server answers them in arrival order before reading the next frame, so
-a frame read after a write is always the answer to that write.  The
-:class:`WireClient` tags each posted call with a ``rid`` (its loop hands
-each response to its call's callback); its sequential calls never send one.
+the server answers each before it dispatches the next frame, so a frame read
+after a write is always the answer to that write.  The :class:`WireClient`
+tags each posted call with a ``rid``; its sequential calls never send one.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import json
 import random
@@ -118,9 +114,12 @@ def check_ok(op: str, response: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
 def encode_frame(payload: dict) -> bytes:
     """Serialise one message to its on-wire form (length header + JSON)."""
-    body = json.dumps(payload, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    body = _ENCODER.encode(payload).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise FrameTooLarge(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
     return _LEN.pack(len(body)) + body
@@ -133,34 +132,34 @@ def decode_body(body: bytes) -> dict:
     return message
 
 
-# ---------------------------------------------------------------------------
-# asyncio side (node servers)
-# ---------------------------------------------------------------------------
+class FrameDecoder:
+    """Sans-IO framing: the bytes a connection reads go in (:meth:`feed`),
+    whole frames come out (:meth:`next_frame`), one at a time and in order.
+    A partial frame stays buffered until the rest of it is fed."""
 
+    __slots__ = ("_buffer",)
 
-async def read_frame(reader: asyncio.StreamReader,
-                     on_bytes: Callable[[int], None] | None = None) -> dict | None:
-    """Read one frame; ``None`` on clean EOF at a message boundary.
+    def __init__(self) -> None:
+        self._buffer = bytearray()
 
-    ``on_bytes`` (when given) receives the frame's on-wire size — header
-    included — for the node servers' byte accounting.
-    """
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
+    def feed(self, data: bytes) -> None:
+        self._buffer += data
+
+    def next_frame(self) -> tuple[dict, int] | None:
+        """The oldest whole frame's message and on-wire size (header
+        included), or ``None`` while no whole frame is buffered."""
+        buffer = self._buffer
+        if len(buffer) < _LEN.size:
             return None
-        raise ConnectionLost("peer closed mid-header") from exc
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ConnectionLost("peer closed mid-frame") from exc
-    if on_bytes is not None:
-        on_bytes(_LEN.size + length)
-    return decode_body(body)
+        (length,) = _LEN.unpack_from(buffer)
+        if length > MAX_FRAME_BYTES:
+            raise FrameTooLarge(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+        end = _LEN.size + length
+        if len(buffer) < end:
+            return None
+        body = buffer[_LEN.size:end]
+        del buffer[:end]  # a bytearray drops its head without moving the rest
+        return decode_body(body), end
 
 
 # ---------------------------------------------------------------------------
@@ -168,24 +167,16 @@ async def read_frame(reader: asyncio.StreamReader,
 # ---------------------------------------------------------------------------
 
 
-def _recv_exactly(sock: socket.socket, length: int) -> bytes:
-    chunks: list[bytes] = []
-    remaining = length
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
+def _recv_frame(sock: socket.socket) -> tuple[dict, int]:
+    """Read one frame; returns the message and its on-wire size.  Nothing
+    follows it: a blocking caller has one request, rid-less, in flight."""
+    decoder = FrameDecoder()
+    while (frame := decoder.next_frame()) is None:
+        chunk = sock.recv(1 << 16)
         if not chunk:
             raise ConnectionLost("peer closed the connection")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_frame(sock: socket.socket) -> tuple[dict, int]:
-    """Read one frame; returns the message and its on-wire size."""
-    (length,) = _LEN.unpack(_recv_exactly(sock, _LEN.size))
-    if length > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    return decode_body(_recv_exactly(sock, length)), _LEN.size + length
+        decoder.feed(chunk)
+    return frame
 
 
 class _Posted:
@@ -197,6 +188,33 @@ class _Posted:
         self.frame = frame
         self.on_reply = on_reply
         self.sent = False  # it may have reached the peer: sending again is a resend
+
+
+class _Replies(asyncio.Protocol):
+    """A posting :class:`WireClient`'s connection: each reply read goes to
+    its call's callback in place; ``closed`` resolves when the connection is
+    lost (a frame that does not decode loses it too)."""
+
+    def __init__(self, client: "WireClient") -> None:
+        self._client = client
+        self._decoder = FrameDecoder()
+        self._transport: asyncio.Transport | None = None
+        self.closed = client._loop.create_future()
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        self._decoder.feed(data)
+        try:
+            while (frame := self._decoder.next_frame()) is not None:
+                self._client._replied(*frame)
+        except (WireError, ValueError):
+            self._transport.close()
 
 
 class WireClient:
@@ -214,12 +232,13 @@ class WireClient:
     via sequence numbers and transaction ids precisely so this is safe).
 
     After :meth:`read_on` the client posts its requests (:meth:`post`)
-    instead, over an asyncio stream the given event loop owns: it tags each
-    request with a per-connection ``rid``, a task on that loop dials, sends
-    and reads the responses with :func:`read_frame`, and hands each to its
-    caller's callback — so a second request does not wait for the first
-    one's answer, and a peer that stops mid-frame stalls only this
-    connection, never the loop.  Send order on the wire equals posting order.
+    instead, over a connection the given event loop owns: it tags each
+    request with a per-connection ``rid``, a task on that loop dials and
+    re-dials, and the connection's protocol decodes the replies
+    (:class:`FrameDecoder`) and hands each to its caller's callback as it is
+    read — so a second request does not wait for the first one's answer, and
+    a peer that stops mid-frame stalls only this connection, never the loop.
+    Send order on the wire equals posting order.
     """
 
     def __init__(self, host: str, port: int, *, timeout: float | None = 30.0,
@@ -257,16 +276,16 @@ class WireClient:
         #: Unanswered :meth:`post` calls by rid, oldest first.
         self._posted: dict[int, _Posted] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
-        #: The posting connection's writer while it is up, and the task that
-        #: dials it, sends on it and reads it (see _converse).
-        self._writer: asyncio.StreamWriter | None = None
+        #: The posting connection's transport while it is up, and the task
+        #: that dials it and re-dials it (see _converse).
+        self._transport: asyncio.Transport | None = None
         self._conversation: asyncio.Task | None = None
 
     # -- connection management ------------------------------------------------
 
     @property
     def connected(self) -> bool:
-        return self._sock is not None or self._writer is not None
+        return self._sock is not None or self._transport is not None
 
     def connect(self) -> None:
         if self._sock is not None:
@@ -289,9 +308,9 @@ class WireClient:
         if self._conversation is not None:
             self._conversation.cancel()
             self._conversation = None
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
+        if self._transport is not None:
+            self._transport.close()
+            self._transport = None
         if self._sock is not None:
             self._sock.close()
             self._sock = None
@@ -318,54 +337,53 @@ class WireClient:
         call = _Posted(encode_frame({"op": op, "rid": rid, **fields}), on_reply)
         self._posted[rid] = call
         self.in_flight_high_water = max(self.in_flight_high_water, len(self._posted))
-        if self._writer is not None:
-            self._send_posted(self._writer, call)
+        if self._transport is not None:
+            self._send_posted(self._transport, call)
         elif self._conversation is None:  # first call, or lost while idle
             self._conversation = self._loop.create_task(self._converse())
 
-    def _send_posted(self, writer: asyncio.StreamWriter, call: _Posted) -> None:
+    def _send_posted(self, transport: asyncio.Transport, call: _Posted) -> None:
         """Buffered, never blocks; a connection that fails under it is
-        noticed by its reader, which re-dials."""
+        noticed by its protocol, and the conversation re-dials."""
         self.resends += call.sent
         call.sent = True  # even a failed send may have reached the peer
-        writer.write(call.frame)
+        transport.write(call.frame)
         self.frames_sent += 1
         self.bytes_sent += len(call.frame)
 
-    def _received(self, size: int) -> None:
+    def _replied(self, response: dict, size: int) -> None:
         self.frames_received += 1
         self.bytes_received += size
+        call = self._posted.pop(int(response.get("rid", -1)), None)
+        if call is not None:  # else a call close() abandoned
+            call.on_reply(response)
 
     async def _converse(self) -> None:
-        """Dial until the peer answers, send everything posted in posting
-        order, and hand each reply to its call; after a lost connection do it
-        again while any call is still posted.  A dial that fails or times out
-        rotates to the next address, as in :meth:`call_retrying`."""
+        """Dial until the peer answers and send everything posted, in
+        posting order; the replies are read as they come (:class:`_Replies`).
+        After a lost connection do it again while any call is still posted.
+        A dial that fails or times out rotates to the next address, as in
+        :meth:`call_retrying`."""
         attempt = 0
         while self._posted:
             try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port), self.timeout)
+                transport, replies = await asyncio.wait_for(self._loop.create_connection(
+                    functools.partial(_Replies, self), self.host, self.port), self.timeout)
             except OSError:  # refused, unreachable or timed out
                 self._rotate_address()
                 attempt += 1
                 await asyncio.sleep(min(0.02 * attempt, 0.2))
                 continue
             attempt = 0
-            self._writer = writer
+            self._transport = transport
             for call in list(self._posted.values()):
-                self._send_posted(writer, call)
+                self._send_posted(transport, call)
             try:
-                while (response := await read_frame(reader, self._received)) is not None:
-                    call = self._posted.pop(int(response.get("rid", -1)), None)
-                    if call is not None:  # else a call close() abandoned
-                        call.on_reply(response)
-            except (OSError, WireError, ValueError):
-                pass  # the connection is lost
+                await replies.closed
             finally:
-                if self._writer is writer:
-                    self._writer = None
-                writer.close()
+                if self._transport is transport:
+                    self._transport = None
+                transport.close()
             self.reconnects += bool(self._posted)
         self._conversation = None
 

@@ -222,16 +222,15 @@ def test_batcher_cuts_parked_requests_into_rounds_of_at_most_certify_batch_max(t
 
     async def scenario() -> list[dict]:
         batcher = _CertifyBatcher(role, asyncio.get_running_loop())
-        try:
-            # All 20 park before the flusher first runs: one backlog to cut.
-            parked = [asyncio.ensure_future(batcher.submit(p)) for p in payloads]
-            while not all(future.done() for future in parked):
-                await asyncio.sleep(0)
-                if device.in_flight:
-                    device.ack()
-            return [future.result() for future in parked]
-        finally:
-            batcher._task.cancel()
+        # All 20 are submitted before the first cut runs: one backlog to cut.
+        answers: dict[int, dict] = {}
+        for index, payload in enumerate(payloads):
+            batcher.submit(payload, lambda response, index=index: answers.update({index: response}))
+        while len(answers) < len(payloads):
+            await asyncio.sleep(0)
+            if device.in_flight:
+                device.ack()
+        return [answers[index] for index in range(len(payloads))]
 
     responses = asyncio.run(asyncio.wait_for(scenario(), 10.0))
     assert sorted(r["result"]["tx_commit_version"] for r in responses) == list(range(1, 21))

@@ -2,7 +2,7 @@
 
 A :class:`~repro.live.replica.ReplicaRole` is built as the node process builds
 it and driven through :func:`repro.live.server.dispatch` on the test's own
-event loop; its scheduler is :class:`ScriptedScheduler`, a frame server on a
+event loop (each answer lands in a future, :func:`ask`); its scheduler is :class:`ScriptedScheduler`, a frame server on a
 thread of its own that answers the control ops at once (a poll with the
 writesets the test put there) and each ``certify`` as the test scripts it —
 commit, refuse, hold for the test to answer, or hang up.  What is pinned:
@@ -12,8 +12,8 @@ commit, refuse, hold for the test to answer, or hang up.  What is pinned:
 * the certify keeps ``call_retrying``'s behaviour without blocking the loop:
   refusals are asked again after a backoff, a refused dial rotates to the
   fallback address, a lost connection resends (and counts it);
-* a commit whose certify was sent finishes though the task awaiting it is
-  cancelled, and the next commit is not blocked behind it;
+* a commit whose certify was sent finishes though its client is gone (the
+  reply goes nowhere), and the next commit is not blocked behind it;
 * a refresh rides the same connection in send order: it finishes after the
   commit sent before it, so a poll that carries that commit's own writeset
   installs nothing twice and aborts nothing — under Tashkent-MW and, with
@@ -49,12 +49,13 @@ from repro.live.cluster import LiveCluster
 from repro.live.node import build_parser
 from repro.live.replica import ReplicaRole
 from repro.live.server import call, dispatch, write_spec
-from repro.live.wire import encode_frame, read_frame
+from repro.live.wire import encode_frame
 from repro.middleware.certifier import GC_INTERVAL_REQUESTS
 from repro.middleware.proxy import MAINTENANCE_INTERVAL_VERSIONS
 from repro.middleware.sharded_certifier import ShardedCertifierService
 from repro.middleware.systems import build_replicated_system
 from test_live_release import certify_payload, make_role
+from test_live_server import read_message
 
 pytestmark = pytest.mark.live  # localhost sockets, under the live watchdog
 
@@ -103,7 +104,7 @@ class ScriptedScheduler:
         def reply(response: dict, rid) -> None:
             writer.write(encode_frame(response if rid is None else {**response, "rid": rid}))
 
-        while (message := await read_frame(reader)) is not None:
+        while (message := await read_message(reader)) is not None:
             op, rid = message.pop("op"), message.pop("rid", None)
             self.ops.append(op)
             if op != "certify":
@@ -182,17 +183,28 @@ def serve(role: ReplicaRole, scenario):
     return asyncio.run(main())
 
 
+def ask(role: ReplicaRole, op: str, payload: dict) -> asyncio.Future:
+    """Dispatch one request as the server does; the future holds its answer."""
+    answer = asyncio.get_running_loop().create_future()
+    dispatch(role, op, payload, answer.set_result)
+    return answer
+
+
 async def open_session(role: ReplicaRole) -> int:
-    return (await dispatch(role, "open_session", {}))["session_id"]
+    return (await ask(role, "open_session", {}))["session_id"]
 
 
-async def commit_insert(role: ReplicaRole, session_id: int, key: str, tx_id: str) -> dict:
+def insert_batch(session_id: int, key: str, tx_id: str) -> dict:
     """One ``session_batch`` frame — begin, insert, commit — as a client sends it."""
-    response = await dispatch(role, "session_batch", {"session_id": session_id, "ops": [
+    return {"session_id": session_id, "ops": [
         {"op": "begin"},
         {"op": "insert", "table": "counters", "key": key, "values": {"id": key, "value": 1}},
         {"op": "commit", "tx_id": tx_id},
-    ]})
+    ]}
+
+
+async def commit_insert(role: ReplicaRole, session_id: int, key: str, tx_id: str) -> dict:
+    response = await ask(role, "session_batch", insert_batch(session_id, key, tx_id))
     *_, last = response["results"]
     assert last["ok"], last
     return codec.decode_outcome(last["outcome"]).__dict__
@@ -290,17 +302,18 @@ def test_a_lost_connection_resends_the_certify_and_counts_it(scripted):
     assert wire["resends"] == 1 and wire["reconnects"] == 1
 
 
-def test_a_sent_commit_finishes_when_its_waiter_is_cancelled(scripted):
+def test_a_sent_commit_finishes_when_its_client_is_gone(scripted):
     role, scheduler = scripted([HOLD])
 
     async def scenario():
-        dropped = asyncio.create_task(
-            commit_insert(role, await open_session(role), "a", "t:1"))
+        dropped: list = []  # where the server puts a reply to a client that hung up
+        dispatch(role, "session_batch", insert_batch(await open_session(role), "a", "t:1"),
+                 dropped.append)
         answer = await scheduler.next_held()
-        dropped.cancel()  # what the server does when the client hangs up
-        await asyncio.sleep(0)
         answer(scheduler.commit_next())
         await wait_for(lambda: role.replica.replica_version == 1)
+        ((*_, last),) = [response["results"] for response in dropped]
+        assert last["ok"]
         # Not blocked behind it: the next commit goes through.
         return await commit_insert(role, await open_session(role), "b", "t:2")
 
@@ -322,7 +335,7 @@ def commit_beside_a_refresh(role: ReplicaRole, scheduler: ScriptedScheduler,
         commit = asyncio.create_task(
             commit_insert(role, await open_session(role), "a", "t:1"))
         answer_certify = await scheduler.next_held()
-        refresh = asyncio.create_task(dispatch(role, "refresh", {}))
+        refresh = ask(role, "refresh", {})
         await wait_for(lambda: scheduler.polls)
         await asyncio.sleep(0.1)  # the poll's answer is in
         assert not refresh.done()

@@ -11,10 +11,17 @@ spoken to over a localhost socket.
   ``tools/check_docs.py`` holds to the same tables);
 * for **every** scheduler op: an unpromoted standby answers it iff its table
   entry says so, and otherwise refuses with the retryable ``NotPromoted``;
-* the placements run every handler on the loop, awaited where the table
-  says; the replica, scheduler and server modules start no thread;
+* the placements run every handler on the loop, an ASYNC one answering by
+  callback; the replica, scheduler and server modules start no thread, and
+  a burst of commits starts no task on the loop the three roles share;
 * the request boundary: an unknown op and a frame whose ``rid`` is not an
   integer are answered with an error envelope on the still-open connection;
+* one framer per connection: frames are dispatched in arrival order, the
+  INLINE replies of one read leave in one write, a rid-less frame holds back
+  everything after it until it is answered, a frame that does not decode
+  closes the connection after the answers before it, a client that reads
+  nothing stops the server reading from it, and a client that hangs up with
+  ASYNC work outstanding leaves nothing behind;
 * ``close_session`` aborts a transaction its session left open;
 * the entry point imports no role module until ``--role`` names one, and
   each role imports only the packages it runs.
@@ -24,11 +31,14 @@ from __future__ import annotations
 
 import ast
 import asyncio
+import gc
 import os
 import pkgutil
+import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -37,21 +47,26 @@ from repro.core.config import ReplicationConfig, SystemKind
 from repro.engine.table import TableSchema
 from repro.errors import TransactionAborted
 from repro.live.cluster import LiveCluster
+from repro.live import server
 from repro.live.node import ROLES, build_parser
-from repro.live.scheduler import SchedulerRole
+from repro.live.replica import ReplicaRole
+from repro.live.scheduler import SchedulerRole, _CertifyBatcher
 from repro.live.server import (
     ASYNC,
     INLINE,
     Op,
     Role,
+    _Connection,
     call,
     dispatch,
     lookup,
     start_server,
     write_spec,
 )
-from repro.live.shard import CertifierShardRole
-from repro.live.wire import RemoteCallError, encode_frame, read_frame
+from repro.live.shard import CertifierShardRole, _call
+from test_live_release import certify_payload, make_role
+from repro.live.wire import (MAX_FRAME_BYTES, FrameDecoder, RemoteCallError, decode_body,
+                             encode_frame)
 
 #: role -> op -> (placement, answered by an unpromoted standby?), in table order.
 GOLDEN = {
@@ -147,39 +162,53 @@ def test_standby_control_plane_is_answered_and_data_plane_refused_end_to_end(sta
         with pytest.raises(RemoteCallError, match="standby not promoted"):
             call(standby, op, {"tx_id": "t", "replica": "r"})
     # The refusal happens at the server, the ASYNC certify included.
-    with pytest.raises(RemoteCallError) as refusal:
-        asyncio.run(dispatch(standby, "certify", {}))
-    assert refusal.value.error_type == "NotPromoted"
+    answers: list = []
+    dispatch(standby, "certify", {}, answers.append)
+    (refusal,) = answers
+    assert isinstance(refusal, RemoteCallError) and refusal.error_type == "NotPromoted"
 
 
 # -- placements -------------------------------------------------------------------
 
 
 class Probe(Role):
-    """Every placement once; each handler reports where it ran."""
+    """Every placement once; each handler reports where it ran.  ``hold``
+    keeps its ``reply`` on :attr:`held` for the test to call."""
 
     role_name = "probe"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.held: list = []
 
     def where(self, payload: dict) -> dict:
         return {"thread": threading.current_thread().name}
 
-    async def parked(self, payload: dict) -> dict:
-        return {**self.where(payload), "awaited": True}
+    def later(self, payload: dict, reply) -> None:
+        asyncio.get_running_loop().call_soon(reply, {**self.where(payload), "later": True})
 
     ops = {
         "inline": Op(where),
-        "parked": Op(parked, ASYNC),
+        "later": Op(later, ASYNC),
+        "hold": Op(lambda self, payload, reply: self.held.append(reply), ASYNC),
+        "blob": Op(lambda self, payload: {"pad": "x" * payload["size"]}),
         "silent": Op(lambda self, payload: None),
     }
 
 
 def test_pipelined_placements_run_where_the_table_says():
-    """On the loop, the ASYNC one awaited."""
+    """On the loop: the INLINE one answered in place, the ASYNC one by the
+    callback that settles it."""
     async def scenario():
-        return [await dispatch(Probe(), op, {}) for op in ("inline", "parked")]
+        answers = []
+        for op in ("inline", "later"):
+            dispatch(Probe(), op, {}, answers.append)
+        in_place = list(answers)
+        await asyncio.sleep(0)
+        return in_place, answers
 
     on_loop = {"thread": threading.current_thread().name}
-    assert asyncio.run(scenario()) == [on_loop, {**on_loop, "awaited": True}]
+    assert asyncio.run(scenario()) == ([on_loop], [on_loop, {**on_loop, "later": True}])
 
 
 @pytest.mark.parametrize("module", ["replica", "scheduler", "server", "wire", "wal", "client"])
@@ -196,7 +225,109 @@ def test_the_replica_scheduler_and_server_start_no_thread(module):
     assert not imported & {"threading", "concurrent", "concurrent.futures"}
 
 
+async def _shut_down(servers, roles) -> None:
+    """Stop serving, drop every outbound connection and end every task."""
+    for listener in servers:
+        listener.close()
+    for role in roles:
+        for device in getattr(role, "devices", ()):
+            device.close()
+        if isinstance(role, ReplicaRole):
+            role.cert_client.close()
+    tasks = asyncio.all_tasks() - {asyncio.current_task()}
+    for task in tasks:
+        task.cancel()
+    await asyncio.gather(*tasks, return_exceptions=True)
+
+
+def test_a_burst_of_commits_starts_no_task_on_any_roles_loop(tmp_path, monkeypatch):
+    """A shard, a scheduler and a replica served on one loop; 200 tagged
+    ``session_batch`` commits in one write — each a ``certify`` at the
+    scheduler and a ``wal_append`` at the shard — leave the number of tasks
+    on that loop where it was: the data plane answers by callback."""
+    monkeypatch.chdir(tmp_path)  # the replica's engine WAL
+    spec = tmp_path / "spec.json"
+    write_spec(spec, ReplicationConfig(system=SystemKind.TASHKENT_MW, num_replicas=1),
+               [TableSchema("counters", ("id", "value"), "id")])
+    parse = build_parser().parse_args
+    loop = asyncio.new_event_loop()
+    runner = threading.Thread(target=loop.run_forever, name="roles-loop", daemon=True)
+    runner.start()
+    servers, roles = [], []
+
+    def serve(role: Role) -> int:
+        listener = asyncio.run_coroutine_threadsafe(
+            start_server(role, "127.0.0.1", 0), loop).result(5.0)
+        servers.append(listener)
+        roles.append(role)
+        return listener.sockets[0].getsockname()[1]
+
+    shard_port = serve(CertifierShardRole(parse(
+        ["--role", "certifier-shard", "--wal", str(tmp_path / "s.wal")])))
+    scheduler_port = serve(SchedulerRole(parse(
+        ["--role", "scheduler", "--spec", str(spec), "--shard", f"127.0.0.1:{shard_port}"])))
+    replica_port = serve(ReplicaRole(parse(
+        ["--role", "replica", "--name", "r0", "--spec", str(spec),
+         "--scheduler", f"127.0.0.1:{scheduler_port}"])))
+    commits = 200
+
+    def batch(rid: int, session_id: int) -> dict:
+        key = f"k{rid}"
+        return {"op": "session_batch", "rid": rid, "session_id": session_id, "ops": [
+            {"op": "begin"},
+            {"op": "insert", "table": "counters", "key": key, "values": {"id": key, "value": 1}},
+            {"op": "commit", "tx_id": f"t:{rid}"}]}
+
+    counts: list[int] = []
+    sampling = threading.Event()
+
+    def sample() -> None:
+        counts.append(len(asyncio.all_tasks(loop)))
+        if sampling.is_set():
+            loop.call_later(0.0005, sample)
+
+    try:
+        with socket.create_connection(("127.0.0.1", replica_port), timeout=10.0) as raw:
+            sessions = []
+            for _ in range(commits + 1):
+                raw.sendall(encode_frame({"op": "open_session"}))
+                sessions.append(receive(raw)["session_id"])
+            raw.sendall(encode_frame(batch(commits, sessions[-1])))  # every connection is up
+            assert receive(raw)["results"][-1]["ok"]
+            sampling.set()
+            loop.call_soon_threadsafe(sample)
+            raw.sendall(b"".join(encode_frame(batch(rid, sessions[rid]))
+                                 for rid in range(commits)))
+            answers = [receive(raw) for _ in range(commits)]
+            sampling.clear()
+        assert sorted(answer["rid"] for answer in answers) == list(range(commits))
+        assert all(answer["results"][-1]["ok"] for answer in answers)
+        time.sleep(0.01)
+        assert len(counts) > 10 and set(counts) == {counts[0]}, counts
+    finally:
+        asyncio.run_coroutine_threadsafe(_shut_down(servers, roles), loop).result(5.0)
+        loop.call_soon_threadsafe(loop.stop)
+        runner.join(timeout=5.0)
+        loop.close()
+        roles[0].wal.close()
+
+
+def receive(sock: socket.socket) -> dict:
+    """One frame off a blocking socket."""
+    header = sock.recv(4, socket.MSG_WAITALL)
+    return decode_body(sock.recv(int.from_bytes(header, "big"), socket.MSG_WAITALL))
+
+
 # -- the request boundary, over a socket ------------------------------------------
+
+
+async def read_message(reader: asyncio.StreamReader) -> dict | None:
+    """One frame off a client's stream; ``None`` once the peer has closed."""
+    try:
+        header = await reader.readexactly(4)
+    except asyncio.IncompleteReadError:
+        return None
+    return decode_body(await reader.readexactly(int.from_bytes(header, "big")))
 
 
 def converse(role: Role, frames: list[dict]) -> list[dict]:
@@ -211,7 +342,7 @@ def converse(role: Role, frames: list[dict]) -> list[dict]:
             for frame in frames:
                 writer.write(encode_frame(frame))
                 await writer.drain()
-                answers.append(await asyncio.wait_for(read_frame(reader), 5.0))
+                answers.append(await asyncio.wait_for(read_message(reader), 5.0))
             writer.close()
             return answers
 
@@ -251,6 +382,248 @@ def test_bad_requests_are_answered_on_the_still_open_connection(shard):
 def test_a_handler_with_nothing_to_say_answers_bare_ok():
     assert converse(Probe(), [{"op": "silent"}, {"op": "silent", "rid": 1}]) \
         == [{"ok": True}, {"ok": True, "rid": 1}]
+
+
+# -- one framer per connection ------------------------------------------------------
+
+
+class RecordingTransport(asyncio.Transport):
+    """Keeps what a connection writes, one entry per ``write``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[bytes] = []
+        self.reading = True
+        self.closed = False
+
+    def write(self, data) -> None:
+        self.writes.append(bytes(data))
+
+    def get_write_buffer_limits(self) -> tuple[int, int]:
+        return 16 * 1024, 64 * 1024
+
+    def pause_reading(self) -> None:
+        self.reading = False
+
+    def resume_reading(self) -> None:
+        self.reading = True
+
+    def is_closing(self) -> bool:
+        return self.closed
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def connected(role: Role) -> tuple[_Connection, RecordingTransport]:
+    connection, transport = _Connection(role), RecordingTransport()
+    connection.connection_made(transport)
+    return connection, transport
+
+
+def segment(*frames: dict) -> bytes:
+    """Frames as one read delivers them."""
+    return b"".join(encode_frame(frame) for frame in frames)
+
+
+def frames_of(data: bytes) -> list[dict]:
+    decoder = FrameDecoder()
+    decoder.feed(data)
+    return [frame for frame, _ in iter(decoder.next_frame, None)]
+
+
+def test_the_inline_replies_of_one_read_leave_in_one_write():
+    connection, transport = connected(Probe())
+    connection.data_received(segment(*({"op": "inline", "rid": rid} for rid in (1, 2, 3))))
+    (written,) = transport.writes
+    assert [frame["rid"] for frame in frames_of(written)] == [1, 2, 3]
+    connection.data_received(segment({"op": "silent", "rid": 4}))
+    assert frames_of(transport.writes[1]) == [{"ok": True, "rid": 4}]
+
+
+@pytest.mark.parametrize("tail", [(3).to_bytes(4, "big") + b"{x}",  # not JSON
+                                  (MAX_FRAME_BYTES + 1).to_bytes(4, "big")])
+def test_a_frame_that_does_not_decode_closes_the_connection_after_the_answers_before_it(tail):
+    connection, transport = connected(Probe())
+    connection.data_received(segment({"op": "silent", "rid": 1}) + tail)
+    assert [frames_of(written) for written in transport.writes] == [[{"ok": True, "rid": 1}]]
+    assert transport.closed
+
+
+def test_a_certify_and_a_poll_in_one_segment_are_dispatched_in_arrival_order(
+        tmp_path, monkeypatch):
+    """A replica's refresh rides its certify connection in send order: the
+    certify enters the round before the poll reads the directory.  The poll
+    is answered in place; the certify once its log write is durable."""
+    role, (device,) = make_role(tmp_path, shards=1)
+    call(role, "hello_replica", {"replica": "r0", "from_version": 0})
+    dispatched: list[str] = []
+    original = server.dispatch
+
+    def recording(role, op, payload, reply):
+        dispatched.append(op)
+        original(role, op, payload, reply)
+
+    monkeypatch.setattr(server, "dispatch", recording)
+
+    async def scenario():
+        role._batcher = _CertifyBatcher(role, asyncio.get_running_loop())
+        connection, transport = connected(role)
+        connection.data_received(segment(
+            {"op": "certify", "rid": 1, **certify_payload(role, "tx-1", [1])},
+            {"op": "poll_writesets", "rid": 2, "advance_to": 0}))
+        assert dispatched == ["certify", "poll_writesets"]
+        assert [frame["rid"] for frame in frames_of(transport.writes[0])] == [2]
+        await asyncio.sleep(0)  # the round is cut: admitted, held for its write
+        assert len(transport.writes) == 1 and device.in_flight
+        device.ack()
+        ((answer,),) = [frames_of(written) for written in transport.writes[1:]]
+        assert answer["rid"] == 1 and answer["result"]["decision"] == "commit"
+        assert role.server_stats.in_flight == 0
+
+    asyncio.run(scenario())
+
+
+def test_rid_less_frames_are_answered_one_at_a_time():
+    """Nothing after an unanswered rid-less frame is dispatched, and the
+    connection stops reading, until it is answered."""
+    probe = Probe()
+    connection, transport = connected(probe)
+    connection.data_received(segment({"op": "hold"}, {"op": "silent"},
+                                     {"op": "silent", "rid": 5}))
+    assert transport.writes == [] and not transport.reading
+    assert probe.server_stats.frames_in == 1
+    (reply,) = probe.held
+    reply({"held": True})
+    assert [frames_of(written) for written in transport.writes] == [
+        [{"ok": True, "held": True}], [{"ok": True}, {"ok": True, "rid": 5}]]
+    assert transport.reading and probe.server_stats.in_flight == 0
+
+
+@pytest.fixture
+def connections(monkeypatch) -> list[_Connection]:
+    """Every server-side connection made while the test runs; each socket's
+    send buffer is 64 KiB, whatever the host's TCP tuning, so a test can
+    fill it."""
+    made: list[_Connection] = []
+    connection_made = _Connection.connection_made
+
+    def recording(self, transport):
+        transport.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 16)
+        made.append(self)
+        connection_made(self, transport)
+
+    monkeypatch.setattr(_Connection, "connection_made", recording)
+    return made
+
+
+async def until(predicate, timeout_s: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        await asyncio.sleep(0.002)
+
+
+def test_a_client_that_reads_nothing_stops_the_server_reading(connections):
+    """Thousands of 8 KiB answers asked for, none read: the server stops
+    reading and its unsent output stays bounded; once the client reads,
+    every request is answered, in order."""
+    requests, size = 3000, 8192
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        probe = Probe()
+        listener = await start_server(probe, "127.0.0.1", 0)
+        async with listener:
+            client = socket.socket()
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+            client.setblocking(False)
+            with client:
+                await loop.sock_connect(client, listener.sockets[0].getsockname()[:2])
+                sending = asyncio.ensure_future(loop.sock_sendall(client, segment(
+                    *({"op": "blob", "rid": rid, "size": size} for rid in range(requests)))))
+                await until(lambda: connections)
+                transport = connections[0]._transport
+                await until(lambda: not transport.is_reading())
+                buffered = []
+                for _ in range(20):
+                    buffered.append(transport.get_write_buffer_size())
+                    assert not transport.is_reading()
+                    await asyncio.sleep(0.005)
+                assert max(buffered) < 1 << 20, buffered
+                assert probe.server_stats.frames_out < requests
+                decoder, rids = FrameDecoder(), []
+                while len(rids) < requests:
+                    data = await asyncio.wait_for(loop.sock_recv(client, 1 << 16), 5.0)
+                    assert data, "the server hung up"
+                    decoder.feed(data)
+                    rids += [frame["rid"] for frame, _ in iter(decoder.next_frame, None)]
+                await sending
+        assert rids == list(range(requests))
+
+    asyncio.run(scenario())
+
+
+def test_a_hang_up_with_async_work_outstanding_drops_the_late_replies(
+        tmp_path, shard, connections, monkeypatch):
+    """One ``certify`` held for the durable frontier and one ``wal_append``
+    queued behind a write in progress, and the client hangs up: the late
+    replies go nowhere, ``in_flight`` returns to 0, nothing is left for the
+    loop to complain about, and the next client is answered normally."""
+    scheduler, (device,) = make_role(tmp_path, shards=1)
+    monkeypatch.setattr(scheduler, "start", lambda loop: setattr(
+        scheduler, "_batcher", _CertifyBatcher(scheduler, loop)))
+    roles = (scheduler, shard)
+    complaints: list[dict] = []
+
+    async def ask(port: int, frame: dict):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(encode_frame(frame))
+        return reader, writer
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(lambda _loop, context: complaints.append(context))
+        listeners = [await start_server(role, "127.0.0.1", 0) for role in roles]
+        ports = [listener.sockets[0].getsockname()[1] for listener in listeners]
+        certify = {"op": "certify", "rid": 1, **certify_payload(scheduler, "tx-1", [1])}
+        shard._writing = True  # a write is in progress: the append queues behind it
+        clients = [await ask(ports[0], certify),
+                   await ask(ports[1], {"op": "wal_append", "rid": 1, "seq": 1,
+                                        "payloads": ["aa"]})]
+        await until(lambda: device.in_flight and shard._queue)
+        assert [role.server_stats.in_flight for role in roles] == [1, 1]
+        for _, writer in clients:
+            writer.close()
+        await until(lambda: len(connections) == 2
+                    and all(c._transport is None for c in connections))
+        sent = [role.server_stats.frames_out for role in roles]
+        device.ack()  # the decision is released ...
+        shard._write_queued(_call)  # ... and the append written
+        assert [role.server_stats.frames_out for role in roles] == sent == [0, 0]
+        assert [role.server_stats.in_flight for role in roles] == [0, 0]
+        assert shard.wal.records == 1 and scheduler.tx_table["tx-1"]["committed"]
+
+        certify = {"op": "certify", "rid": 2, **certify_payload(scheduler, "tx-2", [2])}
+        reader, writer = await ask(ports[0], certify)
+        await until(lambda: device.in_flight)
+        device.ack()
+        answer = await asyncio.wait_for(read_message(reader), 5.0)
+        assert answer["rid"] == 2 and answer["result"]["tx_commit_version"] == 2
+        writer.close()
+        reader, writer = await ask(ports[1], {"op": "wal_append", "rid": 2, "seq": 2,
+                                               "payloads": ["bb"]})
+        answer = await asyncio.wait_for(read_message(reader), 5.0)
+        assert answer == {"ok": True, "applied": True, "group": 2, "rid": 2}
+        writer.close()
+        for listener in listeners:
+            listener.close()
+        gc.collect()
+
+    asyncio.run(scenario())
+    gc.collect()
+    assert complaints == []
 
 
 #: Packages no node process runs: the simulator, its cluster models, the
