@@ -210,7 +210,8 @@ class ReplicaRole(Role):
                 answer) -> None:
         """Resume a proxy's commit or refresh ``steps`` with ``answer`` — at
         first ``None``, then on the loop in send order — and post the next
-        request they yield, or hand their outcome (or error) to ``done``."""
+        request they yield, or hand their outcome (or error) to ``done`` — or,
+        if ``done`` raises, that error: the request is answered either way."""
         try:
             if isinstance(answer, Exception):
                 request = steps.throw(answer)
@@ -223,7 +224,10 @@ class ReplicaRole(Role):
         else:
             self.cert_client.send(request, partial(self._resume, steps, tx_id, done), tx_id)
             return
-        done(result)
+        try:
+            done(result)
+        except Exception as exc:  # noqa: BLE001 - finishing failed: that is the answer
+            done(exc)
 
     def dump_table(self, payload: dict):
         database = self.replica.database

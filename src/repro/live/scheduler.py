@@ -370,7 +370,9 @@ class SchedulerRole(Role):
 
         if self._promotion is None:
             return reply(answer())
-        self._promotion.add_done_callback(lambda done: reply(done.exception() or answer()))
+        self._promotion.add_done_callback(lambda done: reply(
+            RemoteCallError("promote", "promotion cancelled") if done.cancelled()
+            else done.exception() or answer()))
 
     def commit_status(self, payload: dict):
         self.status_queries += 1

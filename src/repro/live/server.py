@@ -16,11 +16,11 @@ the shard's queue, behind the shard's own lock).
 
 A connection is one ``asyncio.Protocol`` over a
 :class:`~repro.live.wire.FrameDecoder`.  The frames a read delivers are
-dispatched in arrival order and their replies leave in one write; a later
-reply is written when it is produced, or dropped if its client is gone.  A
-rid-less frame is answered before anything after it is dispatched.  While
-the peer does not read (``pause_writing``), the connection dispatches and
-reads nothing, so a slow reader holds back its writer.
+dispatched in arrival order; each reply is written when it is produced, or
+dropped if its client is gone.  A rid-less frame is answered before anything
+after it is dispatched.  While the peer does not read (``pause_writing``),
+the connection dispatches and reads nothing, so a slow reader holds back its
+writer.
 """
 
 from __future__ import annotations
@@ -195,17 +195,12 @@ class _Connection(asyncio.Protocol):
         self._stats = role.server_stats
         self._decoder = FrameDecoder()
         self._transport: asyncio.Transport | None = None
-        #: Replies of the read being handled, not written yet (else ``None``);
-        #: past the transport's high-water mark they are written early.
-        self._batch: list[bytes] | None = None
-        self._batched = 0
-        self._flush_at = 0
+        self._handling = False  # inside _handle: it reads on by itself
         self._untagged = False  # a rid-less request is unanswered
         self._paused = False  # the peer is not reading: answer nothing more
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self._transport = transport
-        self._flush_at = transport.get_write_buffer_limits()[1]
         self._stats.connections += 1
 
     def connection_lost(self, exc: Exception | None) -> None:
@@ -225,18 +220,18 @@ class _Connection(asyncio.Protocol):
 
     def _handle(self) -> None:
         """Dispatch the frames read so far until one must be waited for."""
-        self._batch = batch = []
+        self._handling = True
         try:
-            while not (self._untagged or self._paused) \
-                    and (frame := self._decoder.next_frame()) is not None:
+            while not (self._untagged or self._paused):
+                try:
+                    frame = self._decoder.next_frame()
+                except (WireError, ValueError):  # a frame that does not decode
+                    return self._transport.close()
+                if frame is None:
+                    break
                 self._request(*frame)
-        except (WireError, ValueError):  # a frame that does not decode
-            self._flush(batch)
-            self._transport.close()
-            return
         finally:
-            self._batch = None
-        self._flush(batch)
+            self._handling = False
         if self._transport is not None:
             if self._untagged or self._paused:
                 self._transport.pause_reading()
@@ -275,28 +270,18 @@ class _Connection(asyncio.Protocol):
         self._send(frame)
         if rid is None:
             self._untagged = False
-            if self._batch is None and self._transport is not None:
+            if not self._handling and self._transport is not None:
                 self._handle()  # answered after its read: read on
 
     def _send(self, frame: bytes) -> None:
+        """Written at once; past the high-water mark the transport calls
+        :meth:`pause_writing`, and :meth:`_handle` stops before the next frame."""
         transport = self._transport
         if transport is None or transport.is_closing():
             return  # the client went away; its retry path owns recovery
         self._stats.frames_out += 1
         self._stats.bytes_out += len(frame)
-        if self._batch is None:
-            transport.write(frame)
-            return
-        self._batch.append(frame)
-        self._batched += len(frame)
-        if self._batched >= self._flush_at:  # may pause writing: see _handle
-            self._flush(self._batch)
-
-    def _flush(self, batch: list[bytes]) -> None:
-        if batch and self._transport is not None and not self._transport.is_closing():
-            self._transport.write(b"".join(batch))
-        batch.clear()
-        self._batched = 0
+        transport.write(frame)
 
 
 async def start_server(role: Role, host: str, port: int) -> asyncio.Server:

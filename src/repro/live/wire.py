@@ -210,11 +210,14 @@ class _Replies(asyncio.Protocol):
 
     def data_received(self, data: bytes) -> None:
         self._decoder.feed(data)
-        try:
-            while (frame := self._decoder.next_frame()) is not None:
-                self._client._replied(*frame)
-        except (WireError, ValueError):
-            self._transport.close()
+        while True:
+            try:
+                frame = self._decoder.next_frame()
+            except (WireError, ValueError):  # a frame that does not decode
+                return self._transport.close()
+            if frame is None:
+                return
+            self._client._replied(*frame)  # a callback does not raise (see post)
 
 
 class WireClient:

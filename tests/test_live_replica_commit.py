@@ -14,6 +14,8 @@ commit, refuse, hold for the test to answer, or hang up.  What is pinned:
   fallback address, a lost connection resends (and counts it);
 * a commit whose certify was sent finishes though its client is gone (the
   reply goes nowhere), and the next commit is not blocked behind it;
+* an error while a commit is finished, inside the certify connection's
+  read, is that commit's answer, and the connection stays up;
 * a refresh rides the same connection in send order: it finishes after the
   commit sent before it, so a poll that carries that commit's own writeset
   installs nothing twice and aborts nothing — under Tashkent-MW and, with
@@ -323,6 +325,32 @@ def test_a_sent_commit_finishes_when_its_client_is_gone(scripted):
     assert database.stats()["active_transactions"] == 0
     assert database.table("counters").snapshot_state(database.current_version).keys() \
         == {"a", "b"}
+
+
+def test_a_commit_that_fails_to_finish_is_answered_with_its_error(scripted, monkeypatch):
+    """A commit is finished inside the certify connection's read: an error
+    there answers the request, and that connection stays up."""
+    role, scheduler = scripted()
+    encode, failures = codec.encode_outcome, [RuntimeError("cannot encode")]
+
+    def encode_once(outcome):
+        if failures:
+            raise failures.pop()
+        return encode(outcome)
+
+    monkeypatch.setattr(codec, "encode_outcome", encode_once)
+
+    async def scenario():
+        failed = await asyncio.wait_for(ask(role, "session_batch", insert_batch(
+            await open_session(role), "a", "t:1")), 5.0)
+        return failed, await commit_insert(role, await open_session(role), "b", "t:2")
+
+    failed, outcome = serve(role, scenario)
+    *_, last = failed["results"]
+    assert not last["ok"] and last["error_type"] == "RuntimeError"
+    assert (outcome["committed"], outcome["commit_version"]) == (True, 2)
+    wire = role.cert_client.wire_stats()
+    assert wire["reconnects"] == 0 and wire["resends"] == 0
 
 
 def commit_beside_a_refresh(role: ReplicaRole, scheduler: ScriptedScheduler,

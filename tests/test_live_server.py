@@ -16,8 +16,8 @@ spoken to over a localhost socket.
   a burst of commits starts no task on the loop the three roles share;
 * the request boundary: an unknown op and a frame whose ``rid`` is not an
   integer are answered with an error envelope on the still-open connection;
-* one framer per connection: frames are dispatched in arrival order, the
-  INLINE replies of one read leave in one write, a rid-less frame holds back
+* one framer per connection: frames are dispatched and answered in arrival
+  order, a rid-less frame holds back
   everything after it until it is answered, a frame that does not decode
   closes the connection after the answers before it, a client that reads
   nothing stops the server reading from it, and a client that hangs up with
@@ -151,6 +151,23 @@ def test_unpromoted_standby_answers_exactly_what_its_table_says(standby, op):
         assert refusal.value.error_type == "NotPromoted"
     standby.promoted = True  # what a successful ``promote`` ends with
     assert lookup(standby, op) is entry
+
+
+def test_a_promotion_cut_short_answers_the_calls_waiting_for_it(standby):
+    """A promotion whose task is cancelled (its loop shutting down) still
+    answers every ``promote`` waiting on it, with an error."""
+    async def scenario():
+        answers: list = []
+        for _ in range(2):
+            dispatch(standby, "promote", {}, answers.append)
+        standby._promotion.cancel()
+        for _ in range(10):
+            await asyncio.sleep(0)
+        return answers
+
+    answers = asyncio.run(scenario())
+    assert [type(answer) for answer in answers] == [RemoteCallError] * 2
+    assert not standby.promoted and standby._promotion is None
 
 
 def test_standby_control_plane_is_answered_and_data_plane_refused_end_to_end(standby):
@@ -399,9 +416,6 @@ class RecordingTransport(asyncio.Transport):
     def write(self, data) -> None:
         self.writes.append(bytes(data))
 
-    def get_write_buffer_limits(self) -> tuple[int, int]:
-        return 16 * 1024, 64 * 1024
-
     def pause_reading(self) -> None:
         self.reading = False
 
@@ -432,13 +446,12 @@ def frames_of(data: bytes) -> list[dict]:
     return [frame for frame, _ in iter(decoder.next_frame, None)]
 
 
-def test_the_inline_replies_of_one_read_leave_in_one_write():
+def test_the_inline_replies_of_one_read_are_written_in_arrival_order():
     connection, transport = connected(Probe())
     connection.data_received(segment(*({"op": "inline", "rid": rid} for rid in (1, 2, 3))))
-    (written,) = transport.writes
-    assert [frame["rid"] for frame in frames_of(written)] == [1, 2, 3]
+    assert [frame["rid"] for frame in frames_of(b"".join(transport.writes))] == [1, 2, 3]
     connection.data_received(segment({"op": "silent", "rid": 4}))
-    assert frames_of(transport.writes[1]) == [{"ok": True, "rid": 4}]
+    assert frames_of(transport.writes[-1]) == [{"ok": True, "rid": 4}]
 
 
 @pytest.mark.parametrize("tail", [(3).to_bytes(4, "big") + b"{x}",  # not JSON
@@ -495,8 +508,8 @@ def test_rid_less_frames_are_answered_one_at_a_time():
     assert probe.server_stats.frames_in == 1
     (reply,) = probe.held
     reply({"held": True})
-    assert [frames_of(written) for written in transport.writes] == [
-        [{"ok": True, "held": True}], [{"ok": True}, {"ok": True, "rid": 5}]]
+    assert frames_of(b"".join(transport.writes)) == [
+        {"ok": True, "held": True}, {"ok": True}, {"ok": True, "rid": 5}]
     assert transport.reading and probe.server_stats.in_flight == 0
 
 
